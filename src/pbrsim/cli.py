@@ -28,6 +28,7 @@ from .harness import (
     render_sweep_json,
     run_experiment,
     sweep_distance,
+    tolerance_to_dict,
 )
 from .noise import DEPOLARIZING, THERMODYNAMICAL, load_calibration
 from .protocol import PBRParams, build_test_circuit, theta_min
@@ -106,15 +107,7 @@ def _cmd_tolerance(args) -> int:
         "kind": "pbr-tolerance",
         "n": args.n,
         "theta": theta,
-        "model": rep.model,
-        "d_quantum": rep.d_quantum,
-        "d_noisy": rep.d_noisy,
-        "eps_tol_ideal": rep.eps_tol_ideal,
-        "eps_tol_noisy": rep.eps_tol_noisy,
-        "eps_tol_noisy_spread": rep.eps_tol_noisy_spread,
-        "eps_dep": rep.eps_dep,
-        "eps_dec": rep.eps_dec,
-        "eps_dec_cumulative": rep.eps_dec_cumulative,
+        **tolerance_to_dict(rep),
         "qubit_ids": list(rep.qubit_ids),
         "eps_prep": list(rep.eps_prep),
         "eps_tol_per_qubit": list(rep.eps_tol_per_qubit),

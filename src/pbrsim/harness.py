@@ -22,19 +22,25 @@ from __future__ import annotations
 import csv
 import io
 import json
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .bounds import ToleranceReport, epsilon_dep, tolerance_report
 from .circuits import Circuit, Gate, gate_counts
-from .config import DEFAULT_CONFIDENCE, DEFAULT_SHOTS, SIMULATION_QUBIT_CAP
+from .config import (
+    DEFAULT_CONFIDENCE,
+    DEFAULT_SHOTS,
+    DEFAULT_TWO_QUBIT_GATE_S,
+    SIMULATION_QUBIT_CAP,
+)
 from .errors import CapError, RangeError, ValidationError
 from .noise import (
     CalibrationSnapshot,
     DEPOLARIZING,
     NOISE_MODELS,
+    THERMODYNAMICAL,
     apply_readout,
     attach_noise,
     readout_matrix,
@@ -140,7 +146,7 @@ def wilson_interval(k: int, m: int, confidence: float = DEFAULT_CONFIDENCE) -> t
         raise RangeError(f"k={k} outside [0, {m}]")
     if not 0.0 < confidence < 1.0:
         raise RangeError(f"confidence={confidence!r} outside (0, 1)")
-    z = float(norm.ppf(0.5 + confidence / 2))
+    z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2)
     denom = m + z * z
     center = (k + z * z / 2) / denom
     half = z * np.sqrt(k * (m - k) / m + z * z / 4) / denom
@@ -177,36 +183,58 @@ def _input_distribution(
     return np.clip(np.asarray(apply_readout(dist, mats)), 0.0, 1.0), physical_measured
 
 
+def _shared_fields(
+    cfg: ExperimentConfig, params: PBRParams, cal: CalibrationSnapshot, circuit: Circuit
+) -> tuple[dict, float]:
+    """Report fields both paths derive alike, and the active threshold.
+
+    `circuit` is input 0's circuit as it runs on the device (routed when
+    placed); gate counts and both tolerance reports come from it.
+    """
+    fmap = discover_forbidden_map(params)
+    g1, g2 = gate_counts(circuit)
+    tol_dep = tolerance_report(params, cal, circuit, DEPOLARIZING)
+    tol_thermo = tolerance_report(params, cal, circuit, THERMODYNAMICAL)
+    fields = dict(
+        n=cfg.n,
+        theta=cfg.theta,
+        alpha=params.alpha,
+        beta=params.beta,
+        model=cfg.model,
+        shots=cfg.shots,
+        seed=cfg.seed,
+        confidence=cfg.confidence,
+        forbidden_map=fmap,
+        g1=g1,
+        g2=g2,
+        tol_dep=tol_dep,
+        tol_thermo=tol_thermo,
+    )
+    active = (tol_dep if cfg.model == DEPOLARIZING else tol_thermo).eps_tol_noisy
+    return fields, active
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Simulate all 2^n inputs under the configured noise and sample shots."""
     params = PBRParams.solve(cfg.n, cfg.theta)
-    fmap = discover_forbidden_map(params)
-    base = build_test_circuit(0, params)
-
+    circuits = [build_test_circuit(x, params) for x in range(2**cfg.n)]
     span = None
     swap_count = 0
     if cfg.placement is not None:
-        routed0 = route_linear(base, cfg.coupling, cfg.placement)
-        span = len(routed0.path) - 1
-        swap_count = routed0.swap_count
-        ideal0 = routed0.circuit
-    else:
-        ideal0 = base
-    n_sim = len({q for g in ideal0.gates for q in g.qubits})
+        routed = [route_linear(c, cfg.coupling, cfg.placement) for c in circuits]
+        circuits = [r.circuit for r in routed]
+        span = len(routed[0].path) - 1
+        swap_count = routed[0].swap_count
+    n_sim = len({q for g in circuits[0].gates for q in g.qubits})
     if n_sim > cfg.cap:
         raise CapError(
             f"{n_sim} physical qubits exceed cap {cfg.cap}; use an analytic report"
         )
-    g1, g2 = gate_counts(ideal0)
-    tol_dep = tolerance_report(params, cfg.calibration, ideal0, "depolarizing")
-    tol_thermo = tolerance_report(params, cfg.calibration, ideal0, "thermodynamical")
-    active = (tol_dep if cfg.model == DEPOLARIZING else tol_thermo).eps_tol_noisy
+    fields, active = _shared_fields(cfg, params, cfg.calibration, circuits[0])
+    fmap = fields["forbidden_map"]
 
     rows = []
-    for x in range(2**cfg.n):
-        circuit = build_test_circuit(x, params)
-        if cfg.placement is not None:
-            circuit = route_linear(circuit, cfg.coupling, cfg.placement).circuit
+    for x, circuit in enumerate(circuits):
         noisy = attach_noise(circuit, cfg.calibration, cfg.model)
         dist, _ = _input_distribution(noisy, cfg.calibration)
         exact = float(dist[fmap[x]])
@@ -227,29 +255,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             )
         )
 
-    fraction = float(np.mean([r.passed for r in rows]))
     return ExperimentReport(
-        n=cfg.n,
-        theta=cfg.theta,
-        alpha=params.alpha,
-        beta=params.beta,
-        model=cfg.model,
-        shots=cfg.shots,
-        seed=cfg.seed,
-        confidence=cfg.confidence,
+        **fields,
         analytic_only=False,
-        forbidden_map=fmap,
-        g1=g1,
-        g2=g2,
         span=span,
         placement=cfg.placement,
         swap_count=swap_count,
-        tol_dep=tol_dep,
-        tol_thermo=tol_thermo,
         inputs=tuple(rows),
         mean_forbidden_exact=float(np.mean([r.exact_probability for r in rows])),
         predicted_error=None,
-        pass_fraction=fraction,
+        pass_fraction=float(np.mean([r.passed for r in rows])),
         passed=all(r.passed for r in rows),
     )
 
@@ -263,41 +278,25 @@ def analytic_report(cfg: ExperimentConfig, span: int) -> ExperimentReport:
     estimate) and compares it against the noisy tolerance.
     """
     params = PBRParams.solve(cfg.n, cfg.theta)
-    fmap = discover_forbidden_map(params)
     cal = _line_calibration(cfg.calibration, span + 1)
     circuit = route_linear(
         build_test_circuit(0, params), line_map(span + 1), (0, span)
     ).circuit
-    g1, g2 = gate_counts(circuit)
-    tol_dep = tolerance_report(params, cal, circuit, "depolarizing")
-    tol_thermo = tolerance_report(params, cal, circuit, "thermodynamical")
-    active = (tol_dep if cfg.model == DEPOLARIZING else tol_thermo).eps_tol_noisy
+    fields, active = _shared_fields(cfg, params, cal, circuit)
 
-    p1 = float(np.mean([q.p1 for q in cal.qubits]))
-    p2 = float(np.mean([c.p2 for c in cal.couplers])) if cal.couplers else 0.0
     if cfg.model == DEPOLARIZING:
-        predicted = epsilon_dep(p1, p2, g1, g2)
+        p1 = float(np.mean([q.p1 for q in cal.qubits]))
+        p2 = float(np.mean([c.p2 for c in cal.couplers])) if cal.couplers else 0.0
+        predicted = epsilon_dep(p1, p2, fields["g1"], fields["g2"])
     else:
-        predicted = tol_thermo.eps_dec_cumulative
+        predicted = fields["tol_thermo"].eps_dec_cumulative
     passed = bool(predicted < active)
     return ExperimentReport(
-        n=cfg.n,
-        theta=cfg.theta,
-        alpha=params.alpha,
-        beta=params.beta,
-        model=cfg.model,
-        shots=cfg.shots,
-        seed=cfg.seed,
-        confidence=cfg.confidence,
+        **fields,
         analytic_only=True,
-        forbidden_map=fmap,
-        g1=g1,
-        g2=g2,
         span=span,
         placement=(0, span),
         swap_count=span - 1,
-        tol_dep=tol_dep,
-        tol_thermo=tol_thermo,
         inputs=(),
         mean_forbidden_exact=None,
         predicted_error=float(predicted),
@@ -310,9 +309,11 @@ def _line_calibration(cal: CalibrationSnapshot, n_phys: int) -> CalibrationSnaps
     """Homogenized line device from the snapshot's mean parameters."""
     q = cal.qubits
     mean = lambda vals: float(np.mean(list(vals)))  # noqa: E731
-    p2 = mean(c.p2 for c in cal.couplers) if cal.couplers else 0.0
-    two = mean(c.duration for c in cal.couplers) if cal.couplers else 68e-9
-    snap = uniform_calibration(
+    p2, two = 0.0, DEFAULT_TWO_QUBIT_GATE_S
+    if cal.couplers:
+        p2 = mean(c.p2 for c in cal.couplers)
+        two = mean(c.duration for c in cal.couplers)
+    return uniform_calibration(
         n_phys,
         t1=mean(x.t1 for x in q),
         t2=mean(x.t2 for x in q),
@@ -322,9 +323,9 @@ def _line_calibration(cal: CalibrationSnapshot, n_phys: int) -> CalibrationSnaps
         p10=mean(x.readout_p10 for x in q),
         single=mean(x.single_gate_duration for x in q),
         two=two,
+        readout=cal.readout_duration,
         edges=tuple((i, i + 1) for i in range(n_phys - 1)),
     )
-    return CalibrationSnapshot(snap.qubits, snap.couplers, cal.readout_duration)
 
 
 def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
@@ -360,25 +361,12 @@ def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
     return reports
 
 
-def evaluate_pass(report: ExperimentReport) -> tuple[float, bool]:
-    """(fraction of inputs passing, experiment verdict), recomputed.
-
-    Per-input pass means the upper confidence bound sits strictly below
-    the noisy tolerance; the experiment passes only if every input does.
-    Analytic reports compare the predicted error instead.
-    """
-    if report.analytic_only:
-        ok = report.predicted_error < report.active_tolerance
-        return (1.0 if ok else 0.0), ok
-    flags = [r.ci_high < r.tolerance for r in report.inputs]
-    return float(np.mean(flags)), all(flags)
-
-
 def _bits(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
 
-def _tolerance_dict(t: ToleranceReport) -> dict:
+def tolerance_to_dict(t: ToleranceReport) -> dict:
+    """The scalar threshold fields every tolerance document carries."""
     return {
         "model": t.model,
         "d_quantum": t.d_quantum,
@@ -420,8 +408,8 @@ def report_to_dict(r: ExperimentReport) -> dict:
             "extra_g2": routed_gate_overhead(r.span)[1],
         },
         "tolerances": {
-            "depolarizing": _tolerance_dict(r.tol_dep),
-            "thermodynamical": _tolerance_dict(r.tol_thermo),
+            "depolarizing": tolerance_to_dict(r.tol_dep),
+            "thermodynamical": tolerance_to_dict(r.tol_thermo),
             "active": r.active_tolerance,
         },
         "inputs": [

@@ -129,6 +129,17 @@ def _reject_unknown(entry: dict, allowed: set, where: str) -> None:
         raise FormatError(f"unknown keys {sorted(extra)} in {where}")
 
 
+def _entries(doc: dict, section: str) -> list:
+    """The list of objects under `section`; [] when absent."""
+    entries = doc.get(section, [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{section!r} must be a list of objects")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise FormatError(f"{section!r} entry {entry!r} is not an object")
+    return entries
+
+
 def _require(entry: dict, key: str, where: str):
     if key not in entry:
         raise ValidationError(f"{where} is missing required key {key!r}")
@@ -146,7 +157,7 @@ def load_calibration(path) -> CalibrationSnapshot:
         raise FormatError("calibration document must be an object")
     _reject_unknown(doc, {"qubits", "couplers", "readout_us"}, "calibration document")
     qubits = []
-    for entry in doc.get("qubits", []):
+    for entry in _entries(doc, "qubits"):
         _reject_unknown(entry, _QUBIT_KEYS, f"qubit entry {entry.get('id')}")
         where = f"qubit entry {entry.get('id')}"
         qubits.append(
@@ -161,7 +172,7 @@ def load_calibration(path) -> CalibrationSnapshot:
             )
         )
     couplers = []
-    for entry in doc.get("couplers", []):
+    for entry in _entries(doc, "couplers"):
         where = f"coupler entry ({entry.get('q0')}, {entry.get('q1')})"
         _reject_unknown(entry, _COUPLER_KEYS, where)
         couplers.append(

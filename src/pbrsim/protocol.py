@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .circuits import (
     CPHASE_OPEN,
@@ -60,12 +59,38 @@ def _angle_residual(n: int, theta: float, alpha: float, beta: float) -> float:
     return abs(np.exp(1j * alpha) + (1 + t * np.exp(1j * beta)) ** n - 1)
 
 
+def _bisect(g, lo: float, hi: float) -> float:
+    """Bisect g(lo) > 0 >= g(hi); see solve_angles for the stopping rules."""
+    if g(hi) == 0.0:
+        return hi
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if g_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def solve_angles(n: int, theta: float) -> tuple[float, float]:
     """Solve e^{i alpha} + (1 + e^{i beta} tan(theta/2))^n = 1 for (alpha, beta).
 
     Reduced to one dimension: find beta in [0, pi] where
     |1 - (1 + tan(theta/2) e^{i beta})^n| = 1, then read alpha off the
     argument. The mirrored root at -beta is the conjugate solution.
+
+    The first sign change on a 4097-point grid brackets the root, and
+    bisection narrows the bracket to width 1e-15 (or until the midpoint
+    equals an endpoint), returning its upper end. Exact-zero rule: any
+    evaluated point where the modulus condition holds to exactly 0.0 is
+    returned at once, the bracket's upper end checked first. At
+    theta = pi/2 with n = 2 or 3 the condition is numerically zero on a
+    plateau below pi, and this rule returns the grid point pi itself.
     """
     if n < 1:
         raise RangeError(f"n={n} must be >= 1")
@@ -91,7 +116,7 @@ def solve_angles(n: int, theta: float) -> tuple[float, float]:
         beta = None
         for lo, hi in zip(grid[:-1], grid[1:]):
             if g(hi) <= 0.0:
-                beta = float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
+                beta = _bisect(g, float(lo), float(hi))
                 break
         if beta is None:
             raise NoSolutionError(f"no root of the angle equation for n={n}, theta={theta!r}")

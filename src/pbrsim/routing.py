@@ -49,30 +49,6 @@ def line_map(n_qubits: int) -> CouplingMap:
     return CouplingMap(n_qubits, tuple((i, i + 1) for i in range(n_qubits - 1)))
 
 
-def heavy_hex_map() -> CouplingMap:
-    """156-qubit heavy-hex-like lattice: 8 rows of 16 with 28 bridge qubits.
-
-    An approximation of a large superconducting device layout for
-    demonstration sweeps, not a faithful copy of any specific chip.
-    """
-    rows, cols = 8, 16
-    edges = []
-    def rc(r, c):
-        return r * cols + c
-    for r in range(rows):
-        for c in range(cols - 1):
-            edges.append((rc(r, c), rc(r, c + 1)))
-    nxt = rows * cols
-    for gap in range(rows - 1):
-        offset = 0 if gap % 2 == 0 else 2
-        for c in range(offset, cols, 4):
-            bridge = nxt
-            nxt += 1
-            edges.append((rc(gap, c), bridge))
-            edges.append((bridge, rc(gap + 1, c)))
-    return CouplingMap(nxt, tuple(edges))
-
-
 def load_coupling_map(path) -> CouplingMap:
     """Read a map from JSON: {"n_qubits": N, "edges": [[a, b], ...]}."""
     with open(path) as fh:

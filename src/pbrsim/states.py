@@ -18,11 +18,6 @@ from .config import ATOL_ALGEBRAIC, ATOL_SPECTRAL
 from .errors import ChannelError, NormalizationError, UnitarityError
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 class DensityMatrix:
     """n-qubit state as a 2^n x 2^n complex matrix.
 

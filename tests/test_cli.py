@@ -1,15 +1,22 @@
 """Command line interface: subcommands, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pbrsim
 from pbrsim.cli import main
+from pbrsim.harness import ExperimentConfig, report_to_dict, run_experiment
 from pbrsim.noise import (
+    DEPOLARIZING,
     CalibrationSnapshot,
     CouplerCalibration,
     QubitCalibration,
+    load_calibration,
     save_calibration,
 )
 from pbrsim.routing import line_map, save_coupling_map
@@ -72,6 +79,19 @@ def test_tolerance_subcommand(calib_path, capsys):
     assert doc["model"] == "depolarizing"
     assert abs(doc["eps_tol_ideal"] - 0.02144660940672625) < 1e-12
     assert doc["eps_tol_noisy"] > doc["eps_tol_ideal"]
+    tolerance_keys = {
+        "model", "d_quantum", "d_noisy", "eps_tol_ideal", "eps_tol_noisy",
+        "eps_tol_noisy_spread", "eps_dep", "eps_dec", "eps_dec_cumulative",
+    }
+    assert set(doc) == tolerance_keys | {
+        "kind", "n", "theta", "qubit_ids", "eps_prep", "eps_tol_per_qubit",
+    }
+    cfg = ExperimentConfig(
+        n=2, theta=np.pi / 4, model=DEPOLARIZING,
+        calibration=load_calibration(calib_path), shots=100,
+    )
+    expected = report_to_dict(run_experiment(cfg))["tolerances"]["depolarizing"]
+    assert {k: doc[k] for k in tolerance_keys} == expected
 
 
 def test_run_pass_and_outputs(calib_path, tmp_path, capsys):
@@ -155,3 +175,71 @@ def test_sweep_distance_bad_spans_exits_2(calib_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"qubits": [5]},
+        {"couplers": [[0, 1]]},
+        {"qubits": 5},
+        {"qubits": "q0"},
+        {"couplers": {"q0": 0, "q1": 1}},
+    ],
+)
+@pytest.mark.parametrize("command", ["tolerance", "run"])
+def test_malformed_calibration_sections_exit_2(doc, command, tmp_path, capsys):
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--n", "2", "--calib", str(path), "--model", "dep"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+from pbrsim.cli import main
+
+calib = sys.argv[1]
+results = []
+for argv in (
+    ["solve-angles", "--n", "2"],
+    ["tolerance", "--n", "2", "--calib", calib, "--model", "dep"],
+    ["run", "--n", "2", "--calib", calib, "--model", "dep", "--shots", "2000"],
+    ["sweep-distance", "--calib", calib, "--model", "dep", "--shots", "2000",
+     "--spans", "1..2"],
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append({"argv": argv, "code": code, "stdout": out.getvalue()})
+results.append(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+print(json.dumps(results))
+"""
+
+
+def test_cli_runs_without_scipy(calib_path):
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(pbrsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_root)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, calib_path],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *results, scipy_modules = json.loads(proc.stdout)
+    assert scipy_modules == []
+    assert len(results) == 4
+    for result in results:
+        assert result["code"] in (0, 1), result
+        json.loads(result["stdout"])

@@ -11,7 +11,6 @@ from pbrsim.harness import (
     BIT_ORDER_NOTE,
     ExperimentConfig,
     analytic_report,
-    evaluate_pass,
     render_csv,
     render_json,
     render_sweep_json,
@@ -142,10 +141,11 @@ def test_run_experiment_two_qubits():
         assert 0 <= r.ci_low <= r.estimate <= r.ci_high <= 1
         assert r.tolerance == pytest.approx(0.02147198764367157, abs=1e-12)
         assert r.passed
+        assert r.passed == (r.ci_high < r.tolerance)
+    assert rep.passed == all(r.passed for r in rep.inputs)
+    assert rep.pass_fraction == float(np.mean([r.passed for r in rep.inputs]))
     assert rep.passed
     assert rep.pass_fraction == 1.0
-    frac, ok = evaluate_pass(rep)
-    assert frac == 1.0 and ok
 
 
 def test_run_experiment_deterministic():
@@ -240,6 +240,7 @@ def test_analytic_report_for_long_span():
     assert rep.inputs == ()
     assert 0.0 < rep.predicted_error <= 1.0
     assert not rep.passed  # a 154-edge span cannot beat the tolerance
+    assert rep.passed == (rep.predicted_error < rep.active_tolerance)
     doc = json.loads(render_json(rep))
     assert doc["analytic_only"] is True
     assert doc["predicted_error"] == rep.predicted_error

@@ -8,7 +8,6 @@ from pbrsim.errors import FormatError, PathError, RangeError, ValidationError
 from pbrsim.protocol import PBRParams, build_test_circuit
 from pbrsim.routing import (
     CouplingMap,
-    heavy_hex_map,
     line_map,
     load_coupling_map,
     route_linear,
@@ -41,16 +40,6 @@ def test_line_map():
     cmap = line_map(5)
     assert cmap.n_qubits == 5
     assert cmap.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
-
-
-def test_heavy_hex_map_shape():
-    cmap = heavy_hex_map()
-    assert cmap.n_qubits == 156
-    # 8 rows of 15 in-row edges plus two edges per bridge qubit
-    assert len(cmap.edges) == 8 * 15 + 2 * 28
-    # connected: breadth-first search reaches every qubit
-    for q in (1, 77, 155):
-        assert len(shortest_path(cmap, 0, q)) >= 1
 
 
 def test_shortest_path_and_span():

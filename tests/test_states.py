@@ -10,7 +10,6 @@ from pbrsim.states import (
     apply_channel,
     apply_unitary,
     ground_state,
-    kron,
     measurement_probs,
     pure_density,
 )
@@ -59,13 +58,6 @@ def test_density_matrix_validation():
     DensityMatrix(bad).validate  # construction passes trace+hermiticity
     with pytest.raises(ValueError):
         DensityMatrix(bad).validate()  # but the eigenvalue check rejects it
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(2, 2))
-    b = rng.normal(size=(4, 4))
-    assert np.abs(kron(a, b) - np.kron(a, b)).max() < 1e-14
 
 
 def test_apply_unitary_matches_full_kron():
