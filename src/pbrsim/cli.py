@@ -16,7 +16,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bounds import tolerance_report
@@ -24,6 +23,7 @@ from .config import DEFAULT_CONFIDENCE, DEFAULT_SHOTS
 from .harness import (
     ExperimentConfig,
     render_csv,
+    render_doc,
     render_json,
     render_sweep_json,
     run_experiment,
@@ -94,7 +94,7 @@ def _cmd_solve_angles(args) -> int:
         "alpha": params.alpha,
         "beta": params.beta,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(render_doc(doc), args.out)
     return 0
 
 
@@ -112,7 +112,7 @@ def _cmd_tolerance(args) -> int:
         "eps_prep": list(rep.eps_prep),
         "eps_tol_per_qubit": list(rep.eps_tol_per_qubit),
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(render_doc(doc), args.out)
     return 0
 
 

@@ -1,13 +1,15 @@
 """End-to-end experiment orchestration and shot statistics.
 
 A run solves the angles, discovers the forbidden map, then for every
-input builds the circuit, attaches noise, routes if placed, evolves the
-density matrix, pushes the outcome distribution through the readout
-matrices, and samples shot counts from a per-input random stream seeded
-by (seed, input index). The per-input verdict compares the Wilson upper
-confidence bound against the noisy tolerance threshold, strictly.
+input builds the circuit, routes it if placed, attaches noise, takes its
+outcome distribution from `simulate.outcome_distribution` (which evolves
+only the live qubits and enforces the simulation cap), pushes it through
+the readout matrices, and samples shot counts from a per-input random
+stream seeded by (seed, input index). The per-input verdict compares the
+Wilson upper confidence bound against the noisy tolerance threshold,
+strictly.
 
-Configurations whose physical qubit count exceeds the simulation cap
+Sweep spans needing more physical qubits than the simulation cap
 degrade to analytic-only reports: gate counts and closed-form error
 predictions stand in for per-input statistics (the full-span case of a
 large device is never simulated exactly). There the verdict compares the
@@ -15,6 +17,8 @@ predicted model error against the same threshold.
 
 Reports render to a structured JSON document (sorted keys, so identical
 configurations are byte-identical) and to a flat CSV, one row per input.
+`render_doc` is the one JSON serializer; the CLI's other documents use it
+too.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import ToleranceReport, epsilon_dep, tolerance_report
-from .circuits import Circuit, Gate, gate_counts
+from .circuits import Circuit, gate_counts
 from .config import (
     DEFAULT_CONFIDENCE,
     DEFAULT_SHOTS,
     DEFAULT_TWO_QUBIT_GATE_S,
     SIMULATION_QUBIT_CAP,
 )
-from .errors import CapError, RangeError, ValidationError
+from .errors import RangeError, ValidationError
 from .noise import (
     CalibrationSnapshot,
     DEPOLARIZING,
@@ -48,8 +52,7 @@ from .noise import (
 )
 from .protocol import ForbiddenMap, PBRParams, build_test_circuit, discover_forbidden_map
 from .routing import CouplingMap, line_map, route_linear, routed_gate_overhead
-from .simulate import marginal_distribution, simulate_circuit
-from .states import measurement_probs
+from .simulate import outcome_distribution
 
 BIT_ORDER_NOTE = "qubit 0 is the most significant bit of every outcome index"
 
@@ -65,15 +68,16 @@ class ExperimentConfig:
     coupling: CouplingMap | None = None
     placement: tuple[int, int] | None = None
     confidence: float = DEFAULT_CONFIDENCE
-    cap: int = SIMULATION_QUBIT_CAP
 
     def __post_init__(self):
         if self.model not in NOISE_MODELS:
             raise ValidationError(f"unknown noise model {self.model!r}")
         if self.shots < 1:
             raise ValidationError(f"shots={self.shots} must be >= 1")
-        if self.cap < self.n:
-            raise ValidationError(f"cap {self.cap} below n={self.n}")
+        if self.n > SIMULATION_QUBIT_CAP:
+            raise ValidationError(
+                f"n={self.n} exceeds the simulation cap of {SIMULATION_QUBIT_CAP}"
+            )
         if not 0.0 < self.confidence < 1.0:
             raise ValidationError(f"confidence={self.confidence!r} outside (0, 1)")
         if (self.coupling is None) != (self.placement is None):
@@ -153,36 +157,6 @@ def wilson_interval(k: int, m: int, confidence: float = DEFAULT_CONFIDENCE) -> t
     return float(max(0.0, center - half)), float(min(1.0, center + half))
 
 
-def _compact(circuit: Circuit) -> tuple[Circuit, dict[int, int]]:
-    """Re-index a circuit onto its touched qubits only."""
-    touched = sorted({q for g in circuit.gates for q in g.qubits})
-    index = {q: i for i, q in enumerate(touched)}
-    gates = tuple(
-        Gate(
-            g.kind,
-            tuple(index[q] for q in g.qubits),
-            angle=g.angle,
-            duration=g.duration,
-            channel=g.channel,
-        )
-        for g in circuit.gates
-    )
-    return Circuit(max(len(touched), 1), gates), index
-
-
-def _input_distribution(
-    noisy: Circuit, cal: CalibrationSnapshot
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Readout-adjusted distribution over the measured qubits, listed order."""
-    compactd, index = _compact(noisy)
-    final, measured_compact = simulate_circuit(compactd)
-    probs = measurement_probs(final)
-    physical_measured = noisy.measured_qubits
-    dist = marginal_distribution(probs, compactd.n_qubits, measured_compact)
-    mats = [readout_matrix(cal.qubit(q)) for q in physical_measured]
-    return np.clip(np.asarray(apply_readout(dist, mats)), 0.0, 1.0), physical_measured
-
-
 def _shared_fields(
     cfg: ExperimentConfig, params: PBRParams, cal: CalibrationSnapshot, circuit: Circuit
 ) -> tuple[dict, float]:
@@ -225,18 +199,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         circuits = [r.circuit for r in routed]
         span = len(routed[0].path) - 1
         swap_count = routed[0].swap_count
-    n_sim = len({q for g in circuits[0].gates for q in g.qubits})
-    if n_sim > cfg.cap:
-        raise CapError(
-            f"{n_sim} physical qubits exceed cap {cfg.cap}; use an analytic report"
-        )
     fields, active = _shared_fields(cfg, params, cfg.calibration, circuits[0])
     fmap = fields["forbidden_map"]
 
     rows = []
     for x, circuit in enumerate(circuits):
         noisy = attach_noise(circuit, cfg.calibration, cfg.model)
-        dist, _ = _input_distribution(noisy, cfg.calibration)
+        mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy.measured_qubits]
+        dist = np.clip(apply_readout(outcome_distribution(noisy), mats), 0.0, 1.0)
         exact = float(dist[fmap[x]])
         counts = sample_counts(dist, cfg.shots, (cfg.seed, x))
         k = int(counts[fmap[x]])
@@ -341,7 +311,7 @@ def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
         if s < 1:
             raise RangeError(f"span {s} must be >= 1")
         n_phys = s + 1
-        if n_phys <= cfg.cap:
+        if n_phys <= SIMULATION_QUBIT_CAP:
             cal = _line_calibration(cfg.calibration, n_phys)
             sub = ExperimentConfig(
                 n=cfg.n,
@@ -353,7 +323,6 @@ def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
                 coupling=line_map(n_phys),
                 placement=(0, s),
                 confidence=cfg.confidence,
-                cap=cfg.cap,
             )
             reports.append(run_experiment(sub))
         else:
@@ -433,13 +402,19 @@ def report_to_dict(r: ExperimentReport) -> dict:
     }
 
 
+def render_doc(doc: dict) -> str:
+    """Serialize a report document: sorted keys, two-space indent, newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def render_json(r: ExperimentReport) -> str:
-    return json.dumps(report_to_dict(r), indent=2, sort_keys=True) + "\n"
+    return render_doc(report_to_dict(r))
 
 
 def render_sweep_json(reports) -> str:
-    doc = {"kind": "pbr-distance-sweep", "reports": [report_to_dict(r) for r in reports]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return render_doc(
+        {"kind": "pbr-distance-sweep", "reports": [report_to_dict(r) for r in reports]}
+    )
 
 
 _CSV_FIELDS = (
@@ -462,7 +437,7 @@ def render_csv(reports) -> str:
     if isinstance(reports, ExperimentReport):
         reports = [reports]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, restval="", lineterminator="\n")
     writer.writeheader()
     for r in reports:
         span = "" if r.span is None else r.span
@@ -470,33 +445,11 @@ def render_csv(reports) -> str:
             writer.writerow(
                 {
                     "span": span,
-                    "input": "",
-                    "forbidden": "",
-                    "exact_probability": "",
-                    "count": "",
-                    "estimate": "",
-                    "ci_low": "",
-                    "ci_high": "",
-                    "tolerance": repr(r.active_tolerance),
-                    "predicted_error": repr(r.predicted_error),
+                    "tolerance": r.active_tolerance,
+                    "predicted_error": r.predicted_error,
                     "pass": r.passed,
                 }
             )
-            continue
-        for row in r.inputs:
-            writer.writerow(
-                {
-                    "span": span,
-                    "input": _bits(row.input_index, r.n),
-                    "forbidden": _bits(row.forbidden_index, r.n),
-                    "exact_probability": repr(row.exact_probability),
-                    "count": row.count,
-                    "estimate": repr(row.estimate),
-                    "ci_low": repr(row.ci_low),
-                    "ci_high": repr(row.ci_high),
-                    "tolerance": repr(row.tolerance),
-                    "predicted_error": "",
-                    "pass": row.passed,
-                }
-            )
+        for row in report_to_dict(r)["inputs"]:
+            writer.writerow({"span": span, **row})
     return buf.getvalue()

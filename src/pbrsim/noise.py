@@ -7,13 +7,17 @@ Calibration files are JSON documents with fixed units in the key names:
      "readout_us": 1.0}
 
 Unknown keys are rejected. Only the duration keys may be omitted; they
-fall back to 36 ns (single), 68 ns (two-qubit) and 1 us (readout).
+fall back to 36 ns (single), 68 ns (two-qubit) and 1 us (readout). Ids
+must be JSON integers and every other value a finite JSON number; booleans,
+strings, NaN and infinities are rejected.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +56,16 @@ class QubitCalibration:
     readout_p10: float = 0.0
 
     def __post_init__(self):
-        if self.t1 <= 0:
-            raise ValidationError(f"qubit {self.id}: t1 must be > 0")
-        if self.t2 <= 0:
-            raise ValidationError(f"qubit {self.id}: t2 must be > 0")
+        if not 0 < self.t1 < math.inf:
+            raise ValidationError(f"qubit {self.id}: t1 must be finite and > 0")
+        if not 0 < self.t2 < math.inf:
+            raise ValidationError(f"qubit {self.id}: t2 must be finite and > 0")
         for name in ("p1", "readout_p01", "readout_p10"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"qubit {self.id}: {name}={v!r} outside [0, 1]")
-        if self.single_gate_duration < 0:
-            raise ValidationError(f"qubit {self.id}: negative gate duration")
+        if not 0 <= self.single_gate_duration < math.inf:
+            raise ValidationError(f"qubit {self.id}: gate duration not finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,10 @@ class CouplerCalibration:
             raise ValidationError(f"coupler ({self.q0}, {self.q1}) is a self-loop")
         if not 0.0 <= self.p2 <= 1.0:
             raise ValidationError(f"coupler ({self.q0}, {self.q1}): p2 outside [0, 1]")
-        if self.duration < 0:
-            raise ValidationError(f"coupler ({self.q0}, {self.q1}): negative duration")
+        if not 0 <= self.duration < math.inf:
+            raise ValidationError(
+                f"coupler ({self.q0}, {self.q1}): duration not finite and >= 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -99,8 +105,8 @@ class CalibrationSnapshot:
             for q in (c.q0, c.q1):
                 if q not in known:
                     raise ValidationError(f"coupler references unknown qubit {q}")
-        if self.readout_duration < 0:
-            raise ValidationError("readout_us must be >= 0")
+        if not 0 <= self.readout_duration < math.inf:
+            raise ValidationError("readout_us must be finite and >= 0")
         object.__setattr__(self, "_by_id", {q.id: q for q in self.qubits})
         object.__setattr__(
             self, "_by_pair", {frozenset((c.q0, c.q1)): c for c in self.couplers}
@@ -140,10 +146,29 @@ def _entries(doc: dict, section: str) -> list:
     return entries
 
 
-def _require(entry: dict, key: str, where: str):
+def json_number(value, name: str, integer: bool = False):
+    """Check a parsed JSON value: an int when `integer`, else a finite number.
+
+    Booleans, strings, NaN, infinities and ints too large for a float raise
+    FormatError. Numbers come back as floats.
+    """
+    kind = "an integer" if integer else "a finite number"
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int if integer else (int, float))
+        or not (integer or abs(value) <= sys.float_info.max)
+    ):
+        raise FormatError(f"{name}={value!r} must be {kind}")
+    return value if integer else float(value)
+
+
+def _field(entry: dict, key: str, where: str, default=None, integer: bool = False):
+    """`entry[key]` checked by `json_number`; `default` when absent, if given."""
     if key not in entry:
-        raise ValidationError(f"{where} is missing required key {key!r}")
-    return entry[key]
+        if default is None:
+            raise ValidationError(f"{where} is missing required key {key!r}")
+        return default
+    return json_number(entry[key], f"{where}: {key}", integer)
 
 
 def load_calibration(path) -> CalibrationSnapshot:
@@ -162,13 +187,13 @@ def load_calibration(path) -> CalibrationSnapshot:
         where = f"qubit entry {entry.get('id')}"
         qubits.append(
             QubitCalibration(
-                id=int(_require(entry, "id", where)),
-                t1=float(_require(entry, "t1_us", where)) * 1e-6,
-                t2=float(_require(entry, "t2_us", where)) * 1e-6,
-                p1=float(_require(entry, "p1", where)),
-                single_gate_duration=float(entry.get("single_ns", 36.0)) * 1e-9,
-                readout_p01=float(_require(entry, "p01", where)),
-                readout_p10=float(_require(entry, "p10", where)),
+                id=_field(entry, "id", where, integer=True),
+                t1=_field(entry, "t1_us", where) * 1e-6,
+                t2=_field(entry, "t2_us", where) * 1e-6,
+                p1=_field(entry, "p1", where),
+                single_gate_duration=_field(entry, "single_ns", where, 36.0) * 1e-9,
+                readout_p01=_field(entry, "p01", where),
+                readout_p10=_field(entry, "p10", where),
             )
         )
     couplers = []
@@ -177,13 +202,13 @@ def load_calibration(path) -> CalibrationSnapshot:
         _reject_unknown(entry, _COUPLER_KEYS, where)
         couplers.append(
             CouplerCalibration(
-                q0=int(_require(entry, "q0", where)),
-                q1=int(_require(entry, "q1", where)),
-                p2=float(_require(entry, "p2", where)),
-                duration=float(entry.get("duration_ns", 68.0)) * 1e-9,
+                q0=_field(entry, "q0", where, integer=True),
+                q1=_field(entry, "q1", where, integer=True),
+                p2=_field(entry, "p2", where),
+                duration=_field(entry, "duration_ns", where, 68.0) * 1e-9,
             )
         )
-    readout = float(doc.get("readout_us", DEFAULT_READOUT_S * 1e6)) * 1e-6
+    readout = _field(doc, "readout_us", "calibration", DEFAULT_READOUT_S * 1e6) * 1e-6
     return CalibrationSnapshot(tuple(qubits), tuple(couplers), readout)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, decompose_swap
 from .errors import FormatError, PathError, RangeError, ValidationError
+from .noise import json_number
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,11 @@ def load_coupling_map(path) -> CouplingMap:
     if extra:
         raise FormatError(f"unknown keys {sorted(extra)} in coupling map")
     try:
-        n = int(doc["n_qubits"])
-        edges = tuple((int(a), int(b)) for a, b in doc["edges"])
+        n = json_number(doc["n_qubits"], "n_qubits", integer=True)
+        edges = tuple(
+            tuple(json_number(q, "edge endpoint", integer=True) for q in (a, b))
+            for a, b in doc["edges"]
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed coupling map: {exc}") from exc
     return CouplingMap(n, edges)

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, reproducibility."""
 
+import copy
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from pbrsim.noise import (
     QubitCalibration,
     load_calibration,
     save_calibration,
+    uniform_calibration,
 )
 from pbrsim.routing import line_map, save_coupling_map
 
@@ -147,6 +149,40 @@ def test_run_map_without_place_exits_2(calib_path, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_run_fractional_map_edge_exits_2(calib_path, tmp_path, capsys):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"n_qubits": 2, "edges": [[0, 1.9]]}))
+    code = main(
+        ["run", "--n", "2", "--calib", calib_path, "--model", "dep",
+         "--map", str(map_path), "--place", "0,1"]
+    )
+    assert code == 2
+    _assert_one_error_line(capsys)
+
+
+def test_run_routed_over_cap_exits_2(tmp_path, capsys):
+    # Placement 0,15 on a 20-qubit line routes through 16 live qubits.
+    cal_path = tmp_path / "line20.json"
+    save_calibration(
+        uniform_calibration(20, p1=2e-4, p2=2.4e-3, edges=line_map(20).edges), cal_path
+    )
+    map_path = tmp_path / "line20_map.json"
+    save_coupling_map(line_map(20), map_path)
+    code = main(
+        ["run", "--n", "2", "--calib", str(cal_path), "--model", "dep",
+         "--map", str(map_path), "--place", "0,15"]
+    )
+    assert code == 2
+    _assert_one_error_line(capsys)
+
+
 def test_run_missing_calibration_exits_2(capsys):
     code = main(["run", "--n", "2", "--calib", "/nonexistent.json", "--model", "dep"])
     assert code == 2
@@ -177,6 +213,25 @@ def test_sweep_distance_bad_spans_exits_2(calib_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_PAIR_DOC = {
+    "qubits": [
+        {"id": 0, "t1_us": 173.0, "t2_us": 172.0, "p1": 2.1e-4, "single_ns": 36.0,
+         "p01": 0.01, "p10": 0.01},
+        {"id": 1, "t1_us": 239.0, "t2_us": 276.0, "p1": 2.8e-4, "single_ns": 36.0,
+         "p01": 0.01, "p10": 0.01},
+    ],
+    "couplers": [{"q0": 0, "q1": 1, "p2": 2.4e-3, "duration_ns": 68.0}],
+    "readout_us": 0.6,
+}
+
+
+def _pair_doc_with(key, value, section=None):
+    """The valid two-qubit calibration with one field of its last entry replaced."""
+    doc = copy.deepcopy(_PAIR_DOC)
+    (doc if section is None else doc[section][-1])[key] = value
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -185,6 +240,16 @@ def test_sweep_distance_bad_spans_exits_2(calib_path, capsys):
         {"qubits": 5},
         {"qubits": "q0"},
         {"couplers": {"q0": 0, "q1": 1}},
+        _pair_doc_with("readout_us", float("nan")),
+        _pair_doc_with("readout_us", float("inf")),
+        _pair_doc_with("p1", True, "qubits"),
+        _pair_doc_with("id", 1.7, "qubits"),
+        _pair_doc_with("t1_us", float("nan"), "qubits"),
+        _pair_doc_with("t2_us", "172", "qubits"),
+        _pair_doc_with("single_ns", float("nan"), "qubits"),
+        _pair_doc_with("duration_ns", float("nan"), "couplers"),
+        _pair_doc_with("q1", True, "couplers"),
+        _pair_doc_with("p2", 10**400, "couplers"),
     ],
 )
 @pytest.mark.parametrize("command", ["tolerance", "run"])
@@ -193,10 +258,7 @@ def test_malformed_calibration_sections_exit_2(doc, command, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code = main([command, "--n", "2", "--calib", str(path), "--model", "dep"])
     assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    _assert_one_error_line(capsys)
 
 
 _NO_SCIPY_SCRIPT = """

@@ -116,7 +116,7 @@ def test_experiment_config_validation():
             n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, confidence=1.0
         )
     with pytest.raises(ValidationError):
-        ExperimentConfig(n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, cap=1)
+        ExperimentConfig(n=13, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal)
     with pytest.raises(ValidationError):
         ExperimentConfig(
             n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, placement=(0, 1)
@@ -268,12 +268,12 @@ def test_sweep_distance_monotone():
 def test_sweep_distance_over_cap_goes_analytic():
     cfg = ExperimentConfig(
         n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=line_calibration(12),
-        shots=2000, seed=3, cap=6,
+        shots=2000, seed=3,
     )
-    reports = sweep_distance(cfg, (2, 9))
+    reports = sweep_distance(cfg, (2, 12))
     assert not reports[0].analytic_only
     assert reports[1].analytic_only
-    assert reports[1].span == 9
+    assert reports[1].span == 12
 
 
 def test_sweep_distance_validation():

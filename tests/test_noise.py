@@ -113,6 +113,11 @@ def test_qubit_calibration_validation():
         QubitCalibration(0, 100e-6, 100e-6, 1.5)
     with pytest.raises(ValidationError):
         QubitCalibration(0, 100e-6, 100e-6, 0.0, readout_p01=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            QubitCalibration(0, bad, 100e-6, 0.0)
+        with pytest.raises(ValidationError):
+            QubitCalibration(0, 100e-6, 100e-6, 0.0, single_gate_duration=bad)
 
 
 def test_snapshot_validation_and_lookup():
@@ -132,6 +137,11 @@ def test_snapshot_validation_and_lookup():
         CalibrationSnapshot((q0, q0), ())
     with pytest.raises(ValidationError):
         CalibrationSnapshot((q0,), (cpl,))  # coupler names unknown qubit
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            CouplerCalibration(0, 1, 1e-3, duration=bad)
+        with pytest.raises(ValidationError):
+            CalibrationSnapshot((q0, q1), (cpl,), readout_duration=bad)
 
 
 def test_readout_matrix_and_apply():

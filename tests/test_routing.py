@@ -119,6 +119,8 @@ def test_coupling_map_file_errors(tmp_path):
     path.write_text('{"n_qubits": 2, "edges": [[0, 1]], "color": 3}')
     with pytest.raises(FormatError):
         load_coupling_map(path)
-    path.write_text("[1, 2]")
-    with pytest.raises(FormatError):
-        load_coupling_map(path)
+    for text in ("[1, 2]", '{"n_qubits": true, "edges": []}',
+                 '{"n_qubits": 2, "edges": [[0, 1.9]]}'):
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            load_coupling_map(path)

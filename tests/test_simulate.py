@@ -1,4 +1,4 @@
-"""Circuit evolution glue: cap enforcement, marginals, measured ordering."""
+"""Circuit evolution glue: cap enforcement, compaction, marginals, measured ordering."""
 
 import numpy as np
 import pytest
@@ -6,19 +6,29 @@ import pytest
 from pbrsim.circuits import Circuit, Gate, H, MEASURE, RY, X
 from pbrsim.errors import CapError
 from pbrsim.simulate import marginal_distribution, outcome_distribution, simulate_circuit
-from pbrsim.states import ground_state
 
 
 def test_qubit_cap_enforced():
     big = Circuit(13, (Gate(H, (0,)), Gate(MEASURE, tuple(range(13)))))
     with pytest.raises(CapError):
         simulate_circuit(big)
+    # 13 live qubits out of 30: the cap counts the simulated width.
+    wide = Circuit(30, (Gate(H, (0,)), Gate(MEASURE, tuple(range(0, 26, 2)))))
+    with pytest.raises(CapError):
+        outcome_distribution(wide)
 
 
-def test_initial_state_size_checked():
-    c = Circuit(2, (Gate(H, (0,)), Gate(MEASURE, (0, 1))))
-    with pytest.raises(ValueError):
-        simulate_circuit(c, ground_state(3))
+def test_outcome_distribution_simulates_touched_qubits_only():
+    # 30 qubits is far over the cap, but only qubits 3 and 17 are live.
+    c = Circuit(30, (Gate(X, (17,)), Gate(MEASURE, (17, 3))))
+    assert outcome_distribution(c).tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
+def test_outcome_distribution_without_measure_covers_all_qubits():
+    c = Circuit(3, (Gate(X, (1,)),))
+    probs = outcome_distribution(c)
+    assert probs.shape == (8,)
+    assert abs(probs[0b010] - 1.0) < 1e-12
 
 
 def test_measured_qubits_in_listed_order():
