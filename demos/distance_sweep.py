@@ -4,6 +4,9 @@ Routing the two-qubit entangler across s-1 intermediate qubits costs
 6(s-1) extra single-qubit gates and 3(s-1) extra two-qubit gates, so the
 forbidden-outcome probability climbs with span. Sweeps spans 1..8 with
 sampling, then extrapolates analytically to a span too wide to simulate.
+The simulator evolves each qubit only between its first and last gate,
+so every exact span holds at most three live qubits; the cap counts
+touched plus measured qubits, and spans past it go analytic.
 """
 
 import numpy as np

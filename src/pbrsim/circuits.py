@@ -91,14 +91,18 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
-        seen_measure = False
+        measured: set[int] = set()
         for g in self.gates:
             for q in g.qubits:
                 if q >= self.n_qubits:
                     raise ValueError(f"gate {g.kind} uses qubit {q} >= {self.n_qubits}")
-            if seen_measure and g.kind != MEASURE:
+            if measured and g.kind != MEASURE:
                 raise ValueError("only MEASURE gates may follow a MEASURE")
-            seen_measure = seen_measure or g.kind == MEASURE
+            if g.kind == MEASURE:
+                for q in g.qubits:
+                    if q in measured:
+                        raise ValueError(f"qubit {q} is measured twice")
+                    measured.add(q)
 
     @property
     def measured_qubits(self) -> tuple[int, ...]:

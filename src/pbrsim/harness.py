@@ -2,12 +2,12 @@
 
 A run solves the angles, discovers the forbidden map, then for every
 input builds the circuit, routes it if placed, attaches noise, takes its
-outcome distribution from `simulate.outcome_distribution` (which evolves
-only the live qubits and enforces the simulation cap), pushes it through
-the readout matrices, and samples shot counts from a per-input random
-stream seeded by (seed, input index). The per-input verdict compares the
-Wilson upper confidence bound against the noisy tolerance threshold,
-strictly.
+outcome distribution from `simulate.outcome_distribution`, pushes it
+through the readout matrices, and samples shot counts from a per-input
+random stream seeded by (seed, input index). The simulator evolves each
+qubit only between its first and last gate; the cap counts touched plus
+measured qubits. The per-input verdict compares the Wilson upper
+confidence bound against the noisy tolerance threshold, strictly.
 
 Sweep spans needing more physical qubits than the simulation cap
 degrade to analytic-only reports: gate counts and closed-form error
@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown noise model {self.model!r}")
         if self.shots < 1:
             raise ValidationError(f"shots={self.shots} must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed={self.seed} must be >= 0")
         if self.n > SIMULATION_QUBIT_CAP:
             raise ValidationError(
                 f"n={self.n} exceeds the simulation cap of {SIMULATION_QUBIT_CAP}"

@@ -69,6 +69,15 @@ def test_circuit_validation():
     assert c.measured_qubits == (1, 0)
 
 
+def test_circuit_rejects_qubit_measured_twice():
+    with pytest.raises(ValueError, match="qubit 0 is measured twice"):
+        Circuit(2, (Gate(H, (0,)), Gate(MEASURE, (0,)), Gate(MEASURE, (0, 1))))
+    with pytest.raises(FormatError, match="qubit 1 is measured twice"):
+        circuit_from_lines("H 0\nMEASURE 1 0\nMEASURE 1\n")
+    split = Circuit(2, (Gate(MEASURE, (1,)), Gate(MEASURE, (0,))))
+    assert split.measured_qubits == (1, 0)
+
+
 def test_single_qubit_unitaries():
     h = gate_unitary(Gate(H, (0,)))
     assert np.abs(h - np.array([[1, 1], [1, -1]]) / np.sqrt(2)).max() < 1e-15

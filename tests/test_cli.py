@@ -183,6 +183,21 @@ def test_run_routed_over_cap_exits_2(tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "command", [["run", "--n", "2"], ["sweep-distance", "--spans", "1..3"]]
+)
+def test_negative_seed_exits_2_before_simulating(command, calib_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("simulated before the seed was checked")
+
+    monkeypatch.setattr("pbrsim.harness.outcome_distribution", never)
+    code = main(command + ["--calib", calib_path, "--model", "dep", "--seed", "-1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed=-1 must be >= 0\n"
+    assert captured.out == ""
+
+
 def test_run_missing_calibration_exits_2(capsys):
     code = main(["run", "--n", "2", "--calib", "/nonexistent.json", "--model", "dep"])
     assert code == 2

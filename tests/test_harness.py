@@ -117,6 +117,8 @@ def test_experiment_config_validation():
         )
     with pytest.raises(ValidationError):
         ExperimentConfig(n=13, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal)
+    with pytest.raises(ValidationError, match=r"seed=-1 must be >= 0"):
+        ExperimentConfig(n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, seed=-1)
     with pytest.raises(ValidationError):
         ExperimentConfig(
             n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, placement=(0, 1)

@@ -1,11 +1,157 @@
-"""Circuit evolution glue: cap enforcement, compaction, marginals, measured ordering."""
+"""Circuit evolution: qubit lifetimes against a dense reference, cap, marginals, ordering."""
 
 import numpy as np
 import pytest
 
-from pbrsim.circuits import Circuit, Gate, H, MEASURE, RY, X
+import pbrsim.simulate
+from pbrsim.circuits import (
+    ANGLED_KINDS,
+    CPHASE_OPEN,
+    CZ,
+    Circuit,
+    Gate,
+    H,
+    MCPHASE_OPEN,
+    MEASURE,
+    NOISE,
+    PHASE,
+    RY,
+    RZ,
+    SWAP,
+    SX,
+    X,
+    gate_unitary,
+)
 from pbrsim.errors import CapError
+from pbrsim.harness import ExperimentConfig, sweep_distance
+from pbrsim.noise import (
+    NOISE_MODELS,
+    amplitude_damping,
+    attach_noise,
+    dephasing,
+    depolarizing_channel,
+    uniform_calibration,
+)
+from pbrsim.protocol import PBRParams, build_test_circuit
+from pbrsim.routing import line_map, route_linear
 from pbrsim.simulate import marginal_distribution, outcome_distribution, simulate_circuit
+from pbrsim.states import (
+    apply_channel,
+    apply_unitary,
+    ground_state,
+    measurement_probs,
+)
+
+DIFF_TOL = 1e-12
+
+
+def dense_state(c):
+    """Reference evolution: every qubit held from the start, every gate in order."""
+    rho = ground_state(c.n_qubits)
+    for g in c.gates:
+        if g.kind == NOISE:
+            rho = apply_channel(rho, g.channel, g.qubits)
+        elif g.kind != MEASURE:
+            rho = apply_unitary(rho, gate_unitary(g), g.qubits)
+    return rho
+
+
+def dense_distribution(c):
+    keep = c.measured_qubits or tuple(range(c.n_qubits))
+    return marginal_distribution(measurement_probs(dense_state(c)), c.n_qubits, keep)
+
+
+def random_noisy_circuit(rng, n):
+    """Random gates and channels on a random subset of n qubits.
+
+    The other qubits stay untouched; a random subset of all n qubits is
+    measured in random order, or none.
+    """
+    touched = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    gates = []
+    for _ in range(int(rng.integers(1, 13))):
+        pick = rng.random()
+        if len(touched) == 1 or pick < 0.5:
+            kind = (H, X, SX, RY, RZ, PHASE)[int(rng.integers(6))]
+            qs = (touched[int(rng.integers(len(touched)))],)
+        elif pick < 0.85:
+            kind = (CZ, SWAP, CPHASE_OPEN)[int(rng.integers(3))]
+            qs = tuple(int(q) for q in rng.permutation(touched)[:2])
+        else:
+            kind = MCPHASE_OPEN
+            k = int(rng.integers(2, len(touched) + 1))
+            qs = tuple(int(q) for q in rng.permutation(touched)[:k])
+        angle = float(rng.uniform(-np.pi, np.pi)) if kind in ANGLED_KINDS else None
+        gates.append(Gate(kind, qs, angle=angle))
+        if rng.random() < 0.6:
+            p = float(rng.uniform(0, 0.4))
+            choice = int(rng.integers(4))
+            if choice == 0 and len(qs) >= 2:
+                gates.append(Gate(NOISE, qs[:2], channel=depolarizing_channel(p, 2)))
+            elif choice == 1:
+                gates.append(Gate(NOISE, qs[-1:], channel=amplitude_damping(p)))
+            elif choice == 2:
+                gates.append(Gate(NOISE, qs[:1], channel=dephasing(p)))
+            else:
+                gates.append(Gate(NOISE, qs[:1], channel=depolarizing_channel(p, 1)))
+    if rng.random() < 0.8:
+        measured = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        gates.append(Gate(MEASURE, tuple(int(q) for q in measured)))
+    return Circuit(n, tuple(gates))
+
+
+def test_lifetime_evolution_matches_dense_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        c = random_noisy_circuit(rng, int(rng.integers(1, 7)))
+        ref = dense_distribution(c)
+        got = outcome_distribution(c)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() < DIFF_TOL
+        final, measured = simulate_circuit(c)
+        assert measured == c.measured_qubits
+        assert np.abs(final.matrix - dense_state(c).matrix).max() < DIFF_TOL
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+@pytest.mark.parametrize("span", range(1, 10))
+def test_routed_pbr_circuits_match_dense_reference(span, model):
+    # One input per span, cycling through all four; dense span 9 takes ~20 s.
+    params = PBRParams.solve(2, np.pi / 4)
+    line = line_map(span + 1)
+    cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
+    routed = route_linear(build_test_circuit(span % 4, params), line, (0, span)).circuit
+    noisy = attach_noise(routed, cal, model)
+    assert np.abs(outcome_distribution(noisy) - dense_distribution(noisy)).max() < DIFF_TOL
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_sweep_at_the_cap_is_exact_and_three_qubits_wide(model, monkeypatch):
+    widths = []
+
+    def recording(apply):
+        def wrapper(state, *args):
+            widths.append(state.n_qubits)
+            return apply(state, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(pbrsim.simulate, "apply_channel", recording(apply_channel))
+    monkeypatch.setattr(pbrsim.simulate, "apply_unitary", recording(apply_unitary))
+    cfg = ExperimentConfig(
+        n=2,
+        theta=np.pi / 4,
+        model=model,
+        calibration=uniform_calibration(2, p1=2e-4, p2=2.4e-3, edges=((0, 1),)),
+        shots=2000,
+        seed=6,
+    )
+    reports = sweep_distance(cfg, [9, 10, 11])
+    assert [r.analytic_only for r in reports] == [False, False, False]
+    assert [r.span for r in reports] == [9, 10, 11]
+    means = [r.mean_forbidden_exact for r in reports]
+    assert all(b >= a for a, b in zip(means, means[1:]))
+    assert widths and max(widths) <= 3
 
 
 def test_qubit_cap_enforced():
@@ -16,6 +162,13 @@ def test_qubit_cap_enforced():
     wide = Circuit(30, (Gate(H, (0,)), Gate(MEASURE, tuple(range(0, 26, 2)))))
     with pytest.raises(CapError):
         outcome_distribution(wide)
+
+
+def test_measured_untouched_qubits_join_as_zero():
+    # Qubit 4 is touched but not measured; qubits 0 and 2 are measured but untouched.
+    c = Circuit(5, (Gate(X, (4,)), Gate(H, (1,)), Gate(MEASURE, (2, 1, 0))))
+    probs = outcome_distribution(c)
+    assert np.abs(probs - [0.5, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]).max() < 1e-12
 
 
 def test_outcome_distribution_simulates_touched_qubits_only():
