@@ -1,13 +1,16 @@
 """End-to-end experiment orchestration and shot statistics.
 
-A run solves the angles, discovers the forbidden map, then for every
-input builds the circuit, routes it if placed, attaches noise, takes its
-outcome distribution from `simulate.outcome_distribution`, pushes it
-through the readout matrices, and samples shot counts from a per-input
-random stream seeded by (seed, input index). The simulator evolves each
-qubit only between its first and last gate; the cap counts touched plus
-measured qubits. The per-input verdict compares the Wilson upper
-confidence bound against the noisy tolerance threshold, strictly.
+A run solves the angles, discovers the forbidden map, builds every
+input's circuit, routes it if placed and attaches noise. The 2^n noisy
+circuits share one gate structure, so `simulate.outcome_distributions`
+evolves them together as one stack; each input's distribution is then
+pushed through the readout matrices and shot counts are sampled from a
+per-input random stream seeded by (seed, input index), in input order.
+The simulator evolves each qubit only between its first and last gate;
+the cap counts touched plus measured qubits. Shot counts run up to
+2^63 - 1, the multinomial sampler's int64 limit. The per-input verdict
+compares the Wilson upper confidence bound against the noisy tolerance
+threshold, strictly.
 
 Sweep spans needing more physical qubits than the simulation cap
 degrade to analytic-only reports: gate counts and closed-form error
@@ -52,9 +55,11 @@ from .noise import (
 )
 from .protocol import ForbiddenMap, PBRParams, build_test_circuit, discover_forbidden_map
 from .routing import CouplingMap, line_map, route_linear, routed_gate_overhead
-from .simulate import outcome_distribution
+from .simulate import outcome_distributions
 
 BIT_ORDER_NOTE = "qubit 0 is the most significant bit of every outcome index"
+# The multinomial sampler draws counts as int64.
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown noise model {self.model!r}")
         if self.shots < 1:
             raise ValidationError(f"shots={self.shots} must be >= 1")
+        if self.shots > _MAX_SHOTS:
+            raise ValidationError(f"shots={self.shots} must be <= {_MAX_SHOTS}")
         if self.seed < 0:
             raise ValidationError(f"seed={self.seed} must be >= 0")
         if self.n > SIMULATION_QUBIT_CAP:
@@ -204,11 +211,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     fields, active = _shared_fields(cfg, params, cfg.calibration, circuits[0])
     fmap = fields["forbidden_map"]
 
+    noisy = [attach_noise(c, cfg.calibration, cfg.model) for c in circuits]
+    mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy[0].measured_qubits]
     rows = []
-    for x, circuit in enumerate(circuits):
-        noisy = attach_noise(circuit, cfg.calibration, cfg.model)
-        mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy.measured_qubits]
-        dist = np.clip(apply_readout(outcome_distribution(noisy), mats), 0.0, 1.0)
+    for x, probs in enumerate(outcome_distributions(noisy)):
+        dist = np.clip(apply_readout(probs, mats), 0.0, 1.0)
         exact = float(dist[fmap[x]])
         counts = sample_counts(dist, cfg.shots, (cfg.seed, x))
         k = int(counts[fmap[x]])

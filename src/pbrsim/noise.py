@@ -14,6 +14,7 @@ strings, NaN and infinities are rejected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -269,12 +270,19 @@ _PAULIS = (
 )
 
 
+# The channel builders are memoized on their arguments: a run's repeated
+# gates share one read-only channel object, which the batched simulator
+# compares by identity. The bound keeps a long-lived process small.
+_channel_cache = functools.lru_cache(maxsize=512)
+
+
 def _check_probability(p: float, name: str = "p") -> float:
     if not 0.0 <= p <= 1.0:
         raise RangeError(f"{name}={p!r} outside [0, 1]")
     return float(p)
 
 
+@_channel_cache
 def depolarizing_channel(p: float, arity: int = 1) -> KrausChannel:
     """Mix with the maximally mixed state: rho -> (1-p) rho + p I/2^arity.
 
@@ -310,6 +318,7 @@ def mean_p_from_time(durations, T: float) -> float:
     return float(np.mean([p_from_time(t, T) for t in durations]))
 
 
+@_channel_cache
 def amplitude_damping(p_ad: float) -> KrausChannel:
     """T1 relaxation: |1> population decays by (1 - p_ad)."""
     _check_probability(p_ad, "p_ad")
@@ -318,6 +327,7 @@ def amplitude_damping(p_ad: float) -> KrausChannel:
     return KrausChannel((k0, k1), check=False)
 
 
+@_channel_cache
 def dephasing(p_phi: float) -> KrausChannel:
     """Pure dephasing: off-diagonal coherence shrinks by (1 - p_phi)."""
     _check_probability(p_phi, "p_phi")

@@ -44,7 +44,7 @@ from .config import (
     FORBIDDEN_PROB_THRESHOLD,
 )
 from .errors import NoSolutionError, ProtocolError, RangeError, ValidationError
-from .simulate import outcome_distribution
+from .simulate import outcome_distributions
 
 
 def theta_min(n: int) -> float:
@@ -223,8 +223,8 @@ def discover_forbidden_map(params: PBRParams) -> ForbiddenMap:
     """
     n = params.n
     mapping = []
-    for x in range(2**n):
-        probs = outcome_distribution(build_test_circuit(x, params))
+    dists = outcome_distributions([build_test_circuit(x, params) for x in range(2**n)])
+    for x, probs in enumerate(dists):
         order = np.argsort(probs)
         smallest, runner_up = probs[order[0]], probs[order[1]]
         if smallest >= FORBIDDEN_PROB_THRESHOLD:

@@ -1,75 +1,148 @@
 """Evolve circuits on density matrices and extract outcome distributions.
 
-`outcome_distribution` is the one path from a circuit to its outcome
-probabilities. Evolution holds each qubit only between its first and
-last gate: a qubit joins the state as |0> at its first gate and is traced
-out right after its last one unless it is kept (measured). No channel
-touches an idle qubit, so this is exact, and a routed pair holds at most
-three live qubits whatever its span. The simulation cap counts touched
-plus measured qubits.
+`outcome_distributions` is the one path from circuits to their outcome
+probabilities; `outcome_distribution` is its one-circuit case. Evolution
+holds each qubit only between its first and last gate: a qubit joins the
+state as |0> at its first gate and is traced out right after its last one
+unless it is kept (measured). No channel touches an idle qubit, so this is
+exact, and a routed pair holds at most three live qubits whatever its span.
+The simulation cap counts touched plus measured qubits.
+
+Circuits that share one gate structure (the 2^n inputs of a run differ
+only in their preparation angles) evolve together as one (B, 2^w, 2^w)
+stack: a gate that is the same in every circuit is applied once to the
+stack, a gate whose angle differs is applied as a (B, d, d) stack of
+unitaries. Each state's floats do not depend on the batch it is in. The
+stack is split into chunks of at most CHUNK_ENTRIES complex entries at the
+peak live width w, which bounds the memory a batch adds.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
 from .circuits import Circuit, MEASURE, NOISE, gate_unitary
 from .config import SIMULATION_QUBIT_CAP
 from .errors import CapError
-from .states import DensityMatrix, apply_channel, apply_unitary, measurement_probs
+from .states import DensityMatrix, KrausChannel, _contract, _kraus_sum, check_unitary
+
+# B * 4^w complex entries evolved at once, w the peak live width: 8 inputs at w=5.
+CHUNK_ENTRIES = 2**13
+
+_ADD = "add"  # schedule step: a qubit joins as |0>
 
 
-def _add_qubit(rho: DensityMatrix) -> DensityMatrix:
-    # rho -> rho (x) |0><0|, the new qubit as the least significant bit.
-    dim = rho.dim
-    out = np.zeros((dim, 2, dim, 2), dtype=complex)
-    out[:, 0, :, 0] = rho.matrix
-    return DensityMatrix(out.reshape(2 * dim, 2 * dim), check=False)
+def _add_qubit(mats: np.ndarray) -> np.ndarray:
+    # rho -> rho (x) |0><0| for each state, the new qubit as the least significant bit.
+    b, dim, _ = mats.shape
+    out = np.zeros((b, dim, 2, dim, 2), dtype=complex)
+    out[:, :, 0, :, 0] = mats
+    return out.reshape(b, 2 * dim, 2 * dim)
 
 
-def _trace_out(rho: DensityMatrix, axis: int) -> DensityMatrix:
-    # Partial trace over the qubit on one state axis.
-    hi, lo = 2**axis, 2 ** (rho.n_qubits - axis - 1)
-    t = rho.matrix.reshape(hi, 2, lo, hi, 2, lo)
-    out = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
-    return DensityMatrix(out.reshape(hi * lo, hi * lo), check=False)
+def _trace_out(mats: np.ndarray, axis: int) -> np.ndarray:
+    # Partial trace over the qubit on one state axis, for each state.
+    b, dim, _ = mats.shape
+    hi, lo = 2**axis, dim // 2 ** (axis + 1)
+    t = mats.reshape(b, hi, 2, lo, hi, 2, lo)
+    out = t[:, :, 0, :, :, 0, :] + t[:, :, 1, :, :, 1, :]
+    return out.reshape(b, hi * lo, hi * lo)
 
 
-def _evolve(c: Circuit, keep: tuple[int, ...]) -> DensityMatrix:
-    """Final state on the `keep` qubits, in that order, from |0...0>.
+def _shared_operators(circuits: list[Circuit]) -> list:
+    """The operator at each non-MEASURE gate position of a batch.
 
-    Every other qubit is traced out after its last gate; qubits in `keep`
-    that no gate touches join as |0> at the end.
+    A NOISE position gives its KrausChannel; a unitary position gives one
+    (d, d) matrix when every circuit has the same gate there, else a
+    (B, d, d) stack. Raises ValueError unless the circuits share one gate
+    structure: the same kinds on the same qubits with the same durations,
+    the same channel objects and the same measured qubits; only the angles
+    of unitary gates may differ.
     """
-    ops = [g for g in c.gates if g.kind != MEASURE]
-    last = {q: i for i, g in enumerate(ops) for q in g.qubits}
+    first = circuits[0]
+    for c in circuits[1:]:
+        if c.n_qubits != first.n_qubits or len(c.gates) != len(first.gates):
+            raise ValueError("circuits in a batch must share one gate structure")
+    ops: list = []
+    for column in zip(*(c.gates for c in circuits)):
+        g = column[0]
+        for h in column[1:]:
+            if (h.kind, h.qubits, h.duration) != (g.kind, g.qubits, g.duration) or (
+                h.channel is not g.channel
+            ):
+                raise ValueError(
+                    f"circuits in a batch differ in their {g.kind} gate on qubits {g.qubits}"
+                )
+        if g.kind == NOISE:
+            ops.append(g.channel)
+        elif g.kind != MEASURE:
+            same = all(h == g for h in column)  # Gate equality compares the angle
+            u = gate_unitary(g) if same else np.stack([gate_unitary(h) for h in column])
+            check_unitary(u)
+            ops.append(u)
+    return ops
+
+
+def _evolve(circuits: list[Circuit], keep: tuple[int, ...]) -> Iterator[np.ndarray]:
+    """Final states on the `keep` qubits, in that order, from |0...0>.
+
+    Yields them chunk by chunk in circuit order, each chunk a (b, 2^m, 2^m)
+    stack; the circuits must share one gate structure. Every other qubit is
+    traced out after its last gate; qubits in `keep` that no gate touches
+    join as |0> at the end.
+    """
+    ops = _shared_operators(circuits)
+    gates = [g for g in circuits[0].gates if g.kind != MEASURE]
+    last = {q: i for i, g in enumerate(gates) for q in g.qubits}
     width = len(set(last).union(keep))
     if width > SIMULATION_QUBIT_CAP:
         raise CapError(f"{width} qubits exceeds the simulation cap of {SIMULATION_QUBIT_CAP}")
+    # One lifetime schedule serves the whole batch: _ADD, (operator, axes),
+    # or the state axis of a qubit to trace out.
+    steps: list = []
     live: list[int] = []  # circuit qubit on each state axis
-    rho = DensityMatrix(np.ones((1, 1)), check=False)
-    for i, g in enumerate(ops):
+    peak = 0
+    for i, (g, op) in enumerate(zip(gates, ops)):
         for q in g.qubits:
             if q not in live:
                 live.append(q)
-                rho = _add_qubit(rho)
-        axes = tuple(live.index(q) for q in g.qubits)
-        if g.kind == NOISE:
-            rho = apply_channel(rho, g.channel, axes)
-        else:
-            rho = apply_unitary(rho, gate_unitary(g), axes)
+                steps.append(_ADD)
+        peak = max(peak, len(live))
+        steps.append((op, tuple(live.index(q) for q in g.qubits)))
         for q in g.qubits:
             if last[q] == i and q not in keep:
-                rho = _trace_out(rho, live.index(q))
+                steps.append(live.index(q))
                 live.remove(q)
     for q in keep:
         if q not in live:
             live.append(q)
-            rho = _add_qubit(rho)
+            steps.append(_ADD)
+    peak = max(peak, len(live))
     n = len(live)
     perm = [live.index(q) for q in keep]
-    t = rho.matrix.reshape((2,) * (2 * n)).transpose(perm + [n + p for p in perm])
-    return DensityMatrix(t.reshape(2**n, 2**n), check=False)
+    axes = [0] + [1 + p for p in perm] + [1 + n + p for p in perm]
+
+    total = len(circuits)
+    chunk = max(1, CHUNK_ENTRIES // 4**peak)
+    for start in range(0, total, chunk):
+        stop = min(total, start + chunk)
+        rho = np.ones((stop - start, 1, 1), dtype=complex)
+        for step in steps:
+            if step is _ADD:
+                rho = _add_qubit(rho)
+            elif isinstance(step, int):
+                rho = _trace_out(rho, step)
+            else:
+                op, targets = step
+                w = rho.shape[1].bit_length() - 1
+                if isinstance(op, KrausChannel):
+                    rho = _kraus_sum(rho, op, targets, w)
+                else:
+                    rho = _contract(rho, op if op.ndim == 2 else op[start:stop], targets, w)
+        t = rho.reshape((stop - start,) + (2,) * (2 * n)).transpose(axes)
+        yield t.reshape(stop - start, 2**n, 2**n)
 
 
 def simulate_circuit(c: Circuit) -> tuple[DensityMatrix, tuple[int, ...]]:
@@ -78,7 +151,8 @@ def simulate_circuit(c: Circuit) -> tuple[DensityMatrix, tuple[int, ...]]:
     Returns the full n-qubit final state and the measured qubits in
     listed order.
     """
-    return _evolve(c, tuple(range(c.n_qubits))), c.measured_qubits
+    final = next(_evolve([c], tuple(range(c.n_qubits))))[0]
+    return DensityMatrix(final, check=False), c.measured_qubits
 
 
 def marginal_distribution(
@@ -90,10 +164,26 @@ def marginal_distribution(
     return t.reshape(2 ** len(keep), -1).sum(axis=1)
 
 
+def outcome_distributions(circuits) -> np.ndarray:
+    """Distributions over the measured qubits (all qubits if none), one row per circuit.
+
+    The circuits must share one gate structure (see `_shared_operators`);
+    returns a (B, 2^m) array. The first measured qubit is the most
+    significant bit.
+    """
+    circuits = list(circuits)
+    if not circuits:
+        raise ValueError("outcome_distributions needs at least one circuit")
+    c = circuits[0]
+    chunks = _evolve(circuits, c.measured_qubits or tuple(range(c.n_qubits)))
+    return np.concatenate(
+        [np.clip(np.diagonal(rhos, axis1=1, axis2=2).real, 0.0, 1.0) for rhos in chunks]
+    )
+
+
 def outcome_distribution(c: Circuit) -> np.ndarray:
     """Distribution over the circuit's measured qubits (all qubits if none).
 
     The first measured qubit is the most significant bit.
     """
-    keep = c.measured_qubits or tuple(range(c.n_qubits))
-    return measurement_probs(_evolve(c, keep))
+    return outcome_distributions([c])[0]

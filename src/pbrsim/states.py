@@ -12,6 +12,8 @@ full 2^n x 2^n gate matrices.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .config import ATOL_ALGEBRAIC, ATOL_SPECTRAL
@@ -95,17 +97,37 @@ def _check_targets(n_qubits: int, targets: tuple[int, ...], dim: int) -> None:
         raise ValueError(f"operator dimension {dim} does not match {len(targets)} targets")
 
 
-def _contract(mat: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    # rho -> (op x I) rho (op x I)^dagger restricted to the target axes.
-    k = len(targets)
-    op_t = op.reshape((2,) * (2 * k))
-    t = mat.reshape((2,) * (2 * n))
-    t = np.tensordot(op_t, t, axes=(tuple(range(k, 2 * k)), targets))
-    t = np.moveaxis(t, range(k), targets)
-    col_axes = tuple(n + q for q in targets)
-    t = np.tensordot(t, op_t.conj(), axes=(col_axes, tuple(range(k, 2 * k))))
-    t = np.moveaxis(t, range(2 * n - k, 2 * n), col_axes)
-    return t.reshape(mat.shape)
+@functools.lru_cache(maxsize=256)
+def _contract_axes(targets: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    # The three transposes `_contract` makes of a (B,) + (2,) * 2n stack:
+    # target row axes to the front; from there to the original order with
+    # the target column axes moved last; from there back to the original.
+    rows = [1 + q for q in targets]
+    cols = [1 + n + q for q in targets]
+    first = [0] + rows + [a for a in range(1, 2 * n + 1) if a not in rows]
+    second = [a for a in range(2 * n + 1) if a not in cols] + cols
+    back = np.argsort(first)
+    return tuple(first), tuple(back[second]), tuple(np.argsort(second))
+
+
+def _contract(mats: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    # Each rho of a (B, 2^n, 2^n) stack -> (op x I) rho (op x I)^dagger on the
+    # target axes. `op` is one (d, d) operator for every state or a (B, d, d)
+    # stack, one per state. Every slice is one (d x d) @ (d x rest) product and
+    # one (rest x d) @ (d x d) product, whatever B is.
+    first, middle, last = _contract_axes(targets, n)
+    b, d = mats.shape[0], 2 ** len(targets)
+    t = mats.reshape((b,) + (2,) * (2 * n)).transpose(first)
+    t = np.matmul(op, t.reshape(b, d, -1)).reshape(t.shape).transpose(middle)
+    t = np.matmul(t.reshape(b, -1, d), op.conj().swapaxes(-1, -2)).reshape(t.shape)
+    return t.transpose(last).reshape(mats.shape)
+
+
+def check_unitary(u: np.ndarray) -> None:
+    """Raise UnitarityError unless `u`, or every matrix of a stack, is unitary."""
+    err = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max()
+    if err > ATOL_ALGEBRAIC:
+        raise UnitarityError(f"operator deviates from unitarity by {err:.3e}")
 
 
 def apply_unitary(state: DensityMatrix, u: np.ndarray, targets) -> DensityMatrix:
@@ -117,20 +139,22 @@ def apply_unitary(state: DensityMatrix, u: np.ndarray, targets) -> DensityMatrix
     u = np.asarray(u, dtype=complex)
     targets = tuple(int(q) for q in targets)
     _check_targets(state.n_qubits, targets, u.shape[0])
-    err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if err > ATOL_ALGEBRAIC:
-        raise UnitarityError(f"operator deviates from unitarity by {err:.3e}")
-    out = _contract(state.matrix, u, targets, state.n_qubits)
+    check_unitary(u)
+    out = _contract(state.matrix[None], u, targets, state.n_qubits)[0]
     return DensityMatrix(out, check=False)
 
 
 class KrausChannel:
-    """Completely positive trace-preserving map given by Kraus operators."""
+    """Completely positive trace-preserving map given by Kraus operators.
+
+    The operators are read-only copies, so a channel shared between
+    circuits (the noise builders cache theirs) cannot be changed in place.
+    """
 
     __slots__ = ("operators", "arity")
 
     def __init__(self, operators, check: bool = True):
-        ops = tuple(np.asarray(k, dtype=complex) for k in operators)
+        ops = tuple(np.array(k, dtype=complex) for k in operators)
         if not ops:
             raise ChannelError("channel needs at least one Kraus operator")
         dim = ops[0].shape[0]
@@ -145,6 +169,8 @@ class KrausChannel:
             err = np.abs(total - np.eye(dim)).max()
             if err > ATOL_ALGEBRAIC:
                 raise ChannelError(f"completeness violated by {err:.3e}")
+        for k in ops:
+            k.setflags(write=False)
         self.operators = ops
         self.arity = arity
 
@@ -155,10 +181,16 @@ def apply_channel(state: DensityMatrix, ch: KrausChannel, targets) -> DensityMat
     if len(targets) != ch.arity:
         raise ValueError(f"channel arity {ch.arity} but {len(targets)} targets given")
     _check_targets(state.n_qubits, targets, ch.operators[0].shape[0])
-    out = np.zeros_like(state.matrix)
-    for k in ch.operators:
-        out += _contract(state.matrix, k, targets, state.n_qubits)
+    out = _kraus_sum(state.matrix[None], ch, targets, state.n_qubits)[0]
     return DensityMatrix(out, check=False)
+
+
+def _kraus_sum(mats: np.ndarray, ch: KrausChannel, targets: tuple[int, ...], n: int) -> np.ndarray:
+    # sum_K K rho K^dagger on the target axes, for each rho of a (B, 2^n, 2^n) stack.
+    out = np.zeros_like(mats)
+    for k in ch.operators:
+        out += _contract(mats, k, targets, n)
+    return out
 
 
 def measurement_probs(state: DensityMatrix) -> np.ndarray:

@@ -190,12 +190,30 @@ def test_negative_seed_exits_2_before_simulating(command, calib_path, capsys, mo
     def never(*args):
         raise AssertionError("simulated before the seed was checked")
 
-    monkeypatch.setattr("pbrsim.harness.outcome_distribution", never)
+    monkeypatch.setattr("pbrsim.harness.outcome_distributions", never)
     code = main(command + ["--calib", calib_path, "--model", "dep", "--seed", "-1"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err == "error: seed=-1 must be >= 0\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--n", "2"], ["sweep-distance", "--spans", "1..3"]]
+)
+def test_shots_beyond_int64_exit_2_before_simulating(command, calib_path, capsys, monkeypatch):
+    # The multinomial sampler takes int64 counts; one more used to raise
+    # numpy's OverflowError after every input was simulated.
+    def never(*args):
+        raise AssertionError("simulated before the shot count was checked")
+
+    monkeypatch.setattr("pbrsim.harness.outcome_distributions", never)
+    for shots in (2**63, 10**20):
+        code = main(command + ["--calib", calib_path, "--model", "dep", "--shots", str(shots)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: shots={shots} must be <= {2**63 - 1}\n"
+        assert captured.out == ""
 
 
 def test_run_missing_calibration_exits_2(capsys):

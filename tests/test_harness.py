@@ -119,10 +119,25 @@ def test_experiment_config_validation():
         ExperimentConfig(n=13, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal)
     with pytest.raises(ValidationError, match=r"seed=-1 must be >= 0"):
         ExperimentConfig(n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, seed=-1)
+    with pytest.raises(ValidationError, match=r"shots=9223372036854775808 must be <="):
+        ExperimentConfig(
+            n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, shots=2**63
+        )
     with pytest.raises(ValidationError):
         ExperimentConfig(
             n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, placement=(0, 1)
         )
+
+
+def test_shots_at_the_int64_limit_still_sample():
+    cfg = ExperimentConfig(
+        n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=pair_calibration(),
+        shots=2**63 - 1, seed=3,
+    )
+    rep = run_experiment(cfg)
+    for row in rep.inputs:
+        assert 0 < row.count < cfg.shots
+        assert abs(row.estimate - row.exact_probability) < 1e-6
 
 
 def test_run_experiment_two_qubits():

@@ -252,3 +252,29 @@ def test_attach_noise_rejects_unknown_model():
     c = Circuit(1, (Gate(H, (0,)), Gate(MEASURE, (0,))))
     with pytest.raises(ValueError):
         attach_noise(c, cal, "gaussian")
+
+
+def test_channel_builders_share_one_object_per_argument():
+    assert depolarizing_channel(0.01, 2) is depolarizing_channel(0.01, 2)
+    assert depolarizing_channel(0.01, 1) is not depolarizing_channel(0.01, 2)
+    assert depolarizing_channel(0.01, 1) is not depolarizing_channel(0.02, 1)
+    assert amplitude_damping(0.03) is amplitude_damping(0.03)
+    assert amplitude_damping(0.03) is not amplitude_damping(0.04)
+    assert dephasing(0.03) is dephasing(0.03)
+    assert dephasing(0.03) is not dephasing(0.04)
+    # A run attaches the same channel object at every repeated gate.
+    cal = uniform_calibration(2, p1=1e-3, p2=5e-3)
+    c = Circuit(2, (Gate(H, (0,)), Gate(H, (1,)), Gate(CZ, (0, 1)), Gate(CZ, (0, 1))))
+    for model in (DEPOLARIZING, THERMODYNAMICAL):
+        noisy = attach_noise(c, cal, model)
+        again = attach_noise(c, cal, model)
+        pairs = zip(noisy.gates, again.gates)
+        assert all(g.channel is h.channel for g, h in pairs if g.kind == NOISE)
+
+
+def test_shared_channel_operators_are_read_only():
+    for ch in (depolarizing_channel(0.05, 2), amplitude_damping(0.05), dephasing(0.05)):
+        for k in ch.operators:
+            with pytest.raises(ValueError):
+                k[0, 0] = 2.0
+    assert depolarizing_channel(0.05, 2).operators[0][0, 0] == np.sqrt(1 - 0.05 * 15 / 16)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pbrsim.simulate
+import pbrsim.states
 from pbrsim.circuits import (
     ANGLED_KINDS,
     CPHASE_OPEN,
@@ -26,16 +27,25 @@ from pbrsim.errors import CapError
 from pbrsim.harness import ExperimentConfig, sweep_distance
 from pbrsim.noise import (
     NOISE_MODELS,
+    CalibrationSnapshot,
+    CouplerCalibration,
+    QubitCalibration,
     amplitude_damping,
     attach_noise,
     dephasing,
     depolarizing_channel,
     uniform_calibration,
 )
-from pbrsim.protocol import PBRParams, build_test_circuit
+from pbrsim.protocol import PBRParams, build_test_circuit, theta_min
 from pbrsim.routing import line_map, route_linear
-from pbrsim.simulate import marginal_distribution, outcome_distribution, simulate_circuit
+from pbrsim.simulate import (
+    marginal_distribution,
+    outcome_distribution,
+    outcome_distributions,
+    simulate_circuit,
+)
 from pbrsim.states import (
+    KrausChannel,
     apply_channel,
     apply_unitary,
     ground_state,
@@ -128,16 +138,14 @@ def test_routed_pbr_circuits_match_dense_reference(span, model):
 @pytest.mark.parametrize("model", NOISE_MODELS)
 def test_sweep_at_the_cap_is_exact_and_three_qubits_wide(model, monkeypatch):
     widths = []
+    contract = pbrsim.simulate._contract
 
-    def recording(apply):
-        def wrapper(state, *args):
-            widths.append(state.n_qubits)
-            return apply(state, *args)
+    def recording(mats, op, targets, n):
+        widths.append(n)
+        return contract(mats, op, targets, n)
 
-        return wrapper
-
-    monkeypatch.setattr(pbrsim.simulate, "apply_channel", recording(apply_channel))
-    monkeypatch.setattr(pbrsim.simulate, "apply_unitary", recording(apply_unitary))
+    monkeypatch.setattr(pbrsim.simulate, "_contract", recording)
+    monkeypatch.setattr(pbrsim.states, "_contract", recording)
     cfg = ExperimentConfig(
         n=2,
         theta=np.pi / 4,
@@ -152,6 +160,123 @@ def test_sweep_at_the_cap_is_exact_and_three_qubits_wide(model, monkeypatch):
     means = [r.mean_forbidden_exact for r in reports]
     assert all(b >= a for a, b in zip(means, means[1:]))
     assert widths and max(widths) <= 3
+
+
+def varied_calibration(n, seed):
+    """A device whose qubits and couplers all differ, so each gets its own channels."""
+    rng = np.random.default_rng(seed)
+    qubits = [
+        QubitCalibration(
+            q, float(rng.uniform(80e-6, 200e-6)), float(rng.uniform(50e-6, 150e-6)),
+            float(rng.uniform(1e-4, 5e-4)), float(rng.uniform(30e-9, 40e-9)),
+        )
+        for q in range(n)
+    ]
+    couplers = [
+        CouplerCalibration(a, b, float(rng.uniform(1e-3, 5e-3)), float(rng.uniform(60e-9, 80e-9)))
+        for a in range(n)
+        for b in range(a + 1, n)
+    ]
+    return CalibrationSnapshot(qubits, couplers, 0.8e-6)
+
+
+def assert_batch_matches_one_at_a_time(circuits):
+    batched = outcome_distributions(circuits)
+    assert batched.shape == (len(circuits), 2 ** len(circuits[0].measured_qubits))
+    for c, row in zip(circuits, batched):
+        assert np.array_equal(row, outcome_distribution(c))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_pbr_inputs_equal_one_at_a_time(n):
+    params = PBRParams.solve(n, theta_min(n))
+    ideal = [build_test_circuit(x, params) for x in range(2**n)]
+    assert_batch_matches_one_at_a_time(ideal)
+    cal = varied_calibration(n, seed=n)
+    for model in NOISE_MODELS:
+        assert_batch_matches_one_at_a_time([attach_noise(c, cal, model) for c in ideal])
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_batched_routed_inputs_equal_one_at_a_time(model):
+    params = PBRParams.solve(2, np.pi / 4)
+    for span in range(1, 10):
+        line = line_map(span + 1)
+        cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
+        routed = [
+            route_linear(build_test_circuit(x, params), line, (0, span)).circuit
+            for x in range(4)
+        ]
+        assert_batch_matches_one_at_a_time([attach_noise(c, cal, model) for c in routed])
+
+
+def with_new_angles(c, rng):
+    gates = [
+        Gate(g.kind, g.qubits, angle=float(rng.uniform(-np.pi, np.pi)), duration=g.duration)
+        if g.kind in ANGLED_KINDS
+        else g
+        for g in c.gates
+    ]
+    return Circuit(c.n_qubits, tuple(gates))
+
+
+def test_random_batches_match_dense_reference():
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        template = random_noisy_circuit(rng, int(rng.integers(1, 7)))
+        others = [with_new_angles(template, rng) for _ in range(int(rng.integers(1, 9)))]
+        batch = [template] + others
+        got = outcome_distributions(batch)
+        for c, row in zip(batch, got):
+            assert np.abs(row - dense_distribution(c)).max() < DIFF_TOL
+
+
+def test_chunked_batch_equals_one_chunk(monkeypatch):
+    n = 5
+    params = PBRParams.solve(n, theta_min(n))
+    cal = varied_calibration(n, seed=9)
+    noisy = [attach_noise(build_test_circuit(x, params), cal, "depolarizing") for x in range(2**n)]
+    chunked = outcome_distributions(noisy)
+    # Five live qubits: 8 inputs per chunk, and only one chunk's states at a time.
+    keep = noisy[0].measured_qubits
+    assert [len(states) for states in pbrsim.simulate._evolve(noisy, keep)] == [8, 8, 8, 8]
+    monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 2**30)
+    whole = outcome_distributions(noisy)
+    monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 1)
+    single = outcome_distributions(noisy)
+    assert np.array_equal(chunked, whole)
+    assert np.array_equal(chunked, single)
+
+
+def test_batches_must_share_one_structure():
+    base = Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (0, 1))))
+    # Only the angles of unitary gates may differ.
+    outcome_distributions([base, with_new_angles(base, np.random.default_rng(1))])
+    ch_a, ch_b = amplitude_damping(0.11), amplitude_damping(0.12)
+
+    def noisy(ch):
+        return Circuit(2, (Gate(H, (0,)), Gate(NOISE, (0,), channel=ch)))
+
+    outcome_distributions([noisy(ch_a), noisy(ch_a)])
+    # Channels are compared by identity: an equal copy still differs.
+    same_ops_other_object = KrausChannel(ch_a.operators)
+    differing = [
+        Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(X, (1,)), Gate(MEASURE, (0, 1)))),
+        Circuit(2, (Gate(RY, (1,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (0, 1)))),
+        Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (1, 0)))),
+        Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (0,)))),
+        Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,), duration=1e-8), base.gates[2])),
+        Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)))),
+        Circuit(3, base.gates),
+    ]
+    for other in differing:
+        with pytest.raises(ValueError):
+            outcome_distributions([base, other])
+    for ch in (ch_b, same_ops_other_object):
+        with pytest.raises(ValueError):
+            outcome_distributions([noisy(ch_a), noisy(ch)])
+    with pytest.raises(ValueError):
+        outcome_distributions([])
 
 
 def test_qubit_cap_enforced():

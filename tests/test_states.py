@@ -106,6 +106,15 @@ def test_kraus_channel_validation():
     assert ch.arity == 1
 
 
+def test_kraus_channel_holds_read_only_copies():
+    k = np.eye(2, dtype=complex)
+    ch = KrausChannel((k,))
+    k[0, 0] = 5.0  # the caller's array stays writable and apart from the channel
+    assert ch.operators[0][0, 0] == 1.0
+    with pytest.raises(ValueError):
+        ch.operators[0][1, 1] = 5.0
+
+
 def test_apply_channel_trace_preserving():
     rng = np.random.default_rng(3)
     px = np.array([[0, 1], [1, 0]], dtype=complex)
