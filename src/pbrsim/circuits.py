@@ -1,10 +1,10 @@
 """Circuit IR over a fixed native-gate vocabulary.
 
-Gates carry their own optional duration; zero means "use the calibration
-default" when timing is computed. NOISE entries reference a Kraus channel
-and are ignored by gate counting. Serialization is line oriented (one
-gate per line, ``KIND angle? qubits...``) for golden-file tests; NOISE
-entries are not serializable.
+Gate durations come from the calibration snapshot when timing is
+computed. NOISE entries reference a Kraus channel and are ignored by gate
+counting. Serialization is line oriented (one gate per line,
+``KIND angle? qubits...``) for golden-file tests; NOISE entries are not
+serializable.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ class Gate:
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
-    duration: float = 0.0
     channel: KrausChannel | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class Gate:
                 )
         elif self.channel is not None:
             raise ValueError(f"{self.kind} takes no channel")
-        if not self.duration >= 0.0:
-            raise ValueError(f"duration must be >= 0, got {self.duration!r}")
 
     @property
     def is_unitary(self) -> bool:
@@ -178,8 +175,6 @@ def gate_counts(c: Circuit) -> tuple[int, int]:
 
 
 def _gate_duration(g: Gate, cal) -> float:
-    if g.duration > 0.0:
-        return g.duration
     if g.kind in SINGLE_QUBIT_KINDS:
         return cal.qubit(g.qubits[0]).single_gate_duration
     if g.kind in TWO_QUBIT_KINDS:

@@ -22,6 +22,7 @@ from .bounds import tolerance_report
 from .config import DEFAULT_CONFIDENCE, DEFAULT_SHOTS
 from .harness import (
     ExperimentConfig,
+    check_span,
     render_csv,
     render_doc,
     render_json,
@@ -61,8 +62,10 @@ def _parse_spans(text: str) -> list[int]:
         if not part:
             continue
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            spans.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split("..", 1))
+            check_span(lo)  # both ends before expanding: no list of 10^8 spans
+            check_span(hi)
+            spans.extend(range(lo, hi + 1))
         else:
             spans.append(int(part))
     if not spans:

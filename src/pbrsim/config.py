@@ -1,16 +1,12 @@
 """Central numerical constants and modeling knobs.
 
-Everything tolerance-like lives here so the thresholds used by state
+Everything tolerance-like lives here so the thresholds used by operator
 validation, angle solving and forbidden-outcome discovery stay consistent
 across modules instead of drifting as scattered literals.
 """
 
-# Algebraic identities (hermiticity, trace, unitarity, Kraus completeness).
+# Algebraic identities (unitarity, Kraus completeness).
 ATOL_ALGEBRAIC = 1e-10
-
-# Spectral slack: smallest eigenvalue of a physical state may dip this far
-# below zero from accumulated rounding.
-ATOL_SPECTRAL = 1e-9
 
 # Default gate/readout timing used when a calibration entry omits them.
 DEFAULT_SINGLE_GATE_S = 36e-9
@@ -19,6 +15,10 @@ DEFAULT_READOUT_S = 1e-6
 
 # Hard cap on total simulated qubits (dense 2^n density matrix).
 SIMULATION_QUBIT_CAP = 12
+
+# Largest span a distance sweep accepts. Spans past the cap get analytic
+# reports, whose cost grows faster than linearly with the span (~0.2 s at 1000).
+MAX_SPAN = 1000
 
 # Forbidden-outcome discovery: an outcome counts as forbidden below this,
 # and the next-smallest outcome must exceed the guard band.

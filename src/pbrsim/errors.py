@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NormalizationError(ValueError):
-    """State vector or density matrix is not normalized."""
-
-
 class UnitarityError(ValueError):
     """Matrix expected to be unitary is not."""
 

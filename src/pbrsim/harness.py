@@ -40,6 +40,7 @@ from .config import (
     DEFAULT_CONFIDENCE,
     DEFAULT_SHOTS,
     DEFAULT_TWO_QUBIT_GATE_S,
+    MAX_SPAN,
     SIMULATION_QUBIT_CAP,
 )
 from .errors import RangeError, ValidationError
@@ -307,18 +308,26 @@ def _line_calibration(cal: CalibrationSnapshot, n_phys: int) -> CalibrationSnaps
     )
 
 
+def check_span(s: int) -> None:
+    """Raise RangeError unless a sweep span lies in 1..MAX_SPAN."""
+    if not 1 <= s <= MAX_SPAN:
+        raise RangeError(f"span {s} is outside 1..{MAX_SPAN}")
+
+
 def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
     """One report per span on a homogenized line device.
 
-    Spans needing more physical qubits than the cap come back as
+    Every span must lie in 1..MAX_SPAN; all are checked before the first
+    runs. Spans needing more physical qubits than the cap come back as
     analytic-only reports instead of failing.
     """
     if cfg.n != 2:
         raise ValidationError("distance sweeps run the two-qubit test")
+    spans = list(spans)
+    for s in spans:
+        check_span(s)
     reports = []
     for s in spans:
-        if s < 1:
-            raise RangeError(f"span {s} must be >= 1")
         n_phys = s + 1
         if n_phys <= SIMULATION_QUBIT_CAP:
             cal = _line_calibration(cfg.calibration, n_phys)

@@ -149,7 +149,7 @@ def route_linear(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> R
             pos[0] = path[-2]
             swaps_done = True
         phys = tuple(pos[q] for q in g.qubits)
-        out.append(Gate(g.kind, phys, angle=g.angle, duration=g.duration, channel=g.channel))
+        out.append(Gate(g.kind, phys, angle=g.angle, channel=g.channel))
     routed = Circuit(cmap.n_qubits, tuple(out))
     for g in routed.gates:
         if g.is_unitary and len(g.qubits) == 2 and not cmap.has_edge(*g.qubits):

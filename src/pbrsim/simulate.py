@@ -1,10 +1,11 @@
 """Evolve circuits on density matrices and extract outcome distributions.
 
-`outcome_distributions` is the one path from circuits to their outcome
-probabilities; `outcome_distribution` is its one-circuit case. Evolution
-holds each qubit only between its first and last gate: a qubit joins the
-state as |0> at its first gate and is traced out right after its last one
-unless it is kept (measured). No channel touches an idle qubit, so this is
+This module is the package's one state engine. `outcome_distributions`
+is the one path from circuits to their outcome probabilities;
+`outcome_distribution` is its one-circuit case. Evolution holds each
+qubit only between its first and last gate: a qubit joins the state as
+|0> at its first gate and is traced out right after its last one unless
+it is kept (measured). No channel touches an idle qubit, so this is
 exact, and a routed pair holds at most three live qubits whatever its span.
 The simulation cap counts touched plus measured qubits.
 
@@ -15,10 +16,16 @@ stack, a gate whose angle differs is applied as a (B, d, d) stack of
 unitaries. Each state's floats do not depend on the batch it is in. The
 stack is split into chunks of at most CHUNK_ENTRIES complex entries at the
 peak live width w, which bounds the memory a batch adds.
+
+A stack of b states on w live qubits is a (b, 2^w, 2^w) array; viewed as
+(b,) + (2,) * 2w, live qubit i is row axis 1 + i and column axis 1 + w + i.
+Operators act on it by tensor contraction over their target axes, never
+as full 2^w x 2^w matrices.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 import numpy as np
@@ -26,12 +33,46 @@ import numpy as np
 from .circuits import Circuit, MEASURE, NOISE, gate_unitary
 from .config import SIMULATION_QUBIT_CAP
 from .errors import CapError
-from .states import DensityMatrix, KrausChannel, _contract, _kraus_sum, check_unitary
+from .states import KrausChannel, check_unitary
 
 # B * 4^w complex entries evolved at once, w the peak live width: 8 inputs at w=5.
 CHUNK_ENTRIES = 2**13
 
 _ADD = "add"  # schedule step: a qubit joins as |0>
+
+
+@functools.lru_cache(maxsize=256)
+def _contract_axes(targets: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    # The three transposes `_contract` makes of a (B,) + (2,) * 2n stack:
+    # target row axes to the front; from there to the original order with
+    # the target column axes moved last; from there back to the original.
+    rows = [1 + q for q in targets]
+    cols = [1 + n + q for q in targets]
+    first = [0] + rows + [a for a in range(1, 2 * n + 1) if a not in rows]
+    second = [a for a in range(2 * n + 1) if a not in cols] + cols
+    back = np.argsort(first)
+    return tuple(first), tuple(back[second]), tuple(np.argsort(second))
+
+
+def _contract(mats: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    # Each rho of a (B, 2^n, 2^n) stack -> (op x I) rho (op x I)^dagger on the
+    # target axes. `op` is one (d, d) operator for every state or a (B, d, d)
+    # stack, one per state. Every slice is one (d x d) @ (d x rest) product and
+    # one (rest x d) @ (d x d) product, whatever B is.
+    first, middle, last = _contract_axes(targets, n)
+    b, d = mats.shape[0], 2 ** len(targets)
+    t = mats.reshape((b,) + (2,) * (2 * n)).transpose(first)
+    t = np.matmul(op, t.reshape(b, d, -1)).reshape(t.shape).transpose(middle)
+    t = np.matmul(t.reshape(b, -1, d), op.conj().swapaxes(-1, -2)).reshape(t.shape)
+    return t.transpose(last).reshape(mats.shape)
+
+
+def _kraus_sum(mats: np.ndarray, ch: KrausChannel, targets: tuple[int, ...], n: int) -> np.ndarray:
+    # sum_K K rho K^dagger on the target axes, for each rho of a (B, 2^n, 2^n) stack.
+    out = np.zeros_like(mats)
+    for k in ch.operators:
+        out += _contract(mats, k, targets, n)
+    return out
 
 
 def _add_qubit(mats: np.ndarray) -> np.ndarray:
@@ -57,9 +98,9 @@ def _shared_operators(circuits: list[Circuit]) -> list:
     A NOISE position gives its KrausChannel; a unitary position gives one
     (d, d) matrix when every circuit has the same gate there, else a
     (B, d, d) stack. Raises ValueError unless the circuits share one gate
-    structure: the same kinds on the same qubits with the same durations,
-    the same channel objects and the same measured qubits; only the angles
-    of unitary gates may differ.
+    structure: the same kinds on the same qubits, the same channel objects
+    and the same measured qubits; only the angles of unitary gates may
+    differ.
     """
     first = circuits[0]
     for c in circuits[1:]:
@@ -69,9 +110,7 @@ def _shared_operators(circuits: list[Circuit]) -> list:
     for column in zip(*(c.gates for c in circuits)):
         g = column[0]
         for h in column[1:]:
-            if (h.kind, h.qubits, h.duration) != (g.kind, g.qubits, g.duration) or (
-                h.channel is not g.channel
-            ):
+            if (h.kind, h.qubits) != (g.kind, g.qubits) or h.channel is not g.channel:
                 raise ValueError(
                     f"circuits in a batch differ in their {g.kind} gate on qubits {g.qubits}"
                 )
@@ -143,25 +182,6 @@ def _evolve(circuits: list[Circuit], keep: tuple[int, ...]) -> Iterator[np.ndarr
                     rho = _contract(rho, op if op.ndim == 2 else op[start:stop], targets, w)
         t = rho.reshape((stop - start,) + (2,) * (2 * n)).transpose(axes)
         yield t.reshape(stop - start, 2**n, 2**n)
-
-
-def simulate_circuit(c: Circuit) -> tuple[DensityMatrix, tuple[int, ...]]:
-    """Run a circuit from |0...0>.
-
-    Returns the full n-qubit final state and the measured qubits in
-    listed order.
-    """
-    final = next(_evolve([c], tuple(range(c.n_qubits))))[0]
-    return DensityMatrix(final, check=False), c.measured_qubits
-
-
-def marginal_distribution(
-    probs: np.ndarray, n_qubits: int, keep: tuple[int, ...]
-) -> np.ndarray:
-    """Marginalize a basis distribution onto the listed qubits, in that order."""
-    t = np.asarray(probs).reshape((2,) * n_qubits)
-    t = np.moveaxis(t, keep, range(len(keep)))
-    return t.reshape(2 ** len(keep), -1).sum(axis=1)
 
 
 def outcome_distributions(circuits) -> np.ndarray:

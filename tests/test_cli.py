@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import pbrsim
 from pbrsim.cli import main
+from pbrsim.config import MAX_SPAN
 from pbrsim.harness import ExperimentConfig, report_to_dict, run_experiment
 from pbrsim.noise import (
     DEPOLARIZING,
@@ -214,6 +216,27 @@ def test_shots_beyond_int64_exit_2_before_simulating(command, calib_path, capsys
         captured = capsys.readouterr()
         assert captured.err == f"error: shots={shots} must be <= {2**63 - 1}\n"
         assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    ("spans", "bad"), [("1..100000000", 100000000), ("1001", 1001), ("154,5000", 5000)]
+)
+def test_sweep_distance_spans_beyond_limit_exit_2_before_work(
+    spans, bad, calib_path, capsys, monkeypatch
+):
+    # A range used to be expanded in full first: 1..10^8 ran for minutes at GBs of RSS.
+    def never(*args):
+        raise AssertionError("worked on a span before every span was checked")
+
+    for name in ("outcome_distributions", "run_experiment", "analytic_report"):
+        monkeypatch.setattr(f"pbrsim.harness.{name}", never)
+    start = time.perf_counter()
+    code = main(["sweep-distance", "--calib", calib_path, "--model", "dep", "--spans", spans])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: span {bad} is outside 1..{MAX_SPAN}\n"
+    assert captured.out == ""
 
 
 def test_run_missing_calibration_exits_2(capsys):

@@ -293,10 +293,17 @@ def test_sweep_distance_over_cap_goes_analytic():
     assert reports[1].span == 12
 
 
-def test_sweep_distance_validation():
+def test_sweep_distance_validation(monkeypatch):
     cfg = ExperimentConfig(
         n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=line_calibration(4),
         shots=100, seed=0,
     )
-    with pytest.raises(RangeError):
-        sweep_distance(cfg, (0, 1))
+
+    def never(*args):
+        raise AssertionError("ran a span before every span was checked")
+
+    monkeypatch.setattr("pbrsim.harness.run_experiment", never)
+    monkeypatch.setattr("pbrsim.harness.analytic_report", never)
+    for spans in ((0, 1), (1, 1001), (154, 10**8)):
+        with pytest.raises(RangeError):
+            sweep_distance(cfg, spans)

@@ -1,0 +1,26 @@
+"""The package's export list."""
+
+import pbrsim
+
+# The single-state density-matrix API: evolution lives in pbrsim.simulate only.
+REMOVED = (
+    "DensityMatrix",
+    "NormalizationError",
+    "apply_channel",
+    "apply_unitary",
+    "ground_state",
+    "marginal_distribution",
+    "measurement_probs",
+    "pure_density",
+    "simulate_circuit",
+)
+
+
+def test_export_list():
+    exported = pbrsim.__all__
+    assert len(set(exported)) == len(exported)
+    for name in exported:
+        assert hasattr(pbrsim, name), name
+    for name in REMOVED:
+        assert name not in exported
+        assert not hasattr(pbrsim, name), name

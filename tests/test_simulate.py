@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pbrsim.simulate
-import pbrsim.states
+from dense_reference import dense_distribution, dense_state
 from pbrsim.circuits import (
     ANGLED_KINDS,
     CPHASE_OPEN,
@@ -21,7 +21,6 @@ from pbrsim.circuits import (
     SWAP,
     SX,
     X,
-    gate_unitary,
 )
 from pbrsim.errors import CapError
 from pbrsim.harness import ExperimentConfig, sweep_distance
@@ -38,37 +37,15 @@ from pbrsim.noise import (
 )
 from pbrsim.protocol import PBRParams, build_test_circuit, theta_min
 from pbrsim.routing import line_map, route_linear
-from pbrsim.simulate import (
-    marginal_distribution,
-    outcome_distribution,
-    outcome_distributions,
-    simulate_circuit,
-)
-from pbrsim.states import (
-    KrausChannel,
-    apply_channel,
-    apply_unitary,
-    ground_state,
-    measurement_probs,
-)
+from pbrsim.simulate import _evolve, outcome_distribution, outcome_distributions
+from pbrsim.states import KrausChannel
 
 DIFF_TOL = 1e-12
 
 
-def dense_state(c):
-    """Reference evolution: every qubit held from the start, every gate in order."""
-    rho = ground_state(c.n_qubits)
-    for g in c.gates:
-        if g.kind == NOISE:
-            rho = apply_channel(rho, g.channel, g.qubits)
-        elif g.kind != MEASURE:
-            rho = apply_unitary(rho, gate_unitary(g), g.qubits)
-    return rho
-
-
-def dense_distribution(c):
-    keep = c.measured_qubits or tuple(range(c.n_qubits))
-    return marginal_distribution(measurement_probs(dense_state(c)), c.n_qubits, keep)
+def final_state(c):
+    """The simulator's full n-qubit final state, every qubit kept in index order."""
+    return next(_evolve([c], tuple(range(c.n_qubits))))[0]
 
 
 def random_noisy_circuit(rng, n):
@@ -118,9 +95,7 @@ def test_lifetime_evolution_matches_dense_reference():
         got = outcome_distribution(c)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() < DIFF_TOL
-        final, measured = simulate_circuit(c)
-        assert measured == c.measured_qubits
-        assert np.abs(final.matrix - dense_state(c).matrix).max() < DIFF_TOL
+        assert np.abs(final_state(c) - dense_state(c)).max() < DIFF_TOL
 
 
 @pytest.mark.parametrize("model", NOISE_MODELS)
@@ -145,7 +120,6 @@ def test_sweep_at_the_cap_is_exact_and_three_qubits_wide(model, monkeypatch):
         return contract(mats, op, targets, n)
 
     monkeypatch.setattr(pbrsim.simulate, "_contract", recording)
-    monkeypatch.setattr(pbrsim.states, "_contract", recording)
     cfg = ExperimentConfig(
         n=2,
         theta=np.pi / 4,
@@ -212,7 +186,7 @@ def test_batched_routed_inputs_equal_one_at_a_time(model):
 
 def with_new_angles(c, rng):
     gates = [
-        Gate(g.kind, g.qubits, angle=float(rng.uniform(-np.pi, np.pi)), duration=g.duration)
+        Gate(g.kind, g.qubits, angle=float(rng.uniform(-np.pi, np.pi)))
         if g.kind in ANGLED_KINDS
         else g
         for g in c.gates
@@ -239,7 +213,7 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     chunked = outcome_distributions(noisy)
     # Five live qubits: 8 inputs per chunk, and only one chunk's states at a time.
     keep = noisy[0].measured_qubits
-    assert [len(states) for states in pbrsim.simulate._evolve(noisy, keep)] == [8, 8, 8, 8]
+    assert [len(states) for states in _evolve(noisy, keep)] == [8, 8, 8, 8]
     monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 2**30)
     whole = outcome_distributions(noisy)
     monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 1)
@@ -265,7 +239,6 @@ def test_batches_must_share_one_structure():
         Circuit(2, (Gate(RY, (1,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (0, 1)))),
         Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (1, 0)))),
         Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (0,)))),
-        Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,), duration=1e-8), base.gates[2])),
         Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)))),
         Circuit(3, base.gates),
     ]
@@ -282,7 +255,9 @@ def test_batches_must_share_one_structure():
 def test_qubit_cap_enforced():
     big = Circuit(13, (Gate(H, (0,)), Gate(MEASURE, tuple(range(13)))))
     with pytest.raises(CapError):
-        simulate_circuit(big)
+        outcome_distribution(big)
+    with pytest.raises(CapError):
+        final_state(Circuit(13, (Gate(H, (0,)),)))
     # 13 live qubits out of 30: the cap counts the simulated width.
     wide = Circuit(30, (Gate(H, (0,)), Gate(MEASURE, tuple(range(0, 26, 2)))))
     with pytest.raises(CapError):
@@ -311,8 +286,7 @@ def test_outcome_distribution_without_measure_covers_all_qubits():
 
 def test_measured_qubits_in_listed_order():
     c = Circuit(3, (Gate(X, (2,)), Gate(MEASURE, (2, 0))))
-    final, measured = simulate_circuit(c)
-    assert measured == (2, 0)
+    assert c.measured_qubits == (2, 0)
     probs = outcome_distribution(c)
     # qubit 2 is |1> and listed first, so outcome index 10 binary = 2
     assert probs.shape == (4,)
@@ -320,17 +294,24 @@ def test_measured_qubits_in_listed_order():
 
 
 def test_marginal_distribution_orders_and_sums():
+    # Unmeasured qubits are traced out; the kept ones come back in listed order.
     rng = np.random.default_rng(3)
-    probs = rng.dirichlet(np.ones(8))
-    keep01 = marginal_distribution(probs, 3, (0, 1))
-    keep10 = marginal_distribution(probs, 3, (1, 0))
-    assert abs(keep01.sum() - 1.0) < 1e-12
-    # swapping the kept qubits transposes the outcome index bits
-    swapped = keep01.reshape(2, 2).T.reshape(-1)
-    assert np.abs(keep10 - swapped).max() < 1e-12
-    single = marginal_distribution(probs, 3, (2,))
-    t = probs.reshape(2, 2, 2)
-    assert abs(single[1] - t[:, :, 1].sum()) < 1e-12
+    for _ in range(20):
+        c = random_noisy_circuit(rng, 3)
+        gates = tuple(g for g in c.gates if g.kind != MEASURE)
+
+        def measuring(*qubits):
+            return outcome_distribution(Circuit(3, gates + (Gate(MEASURE, qubits),)))
+
+        t = outcome_distribution(Circuit(3, gates)).reshape(2, 2, 2)
+        keep01, keep10 = measuring(0, 1), measuring(1, 0)
+        assert abs(keep01.sum() - 1.0) < 1e-12
+        assert np.abs(keep01 - t.sum(axis=2).reshape(-1)).max() < 1e-12
+        # swapping the kept qubits transposes the outcome index bits
+        swapped = keep01.reshape(2, 2).T.reshape(-1)
+        assert np.abs(keep10 - swapped).max() < 1e-12
+        single = measuring(2)
+        assert abs(single[1] - t[:, :, 1].sum()) < 1e-12
 
 
 def test_full_measure_is_plain_distribution():

@@ -1,18 +1,13 @@
-"""Density-matrix container, unitary/channel application, probabilities."""
+"""Kraus channels, and the contraction kernel that applies operators to a state stack."""
 
 import numpy as np
 import pytest
 
-from pbrsim.errors import ChannelError, NormalizationError
-from pbrsim.states import (
-    DensityMatrix,
-    KrausChannel,
-    apply_channel,
-    apply_unitary,
-    ground_state,
-    measurement_probs,
-    pure_density,
-)
+from dense_reference import conjugate, ground_matrix, kraus_apply
+from pbrsim.circuits import Circuit, Gate, X
+from pbrsim.errors import ChannelError, UnitarityError
+from pbrsim.simulate import _contract, _evolve, _kraus_sum, outcome_distribution
+from pbrsim.states import KrausChannel, check_unitary
 
 
 def random_unitary(rng, dim):
@@ -25,39 +20,19 @@ def random_density(rng, n):
     dim = 2**n
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return m / np.trace(m).real
+
+
+def purity(rho):
+    return float(np.trace(rho @ rho).real)
 
 
 def test_ground_state():
-    rho = ground_state(3)
-    assert rho.n_qubits == 3
-    assert rho.dim == 8
-    expected = np.zeros((8, 8))
-    expected[0, 0] = 1.0
-    assert np.abs(rho.matrix - expected).max() == 0.0
-    assert abs(rho.purity() - 1.0) < 1e-14
-
-
-def test_pure_density_normalizes_phase_free():
-    amps = np.array([1.0, 1j]) / np.sqrt(2)
-    rho = pure_density(amps)
-    expected = np.array([[0.5, -0.5j], [0.5j, 0.5]])
-    assert np.abs(rho.matrix - expected).max() < 1e-15
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        DensityMatrix(np.eye(3) / 3)  # not a power of two
-    with pytest.raises(NormalizationError):
-        DensityMatrix(2 * np.eye(2))
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))  # not Hermitian
-    bad = np.array([[1.5, 0.0], [0.0, -0.5]])
-    DensityMatrix(bad).validate  # construction passes trace+hermiticity
-    with pytest.raises(ValueError):
-        DensityMatrix(bad).validate()  # but the eigenvalue check rejects it
+    # Every evolution starts from |0...0>: kept qubits no gate touches join as |0>.
+    rho = next(_evolve([Circuit(3, ())], (0, 1, 2)))[0]
+    assert rho.shape == (8, 8)
+    assert np.abs(rho - ground_matrix(3)).max() == 0.0
+    assert abs(purity(rho) - 1.0) < 1e-14
 
 
 def test_apply_unitary_matches_full_kron():
@@ -66,20 +41,21 @@ def test_apply_unitary_matches_full_kron():
         n = int(rng.integers(1, 4))
         rho = random_density(rng, n)
         k = int(rng.integers(1, min(n, 2) + 1))
-        targets = tuple(rng.permutation(n)[:k])
+        targets = tuple(int(q) for q in rng.permutation(n)[:k])
         u = random_unitary(rng, 2**k)
-        out = apply_unitary(rho, u, targets)
+        out = _contract(rho[None], u, targets, n)[0]
 
         # reference: permute targets to the front, apply u x I, permute back
         perm = list(targets) + [q for q in range(n) if q not in targets]
-        t = rho.matrix.reshape((2,) * (2 * n))
+        t = rho.reshape((2,) * (2 * n))
         t = np.moveaxis(t, perm + [n + p for p in perm], range(2 * n))
         full = np.kron(u, np.eye(2 ** (n - k)))
         ref = full @ t.reshape(2**n, 2**n) @ full.conj().T
         t = ref.reshape((2,) * (2 * n))
         inv = np.argsort(perm)
         t = np.moveaxis(t, list(inv) + [n + p for p in inv], range(2 * n))
-        assert np.abs(out.matrix - t.reshape(2**n, 2**n)).max() < 1e-12
+        assert np.abs(out - t.reshape(2**n, 2**n)).max() < 1e-12
+        assert np.abs(out - conjugate(rho, u, targets)).max() < 1e-12
 
 
 def test_apply_unitary_preserves_purity_and_trace():
@@ -88,9 +64,20 @@ def test_apply_unitary_preserves_purity_and_trace():
         n = int(rng.integers(1, 4))
         rho = random_density(rng, n)
         u = random_unitary(rng, 2)
-        out = apply_unitary(rho, u, (int(rng.integers(n)),))
-        assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
-        assert abs(out.purity() - rho.purity()) < 1e-12
+        out = _contract(rho[None], u, (int(rng.integers(n)),), n)[0]
+        assert abs(np.trace(out).real - 1.0) < 1e-12
+        assert abs(purity(out) - purity(rho)) < 1e-12
+
+
+def test_check_unitary():
+    rng = np.random.default_rng(31)
+    u = random_unitary(rng, 4)
+    check_unitary(u)
+    check_unitary(np.stack([u, random_unitary(rng, 4)]))
+    with pytest.raises(UnitarityError):
+        check_unitary(1.01 * u)
+    with pytest.raises(UnitarityError):
+        check_unitary(np.stack([u, np.diag([1.0, 1.0, 1.0, 0.0])]))
 
 
 def test_kraus_channel_validation():
@@ -122,25 +109,13 @@ def test_apply_channel_trace_preserving():
         ch = KrausChannel((np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * px))
         for _ in range(10):
             rho = random_density(rng, 2)
-            out = apply_channel(rho, ch, (1,))
-            assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
-
-
-def test_apply_channel_arity_mismatch():
-    ch = KrausChannel((np.eye(2),))
-    with pytest.raises(ValueError):
-        apply_channel(ground_state(2), ch, (0, 1))
+            out = _kraus_sum(rho[None], ch, (1,), 2)[0]
+            assert abs(np.trace(out).real - 1.0) < 1e-12
+            assert np.abs(out - kraus_apply(rho, ch.operators, (1,))).max() < 1e-12
 
 
 def test_measurement_probs_basics():
-    rho = ground_state(2)
-    probs = measurement_probs(rho)
+    probs = outcome_distribution(Circuit(2, ()))
     assert probs.shape == (4,)
     assert np.abs(probs - np.array([1.0, 0, 0, 0])).max() < 1e-15
-
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        rho = random_density(rng, 3)
-        probs = measurement_probs(rho)
-        assert probs.min() >= 0.0
-        assert abs(probs.sum() - 1.0) < 1e-10
+    assert outcome_distribution(Circuit(2, (Gate(X, (1,)),))).tolist() == [0.0, 1.0, 0.0, 0.0]
