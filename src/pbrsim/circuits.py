@@ -34,6 +34,7 @@ MEASURE = "MEASURE"
 SINGLE_QUBIT_KINDS = frozenset({H, X, SX, RY, RZ, PHASE})
 TWO_QUBIT_KINDS = frozenset({CZ, SWAP, CPHASE_OPEN})
 ANGLED_KINDS = frozenset({RY, RZ, PHASE, CPHASE_OPEN, MCPHASE_OPEN})
+DIAGONAL_KINDS = frozenset({RZ, PHASE, CZ, CPHASE_OPEN, MCPHASE_OPEN})
 KINDS = SINGLE_QUBIT_KINDS | TWO_QUBIT_KINDS | {MCPHASE_OPEN, NOISE, MEASURE}
 
 
@@ -118,8 +119,27 @@ _SWAP = np.array(
 )
 
 
+def gate_diagonal(g: Gate) -> np.ndarray:
+    """Diagonal of a DIAGONAL_KINDS gate's unitary, without the full matrix."""
+    if g.kind == RZ:
+        return np.array([np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)])
+    if g.kind == PHASE:
+        return np.array([1.0, np.exp(1j * g.angle)])
+    if g.kind == CZ:
+        return np.array([1.0, 1.0, 1.0, -1.0], dtype=complex)
+    if g.kind in (CPHASE_OPEN, MCPHASE_OPEN):
+        # Phase fires when every control reads 0 and the target reads 1;
+        # controls are the leading qubits, so that is basis index 1.
+        diag = np.ones(2 ** len(g.qubits), dtype=complex)
+        diag[1] = np.exp(1j * g.angle)
+        return diag
+    raise KindError(f"{g.kind} is not a diagonal gate")
+
+
 def gate_unitary(g: Gate) -> np.ndarray:
     """Unitary of a gate over its own qubits (first listed = most significant)."""
+    if g.kind in DIAGONAL_KINDS:
+        return np.diag(gate_diagonal(g))
     if g.kind == H:
         return _H.copy()
     if g.kind == X:
@@ -129,21 +149,8 @@ def gate_unitary(g: Gate) -> np.ndarray:
     if g.kind == RY:
         c, s = np.cos(g.angle / 2), np.sin(g.angle / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if g.kind == RZ:
-        return np.diag([np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)])
-    if g.kind == PHASE:
-        return np.diag([1.0, np.exp(1j * g.angle)])
-    if g.kind == CZ:
-        return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     if g.kind == SWAP:
         return _SWAP.copy()
-    if g.kind in (CPHASE_OPEN, MCPHASE_OPEN):
-        # Phase fires when every control reads 0 and the target reads 1;
-        # controls are the leading qubits, so that is basis index 1.
-        dim = 2 ** len(g.qubits)
-        diag = np.ones(dim, dtype=complex)
-        diag[1] = np.exp(1j * g.angle)
-        return np.diag(diag)
     raise KindError(f"{g.kind} has no unitary")
 
 

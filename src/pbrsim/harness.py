@@ -1,11 +1,14 @@
 """End-to-end experiment orchestration and shot statistics.
 
-A run solves the angles, discovers the forbidden map, builds every
-input's circuit, routes it if placed and attaches noise. The 2^n noisy
-circuits share one gate structure, so `simulate.outcome_distributions`
-evolves them together as one stack; each input's distribution is then
-pushed through the readout matrices and shot counts are sampled from a
-per-input random stream seeded by (seed, input index), in input order.
+A run solves the angles, builds every input's circuit, routes it if
+placed and attaches noise, reads the readout matrices and tolerance
+inputs, and only then discovers the forbidden map: every calibration
+lookup comes before the first simulation. The 2^n noisy circuits share
+one gate structure, so `simulate.outcome_distributions` evolves them
+together as one stack; the (2^n, 2^m) table of distributions is pushed
+through the readout matrices in one call, and shot counts are sampled
+from a per-input random stream seeded by (seed, input index), in input
+order.
 The simulator evolves each qubit only between its first and last gate;
 the cap counts touched plus measured qubits. Shot counts run up to
 2^63 - 1, the multinomial sampler's int64 limit. The per-input verdict
@@ -173,12 +176,14 @@ def _shared_fields(
     """Report fields both paths derive alike, and the active threshold.
 
     `circuit` is input 0's circuit as it runs on the device (routed when
-    placed); gate counts and both tolerance reports come from it.
+    placed); gate counts and both tolerance reports come from it. The
+    calibration lookups come first, so a snapshot that misses a qubit or
+    coupler fails before the forbidden map is simulated.
     """
-    fmap = discover_forbidden_map(params)
     g1, g2 = gate_counts(circuit)
     tol_dep = tolerance_report(params, cal, circuit, DEPOLARIZING)
     tol_thermo = tolerance_report(params, cal, circuit, THERMODYNAMICAL)
+    fmap = discover_forbidden_map(params)
     fields = dict(
         n=cfg.n,
         theta=cfg.theta,
@@ -201,22 +206,26 @@ def _shared_fields(
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Simulate all 2^n inputs under the configured noise and sample shots."""
     params = PBRParams.solve(cfg.n, cfg.theta)
-    circuits = [build_test_circuit(x, params) for x in range(2**cfg.n)]
     span = None
     swap_count = 0
-    if cfg.placement is not None:
-        routed = [route_linear(c, cfg.coupling, cfg.placement) for c in circuits]
-        circuits = [r.circuit for r in routed]
-        span = len(routed[0].path) - 1
-        swap_count = routed[0].swap_count
+    circuits, noisy = [], []
+    for x in range(2**cfg.n):
+        circuit = build_test_circuit(x, params)
+        if cfg.placement is not None:
+            routed = route_linear(circuit, cfg.coupling, cfg.placement)
+            circuit = routed.circuit
+            span = len(routed.path) - 1
+            swap_count = routed.swap_count
+        circuits.append(circuit)
+        # Noise reads the calibration, so a snapshot that misses a qubit or
+        # coupler fails at input 0, before anything is simulated.
+        noisy.append(attach_noise(circuit, cfg.calibration, cfg.model))
+    mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy[0].measured_qubits]
     fields, active = _shared_fields(cfg, params, cfg.calibration, circuits[0])
     fmap = fields["forbidden_map"]
-
-    noisy = [attach_noise(c, cfg.calibration, cfg.model) for c in circuits]
-    mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy[0].measured_qubits]
+    dists = np.clip(apply_readout(outcome_distributions(noisy), mats), 0.0, 1.0)
     rows = []
-    for x, probs in enumerate(outcome_distributions(noisy)):
-        dist = np.clip(apply_readout(probs, mats), 0.0, 1.0)
+    for x, dist in enumerate(dists):
         exact = float(dist[fmap[x]])
         counts = sample_counts(dist, cfg.shots, (cfg.seed, x))
         k = int(counts[fmap[x]])

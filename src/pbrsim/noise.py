@@ -345,20 +345,27 @@ def readout_matrix(q: QubitCalibration) -> np.ndarray:
 
 
 def apply_readout(probs: np.ndarray, mats) -> np.ndarray:
-    """Push a distribution through per-qubit confusion matrices.
+    """Push distributions through per-qubit confusion matrices.
 
-    Equivalent to (M_0 x ... x M_{n-1}) @ probs with qubit 0 as the most
-    significant bit, applied axis by axis.
+    `probs` is one distribution over 2^m outcomes or a (..., 2^m) stack of
+    them; each comes out as (M_0 x ... x M_{m-1}) @ probs with qubit 0 as
+    the most significant bit, applied axis by axis. Each entry is the same
+    two products and one sum whatever the stack holds, so a row's result
+    does not depend on the rows beside it.
     """
     probs = np.asarray(probs, dtype=float)
-    mats = list(mats)
+    mats = [np.asarray(m, dtype=float) for m in mats]
     n = len(mats)
-    if probs.size != 2**n:
-        raise IndexError(f"distribution of size {probs.size} needs {n} matrices")
-    t = probs.reshape((2,) * n)
+    width = probs.shape[-1] if probs.ndim else 1
+    if width != 2**n:
+        raise IndexError(f"distribution of size {width} needs {n} matrices")
+    lead = probs.shape[:-1]
+    t = probs.reshape(lead + (2,) * n)
     for axis, m in enumerate(mats):
-        t = np.moveaxis(np.tensordot(np.asarray(m), t, axes=(1, axis)), 0, axis)
-    return t.reshape(-1)
+        ax = len(lead) + axis
+        zero, one = np.take(t, 0, axis=ax), np.take(t, 1, axis=ax)
+        t = np.stack([m[0, 0] * zero + m[0, 1] * one, m[1, 0] * zero + m[1, 1] * one], axis=ax)
+    return t.reshape(probs.shape)
 
 
 def _mcphase_pairs(qubits: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -11,16 +11,23 @@ The simulation cap counts touched plus measured qubits.
 
 Circuits that share one gate structure (the 2^n inputs of a run differ
 only in their preparation angles) evolve together as one (B, 2^w, 2^w)
-stack: a gate that is the same in every circuit is applied once to the
-stack, a gate whose angle differs is applied as a (B, d, d) stack of
-unitaries. Each state's floats do not depend on the batch it is in. The
-stack is split into chunks of at most CHUNK_ENTRIES complex entries at the
-peak live width w, which bounds the memory a batch adds.
+stack: an operator that is the same in every circuit is applied once to
+the stack, one whose angle differs as a stack of B operators. Each
+state's floats do not depend on the batch it is in. The stack is split
+into chunks of at most CHUNK_ENTRIES complex entries at the peak live
+width w, which bounds the memory a batch adds.
 
 A stack of b states on w live qubits is a (b, 2^w, 2^w) array; viewed as
 (b,) + (2,) * 2w, live qubit i is row axis 1 + i and column axis 1 + w + i.
-Operators act on it by tensor contraction over their target axes, never
-as full 2^w x 2^w matrices.
+Every operator acts in Liouville form (Wood, Biamonte & Cory,
+arXiv:1111.6950) on the row-major flattening of its k target qubits'
+row and column axes, d = 2^k: a channel as its (d^2, d^2) superoperator
+sum_K K (x) conj(K), a unitary as U (x) conj(U), and a diagonal unitary
+as its d^2 phase vector diag(U) (x) conj(diag(U)). The one kernel,
+`_apply`, moves the target row and column axes to the front, applies one
+matrix product (one elementwise product for a diagonal) and moves the
+axes back. When the schedule is built, consecutive operators on the same
+live axes are multiplied into one, and two diagonals stay a diagonal.
 """
 
 from __future__ import annotations
@@ -30,10 +37,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .circuits import Circuit, MEASURE, NOISE, gate_unitary
+from .circuits import DIAGONAL_KINDS, Circuit, MEASURE, NOISE, gate_diagonal, gate_unitary
 from .config import SIMULATION_QUBIT_CAP
 from .errors import CapError
-from .states import KrausChannel, check_unitary
+from .states import check_phases, check_unitary
 
 # B * 4^w complex entries evolved at once, w the peak live width: 8 inputs at w=5.
 CHUNK_ENTRIES = 2**13
@@ -42,37 +49,45 @@ _ADD = "add"  # schedule step: a qubit joins as |0>
 
 
 @functools.lru_cache(maxsize=256)
-def _contract_axes(targets: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    # The three transposes `_contract` makes of a (B,) + (2,) * 2n stack:
-    # target row axes to the front; from there to the original order with
-    # the target column axes moved last; from there back to the original.
+def _kernel_axes(targets: tuple[int, ...], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The transposes `_apply` makes of a (B,) + (2,) * 2n stack: target row
+    # axes, then target column axes, to the front; and back again.
     rows = [1 + q for q in targets]
     cols = [1 + n + q for q in targets]
-    first = [0] + rows + [a for a in range(1, 2 * n + 1) if a not in rows]
-    second = [a for a in range(2 * n + 1) if a not in cols] + cols
-    back = np.argsort(first)
-    return tuple(first), tuple(back[second]), tuple(np.argsort(second))
+    front = [0] + rows + cols + [a for a in range(1, 2 * n + 1) if a not in rows + cols]
+    return tuple(front), tuple(int(a) for a in np.argsort(front))
 
 
-def _contract(mats: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
-    # Each rho of a (B, 2^n, 2^n) stack -> (op x I) rho (op x I)^dagger on the
-    # target axes. `op` is one (d, d) operator for every state or a (B, d, d)
-    # stack, one per state. Every slice is one (d x d) @ (d x rest) product and
-    # one (rest x d) @ (d x d) product, whatever B is.
-    first, middle, last = _contract_axes(targets, n)
-    b, d = mats.shape[0], 2 ** len(targets)
-    t = mats.reshape((b,) + (2,) * (2 * n)).transpose(first)
-    t = np.matmul(op, t.reshape(b, d, -1)).reshape(t.shape).transpose(middle)
-    t = np.matmul(t.reshape(b, -1, d), op.conj().swapaxes(-1, -2)).reshape(t.shape)
-    return t.transpose(last).reshape(mats.shape)
+def _apply(mats: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    # One Liouville operator on the target axes of each rho of a (B, 2^n, 2^n)
+    # stack. `op` is a (k, d^2, d^2) superoperator or a (k, d^2) diagonal,
+    # k = 1 for every state alike or k = B, one per state. Each state is one
+    # (d^2 x d^2) @ (d^2 x rest) product, or one elementwise multiply.
+    front, back = _kernel_axes(targets, n)
+    b = mats.shape[0]
+    t = mats.reshape((b,) + (2,) * (2 * n)).transpose(front)
+    shape = t.shape
+    t = t.reshape(b, op.shape[-1], -1)
+    t = t * op[:, :, None] if op.ndim == 2 else np.matmul(op, t)
+    return t.reshape(shape).transpose(back).reshape(mats.shape)
 
 
-def _kraus_sum(mats: np.ndarray, ch: KrausChannel, targets: tuple[int, ...], n: int) -> np.ndarray:
-    # sum_K K rho K^dagger on the target axes, for each rho of a (B, 2^n, 2^n) stack.
-    out = np.zeros_like(mats)
-    for k in ch.operators:
-        out += _contract(mats, k, targets, n)
-    return out
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    # The Liouville operator of `earlier` then `later`; two diagonals stay diagonal.
+    if later.ndim == 2:
+        return later * earlier if earlier.ndim == 2 else later[:, :, None] * earlier
+    return later * earlier[:, None, :] if earlier.ndim == 2 else np.matmul(later, earlier)
+
+
+def _liouville(u: np.ndarray) -> np.ndarray:
+    # (k, d, d) unitaries -> (k, d^2, d^2) superoperators U (x) conj(U).
+    k, d = u.shape[:2]
+    return (u[:, :, None, :, None] * u.conj()[:, None, :, None, :]).reshape(k, d * d, d * d)
+
+
+def _phases(diag: np.ndarray) -> np.ndarray:
+    # (k, d) unitary diagonals -> (k, d^2) superoperator diagonals diag (x) conj(diag).
+    return (diag[:, :, None] * diag.conj()[:, None, :]).reshape(len(diag), -1)
 
 
 def _add_qubit(mats: np.ndarray) -> np.ndarray:
@@ -92,21 +107,22 @@ def _trace_out(mats: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(b, hi * lo, hi * lo)
 
 
-def _shared_operators(circuits: list[Circuit]) -> list:
-    """The operator at each non-MEASURE gate position of a batch.
+def _shared_operators(circuits: list[Circuit]) -> list[np.ndarray]:
+    """The Liouville operator at each non-MEASURE gate position of a batch.
 
-    A NOISE position gives its KrausChannel; a unitary position gives one
-    (d, d) matrix when every circuit has the same gate there, else a
-    (B, d, d) stack. Raises ValueError unless the circuits share one gate
-    structure: the same kinds on the same qubits, the same channel objects
-    and the same measured qubits; only the angles of unitary gates may
-    differ.
+    A NOISE position gives its channel's superoperator; a unitary position
+    gives U (x) conj(U), or for a diagonal gate its d^2 phase vector
+    diag(U) (x) conj(diag(U)). Each has a leading axis of 1 when every
+    circuit has the same gate there, else of B, one per circuit. Raises
+    ValueError unless the circuits share one gate structure: the same
+    kinds on the same qubits, the same channel objects and the same
+    measured qubits; only the angles of unitary gates may differ.
     """
     first = circuits[0]
     for c in circuits[1:]:
         if c.n_qubits != first.n_qubits or len(c.gates) != len(first.gates):
             raise ValueError("circuits in a batch must share one gate structure")
-    ops: list = []
+    ops: list[np.ndarray] = []
     for column in zip(*(c.gates for c in circuits)):
         g = column[0]
         for h in column[1:]:
@@ -115,12 +131,18 @@ def _shared_operators(circuits: list[Circuit]) -> list:
                     f"circuits in a batch differ in their {g.kind} gate on qubits {g.qubits}"
                 )
         if g.kind == NOISE:
-            ops.append(g.channel)
+            ops.append(g.channel.superoperator[None])
         elif g.kind != MEASURE:
-            same = all(h == g for h in column)  # Gate equality compares the angle
-            u = gate_unitary(g) if same else np.stack([gate_unitary(h) for h in column])
-            check_unitary(u)
-            ops.append(u)
+            if all(h == g for h in column):  # Gate equality compares the angle
+                column = (g,)
+            if g.kind in DIAGONAL_KINDS:
+                diag = np.stack([gate_diagonal(h) for h in column])
+                check_phases(diag)
+                ops.append(_phases(diag))
+            else:
+                u = np.stack([gate_unitary(h) for h in column])
+                check_unitary(u)
+                ops.append(_liouville(u))
     return ops
 
 
@@ -138,8 +160,9 @@ def _evolve(circuits: list[Circuit], keep: tuple[int, ...]) -> Iterator[np.ndarr
     width = len(set(last).union(keep))
     if width > SIMULATION_QUBIT_CAP:
         raise CapError(f"{width} qubits exceeds the simulation cap of {SIMULATION_QUBIT_CAP}")
-    # One lifetime schedule serves the whole batch: _ADD, (operator, axes),
-    # or the state axis of a qubit to trace out.
+    # One lifetime schedule serves the whole batch: _ADD, [operator, axes],
+    # or the state axis of a qubit to trace out. Consecutive operators on the
+    # same axes are fused into one.
     steps: list = []
     live: list[int] = []  # circuit qubit on each state axis
     peak = 0
@@ -149,7 +172,11 @@ def _evolve(circuits: list[Circuit], keep: tuple[int, ...]) -> Iterator[np.ndarr
                 live.append(q)
                 steps.append(_ADD)
         peak = max(peak, len(live))
-        steps.append((op, tuple(live.index(q) for q in g.qubits)))
+        targets = tuple(live.index(q) for q in g.qubits)
+        if steps and isinstance(steps[-1], list) and steps[-1][1] == targets:
+            steps[-1][0] = _compose(op, steps[-1][0])
+        else:
+            steps.append([op, targets])
         for q in g.qubits:
             if last[q] == i and q not in keep:
                 steps.append(live.index(q))
@@ -176,10 +203,7 @@ def _evolve(circuits: list[Circuit], keep: tuple[int, ...]) -> Iterator[np.ndarr
             else:
                 op, targets = step
                 w = rho.shape[1].bit_length() - 1
-                if isinstance(op, KrausChannel):
-                    rho = _kraus_sum(rho, op, targets, w)
-                else:
-                    rho = _contract(rho, op if op.ndim == 2 else op[start:stop], targets, w)
+                rho = _apply(rho, op if len(op) == 1 else op[start:stop], targets, w)
         t = rho.reshape((stop - start,) + (2,) * (2 * n)).transpose(axes)
         yield t.reshape(stop - start, 2**n, 2**n)
 

@@ -239,6 +239,35 @@ def test_sweep_distance_spans_beyond_limit_exit_2_before_work(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "n, model, qubits, couplers, message",
+    [
+        (12, "dep", 2, ((0, 1),), "no calibration for qubit 2"),
+        (12, "thermo", 2, ((0, 1),), "no calibration for qubit 2"),
+        (5, "dep", 5, (), "no calibration for coupler (0, 1)"),
+    ],
+)
+def test_run_checks_calibration_before_simulating(
+    n, model, qubits, couplers, message, tmp_path, capsys, monkeypatch
+):
+    # Forbidden-map discovery at n=12 simulates 4096 ideal circuits; a
+    # calibration that cannot cover the circuit used to fail only after it.
+    def never(*args):
+        raise AssertionError("simulated before the calibration was checked")
+
+    for name in ("pbrsim.harness.outcome_distributions", "pbrsim.protocol.outcome_distributions"):
+        monkeypatch.setattr(name, never)
+    path = tmp_path / "cal.json"
+    save_calibration(uniform_calibration(qubits, p1=2e-4, p2=2.4e-3, edges=couplers), path)
+    start = time.perf_counter()
+    code = main(["run", "--n", str(n), "--calib", str(path), "--model", model])
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_run_missing_calibration_exits_2(capsys):
     code = main(["run", "--n", "2", "--calib", "/nonexistent.json", "--model", "dep"])
     assert code == 2

@@ -164,6 +164,28 @@ def test_readout_matrix_and_apply():
         apply_readout(np.ones(4) / 4, [m])
 
 
+def test_readout_on_a_stack_equals_row_by_row():
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 3, 5):
+        mats = []
+        for _ in range(m):
+            p01, p10 = rng.uniform(0, 0.2, size=2)
+            mats.append(np.array([[1 - p10, p01], [p10, 1 - p01]]))
+        stack = rng.dirichlet(np.ones(2**m), size=8)
+        out = apply_readout(stack, mats)
+        assert out.shape == stack.shape
+        full = mats[0]
+        for mat in mats[1:]:
+            full = np.kron(full, mat)
+        for row, got in zip(stack, out):
+            assert np.array_equal(apply_readout(row, mats), got)
+            assert np.abs(got - full @ row).max() < 1e-15
+        assert np.array_equal(apply_readout(stack.reshape(2, 4, -1), mats), out.reshape(2, 4, -1))
+        for wrong in (mats[:-1], mats + mats[:1]):
+            with pytest.raises(IndexError):
+                apply_readout(stack, wrong)
+
+
 def test_calibration_file_roundtrip(tmp_path):
     cal = CalibrationSnapshot(
         (

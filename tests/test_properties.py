@@ -7,6 +7,7 @@ to 1000 and the acceptance gate times the full batch.
 import numpy as np
 import pytest
 
+from dense_reference import conjugate
 from pbrsim.circuits import (
     CPHASE_OPEN,
     CZ,
@@ -38,7 +39,7 @@ from pbrsim.protocol import (
     solve_angles,
     theta_min,
 )
-from pbrsim.simulate import _contract, _evolve, _kraus_sum, outcome_distribution
+from pbrsim.simulate import _apply, _evolve, _shared_operators, outcome_distribution
 
 N_CIRCUIT = 200
 N_UNITARY = 150
@@ -122,7 +123,10 @@ def test_random_unitaries_preserve_state_structure():
         kind = (H, X, SX, RY, RZ, PHASE)[int(rng.integers(6))]
         angle = float(rng.uniform(-np.pi, np.pi)) if kind in (RY, RZ, PHASE) else None
         g = Gate(kind, (int(rng.integers(n)),), angle=angle)
-        out = _contract(rho[None], gate_unitary(g), g.qubits, n)[0]
+        # The kernel's own operator: U (x) conj(U), or the phase vector of RZ/PHASE.
+        op = _shared_operators([Circuit(n, (g,))])[0]
+        out = _apply(rho[None], op, g.qubits, n)[0]
+        assert np.abs(out - conjugate(rho, gate_unitary(g), g.qubits)).max() < 1e-10
         assert abs(np.trace(out).real - 1.0) < 1e-10
         assert abs(purity(out) - purity(rho)) < 1e-10
         assert np.abs(out - out.conj().T).max() < 1e-10
@@ -143,7 +147,7 @@ def test_random_channels_are_physical():
             ch, targets = dephasing(p), (int(rng.integers(n)),)
         else:
             ch, targets = depolarizing_channel(p, 2), (0, 1)
-        out = _kraus_sum(rho[None], ch, targets, n)[0]
+        out = _apply(rho[None], ch.superoperator[None], targets, n)[0]
         assert abs(np.trace(out).real - 1.0) < 1e-10
         assert np.abs(out - out.conj().T).max() < 1e-10
         assert np.linalg.eigvalsh(out)[0] > -1e-9

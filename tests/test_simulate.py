@@ -110,16 +110,22 @@ def test_routed_pbr_circuits_match_dense_reference(span, model):
     assert np.abs(outcome_distribution(noisy) - dense_distribution(noisy)).max() < DIFF_TOL
 
 
-@pytest.mark.parametrize("model", NOISE_MODELS)
-def test_sweep_at_the_cap_is_exact_and_three_qubits_wide(model, monkeypatch):
-    widths = []
-    contract = pbrsim.simulate._contract
+def record_kernel_calls(monkeypatch):
+    """(operator ndim, operator stack length, live width) of each kernel call."""
+    calls = []
+    kernel = pbrsim.simulate._apply
 
     def recording(mats, op, targets, n):
-        widths.append(n)
-        return contract(mats, op, targets, n)
+        calls.append((op.ndim, len(op), n))
+        return kernel(mats, op, targets, n)
 
-    monkeypatch.setattr(pbrsim.simulate, "_contract", recording)
+    monkeypatch.setattr(pbrsim.simulate, "_apply", recording)
+    return calls
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_sweep_at_the_cap_is_exact_and_three_qubits_wide(model, monkeypatch):
+    calls = record_kernel_calls(monkeypatch)
     cfg = ExperimentConfig(
         n=2,
         theta=np.pi / 4,
@@ -133,6 +139,7 @@ def test_sweep_at_the_cap_is_exact_and_three_qubits_wide(model, monkeypatch):
     assert [r.span for r in reports] == [9, 10, 11]
     means = [r.mean_forbidden_exact for r in reports]
     assert all(b >= a for a, b in zip(means, means[1:]))
+    widths = [n for _, _, n in calls]
     assert widths and max(widths) <= 3
 
 
@@ -220,6 +227,84 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     single = outcome_distributions(noisy)
     assert np.array_equal(chunked, whole)
     assert np.array_equal(chunked, single)
+
+
+def random_run_circuit(rng, n):
+    """Runs of operators on one target tuple each, measured in random order.
+
+    Within a run, diagonal gates, full gates and channels on the same
+    qubits alternate, so the schedule fuses them; angled gates vary
+    across a batch. Runs on three or more qubits are MCPHASE_OPEN only.
+    """
+    one = (RZ, PHASE, H, SX, RY, X, "amplitude_damping", "dephasing", "depolarizing")
+    two = (CZ, CPHASE_OPEN, MCPHASE_OPEN, SWAP, "depolarizing")
+    gates = []
+    for _ in range(int(rng.integers(3, 8))):
+        k = 1 if n == 1 or rng.random() < 0.5 else int(rng.integers(2, n + 1))
+        qs = tuple(int(q) for q in rng.permutation(n)[:k])
+        choices = one if k == 1 else two if k == 2 else (MCPHASE_OPEN,)
+        for _ in range(int(rng.integers(2, 7))):
+            kind = choices[int(rng.integers(len(choices)))]
+            p = float(rng.uniform(0, 0.3))
+            if kind == "amplitude_damping":
+                gates.append(Gate(NOISE, qs, channel=amplitude_damping(p)))
+            elif kind == "dephasing":
+                gates.append(Gate(NOISE, qs, channel=dephasing(p)))
+            elif kind == "depolarizing":
+                gates.append(Gate(NOISE, qs, channel=depolarizing_channel(p, k)))
+            else:
+                angle = float(rng.uniform(-np.pi, np.pi)) if kind in ANGLED_KINDS else None
+                gates.append(Gate(kind, qs, angle=angle))
+    gates.append(Gate(MEASURE, tuple(int(q) for q in rng.permutation(n))))
+    return Circuit(n, tuple(gates))
+
+
+def test_fused_runs_match_dense_reference(monkeypatch):
+    calls = record_kernel_calls(monkeypatch)
+    rng = np.random.default_rng(88)
+    ops = 0
+    for _ in range(60):
+        template = random_run_circuit(rng, int(rng.integers(1, 5)))
+        batch = [template] + [with_new_angles(template, rng) for _ in range(int(rng.integers(0, 5)))]
+        ops += sum(g.kind != MEASURE for g in template.gates)
+        got = outcome_distributions(batch)
+        for c, row in zip(batch, got):
+            assert np.abs(row - dense_distribution(c)).max() < DIFF_TOL
+        assert np.abs(final_state(template) - dense_state(template)).max() < DIFF_TOL
+    # Runs were fused, and all four operator forms reached the kernel:
+    # diagonal or full, shared by the batch or one per circuit.
+    assert len(calls) < ops
+    assert {(ndim, k > 1) for ndim, k, _ in calls} == {(2, False), (2, True), (3, False), (3, True)}
+
+
+def test_mcphase_up_to_six_qubits_matches_dense_reference():
+    rng = np.random.default_rng(6)
+    for k in range(2, 7):
+        for _ in range(4):
+            n = int(rng.integers(k, 7))
+            qs = tuple(int(q) for q in rng.permutation(n)[:k])
+            gates = [Gate(RY, (q,), angle=float(rng.uniform(-np.pi, np.pi))) for q in range(n)]
+            gates += [Gate(NOISE, (q,), channel=dephasing(0.1)) for q in qs[:2]]
+            gates.append(Gate(MCPHASE_OPEN, qs, angle=float(rng.uniform(-np.pi, np.pi))))
+            gates += [Gate(H, (q,)) for q in range(n)]
+            gates.append(Gate(MEASURE, tuple(int(q) for q in rng.permutation(n))))
+            template = Circuit(n, tuple(gates))
+            batch = [template] + [with_new_angles(template, rng) for _ in range(3)]
+            for c, row in zip(batch, outcome_distributions(batch)):
+                assert np.abs(row - dense_distribution(c)).max() < DIFF_TOL
+            assert np.abs(final_state(template) - dense_state(template)).max() < DIFF_TOL
+
+
+@pytest.mark.parametrize("model, per_chunk", [("depolarizing", 19), ("thermodynamical", 21)])
+def test_fused_schedule_kernel_calls_per_chunk(model, per_chunk, monkeypatch):
+    # n=5: 32 (depolarizing) or 57 (thermodynamical) operators fuse into
+    # 19 or 21 same-target runs; 32 inputs run as 4 chunks of 8.
+    params = PBRParams.solve(5, theta_min(5))
+    cal = varied_calibration(5, seed=3)
+    noisy = [attach_noise(build_test_circuit(x, params), cal, model) for x in range(32)]
+    calls = record_kernel_calls(monkeypatch)
+    outcome_distributions(noisy)
+    assert len(calls) == 4 * per_chunk
 
 
 def test_batches_must_share_one_structure():

@@ -1,4 +1,4 @@
-"""Kraus channels, and the contraction kernel that applies operators to a state stack."""
+"""Kraus channels, and the Liouville kernel that applies operators to a state stack."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ import pytest
 from dense_reference import conjugate, ground_matrix, kraus_apply
 from pbrsim.circuits import Circuit, Gate, X
 from pbrsim.errors import ChannelError, UnitarityError
-from pbrsim.simulate import _contract, _evolve, _kraus_sum, outcome_distribution
-from pbrsim.states import KrausChannel, check_unitary
+from pbrsim.noise import amplitude_damping, dephasing, depolarizing_channel
+from pbrsim.simulate import _apply, _evolve, _liouville, outcome_distribution
+from pbrsim.states import KrausChannel, check_phases, check_unitary
 
 
 def random_unitary(rng, dim):
@@ -43,7 +44,7 @@ def test_apply_unitary_matches_full_kron():
         k = int(rng.integers(1, min(n, 2) + 1))
         targets = tuple(int(q) for q in rng.permutation(n)[:k])
         u = random_unitary(rng, 2**k)
-        out = _contract(rho[None], u, targets, n)[0]
+        out = _apply(rho[None], _liouville(u[None]), targets, n)[0]
 
         # reference: permute targets to the front, apply u x I, permute back
         perm = list(targets) + [q for q in range(n) if q not in targets]
@@ -64,7 +65,7 @@ def test_apply_unitary_preserves_purity_and_trace():
         n = int(rng.integers(1, 4))
         rho = random_density(rng, n)
         u = random_unitary(rng, 2)
-        out = _contract(rho[None], u, (int(rng.integers(n)),), n)[0]
+        out = _apply(rho[None], _liouville(u[None]), (int(rng.integers(n)),), n)[0]
         assert abs(np.trace(out).real - 1.0) < 1e-12
         assert abs(purity(out) - purity(rho)) < 1e-12
 
@@ -78,6 +79,9 @@ def test_check_unitary():
         check_unitary(1.01 * u)
     with pytest.raises(UnitarityError):
         check_unitary(np.stack([u, np.diag([1.0, 1.0, 1.0, 0.0])]))
+    check_phases(np.exp(1j * rng.uniform(-np.pi, np.pi, size=(3, 8))))
+    with pytest.raises(UnitarityError):
+        check_phases(np.array([[1.0, 1j], [1.0, 0.999]]))
 
 
 def test_kraus_channel_validation():
@@ -89,8 +93,11 @@ def test_kraus_channel_validation():
         KrausChannel((np.eye(2), np.eye(4)))
     with pytest.raises(ChannelError):
         KrausChannel((0.5 * np.eye(2),))  # not trace preserving
+    with pytest.raises(ChannelError):
+        KrausChannel((np.eye(8),))  # three qubits: a 4096-entry superoperator
     ch = KrausChannel((np.eye(2),))
     assert ch.arity == 1
+    assert KrausChannel((np.eye(4),)).arity == 2
 
 
 def test_kraus_channel_holds_read_only_copies():
@@ -100,6 +107,9 @@ def test_kraus_channel_holds_read_only_copies():
     assert ch.operators[0][0, 0] == 1.0
     with pytest.raises(ValueError):
         ch.operators[0][1, 1] = 5.0
+    assert np.array_equal(ch.superoperator, np.eye(4))
+    with pytest.raises(ValueError):
+        ch.superoperator[0, 0] = 5.0
 
 
 def test_apply_channel_trace_preserving():
@@ -109,9 +119,28 @@ def test_apply_channel_trace_preserving():
         ch = KrausChannel((np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * px))
         for _ in range(10):
             rho = random_density(rng, 2)
-            out = _kraus_sum(rho[None], ch, (1,), 2)[0]
+            out = _apply(rho[None], ch.superoperator[None], (1,), 2)[0]
             assert abs(np.trace(out).real - 1.0) < 1e-12
             assert np.abs(out - kraus_apply(rho, ch.operators, (1,))).max() < 1e-12
+
+
+def test_channel_superoperators_match_kraus_sum():
+    # The superoperator of every noise builder against sum_K K rho K^dagger.
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        p = float(rng.uniform(0, 1))
+        n = int(rng.integers(2, 4))
+        for ch in (
+            depolarizing_channel(p, 1),
+            depolarizing_channel(p, 2),
+            amplitude_damping(p),
+            dephasing(p),
+        ):
+            rho = random_density(rng, n)
+            targets = tuple(int(q) for q in rng.permutation(n)[: ch.arity])
+            out = _apply(rho[None], ch.superoperator[None], targets, n)[0]
+            assert np.abs(out - kraus_apply(rho, ch.operators, targets)).max() < 1e-12
+            assert abs(np.trace(out).real - 1.0) < 1e-12
 
 
 def test_measurement_probs_basics():
