@@ -74,10 +74,11 @@ def _parse_spans(text: str) -> list[int]:
 
 
 def _emit(text: str, out_path) -> None:
-    sys.stdout.write(text)
+    # The file first: a path that cannot be written exits 2 with stdout empty.
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _write_csv(reports, path) -> None:
@@ -141,8 +142,8 @@ def _experiment_config(args, n: int) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     report = run_experiment(_experiment_config(args, args.n))
-    _emit(render_json(report), args.out)
     _write_csv(report, args.csv)
+    _emit(render_json(report), args.out)
     return 0 if report.passed else 1
 
 
@@ -151,8 +152,8 @@ def _cmd_sweep(args) -> int:
     args.map = args.place = None
     cfg = _experiment_config(args, 2)
     reports = sweep_distance(cfg, _parse_spans(args.spans))
-    _emit(render_sweep_json(reports), args.out)
     _write_csv(reports, args.csv)
+    _emit(render_sweep_json(reports), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 

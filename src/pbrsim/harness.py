@@ -1,14 +1,14 @@
 """End-to-end experiment orchestration and shot statistics.
 
-A run solves the angles, builds every input's circuit, routes it if
-placed and attaches noise, reads the readout matrices and tolerance
+A run solves the angles, builds, routes (if placed) and attaches noise
+to input 0's circuit once, reads the readout matrices and tolerance
 inputs, and only then discovers the forbidden map: every calibration
-lookup comes before the first simulation. The 2^n noisy circuits share
-one gate structure, so `simulate.outcome_distributions` evolves them
-together as one stack; the (2^n, 2^m) table of distributions is pushed
-through the readout matrices in one call, and shot counts are sampled
-from a per-input random stream seeded by (seed, input index), in input
-order.
+lookup comes before the first simulation. The 2^n inputs differ only in
+their preparation angles, so `simulate.outcome_distributions` evolves
+the one noisy circuit under the `protocol.input_angles` table as one
+stack; the (2^n, 2^m) table of distributions is pushed through the
+readout matrices in one call, and shot counts are sampled from a
+per-input random stream seeded by (seed, input index), in input order.
 The simulator evolves each qubit only between its first and last gate;
 the cap counts touched plus measured qubits. Shot counts run up to
 2^63 - 1, the multinomial sampler's int64 limit. The per-input verdict
@@ -57,7 +57,13 @@ from .noise import (
     readout_matrix,
     uniform_calibration,
 )
-from .protocol import ForbiddenMap, PBRParams, build_test_circuit, discover_forbidden_map
+from .protocol import (
+    ForbiddenMap,
+    PBRParams,
+    build_test_circuit,
+    discover_forbidden_map,
+    input_angles,
+)
 from .routing import CouplingMap, line_map, route_linear, routed_gate_overhead
 from .simulate import outcome_distributions
 
@@ -206,24 +212,19 @@ def _shared_fields(
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Simulate all 2^n inputs under the configured noise and sample shots."""
     params = PBRParams.solve(cfg.n, cfg.theta)
-    span = None
-    swap_count = 0
-    circuits, noisy = [], []
-    for x in range(2**cfg.n):
-        circuit = build_test_circuit(x, params)
-        if cfg.placement is not None:
-            routed = route_linear(circuit, cfg.coupling, cfg.placement)
-            circuit = routed.circuit
-            span = len(routed.path) - 1
-            swap_count = routed.swap_count
-        circuits.append(circuit)
-        # Noise reads the calibration, so a snapshot that misses a qubit or
-        # coupler fails at input 0, before anything is simulated.
-        noisy.append(attach_noise(circuit, cfg.calibration, cfg.model))
-    mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy[0].measured_qubits]
-    fields, active = _shared_fields(cfg, params, cfg.calibration, circuits[0])
+    circuit = build_test_circuit(0, params)
+    span, swap_count = None, 0
+    if cfg.placement is not None:
+        routed = route_linear(circuit, cfg.coupling, cfg.placement)
+        circuit, span, swap_count = routed.circuit, len(routed.path) - 1, routed.swap_count
+    # Noise reads the calibration, so a snapshot that misses a qubit or
+    # coupler fails here, before anything is simulated.
+    noisy = attach_noise(circuit, cfg.calibration, cfg.model)
+    mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy.measured_qubits]
+    fields, active = _shared_fields(cfg, params, cfg.calibration, circuit)
     fmap = fields["forbidden_map"]
-    dists = np.clip(apply_readout(outcome_distributions(noisy), mats), 0.0, 1.0)
+    dists = outcome_distributions(noisy, input_angles(params))
+    dists = np.clip(apply_readout(dists, mats), 0.0, 1.0)
     rows = []
     for x, dist in enumerate(dists):
         exact = float(dist[fmap[x]])

@@ -270,9 +270,9 @@ _PAULIS = (
 )
 
 
-# The channel builders are memoized on their arguments: a run's repeated
-# gates share one read-only channel object, which the batched simulator
-# compares by identity. The bound keeps a long-lived process small.
+# The channel builders are memoized on their arguments for speed: repeated
+# gates share one read-only channel object, its superoperator built once per
+# process, not once per gate. The bound keeps a long-lived process small.
 _channel_cache = functools.lru_cache(maxsize=512)
 
 

@@ -197,6 +197,19 @@ def build_test_circuit(x, params: PBRParams) -> Circuit:
     return Circuit(params.n, prep.gates + meas.gates)
 
 
+def input_angles(params: PBRParams) -> np.ndarray:
+    """Row x: input x's angles for the angled gates of `build_test_circuit(0, params)`.
+
+    +theta or -theta per bit (qubit 0 first), then beta and alpha. Routing
+    and noise add no angled gate, so the table fits the routed, noisy circuit.
+    """
+    n = params.n
+    bits = np.array([bits_of(x, n) for x in range(2**n)])
+    meas = build_entangling_measurement(n, params.alpha, params.beta).gates
+    shared = np.tile([g.angle for g in meas if g.angle is not None], (2**n, 1))
+    return np.hstack([np.where(bits == 0, params.theta, -params.theta), shared])
+
+
 @dataclass(frozen=True)
 class ForbiddenMap:
     mapping: tuple[int, ...]
@@ -223,7 +236,7 @@ def discover_forbidden_map(params: PBRParams) -> ForbiddenMap:
     """
     n = params.n
     mapping = []
-    dists = outcome_distributions([build_test_circuit(x, params) for x in range(2**n)])
+    dists = outcome_distributions(build_test_circuit(0, params), input_angles(params))
     for x, probs in enumerate(dists):
         order = np.argsort(probs)
         smallest, runner_up = probs[order[0]], probs[order[1]]

@@ -1,21 +1,21 @@
 """Evolve circuits on density matrices and extract outcome distributions.
 
 This module is the package's one state engine. `outcome_distributions`
-is the one path from circuits to their outcome probabilities;
-`outcome_distribution` is its one-circuit case. Evolution holds each
+is the one path from a circuit to its outcome probabilities;
+`outcome_distribution` is its case of one input. Evolution holds each
 qubit only between its first and last gate: a qubit joins the state as
 |0> at its first gate and is traced out right after its last one unless
 it is kept (measured). No channel touches an idle qubit, so this is
 exact, and a routed pair holds at most three live qubits whatever its span.
 The simulation cap counts touched plus measured qubits.
 
-Circuits that share one gate structure (the 2^n inputs of a run differ
-only in their preparation angles) evolve together as one (B, 2^w, 2^w)
-stack: an operator that is the same in every circuit is applied once to
-the stack, one whose angle differs as a stack of B operators. Each
-state's floats do not depend on the batch it is in. The stack is split
-into chunks of at most CHUNK_ENTRIES complex entries at the peak live
-width w, which bounds the memory a batch adds.
+One circuit evolves B inputs that differ only in their angles (the 2^n
+inputs of a run) as one (B, 2^w, 2^w) stack, row b of a (B, k) table
+giving input b's angles for the circuit's k angled gates. An operator
+that is the same for every row is applied once to the stack, one whose
+angle differs as B operators, built once per distinct angle. Each state's
+floats do not depend on the other rows. Chunks of at most CHUNK_ENTRIES
+complex entries at the peak live width w bound the memory a table adds.
 
 A stack of b states on w live qubits is a (b, 2^w, 2^w) array; viewed as
 (b,) + (2,) * 2w, live qubit i is row axis 1 + i and column axis 1 + w + i.
@@ -37,7 +37,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .circuits import DIAGONAL_KINDS, Circuit, MEASURE, NOISE, gate_diagonal, gate_unitary
+from .circuits import DIAGONAL_KINDS, Circuit, Gate, MEASURE, NOISE, gate_diagonal, gate_unitary
 from .config import SIMULATION_QUBIT_CAP
 from .errors import CapError
 from .states import check_phases, check_unitary
@@ -107,60 +107,56 @@ def _trace_out(mats: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(b, hi * lo, hi * lo)
 
 
-def _shared_operators(circuits: list[Circuit]) -> list[np.ndarray]:
-    """The Liouville operator at each non-MEASURE gate position of a batch.
+def _operators(c: Circuit, angles: np.ndarray) -> list[np.ndarray]:
+    """The Liouville operator at each non-MEASURE gate of `c`.
 
-    A NOISE position gives its channel's superoperator; a unitary position
-    gives U (x) conj(U), or for a diagonal gate its d^2 phase vector
-    diag(U) (x) conj(diag(U)). Each has a leading axis of 1 when every
-    circuit has the same gate there, else of B, one per circuit. Raises
-    ValueError unless the circuits share one gate structure: the same
-    kinds on the same qubits, the same channel objects and the same
-    measured qubits; only the angles of unitary gates may differ.
+    A NOISE gate gives its channel's superoperator; a unitary gives
+    U (x) conj(U), or for a diagonal gate its d^2 phase vector
+    diag(U) (x) conj(diag(U)). The j-th angled gate takes its angles from
+    column j of the (B, k) `angles` table, one operator per distinct angle.
+    Each operator's leading axis is 1 when every row agrees, else B.
     """
-    first = circuits[0]
-    for c in circuits[1:]:
-        if c.n_qubits != first.n_qubits or len(c.gates) != len(first.gates):
-            raise ValueError("circuits in a batch must share one gate structure")
     ops: list[np.ndarray] = []
-    for column in zip(*(c.gates for c in circuits)):
-        g = column[0]
-        for h in column[1:]:
-            if (h.kind, h.qubits) != (g.kind, g.qubits) or h.channel is not g.channel:
-                raise ValueError(
-                    f"circuits in a batch differ in their {g.kind} gate on qubits {g.qubits}"
-                )
+    columns = iter(angles.T)
+    for g in c.gates:
         if g.kind == NOISE:
             ops.append(g.channel.superoperator[None])
         elif g.kind != MEASURE:
-            if all(h == g for h in column):  # Gate equality compares the angle
-                column = (g,)
+            variants, index = [g], None
+            if g.angle is not None:
+                values, index = np.unique(next(columns), return_inverse=True)
+                variants = [Gate(g.kind, g.qubits, angle=float(a)) for a in values]
             if g.kind in DIAGONAL_KINDS:
-                diag = np.stack([gate_diagonal(h) for h in column])
+                diag = np.stack([gate_diagonal(h) for h in variants])
                 check_phases(diag)
-                ops.append(_phases(diag))
+                op = _phases(diag)
             else:
-                u = np.stack([gate_unitary(h) for h in column])
+                u = np.stack([gate_unitary(h) for h in variants])
                 check_unitary(u)
-                ops.append(_liouville(u))
+                op = _liouville(u)
+            ops.append(op if len(variants) == 1 else op[index])
     return ops
 
 
-def _evolve(circuits: list[Circuit], keep: tuple[int, ...]) -> Iterator[np.ndarray]:
+def _evolve(c: Circuit, keep: tuple[int, ...], angles=None) -> Iterator[np.ndarray]:
     """Final states on the `keep` qubits, in that order, from |0...0>.
 
-    Yields them chunk by chunk in circuit order, each chunk a (b, 2^m, 2^m)
-    stack; the circuits must share one gate structure. Every other qubit is
-    traced out after its last gate; qubits in `keep` that no gate touches
-    join as |0> at the end.
+    State b takes its angles from row b of `angles` (see
+    `outcome_distributions`). Yields the states chunk by chunk in row order,
+    each chunk a (b, 2^m, 2^m) stack. Every other qubit is traced out after
+    its last gate; qubits in `keep` that no gate touches join as |0> at the end.
     """
-    ops = _shared_operators(circuits)
-    gates = [g for g in circuits[0].gates if g.kind != MEASURE]
+    own = [g.angle for g in c.gates if g.angle is not None]
+    table = np.asarray([own] if angles is None else angles, dtype=float)
+    if table.shape[1:] != (len(own),) or not len(table) or not np.isfinite(table).all():
+        raise ValueError(f"angle table {table.shape} is not B>=1 rows of {len(own)} finite angles")
+    ops = _operators(c, table)
+    gates = [g for g in c.gates if g.kind != MEASURE]
     last = {q: i for i, g in enumerate(gates) for q in g.qubits}
     width = len(set(last).union(keep))
     if width > SIMULATION_QUBIT_CAP:
         raise CapError(f"{width} qubits exceeds the simulation cap of {SIMULATION_QUBIT_CAP}")
-    # One lifetime schedule serves the whole batch: _ADD, [operator, axes],
+    # One lifetime schedule serves every row: _ADD, [operator, axes],
     # or the state axis of a qubit to trace out. Consecutive operators on the
     # same axes are fused into one.
     steps: list = []
@@ -190,7 +186,7 @@ def _evolve(circuits: list[Circuit], keep: tuple[int, ...]) -> Iterator[np.ndarr
     perm = [live.index(q) for q in keep]
     axes = [0] + [1 + p for p in perm] + [1 + n + p for p in perm]
 
-    total = len(circuits)
+    total = len(table)
     chunk = max(1, CHUNK_ENTRIES // 4**peak)
     for start in range(0, total, chunk):
         stop = min(total, start + chunk)
@@ -208,18 +204,15 @@ def _evolve(circuits: list[Circuit], keep: tuple[int, ...]) -> Iterator[np.ndarr
         yield t.reshape(stop - start, 2**n, 2**n)
 
 
-def outcome_distributions(circuits) -> np.ndarray:
-    """Distributions over the measured qubits (all qubits if none), one row per circuit.
+def outcome_distributions(c: Circuit, angles=None) -> np.ndarray:
+    """Distributions over the measured qubits (all qubits if none), one row per angle row.
 
-    The circuits must share one gate structure (see `_shared_operators`);
-    returns a (B, 2^m) array. The first measured qubit is the most
-    significant bit.
+    Row b of the (B, k) `angles` table gives the angles of the circuit's k
+    angled gates, in circuit order; by default the circuit's own angles
+    are the one row. Returns a (B, 2^m) array. The first measured qubit is
+    the most significant bit.
     """
-    circuits = list(circuits)
-    if not circuits:
-        raise ValueError("outcome_distributions needs at least one circuit")
-    c = circuits[0]
-    chunks = _evolve(circuits, c.measured_qubits or tuple(range(c.n_qubits)))
+    chunks = _evolve(c, c.measured_qubits or tuple(range(c.n_qubits)), angles)
     return np.concatenate(
         [np.clip(np.diagonal(rhos, axis1=1, axis2=2).real, 0.0, 1.0) for rhos in chunks]
     )
@@ -230,4 +223,4 @@ def outcome_distribution(c: Circuit) -> np.ndarray:
 
     The first measured qubit is the most significant bit.
     """
-    return outcome_distributions([c])[0]
+    return outcome_distributions(c)[0]

@@ -290,6 +290,30 @@ def test_sweep_distance_csv(calib_path, tmp_path, capsys):
     assert len(lines) == 1 + 3 * 4
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["run", "--n", "2", "--model", "dep", "--shots", "2000"], "--out"),
+        (["run", "--n", "2", "--model", "dep", "--shots", "2000"], "--csv"),
+        (["sweep-distance", "--spans", "1..2", "--model", "dep", "--shots", "2000"], "--out"),
+        (["sweep-distance", "--spans", "1..2", "--model", "dep", "--shots", "2000"], "--csv"),
+        (["tolerance", "--n", "2", "--model", "dep"], "--out"),
+        (["solve-angles", "--n", "2"], "--out"),
+    ],
+    ids=["run-out", "run-csv", "sweep-out", "sweep-csv", "tolerance-out", "solve-angles-out"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "is-dir"])
+def test_unwritable_output_path_exits_2_with_stdout_empty(
+    command, flag, target, calib_path, tmp_path, capsys
+):
+    # The report used to reach stdout before the file write failed.
+    path = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    calib = [] if command[0] == "solve-angles" else ["--calib", calib_path]
+    code = main(command + calib + [flag, str(path)])
+    assert code == 2
+    _assert_one_error_line(capsys)
+
+
 def test_sweep_distance_bad_spans_exits_2(calib_path, capsys):
     code = main(
         ["sweep-distance", "--calib", calib_path, "--model", "dep", "--spans", " , "]

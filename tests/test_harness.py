@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import pbrsim.harness
 from pbrsim.errors import RangeError, ValidationError
 from pbrsim.harness import (
     BIT_ORDER_NOTE,
@@ -27,6 +28,7 @@ from pbrsim.noise import (
     THERMODYNAMICAL,
 )
 from pbrsim.protocol import theta_min
+from pbrsim.routing import line_map
 
 
 def pair_calibration(readout=600e-9):
@@ -231,8 +233,6 @@ def test_routed_run_matches_span_overhead():
         coupling=None, placement=None, shots=2000, seed=5,
     )
     base = run_experiment(cfg)
-    from pbrsim.routing import line_map
-
     routed_cfg = ExperimentConfig(
         n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=line_calibration(5),
         coupling=line_map(5), placement=(0, 3), shots=2000, seed=5,
@@ -242,6 +242,26 @@ def test_routed_run_matches_span_overhead():
     assert rep.swap_count == 2
     assert rep.g1 == base.g1 + 12 and rep.g2 == base.g2 + 6
     assert rep.mean_forbidden_exact > base.mean_forbidden_exact
+
+
+@pytest.mark.parametrize("model", [DEPOLARIZING, THERMODYNAMICAL])
+def test_run_routes_and_attaches_noise_once(model, monkeypatch):
+    # The inputs differ only in their angles, so one circuit serves every input.
+    calls = {"route_linear": 0, "attach_noise": 0, "build_test_circuit": 0}
+    for name in calls:
+        original = getattr(pbrsim.harness, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(pbrsim.harness, name, counting)
+    cfg = ExperimentConfig(
+        n=2, theta=np.pi / 4, model=model, calibration=line_calibration(5),
+        coupling=line_map(5), placement=(0, 3), shots=2000, seed=5,
+    )
+    run_experiment(cfg)
+    assert calls == {"route_linear": 1, "attach_noise": 1, "build_test_circuit": 1}
 
 
 def test_analytic_report_for_long_span():

@@ -39,7 +39,7 @@ from pbrsim.protocol import (
     solve_angles,
     theta_min,
 )
-from pbrsim.simulate import _apply, _evolve, _shared_operators, outcome_distribution
+from pbrsim.simulate import _apply, _evolve, _operators, outcome_distribution
 
 N_CIRCUIT = 200
 N_UNITARY = 150
@@ -110,7 +110,7 @@ def test_random_circuits_produce_distributions():
         assert probs.shape == (2**n,)
         assert probs.min() >= 0.0
         assert abs(probs.sum() - 1.0) < 1e-9
-        final = next(_evolve([c], tuple(range(n))))[0]
+        final = next(_evolve(c, tuple(range(n))))[0]
         assert abs(np.trace(final).real - 1.0) < 1e-9
         assert purity(final) <= 1.0 + 1e-9
 
@@ -124,7 +124,7 @@ def test_random_unitaries_preserve_state_structure():
         angle = float(rng.uniform(-np.pi, np.pi)) if kind in (RY, RZ, PHASE) else None
         g = Gate(kind, (int(rng.integers(n)),), angle=angle)
         # The kernel's own operator: U (x) conj(U), or the phase vector of RZ/PHASE.
-        op = _shared_operators([Circuit(n, (g,))])[0]
+        op = _operators(Circuit(n, (g,)), np.array([[] if angle is None else [angle]]))[0]
         out = _apply(rho[None], op, g.qubits, n)[0]
         assert np.abs(out - conjugate(rho, gate_unitary(g), g.qubits)).max() < 1e-10
         assert abs(np.trace(out).real - 1.0) < 1e-10

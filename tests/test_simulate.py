@@ -1,5 +1,7 @@
 """Circuit evolution: qubit lifetimes against a dense reference, cap, marginals, ordering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,17 +37,34 @@ from pbrsim.noise import (
     depolarizing_channel,
     uniform_calibration,
 )
-from pbrsim.protocol import PBRParams, build_test_circuit, theta_min
+from pbrsim.protocol import PBRParams, build_test_circuit, input_angles, theta_min
 from pbrsim.routing import line_map, route_linear
 from pbrsim.simulate import _evolve, outcome_distribution, outcome_distributions
-from pbrsim.states import KrausChannel
 
 DIFF_TOL = 1e-12
 
 
 def final_state(c):
     """The simulator's full n-qubit final state, every qubit kept in index order."""
-    return next(_evolve([c], tuple(range(c.n_qubits))))[0]
+    return next(_evolve(c, tuple(range(c.n_qubits))))[0]
+
+
+def own_angles(c):
+    """The angles of the circuit's angled gates, in circuit order."""
+    return [g.angle for g in c.gates if g.kind in ANGLED_KINDS]
+
+
+def with_angles(c, row):
+    """`c` with the angles of its angled gates replaced by `row`, in circuit order."""
+    row = iter(row)
+    gates = [replace(g, angle=float(next(row))) if g.kind in ANGLED_KINDS else g for g in c.gates]
+    return Circuit(c.n_qubits, tuple(gates))
+
+
+def random_table(rng, c, extra):
+    """`c`'s own angles as row 0, then `extra` rows of random angles."""
+    own = np.array([own_angles(c)], dtype=float)
+    return np.vstack([own, rng.uniform(-np.pi, np.pi, (extra, own.shape[1]))])
 
 
 def random_noisy_circuit(rng, n):
@@ -161,21 +180,21 @@ def varied_calibration(n, seed):
     return CalibrationSnapshot(qubits, couplers, 0.8e-6)
 
 
-def assert_batch_matches_one_at_a_time(circuits):
-    batched = outcome_distributions(circuits)
-    assert batched.shape == (len(circuits), 2 ** len(circuits[0].measured_qubits))
-    for c, row in zip(circuits, batched):
-        assert np.array_equal(row, outcome_distribution(c))
+def assert_batch_matches_one_at_a_time(c, table):
+    batched = outcome_distributions(c, table)
+    assert batched.shape == (len(table), 2 ** len(c.measured_qubits))
+    for angles, row in zip(table, batched):
+        assert np.array_equal(row, outcome_distributions(c, angles[None])[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_batched_pbr_inputs_equal_one_at_a_time(n):
     params = PBRParams.solve(n, theta_min(n))
-    ideal = [build_test_circuit(x, params) for x in range(2**n)]
-    assert_batch_matches_one_at_a_time(ideal)
+    ideal = build_test_circuit(0, params)
+    assert_batch_matches_one_at_a_time(ideal, input_angles(params))
     cal = varied_calibration(n, seed=n)
     for model in NOISE_MODELS:
-        assert_batch_matches_one_at_a_time([attach_noise(c, cal, model) for c in ideal])
+        assert_batch_matches_one_at_a_time(attach_noise(ideal, cal, model), input_angles(params))
 
 
 @pytest.mark.parametrize("model", NOISE_MODELS)
@@ -184,47 +203,66 @@ def test_batched_routed_inputs_equal_one_at_a_time(model):
     for span in range(1, 10):
         line = line_map(span + 1)
         cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
-        routed = [
-            route_linear(build_test_circuit(x, params), line, (0, span)).circuit
-            for x in range(4)
-        ]
-        assert_batch_matches_one_at_a_time([attach_noise(c, cal, model) for c in routed])
+        routed = route_linear(build_test_circuit(0, params), line, (0, span)).circuit
+        assert_batch_matches_one_at_a_time(attach_noise(routed, cal, model), input_angles(params))
 
 
-def with_new_angles(c, rng):
-    gates = [
-        Gate(g.kind, g.qubits, angle=float(rng.uniform(-np.pi, np.pi)))
-        if g.kind in ANGLED_KINDS
-        else g
-        for g in c.gates
-    ]
-    return Circuit(c.n_qubits, tuple(gates))
+def assert_table_fits_each_input(inputs, table):
+    # Row x is input x's own angles, and evolves to its own circuit's distribution.
+    got = outcome_distributions(inputs[0], table)
+    assert table.shape == (len(inputs), len(own_angles(inputs[0])))
+    for x, c in enumerate(inputs):
+        assert table[x].tolist() == own_angles(c)
+        assert np.array_equal(got[x], outcome_distribution(c))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_input_angles_match_every_input_circuit(n):
+    # Routing inserts only H and CZ, noise only NOISE: the table fits every form.
+    for theta in (theta_min(n), 1.2):
+        params = PBRParams.solve(n, theta)
+        ideal = [build_test_circuit(x, params) for x in range(2**n)]
+        assert_table_fits_each_input(ideal, input_angles(params))
+        cal = varied_calibration(n, seed=n)
+        for model in NOISE_MODELS:
+            noisy = [attach_noise(c, cal, model) for c in ideal]
+            assert_table_fits_each_input(noisy, input_angles(params))
+        if n != 2:
+            continue
+        for span in range(1, 10):
+            line = line_map(span + 1)
+            routed = [route_linear(c, line, (0, span)).circuit for c in ideal]
+            cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
+            for model in NOISE_MODELS:
+                noisy = [attach_noise(c, cal, model) for c in routed]
+                assert_table_fits_each_input(noisy, input_angles(params))
 
 
 def test_random_batches_match_dense_reference():
     rng = np.random.default_rng(77)
     for _ in range(60):
         template = random_noisy_circuit(rng, int(rng.integers(1, 7)))
-        others = [with_new_angles(template, rng) for _ in range(int(rng.integers(1, 9)))]
-        batch = [template] + others
-        got = outcome_distributions(batch)
-        for c, row in zip(batch, got):
-            assert np.abs(row - dense_distribution(c)).max() < DIFF_TOL
+        table = random_table(rng, template, int(rng.integers(1, 9)))
+        got = outcome_distributions(template, table)
+        for angles, row in zip(table, got):
+            ref = dense_distribution(with_angles(template, angles))
+            assert np.abs(row - ref).max() < DIFF_TOL
 
 
 def test_chunked_batch_equals_one_chunk(monkeypatch):
     n = 5
     params = PBRParams.solve(n, theta_min(n))
     cal = varied_calibration(n, seed=9)
-    noisy = [attach_noise(build_test_circuit(x, params), cal, "depolarizing") for x in range(2**n)]
-    chunked = outcome_distributions(noisy)
+    noisy = attach_noise(build_test_circuit(0, params), cal, "depolarizing")
+    table = input_angles(params)
+    chunked = outcome_distributions(noisy, table)
     # Five live qubits: 8 inputs per chunk, and only one chunk's states at a time.
-    keep = noisy[0].measured_qubits
-    assert [len(states) for states in _evolve(noisy, keep)] == [8, 8, 8, 8]
+    keep = noisy.measured_qubits
+    assert [len(states) for states in _evolve(noisy, keep, table)] == [8, 8, 8, 8]
     monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 2**30)
-    whole = outcome_distributions(noisy)
+    whole = outcome_distributions(noisy, table)
     monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 1)
-    single = outcome_distributions(noisy)
+    single = outcome_distributions(noisy, table)
     assert np.array_equal(chunked, whole)
     assert np.array_equal(chunked, single)
 
@@ -265,14 +303,15 @@ def test_fused_runs_match_dense_reference(monkeypatch):
     ops = 0
     for _ in range(60):
         template = random_run_circuit(rng, int(rng.integers(1, 5)))
-        batch = [template] + [with_new_angles(template, rng) for _ in range(int(rng.integers(0, 5)))]
+        table = random_table(rng, template, int(rng.integers(0, 5)))
         ops += sum(g.kind != MEASURE for g in template.gates)
-        got = outcome_distributions(batch)
-        for c, row in zip(batch, got):
-            assert np.abs(row - dense_distribution(c)).max() < DIFF_TOL
+        got = outcome_distributions(template, table)
+        for angles, row in zip(table, got):
+            ref = dense_distribution(with_angles(template, angles))
+            assert np.abs(row - ref).max() < DIFF_TOL
         assert np.abs(final_state(template) - dense_state(template)).max() < DIFF_TOL
     # Runs were fused, and all four operator forms reached the kernel:
-    # diagonal or full, shared by the batch or one per circuit.
+    # diagonal or full, shared by every row or one per row.
     assert len(calls) < ops
     assert {(ndim, k > 1) for ndim, k, _ in calls} == {(2, False), (2, True), (3, False), (3, True)}
 
@@ -289,9 +328,10 @@ def test_mcphase_up_to_six_qubits_matches_dense_reference():
             gates += [Gate(H, (q,)) for q in range(n)]
             gates.append(Gate(MEASURE, tuple(int(q) for q in rng.permutation(n))))
             template = Circuit(n, tuple(gates))
-            batch = [template] + [with_new_angles(template, rng) for _ in range(3)]
-            for c, row in zip(batch, outcome_distributions(batch)):
-                assert np.abs(row - dense_distribution(c)).max() < DIFF_TOL
+            table = random_table(rng, template, 3)
+            for angles, row in zip(table, outcome_distributions(template, table)):
+                ref = dense_distribution(with_angles(template, angles))
+                assert np.abs(row - ref).max() < DIFF_TOL
             assert np.abs(final_state(template) - dense_state(template)).max() < DIFF_TOL
 
 
@@ -301,40 +341,32 @@ def test_fused_schedule_kernel_calls_per_chunk(model, per_chunk, monkeypatch):
     # 19 or 21 same-target runs; 32 inputs run as 4 chunks of 8.
     params = PBRParams.solve(5, theta_min(5))
     cal = varied_calibration(5, seed=3)
-    noisy = [attach_noise(build_test_circuit(x, params), cal, model) for x in range(32)]
+    noisy = attach_noise(build_test_circuit(0, params), cal, model)
     calls = record_kernel_calls(monkeypatch)
-    outcome_distributions(noisy)
+    outcome_distributions(noisy, input_angles(params))
     assert len(calls) == 4 * per_chunk
 
 
-def test_batches_must_share_one_structure():
-    base = Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (0, 1))))
-    # Only the angles of unitary gates may differ.
-    outcome_distributions([base, with_new_angles(base, np.random.default_rng(1))])
-    ch_a, ch_b = amplitude_damping(0.11), amplitude_damping(0.12)
-
-    def noisy(ch):
-        return Circuit(2, (Gate(H, (0,)), Gate(NOISE, (0,), channel=ch)))
-
-    outcome_distributions([noisy(ch_a), noisy(ch_a)])
-    # Channels are compared by identity: an equal copy still differs.
-    same_ops_other_object = KrausChannel(ch_a.operators)
-    differing = [
-        Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(X, (1,)), Gate(MEASURE, (0, 1)))),
-        Circuit(2, (Gate(RY, (1,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (0, 1)))),
-        Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (1, 0)))),
-        Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(MEASURE, (0,)))),
-        Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)))),
-        Circuit(3, base.gates),
-    ]
-    for other in differing:
+def test_angle_table_must_fit_the_circuit():
+    c = Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(PHASE, (1,), angle=0.2)))
+    assert outcome_distributions(c, [[0.3, 0.2], [-0.3, 0.2]]).shape == (2, 4)
+    assert np.array_equal(outcome_distributions(c, [[0.3, 0.2]]), outcome_distributions(c))
+    bad = (
+        [[0.3], [0.1]],  # one column per angled gate
+        [[0.3, 0.2, 0.1]],
+        [0.3, 0.2],  # 1-D
+        np.empty((0, 2)),  # no rows
+        [[0.3, np.nan]],
+        [[np.inf, 0.2]],
+    )
+    for table in bad:
         with pytest.raises(ValueError):
-            outcome_distributions([base, other])
-    for ch in (ch_b, same_ops_other_object):
-        with pytest.raises(ValueError):
-            outcome_distributions([noisy(ch_a), noisy(ch)])
+            outcome_distributions(c, table)
+    # A circuit without angled gates takes a table with zero columns.
+    plain = Circuit(1, (Gate(H, (0,)),))
+    assert outcome_distributions(plain, np.empty((3, 0))).shape == (3, 2)
     with pytest.raises(ValueError):
-        outcome_distributions([])
+        outcome_distributions(plain, [[0.1]])
 
 
 def test_qubit_cap_enforced():

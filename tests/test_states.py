@@ -30,7 +30,7 @@ def purity(rho):
 
 def test_ground_state():
     # Every evolution starts from |0...0>: kept qubits no gate touches join as |0>.
-    rho = next(_evolve([Circuit(3, ())], (0, 1, 2)))[0]
+    rho = next(_evolve(Circuit(3, ()), (0, 1, 2)))[0]
     assert rho.shape == (8, 8)
     assert np.abs(rho - ground_matrix(3)).max() == 0.0
     assert abs(purity(rho) - 1.0) < 1e-14
