@@ -14,7 +14,6 @@ import numpy as np
 from pbrsim import (
     DEPOLARIZING,
     ExperimentConfig,
-    analytic_report,
     line_map,
     sweep_distance,
     uniform_calibration,
@@ -59,7 +58,7 @@ def main():
     print(f"\nmonotone non-decreasing with span: {all(a <= b + 1e-15 for a, b in zip(exact, exact[1:]))}")
 
     span = 154
-    far = analytic_report(cfg, span)
+    far = sweep_distance(cfg, [span])[0]
     print(f"\nspan {span} exceeds the simulation cap, so the report is analytic:")
     print(f"  g1={far.g1}  g2={far.g2}  swaps={far.swap_count}")
     print(f"  predicted error {far.predicted_error:.3f} vs tolerance {far.active_tolerance:.4f}")

@@ -73,18 +73,20 @@ def _parse_spans(text: str) -> list[int]:
     return spans
 
 
-def _emit(text: str, out_path) -> None:
-    # The file first: a path that cannot be written exits 2 with stdout empty.
-    if out_path:
-        with open(out_path, "w") as fh:
+def _emit(text: str, args, reports=()) -> int:
+    """Write the CSV of `reports` and the JSON; exit 1 if any report failed.
+
+    The files come first: a path that cannot be written exits 2 with
+    stdout empty. Informational commands pass no reports and exit 0.
+    """
+    if reports and args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(render_csv(reports))
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     sys.stdout.write(text)
-
-
-def _write_csv(reports, path) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(render_csv(reports))
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_solve_angles(args) -> int:
@@ -98,8 +100,7 @@ def _cmd_solve_angles(args) -> int:
         "alpha": params.alpha,
         "beta": params.beta,
     }
-    _emit(render_doc(doc), args.out)
-    return 0
+    return _emit(render_doc(doc), args)
 
 
 def _cmd_tolerance(args) -> int:
@@ -116,19 +117,18 @@ def _cmd_tolerance(args) -> int:
         "eps_prep": list(rep.eps_prep),
         "eps_tol_per_qubit": list(rep.eps_tol_per_qubit),
     }
-    _emit(render_doc(doc), args.out)
-    return 0
+    return _emit(render_doc(doc), args)
 
 
-def _experiment_config(args, n: int) -> ExperimentConfig:
+def _experiment_config(args) -> ExperimentConfig:
     coupling = placement = None
-    if getattr(args, "map", None) or getattr(args, "place", None):
+    if args.map or args.place:
         if not (args.map and args.place):
             raise ValueError("--map and --place go together")
         coupling = load_coupling_map(args.map)
         placement = _parse_place(args.place)
     return ExperimentConfig(
-        n=n,
+        n=args.n,
         theta=_theta(args),
         model=_model(args.model),
         calibration=load_calibration(args.calib),
@@ -141,20 +141,13 @@ def _experiment_config(args, n: int) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    report = run_experiment(_experiment_config(args, args.n))
-    _write_csv(report, args.csv)
-    _emit(render_json(report), args.out)
-    return 0 if report.passed else 1
+    report = run_experiment(_experiment_config(args))
+    return _emit(render_json(report), args, [report])
 
 
 def _cmd_sweep(args) -> int:
-    args.n = 2
-    args.map = args.place = None
-    cfg = _experiment_config(args, 2)
-    reports = sweep_distance(cfg, _parse_spans(args.spans))
-    _write_csv(reports, args.csv)
-    _emit(render_sweep_json(reports), args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    reports = sweep_distance(_experiment_config(args), _parse_spans(args.spans))
+    return _emit(render_sweep_json(reports), args, reports)
 
 
 def _add_theta_args(sub, with_n: bool = True) -> None:
@@ -206,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_args(p)
     p.add_argument("--spans", required=True, help="comma list or range like 1..8")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, n=2, map=None, place=None)
     return parser
 
 

@@ -17,7 +17,7 @@ DEFAULT_READOUT_S = 1e-6
 SIMULATION_QUBIT_CAP = 12
 
 # Largest span a distance sweep accepts. Spans past the cap get analytic
-# reports, whose cost grows faster than linearly with the span (~0.2 s at 1000).
+# reports, whose cost grows linearly with the span (~0.04 s at 1000).
 MAX_SPAN = 1000
 
 # Forbidden-outcome discovery: an outcome counts as forbidden below this,

@@ -1,25 +1,23 @@
 """End-to-end experiment orchestration and shot statistics.
 
-A run solves the angles, builds, routes (if placed) and attaches noise
-to input 0's circuit once, reads the readout matrices and tolerance
-inputs, and only then discovers the forbidden map: every calibration
-lookup comes before the first simulation. The 2^n inputs differ only in
-their preparation angles, so `simulate.outcome_distributions` evolves
-the one noisy circuit under the `protocol.input_angles` table as one
-stack; the (2^n, 2^m) table of distributions is pushed through the
-readout matrices in one call, and shot counts are sampled from a
+`run_experiment` and `analytic_report` take the same config, placed or
+not, and share one prologue: the angles, input 0's circuit and its
+routing, gate counts, both tolerance reports and the active threshold.
+A run then attaches noise and reads the readout matrices, and only then
+discovers the forbidden map: every calibration lookup comes before the
+first simulation. The 2^n inputs differ only in their preparation
+angles, so `simulate.outcome_distributions` evolves the one noisy
+circuit under the `protocol.input_angles` table as one stack; readout
+mixing runs once on the (2^n, 2^m) table, and shot counts (up to
+2^63 - 1, the multinomial sampler's int64 limit) are sampled from a
 per-input random stream seeded by (seed, input index), in input order.
-The simulator evolves each qubit only between its first and last gate;
-the cap counts touched plus measured qubits. Shot counts run up to
-2^63 - 1, the multinomial sampler's int64 limit. The per-input verdict
-compares the Wilson upper confidence bound against the noisy tolerance
-threshold, strictly.
 
-Sweep spans needing more physical qubits than the simulation cap
-degrade to analytic-only reports: gate counts and closed-form error
-predictions stand in for per-input statistics (the full-span case of a
-large device is never simulated exactly). There the verdict compares the
-predicted model error against the same threshold.
+`sweep_distance` builds one homogenized line config per span; spans
+needing more physical qubits than the cap get analytic reports, whose
+gate counts and closed-form error prediction stand in for per-input
+statistics. One rule judges both kinds: each bound (a per-input Wilson
+upper bound, or the one prediction) passes only strictly below the
+active threshold; `passed` says all pass, `pass_fraction` how many.
 
 Reports render to a structured JSON document (sorted keys, so identical
 configurations are byte-identical) and to a flat CSV, one row per input.
@@ -33,7 +31,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,16 +135,12 @@ class ExperimentReport:
     swap_count: int
     tol_dep: ToleranceReport
     tol_thermo: ToleranceReport
+    active_tolerance: float
     inputs: tuple[InputResult, ...]
     mean_forbidden_exact: float | None
     predicted_error: float | None
     pass_fraction: float
     passed: bool
-
-    @property
-    def active_tolerance(self) -> float:
-        tol = self.tol_dep if self.model == DEPOLARIZING else self.tol_thermo
-        return tol.eps_tol_noisy
 
 
 def sample_counts(probs, shots: int, seed) -> np.ndarray:
@@ -176,20 +170,24 @@ def wilson_interval(k: int, m: int, confidence: float = DEFAULT_CONFIDENCE) -> t
     return float(max(0.0, center - half)), float(min(1.0, center + half))
 
 
-def _shared_fields(
-    cfg: ExperimentConfig, params: PBRParams, cal: CalibrationSnapshot, circuit: Circuit
-) -> tuple[dict, float]:
-    """Report fields both paths derive alike, and the active threshold.
+def _prologue(cfg: ExperimentConfig) -> tuple[PBRParams, Circuit, dict]:
+    """Angles, input 0's circuit as it runs on the device, and shared fields.
 
-    `circuit` is input 0's circuit as it runs on the device (routed when
-    placed); gate counts and both tolerance reports come from it. The
-    calibration lookups come first, so a snapshot that misses a qubit or
-    coupler fails before the forbidden map is simulated.
+    The circuit is routed when the config is placed, and span and swap
+    count are read off the routing. Gate counts, both tolerance reports
+    and the active threshold (chosen here, from the model) come from the
+    routed circuit. The tolerance reports read the calibration, so a
+    snapshot that misses a qubit or coupler fails before any simulation.
     """
+    params = PBRParams.solve(cfg.n, cfg.theta)
+    circuit = build_test_circuit(0, params)
+    span, swap_count = None, 0
+    if cfg.placement is not None:
+        routed = route_linear(circuit, cfg.coupling, cfg.placement)
+        circuit, span, swap_count = routed.circuit, len(routed.path) - 1, routed.swap_count
     g1, g2 = gate_counts(circuit)
-    tol_dep = tolerance_report(params, cal, circuit, DEPOLARIZING)
-    tol_thermo = tolerance_report(params, cal, circuit, THERMODYNAMICAL)
-    fmap = discover_forbidden_map(params)
+    tol_dep = tolerance_report(params, cfg.calibration, circuit, DEPOLARIZING)
+    tol_thermo = tolerance_report(params, cfg.calibration, circuit, THERMODYNAMICAL)
     fields = dict(
         n=cfg.n,
         theta=cfg.theta,
@@ -199,99 +197,96 @@ def _shared_fields(
         shots=cfg.shots,
         seed=cfg.seed,
         confidence=cfg.confidence,
-        forbidden_map=fmap,
         g1=g1,
         g2=g2,
+        span=span,
+        placement=cfg.placement,
+        swap_count=swap_count,
         tol_dep=tol_dep,
         tol_thermo=tol_thermo,
+        active_tolerance=(tol_dep if cfg.model == DEPOLARIZING else tol_thermo).eps_tol_noisy,
     )
-    active = (tol_dep if cfg.model == DEPOLARIZING else tol_thermo).eps_tol_noisy
-    return fields, active
+    return params, circuit, fields
+
+
+def _judged(fields: dict, bounds, rows=(), **kind) -> ExperimentReport:
+    """Finish a report by the one verdict rule, for both report kinds.
+
+    A bound passes only strictly below the active threshold. An exact
+    report gives one bound per input row; an analytic one, one and no rows.
+    """
+    active = fields["active_tolerance"]
+    checks = [bool(b < active) for b in bounds]
+    return ExperimentReport(
+        **fields,
+        **kind,
+        inputs=tuple(
+            InputResult(**row, tolerance=active, passed=ok) for row, ok in zip(rows, checks)
+        ),
+        pass_fraction=float(np.mean(checks)),
+        passed=all(checks),
+    )
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Simulate all 2^n inputs under the configured noise and sample shots."""
-    params = PBRParams.solve(cfg.n, cfg.theta)
-    circuit = build_test_circuit(0, params)
-    span, swap_count = None, 0
-    if cfg.placement is not None:
-        routed = route_linear(circuit, cfg.coupling, cfg.placement)
-        circuit, span, swap_count = routed.circuit, len(routed.path) - 1, routed.swap_count
-    # Noise reads the calibration, so a snapshot that misses a qubit or
-    # coupler fails here, before anything is simulated.
+    params, circuit, fields = _prologue(cfg)
+    # Noise and readout read the calibration too, so a snapshot that misses
+    # a qubit or coupler fails here, before anything is simulated.
     noisy = attach_noise(circuit, cfg.calibration, cfg.model)
     mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy.measured_qubits]
-    fields, active = _shared_fields(cfg, params, cfg.calibration, circuit)
-    fmap = fields["forbidden_map"]
+    fmap = discover_forbidden_map(params)
     dists = outcome_distributions(noisy, input_angles(params))
     dists = np.clip(apply_readout(dists, mats), 0.0, 1.0)
     rows = []
     for x, dist in enumerate(dists):
-        exact = float(dist[fmap[x]])
         counts = sample_counts(dist, cfg.shots, (cfg.seed, x))
         k = int(counts[fmap[x]])
         lo, hi = wilson_interval(k, cfg.shots, cfg.confidence)
         rows.append(
-            InputResult(
+            dict(
                 input_index=x,
                 forbidden_index=fmap[x],
-                exact_probability=exact,
+                exact_probability=float(dist[fmap[x]]),
                 count=k,
                 estimate=k / cfg.shots,
                 ci_low=lo,
                 ci_high=hi,
-                tolerance=active,
-                passed=bool(hi < active),
             )
         )
-
-    return ExperimentReport(
-        **fields,
+    return _judged(
+        fields,
+        [row["ci_high"] for row in rows],
+        rows,
+        forbidden_map=fmap,
         analytic_only=False,
-        span=span,
-        placement=cfg.placement,
-        swap_count=swap_count,
-        inputs=tuple(rows),
-        mean_forbidden_exact=float(np.mean([r.exact_probability for r in rows])),
+        mean_forbidden_exact=float(np.mean([row["exact_probability"] for row in rows])),
         predicted_error=None,
-        pass_fraction=float(np.mean([r.passed for r in rows])),
-        passed=all(r.passed for r in rows),
     )
 
 
-def analytic_report(cfg: ExperimentConfig, span: int) -> ExperimentReport:
+def analytic_report(cfg: ExperimentConfig) -> ExperimentReport:
     """Closed-form stand-in for configurations too large to simulate.
 
-    Builds the routed circuit IR on a line of span+1 qubits to count
-    gates and busy times, then predicts the observable error from the
-    model (synthesized depolarizing error, or the cumulative damping
-    estimate) and compares it against the noisy tolerance.
+    Counts gates and busy times on the circuit IR (routed when placed),
+    predicts the observable error from the model (synthesized depolarizing
+    error, or the cumulative damping estimate) and judges that prediction.
     """
-    params = PBRParams.solve(cfg.n, cfg.theta)
-    cal = _line_calibration(cfg.calibration, span + 1)
-    circuit = route_linear(
-        build_test_circuit(0, params), line_map(span + 1), (0, span)
-    ).circuit
-    fields, active = _shared_fields(cfg, params, cal, circuit)
-
+    params, _, fields = _prologue(cfg)
+    cal = cfg.calibration
     if cfg.model == DEPOLARIZING:
         p1 = float(np.mean([q.p1 for q in cal.qubits]))
         p2 = float(np.mean([c.p2 for c in cal.couplers])) if cal.couplers else 0.0
         predicted = epsilon_dep(p1, p2, fields["g1"], fields["g2"])
     else:
         predicted = fields["tol_thermo"].eps_dec_cumulative
-    passed = bool(predicted < active)
-    return ExperimentReport(
-        **fields,
+    return _judged(
+        fields,
+        [predicted],
+        forbidden_map=discover_forbidden_map(params),
         analytic_only=True,
-        span=span,
-        placement=(0, span),
-        swap_count=span - 1,
-        inputs=(),
         mean_forbidden_exact=None,
         predicted_error=float(predicted),
-        pass_fraction=1.0 if passed else 0.0,
-        passed=passed,
     )
 
 
@@ -338,23 +333,14 @@ def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
         check_span(s)
     reports = []
     for s in spans:
-        n_phys = s + 1
-        if n_phys <= SIMULATION_QUBIT_CAP:
-            cal = _line_calibration(cfg.calibration, n_phys)
-            sub = ExperimentConfig(
-                n=cfg.n,
-                theta=cfg.theta,
-                model=cfg.model,
-                calibration=cal,
-                shots=cfg.shots,
-                seed=cfg.seed,
-                coupling=line_map(n_phys),
-                placement=(0, s),
-                confidence=cfg.confidence,
-            )
-            reports.append(run_experiment(sub))
-        else:
-            reports.append(analytic_report(cfg, s))
+        line = replace(
+            cfg,
+            calibration=_line_calibration(cfg.calibration, s + 1),
+            coupling=line_map(s + 1),
+            placement=(0, s),
+        )
+        exact = s + 1 <= SIMULATION_QUBIT_CAP
+        reports.append((run_experiment if exact else analytic_report)(line))
     return reports
 
 

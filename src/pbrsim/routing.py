@@ -36,13 +36,14 @@ class CouplingMap:
         if len(set(norm)) != len(norm):
             raise ValidationError("duplicate edges")
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "_edge_set", frozenset(norm))
 
     def neighbors(self, q: int) -> tuple[int, ...]:
         out = [b if a == q else a for a, b in self.edges if q in (a, b)]
         return tuple(sorted(out))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in set(self.edges)
+        return (min(a, b), max(a, b)) in self._edge_set
 
 
 def line_map(n_qubits: int) -> CouplingMap:

@@ -6,14 +6,21 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pbrsim
+from pbrsim import harness
 from pbrsim.cli import main
 from pbrsim.config import MAX_SPAN
-from pbrsim.harness import ExperimentConfig, report_to_dict, run_experiment
+from pbrsim.harness import (
+    ExperimentConfig,
+    analytic_report,
+    report_to_dict,
+    run_experiment,
+)
 from pbrsim.noise import (
     DEPOLARIZING,
     CalibrationSnapshot,
@@ -288,6 +295,34 @@ def test_sweep_distance_csv(calib_path, tmp_path, capsys):
     assert spans == [1, 2, 3]
     lines = csv_out.read_text().strip().splitlines()
     assert len(lines) == 1 + 3 * 4
+
+
+@pytest.mark.parametrize("at_threshold", [True, False], ids=["equal", "just-below"])
+def test_verdict_is_strict_for_both_report_kinds(at_threshold, calib_path, monkeypatch, capsys):
+    # Every bound is pinned to the threshold or to the next float below it.
+    threshold = 0.25
+    bound = threshold if at_threshold else float(np.nextafter(threshold, 0.0))
+    real = harness.tolerance_report
+    monkeypatch.setattr(
+        harness, "tolerance_report", lambda *a: replace(real(*a), eps_tol_noisy=threshold)
+    )
+    monkeypatch.setattr(harness, "wilson_interval", lambda *a: (0.0, bound))
+    monkeypatch.setattr(harness, "epsilon_dep", lambda *a: bound)
+    cfg = ExperimentConfig(
+        n=2, theta=np.pi / 4, model=DEPOLARIZING,
+        calibration=load_calibration(calib_path), shots=1000,
+    )
+    exact, analytic = run_experiment(cfg), analytic_report(cfg)
+    assert [r.ci_high for r in exact.inputs] == [bound] * 4
+    assert analytic.predicted_error == bound
+    for rep in (exact, analytic):
+        assert rep.active_tolerance == threshold
+        assert rep.passed is not at_threshold
+        assert rep.pass_fraction == (0.0 if at_threshold else 1.0)
+    for command in (["run", "--n", "2"], ["sweep-distance", "--spans", "154"]):
+        code = main(command + ["--calib", calib_path, "--model", "dep", "--shots", "1000"])
+        assert code == (1 if at_threshold else 0)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

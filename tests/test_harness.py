@@ -26,9 +26,10 @@ from pbrsim.noise import (
     DEPOLARIZING,
     QubitCalibration,
     THERMODYNAMICAL,
+    uniform_calibration,
 )
 from pbrsim.protocol import theta_min
-from pbrsim.routing import line_map
+from pbrsim.routing import line_map, route_linear
 
 
 def pair_calibration(readout=600e-9):
@@ -264,15 +265,34 @@ def test_run_routes_and_attaches_noise_once(model, monkeypatch):
     assert calls == {"route_linear": 1, "attach_noise": 1, "build_test_circuit": 1}
 
 
-def test_analytic_report_for_long_span():
-    cfg = ExperimentConfig(
-        n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=line_calibration(8),
-        shots=2000, seed=3,
+def test_analytic_report_for_long_span(monkeypatch):
+    # Powers of two average exactly over any line length, so the sweep's
+    # homogenized line is this very calibration.
+    cal = uniform_calibration(
+        155, t1=2.0**-13, t2=2.0**-13, p1=2.0**-12, p2=2.0**-9, p01=2.0**-7,
+        p10=2.0**-7, single=2.0**-25, two=2.0**-24, readout=2.0**-21,
+        edges=line_map(155).edges,
     )
-    rep = analytic_report(cfg, 154)
+    cfg = ExperimentConfig(
+        n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal,
+        coupling=line_map(155), placement=(0, 154), shots=2000, seed=3,
+    )
+    routings = []
+
+    def recording(*args):
+        routings.append(route_linear(*args))
+        return routings[-1]
+
+    monkeypatch.setattr(pbrsim.harness, "route_linear", recording)
+    rep = analytic_report(cfg)
+    assert render_json(rep) == render_json(sweep_distance(cfg, [154])[0])
+    # span and swap count are read off the routing, not written by hand;
+    # the analytic report and the sweep route once each
+    routed, _ = routings
+    assert rep.span == len(routed.path) - 1 == 154
+    assert rep.swap_count == routed.swap_count == 153
+    assert rep.placement == cfg.placement
     assert rep.analytic_only
-    assert rep.span == 154
-    assert rep.swap_count == 153
     assert rep.g1 == 6 + 153 * 6 and rep.g2 == 1 + 153 * 3
     assert rep.inputs == ()
     assert 0.0 < rep.predicted_error <= 1.0
