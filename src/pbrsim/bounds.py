@@ -20,6 +20,7 @@ from .noise import (
     CalibrationSnapshot,
     DEPOLARIZING,
     NOISE_MODELS,
+    calibration_mean,
     mean_p_from_time,
     p_from_time,
 )
@@ -117,7 +118,7 @@ def tolerance_report(
     qubits = _prep_qubits(circuit)
     cals = [cal.qubit(q) for q in qubits]
     two_durations = [c.duration for c in cal.couplers] or [68e-9]
-    t_two = float(np.mean(two_durations))
+    t_two = calibration_mean(two_durations)
 
     eps_prep = []
     for qc in cals:

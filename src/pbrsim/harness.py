@@ -52,6 +52,7 @@ from .noise import (
     THERMODYNAMICAL,
     apply_readout,
     attach_noise,
+    calibration_mean,
     readout_matrix,
     uniform_calibration,
 )
@@ -293,20 +294,19 @@ def analytic_report(cfg: ExperimentConfig) -> ExperimentReport:
 def _line_calibration(cal: CalibrationSnapshot, n_phys: int) -> CalibrationSnapshot:
     """Homogenized line device from the snapshot's mean parameters."""
     q = cal.qubits
-    mean = lambda vals: float(np.mean(list(vals)))  # noqa: E731
     p2, two = 0.0, DEFAULT_TWO_QUBIT_GATE_S
     if cal.couplers:
-        p2 = mean(c.p2 for c in cal.couplers)
-        two = mean(c.duration for c in cal.couplers)
+        p2 = calibration_mean(c.p2 for c in cal.couplers)
+        two = calibration_mean(c.duration for c in cal.couplers)
     return uniform_calibration(
         n_phys,
-        t1=mean(x.t1 for x in q),
-        t2=mean(x.t2 for x in q),
-        p1=mean(x.p1 for x in q),
+        t1=calibration_mean(x.t1 for x in q),
+        t2=calibration_mean(x.t2 for x in q),
+        p1=calibration_mean(x.p1 for x in q),
         p2=p2,
-        p01=mean(x.readout_p01 for x in q),
-        p10=mean(x.readout_p10 for x in q),
-        single=mean(x.single_gate_duration for x in q),
+        p01=calibration_mean(x.readout_p01 for x in q),
+        p10=calibration_mean(x.readout_p10 for x in q),
+        single=calibration_mean(x.single_gate_duration for x in q),
         two=two,
         readout=cal.readout_duration,
         edges=tuple((i, i + 1) for i in range(n_phys - 1)),

@@ -238,6 +238,16 @@ def save_calibration(cal: CalibrationSnapshot, path) -> None:
         fh.write("\n")
 
 
+def calibration_mean(values) -> float:
+    """Mean of calibration values; values that are all equal come back unchanged.
+
+    np.mean of 155 copies of 0.01 is 0.009999999999999998, so a uniform
+    device would not be its own average without the equality check.
+    """
+    vals = [float(v) for v in values]
+    return vals[0] if len(set(vals)) == 1 else float(np.mean(vals))
+
+
 def uniform_calibration(
     n_qubits: int,
     *,

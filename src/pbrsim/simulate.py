@@ -3,11 +3,19 @@
 This module is the package's one state engine. `outcome_distributions`
 is the one path from a circuit to its outcome probabilities;
 `outcome_distribution` is its case of one input. Evolution holds each
-qubit only between its first and last gate: a qubit joins the state as
-|0> at its first gate and is traced out right after its last one unless
-it is kept (measured). No channel touches an idle qubit, so this is
-exact, and a routed pair holds at most three live qubits whatever its span.
-The simulation cap counts touched plus measured qubits.
+qubit only between its first and last multi-qubit operator. The
+single-qubit operators before a qubit's first one are multiplied into
+one and applied to |0><0| alone: the qubit joins the state in that
+prefix state, as rho (x) sigma. Those after its last one form its suffix:
+a discarded qubit is traced out right after its last multi-qubit
+operator, its suffix dropped, as every channel is trace-preserving; a
+kept (measured) qubit's suffix is multiplied into one map, and the
+distribution reads only that map's two population rows, once per qubit,
+where it would read the diagonal. A qubit that no multi-qubit operator
+touches joins at the end if it is kept and never joins otherwise. No
+channel touches an idle qubit, so this is exact, and a routed pair holds
+at most three live qubits whatever its span. The simulation cap counts
+touched plus measured qubits.
 
 One circuit evolves B inputs that differ only in their angles (the 2^n
 inputs of a run) as one (B, 2^w, 2^w) stack, row b of a (B, k) table
@@ -26,8 +34,11 @@ sum_K K (x) conj(K), a unitary as U (x) conj(U), and a diagonal unitary
 as its d^2 phase vector diag(U) (x) conj(diag(U)). The one kernel,
 `_apply`, moves the target row and column axes to the front, applies one
 matrix product (one elementwise product for a diagonal) and moves the
-axes back. When the schedule is built, consecutive operators on the same
-live axes are multiplied into one, and two diagonals stay a diagonal.
+axes back. It runs only for multi-qubit operators and for single-qubit
+ones that lie between two multi-qubit operators on their qubit. When the
+schedule is built, consecutive operators on the same live axes are
+multiplied into one, and two diagonals stay a diagonal. A gate without an
+angle has one read-only operator per process, shared by every position.
 """
 
 from __future__ import annotations
@@ -44,8 +55,6 @@ from .states import check_phases, check_unitary
 
 # B * 4^w complex entries evolved at once, w the peak live width: 8 inputs at w=5.
 CHUNK_ENTRIES = 2**13
-
-_ADD = "add"  # schedule step: a qubit joins as |0>
 
 
 @functools.lru_cache(maxsize=256)
@@ -90,12 +99,26 @@ def _phases(diag: np.ndarray) -> np.ndarray:
     return (diag[:, :, None] * diag.conj()[:, None, :]).reshape(len(diag), -1)
 
 
-def _add_qubit(mats: np.ndarray) -> np.ndarray:
-    # rho -> rho (x) |0><0| for each state, the new qubit as the least significant bit.
+def _joining_state(prefix: np.ndarray | None) -> np.ndarray:
+    # (k, 2, 2) state of a qubit as it joins: its prefix operator applied to
+    # |0><0|. vec(|0><0|) is e_0, so that is column 0 of a superoperator, or
+    # D[0] |0><0| for a diagonal D; with no prefix it is |0><0| itself.
+    ground = np.eye(1, 4, dtype=complex)
+    if prefix is None:
+        vec = ground
+    elif prefix.ndim == 2:
+        vec = prefix * ground
+    else:
+        vec = prefix[:, :, 0]
+    return vec.reshape(-1, 2, 2)
+
+
+def _join(mats: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    # rho -> sigma (x) rho for each state, the new qubit on state axis 0 (its
+    # most significant bit), which keeps numpy's inner loop over a whole row of
+    # rho; `sigma` is (1, 2, 2) for every state alike or (B, 2, 2), one per state.
     b, dim, _ = mats.shape
-    out = np.zeros((b, dim, 2, dim, 2), dtype=complex)
-    out[:, :, 0, :, 0] = mats
-    return out.reshape(b, 2 * dim, 2 * dim)
+    return (sigma[:, :, None, :, None] * mats[:, None, :, None, :]).reshape(b, 2 * dim, 2 * dim)
 
 
 def _trace_out(mats: np.ndarray, axis: int) -> np.ndarray:
@@ -105,6 +128,27 @@ def _trace_out(mats: np.ndarray, axis: int) -> np.ndarray:
     t = mats.reshape(b, hi, 2, lo, hi, 2, lo)
     out = t[:, :, 0, :, :, 0, :] + t[:, :, 1, :, :, 1, :]
     return out.reshape(b, hi * lo, hi * lo)
+
+
+def _gate_operator(variants: list[Gate]) -> np.ndarray:
+    # (k, d^2) phase vectors of k diagonal gates, or (k, d^2, d^2) U (x) conj(U).
+    if variants[0].kind in DIAGONAL_KINDS:
+        diag = np.stack([gate_diagonal(h) for h in variants])
+        check_phases(diag)
+        return _phases(diag)
+    u = np.stack([gate_unitary(h) for h in variants])
+    check_unitary(u)
+    return _liouville(u)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_operator(kind: str, width: int) -> np.ndarray:
+    # An unangled gate's operator, built and checked once per process and
+    # read-only, since every position of every run shares it. One entry per
+    # unangled kind (H, X, SX, CZ, SWAP), so the cache stays this small.
+    op = _gate_operator([Gate(kind, tuple(range(width)))])
+    op.setflags(write=False)
+    return op
 
 
 def _operators(c: Circuit, angles: np.ndarray) -> list[np.ndarray]:
@@ -121,52 +165,54 @@ def _operators(c: Circuit, angles: np.ndarray) -> list[np.ndarray]:
     for g in c.gates:
         if g.kind == NOISE:
             ops.append(g.channel.superoperator[None])
+        elif g.angle is not None:
+            values, index = np.unique(next(columns), return_inverse=True)
+            op = _gate_operator([Gate(g.kind, g.qubits, angle=float(a)) for a in values])
+            ops.append(op if len(values) == 1 else op[index])
         elif g.kind != MEASURE:
-            variants, index = [g], None
-            if g.angle is not None:
-                values, index = np.unique(next(columns), return_inverse=True)
-                variants = [Gate(g.kind, g.qubits, angle=float(a)) for a in values]
-            if g.kind in DIAGONAL_KINDS:
-                diag = np.stack([gate_diagonal(h) for h in variants])
-                check_phases(diag)
-                op = _phases(diag)
-            else:
-                u = np.stack([gate_unitary(h) for h in variants])
-                check_unitary(u)
-                op = _liouville(u)
-            ops.append(op if len(variants) == 1 else op[index])
+            ops.append(_fixed_operator(g.kind, len(g.qubits)))
     return ops
 
 
-def _evolve(c: Circuit, keep: tuple[int, ...], angles=None) -> Iterator[np.ndarray]:
-    """Final states on the `keep` qubits, in that order, from |0...0>.
-
-    State b takes its angles from row b of `angles` (see
-    `outcome_distributions`). Yields the states chunk by chunk in row order,
-    each chunk a (b, 2^m, 2^m) stack. Every other qubit is traced out after
-    its last gate; qubits in `keep` that no gate touches join as |0> at the end.
-    """
-    own = [g.angle for g in c.gates if g.angle is not None]
-    table = np.asarray([own] if angles is None else angles, dtype=float)
-    if table.shape[1:] != (len(own),) or not len(table) or not np.isfinite(table).all():
-        raise ValueError(f"angle table {table.shape} is not B>=1 rows of {len(own)} finite angles")
+def _schedule(c: Circuit, keep: tuple[int, ...], table: np.ndarray) -> tuple[list, list, int, list]:
+    # One lifetime schedule serves every row of the angle table. Returns the
+    # steps, each kept qubit's suffix operator (None if it has none), the
+    # peak live width and the transpose that puts the kept qubits in `keep`
+    # order. A step is a (k, 2, 2) joining state, [operator, axes],
+    # or the state axis of a qubit to trace out; consecutive operators on the
+    # same axes are fused into one.
     ops = _operators(c, table)
     gates = [g for g in c.gates if g.kind != MEASURE]
-    last = {q: i for i, g in enumerate(gates) for q in g.qubits}
-    width = len(set(last).union(keep))
+    width = len({q for g in gates for q in g.qubits}.union(keep))
     if width > SIMULATION_QUBIT_CAP:
         raise CapError(f"{width} qubits exceeds the simulation cap of {SIMULATION_QUBIT_CAP}")
-    # One lifetime schedule serves every row: _ADD, [operator, axes],
-    # or the state axis of a qubit to trace out. Consecutive operators on the
-    # same axes are fused into one.
+    first: dict[int, int] = {}  # each qubit's first and last multi-qubit gate
+    last: dict[int, int] = {}
+    for i, g in enumerate(gates):
+        if len(g.qubits) > 1:
+            for q in g.qubits:
+                first.setdefault(q, i)
+                last[q] = i
+    prefix: dict[int, np.ndarray] = {}
+    suffix: dict[int, np.ndarray] = {}
     steps: list = []
     live: list[int] = []  # circuit qubit on each state axis
     peak = 0
     for i, (g, op) in enumerate(zip(gates, ops)):
-        for q in g.qubits:
+        q = g.qubits[0]
+        if len(g.qubits) == 1 and i < first.get(q, len(gates)):
+            prefix[q] = _compose(op, prefix[q]) if q in prefix else op
+            continue
+        if len(g.qubits) == 1 and i > last[q]:
+            # A discarded qubit's trailing operators are trace-preserving: dropped.
+            if q in keep:
+                suffix[q] = _compose(op, suffix[q]) if q in suffix else op
+            continue
+        # Joining in front, in reverse, leaves a gate's new qubits in its order.
+        for q in reversed(g.qubits):
             if q not in live:
-                live.append(q)
-                steps.append(_ADD)
+                live.insert(0, q)
+                steps.append(_joining_state(prefix.pop(q, None)))
         peak = max(peak, len(live))
         targets = tuple(live.index(q) for q in g.qubits)
         if steps and isinstance(steps[-1], list) and steps[-1][1] == targets:
@@ -177,31 +223,75 @@ def _evolve(c: Circuit, keep: tuple[int, ...], angles=None) -> Iterator[np.ndarr
             if last[q] == i and q not in keep:
                 steps.append(live.index(q))
                 live.remove(q)
-    for q in keep:
+    for q in reversed(keep):
         if q not in live:
-            live.append(q)
-            steps.append(_ADD)
-    peak = max(peak, len(live))
-    n = len(live)
+            live.insert(0, q)
+            steps.append(_joining_state(prefix.pop(q, None)))
     perm = [live.index(q) for q in keep]
+    n = len(live)
     axes = [0] + [1 + p for p in perm] + [1 + n + p for p in perm]
+    return steps, [suffix.get(q) for q in keep], max(peak, n), axes
 
+
+def _chunks(c: Circuit, keep: tuple[int, ...], angles) -> Iterator[tuple[np.ndarray, list]]:
+    # Evolves the angle table chunk by chunk in row order. Yields each chunk's
+    # (b, 2^m, 2^m) states on the `keep` qubits before their suffixes, and the
+    # suffix operators, each sliced to the chunk's rows (None where none).
+    own = [g.angle for g in c.gates if g.angle is not None]
+    table = np.asarray([own] if angles is None else angles, dtype=float)
+    if table.shape[1:] != (len(own),) or not len(table) or not np.isfinite(table).all():
+        raise ValueError(f"angle table {table.shape} is not B>=1 rows of {len(own)} finite angles")
+    steps, suffix, peak, axes = _schedule(c, keep, table)
+    m = len(keep)
     total = len(table)
     chunk = max(1, CHUNK_ENTRIES // 4**peak)
     for start in range(0, total, chunk):
         stop = min(total, start + chunk)
+
+        def rows(a: np.ndarray) -> np.ndarray:
+            return a if len(a) == 1 else a[start:stop]
+
         rho = np.ones((stop - start, 1, 1), dtype=complex)
         for step in steps:
-            if step is _ADD:
-                rho = _add_qubit(rho)
-            elif isinstance(step, int):
+            if isinstance(step, int):
                 rho = _trace_out(rho, step)
-            else:
+            elif isinstance(step, list):
                 op, targets = step
-                w = rho.shape[1].bit_length() - 1
-                rho = _apply(rho, op if len(op) == 1 else op[start:stop], targets, w)
-        t = rho.reshape((stop - start,) + (2,) * (2 * n)).transpose(axes)
-        yield t.reshape(stop - start, 2**n, 2**n)
+                rho = _apply(rho, rows(op), targets, rho.shape[1].bit_length() - 1)
+            else:
+                rho = _join(rho, rows(step))
+        t = rho.reshape((stop - start,) + (2,) * (2 * m)).transpose(axes)
+        yield t.reshape(stop - start, 2**m, 2**m), [None if s is None else rows(s) for s in suffix]
+
+
+def _evolve(c: Circuit, keep: tuple[int, ...], angles=None) -> Iterator[np.ndarray]:
+    """Final states on the `keep` qubits, in that order, from |0...0>.
+
+    State b takes its angles from row b of `angles` (see
+    `outcome_distributions`). Yields the states chunk by chunk in row order,
+    each chunk a (b, 2^m, 2^m) stack with every kept qubit's suffix applied.
+    """
+    for rho, suffix in _chunks(c, keep, angles):
+        for i, op in enumerate(suffix):
+            if op is not None:
+                rho = _apply(rho, op, (i,), len(keep))
+        yield rho
+
+
+def _populations(mats: np.ndarray, suffix: list) -> np.ndarray:
+    # Outcome probabilities of a (b, 2^m, 2^m) stack after each qubit's suffix,
+    # the first qubit most significant. A suffix's populations read only rows
+    # 0 and 3 of its superoperator, so each qubit's row and column axes (4
+    # entries) map to its 2 populations: one (2 x 4) @ (4 x rest) product per
+    # qubit. A diagonal suffix is a phase and leaves the populations alone.
+    b, m = len(mats), len(suffix)
+    t = mats.reshape((b,) + (2,) * (2 * m))
+    t = t.transpose([0] + [a for i in range(m) for a in (1 + i, 1 + m + i)])
+    for op in suffix:
+        t = t.reshape(b, 4, -1)
+        t = t[:, [0, 3]] if op is None or op.ndim == 2 else np.matmul(op[:, [0, 3]], t)
+        t = t.transpose(0, 2, 1)
+    return np.clip(t.reshape(b, -1).real, 0.0, 1.0)
 
 
 def outcome_distributions(c: Circuit, angles=None) -> np.ndarray:
@@ -212,10 +302,8 @@ def outcome_distributions(c: Circuit, angles=None) -> np.ndarray:
     are the one row. Returns a (B, 2^m) array. The first measured qubit is
     the most significant bit.
     """
-    chunks = _evolve(c, c.measured_qubits or tuple(range(c.n_qubits)), angles)
-    return np.concatenate(
-        [np.clip(np.diagonal(rhos, axis1=1, axis2=2).real, 0.0, 1.0) for rhos in chunks]
-    )
+    keep = c.measured_qubits or tuple(range(c.n_qubits))
+    return np.concatenate([_populations(rho, suffix) for rho, suffix in _chunks(c, keep, angles)])
 
 
 def outcome_distribution(c: Circuit) -> np.ndarray:

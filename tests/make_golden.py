@@ -42,6 +42,7 @@ CASES = {
     " --theta-scale 1.2 --confidence 0.99",
     "run_n3_thermo_csv": "run --calib {calib5} --n 3 --model thermo --csv {csv}",
     "run_n5_dep_csv": "run --calib {calib5} --n 5 --model dep --csv {csv}",
+    "run_n5_thermo_csv": "run --calib {calib5} --n 5 --model thermo --csv {csv}",
     "run_routed_dep_csv": "run --n 2 --model dep --calib {line10} --map {map10}"
     " --place 1,6 --csv {csv}",
     "run_routed_thermo": "run --n 2 --model thermo --calib {line10} --map {map10} --place 8,2",

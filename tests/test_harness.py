@@ -265,6 +265,18 @@ def test_run_routes_and_attaches_noise_once(model, monkeypatch):
     assert calls == {"route_linear": 1, "attach_noise": 1, "build_test_circuit": 1}
 
 
+def test_uniform_line_is_its_own_homogenized_line():
+    # 0.01 and 2.1e-4 are not powers of two, so a plain mean over 155 qubits
+    # would move them in the last digit.
+    cal = uniform_calibration(155, p1=2.1e-4, p01=0.01, edges=line_map(155).edges)
+    for model in (DEPOLARIZING, THERMODYNAMICAL):
+        cfg = ExperimentConfig(
+            n=2, theta=np.pi / 4, model=model, calibration=cal,
+            coupling=line_map(155), placement=(0, 5), shots=2000, seed=3,
+        )
+        assert render_json(run_experiment(cfg)) == render_json(sweep_distance(cfg, [5])[0])
+
+
 def test_analytic_report_for_long_span(monkeypatch):
     # Powers of two average exactly over any line length, so the sweep's
     # homogenized line is this very calibration.

@@ -39,7 +39,7 @@ from pbrsim.noise import (
 )
 from pbrsim.protocol import PBRParams, build_test_circuit, input_angles, theta_min
 from pbrsim.routing import line_map, route_linear
-from pbrsim.simulate import _evolve, outcome_distribution, outcome_distributions
+from pbrsim.simulate import _evolve, _operators, outcome_distribution, outcome_distributions
 
 DIFF_TOL = 1e-12
 
@@ -335,16 +335,104 @@ def test_mcphase_up_to_six_qubits_matches_dense_reference():
             assert np.abs(final_state(template) - dense_state(template)).max() < DIFF_TOL
 
 
-@pytest.mark.parametrize("model, per_chunk", [("depolarizing", 19), ("thermodynamical", 21)])
+@pytest.mark.parametrize("model, per_chunk", [("ideal", 1), ("depolarizing", 8), ("thermodynamical", 1)])
 def test_fused_schedule_kernel_calls_per_chunk(model, per_chunk, monkeypatch):
-    # n=5: 32 (depolarizing) or 57 (thermodynamical) operators fuse into
-    # 19 or 21 same-target runs; 32 inputs run as 4 chunks of 8.
+    # n=5: only the MCPHASE_OPEN and, under the depolarizing model, its seven
+    # two-qubit channels reach the kernel. The single-qubit operators before
+    # it build each qubit's joining state, those after it are read for their
+    # populations only. 32 inputs run as 4 chunks of 8.
     params = PBRParams.solve(5, theta_min(5))
-    cal = varied_calibration(5, seed=3)
-    noisy = attach_noise(build_test_circuit(0, params), cal, model)
+    circuit = build_test_circuit(0, params)
+    if model != "ideal":  # the discovery circuit
+        circuit = attach_noise(circuit, varied_calibration(5, seed=3), model)
     calls = record_kernel_calls(monkeypatch)
-    outcome_distributions(noisy, input_angles(params))
+    outcome_distributions(circuit, input_angles(params))
     assert len(calls) == 4 * per_chunk
+    assert all(n == 5 for _, _, n in calls)
+
+
+def reduced_state(rho, keep):
+    """The marginal of a dense n-qubit state on the `keep` qubits, in that order."""
+    n = rho.shape[0].bit_length() - 1
+    rows = list(range(n))
+    cols = [n + q if q in keep else q for q in range(n)]
+    out = list(keep) + [n + q for q in keep]
+    marginal = np.einsum(rho.reshape((2,) * (2 * n)), rows + cols, out)
+    return marginal.reshape(2 ** len(keep), 2 ** len(keep))
+
+
+AD, DEPH, DEP1 = amplitude_damping(0.2), dephasing(0.3), depolarizing_channel(0.1)
+FOLDED_CASES = {
+    # Qubit 2 is kept, and only single-qubit gates and channels touch it.
+    "kept_single_qubit_only": (3, [
+        Gate(RY, (0,), angle=0.4), Gate(RY, (1,), angle=-1.1), Gate(CZ, (0, 1)),
+        Gate(RY, (2,), angle=0.9), Gate(NOISE, (2,), channel=AD), Gate(H, (2,)),
+        Gate(H, (0,)), Gate(NOISE, (0,), channel=DEP1), Gate(MEASURE, (2, 0, 1)),
+    ]),
+    # Qubit 1 is discarded, and only single-qubit gates and channels touch it.
+    "discarded_single_qubit_only": (3, [
+        Gate(RY, (1,), angle=0.7), Gate(NOISE, (1,), channel=DEPH), Gate(H, (1,)),
+        Gate(RY, (0,), angle=1.3), Gate(H, (2,)), Gate(CPHASE_OPEN, (2, 0), angle=0.5),
+        Gate(SX, (0,)), Gate(MEASURE, (0, 2)),
+    ]),
+    # Qubit 1 is discarded after its CZ, then gates and channels still act on it.
+    "discarded_trailing_channels": (3, [
+        Gate(RY, (0,), angle=0.8), Gate(H, (1,)), Gate(CZ, (0, 1)),
+        Gate(NOISE, (0, 1), channel=depolarizing_channel(0.05, 2)),
+        Gate(H, (1,)), Gate(NOISE, (1,), channel=AD), Gate(RY, (1,), angle=2.0),
+        Gate(NOISE, (1,), channel=DEPH), Gate(H, (2,)), Gate(SWAP, (0, 2)),
+        Gate(RZ, (0,), angle=0.3), Gate(MEASURE, (2, 0)),
+    ]),
+    # Qubits 0 and 3 are measured and no gate touches them.
+    "measured_untouched": (4, [
+        Gate(RY, (1,), angle=0.6), Gate(RY, (2,), angle=-0.2), Gate(CZ, (1, 2)),
+        Gate(H, (2,)), Gate(NOISE, (2,), channel=AD), Gate(MEASURE, (3, 1, 0, 2)),
+    ]),
+    # Angled prefixes and suffixes, full and diagonal, vary by row; a diagonal-only
+    # prefix and a diagonal-only suffix; no MEASURE, so every qubit is kept.
+    "angled_prefix_and_suffix": (3, [
+        Gate(RY, (0,), angle=0.5), Gate(NOISE, (0,), channel=DEP1), Gate(PHASE, (0,), angle=0.2),
+        Gate(RZ, (1,), angle=-0.4), Gate(PHASE, (1,), angle=1.0), Gate(H, (2,)),
+        Gate(MCPHASE_OPEN, (0, 1, 2), angle=0.9), Gate(NOISE, (0,), channel=AD),
+        Gate(RY, (0,), angle=-0.7), Gate(PHASE, (0,), angle=0.1), Gate(RZ, (1,), angle=1.4),
+        Gate(PHASE, (1,), angle=-2.2), Gate(RY, (2,), angle=0.3), Gate(NOISE, (2,), channel=DEPH),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED_CASES))
+def test_folded_prefix_and_suffix_match_dense_reference(name, monkeypatch):
+    n, gates = FOLDED_CASES[name]
+    template = Circuit(n, tuple(gates))
+    keep = template.measured_qubits or tuple(range(n))
+    table = random_table(np.random.default_rng(len(gates)), template, 5)
+    widths = []
+    kernel = pbrsim.simulate._apply
+
+    def recording(mats, op, targets, n):
+        widths.append(len(targets))
+        return kernel(mats, op, targets, n)
+
+    monkeypatch.setattr(pbrsim.simulate, "_apply", recording)
+    got = outcome_distributions(template, table)
+    # No qubit here has a single-qubit operator between two multi-qubit
+    # ones, so none reaches the kernel on the distribution path.
+    assert min(widths, default=2) >= 2
+    monkeypatch.undo()
+    states = np.concatenate(list(_evolve(template, keep, table)))
+    for angles, row, state in zip(table, got, states):
+        c = with_angles(template, angles)
+        assert np.abs(row - dense_distribution(c)).max() < DIFF_TOL
+        assert np.abs(state - reduced_state(dense_state(c), keep)).max() < DIFF_TOL
+
+
+def test_unangled_operators_are_built_once_and_read_only():
+    c = Circuit(2, (Gate(H, (0,)), Gate(CZ, (0, 1)), Gate(H, (0,)), Gate(H, (1,)), Gate(CZ, (1, 0))))
+    ops = _operators(c, np.empty((1, 0)))
+    assert ops[0] is ops[2] is ops[3] and ops[1] is ops[4]
+    assert not any(op.flags.writeable for op in ops)
+    with pytest.raises(ValueError):
+        ops[0][0, 0, 0] = 0.0
 
 
 def test_angle_table_must_fit_the_circuit():
