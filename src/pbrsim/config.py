@@ -1,7 +1,7 @@
 """Central numerical constants and modeling knobs.
 
 Everything tolerance-like lives here so the thresholds used by operator
-validation, angle solving and forbidden-outcome discovery stay consistent
+validation, angle solving and the forbidden-outcome check stay consistent
 across modules instead of drifting as scattered literals.
 """
 
@@ -20,8 +20,9 @@ SIMULATION_QUBIT_CAP = 12
 # reports, whose cost grows linearly with the span (~0.04 s at 1000).
 MAX_SPAN = 1000
 
-# Forbidden-outcome discovery: an outcome counts as forbidden below this,
-# and the next-smallest outcome must exceed the guard band.
+# Forbidden-outcome check (`protocol.check_forbidden_outcomes`): the
+# closed-form probability at Hamming distance 0 must lie below the
+# threshold, and every other distance's above the guard band.
 FORBIDDEN_PROB_THRESHOLD = 1e-10
 FORBIDDEN_GUARD_BAND = 1e-6
 

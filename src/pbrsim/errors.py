@@ -34,7 +34,7 @@ class NoSolutionError(ValueError):
 
 
 class ProtocolError(ValueError):
-    """Forbidden-outcome discovery failed (wrong angles or conventions)."""
+    """Forbidden-outcome check failed (wrong angles or conventions)."""
 
 
 class PathError(ValueError):

@@ -4,8 +4,10 @@
 not, and share one prologue: the angles, input 0's circuit and its
 routing, gate counts, both tolerance reports and the active threshold.
 A run then attaches noise and reads the readout matrices, and only then
-discovers the forbidden map: every calibration lookup comes before the
-first simulation. The 2^n inputs differ only in their preparation
+checks the forbidden outcomes (`protocol.check_forbidden_outcomes`, which
+simulates two ideal inputs): every calibration lookup comes before the
+first simulation. Input x's forbidden outcome is x itself, so each row
+reads its own index. The 2^n inputs differ only in their preparation
 angles, so `simulate.outcome_distributions` evolves the one noisy
 circuit under the `protocol.input_angles` table as one stack; readout
 mixing runs once on the (2^n, 2^m) table, and shot counts (up to
@@ -56,13 +58,7 @@ from .noise import (
     readout_matrix,
     uniform_calibration,
 )
-from .protocol import (
-    ForbiddenMap,
-    PBRParams,
-    build_test_circuit,
-    discover_forbidden_map,
-    input_angles,
-)
+from .protocol import PBRParams, build_test_circuit, check_forbidden_outcomes, input_angles
 from .routing import CouplingMap, line_map, route_linear, routed_gate_overhead
 from .simulate import outcome_distributions
 
@@ -107,7 +103,6 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class InputResult:
     input_index: int
-    forbidden_index: int
     exact_probability: float
     count: int
     estimate: float
@@ -128,7 +123,6 @@ class ExperimentReport:
     seed: int
     confidence: float
     analytic_only: bool
-    forbidden_map: ForbiddenMap
     g1: int
     g2: int
     span: int | None
@@ -236,19 +230,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # a qubit or coupler fails here, before anything is simulated.
     noisy = attach_noise(circuit, cfg.calibration, cfg.model)
     mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy.measured_qubits]
-    fmap = discover_forbidden_map(params)
+    check_forbidden_outcomes(params)
     dists = outcome_distributions(noisy, input_angles(params))
     dists = np.clip(apply_readout(dists, mats), 0.0, 1.0)
     rows = []
     for x, dist in enumerate(dists):
         counts = sample_counts(dist, cfg.shots, (cfg.seed, x))
-        k = int(counts[fmap[x]])
+        k = int(counts[x])
         lo, hi = wilson_interval(k, cfg.shots, cfg.confidence)
         rows.append(
             dict(
                 input_index=x,
-                forbidden_index=fmap[x],
-                exact_probability=float(dist[fmap[x]]),
+                exact_probability=float(dist[x]),
                 count=k,
                 estimate=k / cfg.shots,
                 ci_low=lo,
@@ -259,7 +252,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         fields,
         [row["ci_high"] for row in rows],
         rows,
-        forbidden_map=fmap,
         analytic_only=False,
         mean_forbidden_exact=float(np.mean([row["exact_probability"] for row in rows])),
         predicted_error=None,
@@ -274,6 +266,7 @@ def analytic_report(cfg: ExperimentConfig) -> ExperimentReport:
     error, or the cumulative damping estimate) and judges that prediction.
     """
     params, _, fields = _prologue(cfg)
+    check_forbidden_outcomes(params)
     cal = cfg.calibration
     if cfg.model == DEPOLARIZING:
         p1 = float(np.mean([q.p1 for q in cal.qubits]))
@@ -284,7 +277,6 @@ def analytic_report(cfg: ExperimentConfig) -> ExperimentReport:
     return _judged(
         fields,
         [predicted],
-        forbidden_map=discover_forbidden_map(params),
         analytic_only=True,
         mean_forbidden_exact=None,
         predicted_error=float(predicted),
@@ -377,9 +369,7 @@ def report_to_dict(r: ExperimentReport) -> dict:
         "seed": r.seed,
         "confidence": r.confidence,
         "analytic_only": r.analytic_only,
-        "forbidden_map": {
-            _bits(x, n): _bits(y, n) for x, y in enumerate(r.forbidden_map.mapping)
-        },
+        "forbidden_map": {_bits(x, n): _bits(x, n) for x in range(2**n)},
         "gate_counts": {"g1": r.g1, "g2": r.g2},
         "routing": None
         if r.span is None
@@ -398,7 +388,7 @@ def report_to_dict(r: ExperimentReport) -> dict:
         "inputs": [
             {
                 "input": _bits(row.input_index, n),
-                "forbidden": _bits(row.forbidden_index, n),
+                "forbidden": _bits(row.input_index, n),
                 "exact_probability": row.exact_probability,
                 "count": row.count,
                 "estimate": row.estimate,

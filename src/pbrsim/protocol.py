@@ -10,14 +10,15 @@ Hamming distance between x and z, and the angle equation
     exp(i*alpha) + (1 + exp(i*beta) * tan(theta/2))**n - 1 = 0
 
 makes the distance-zero amplitude vanish, so the forbidden outcome for
-every input is the input itself. Discovery still checks that empirically
-rather than assuming it: any relabeling bug or angle regression shows up
-as a missing or misplaced zero.
+every input is the input itself. `check_forbidden_outcomes` evaluates the
+n+1 distance probabilities in closed form and simulates two inputs to
+check that the simulator places their zeros where the protocol does: any
+relabeling bug or angle regression shows up as a misplaced zero.
 
 At theta = pi/2 the solver can land on the degenerate root beta = pi,
 alpha = 0, where the entangler disappears and the measurement factorizes
 into independent qubit flips with many zero-probability outcomes per
-input. That happens for n = 2 and n = 3; discovery raises ProtocolError
+input. That happens for n = 2 and n = 3; the check raises ProtocolError
 there. Everywhere on [theta_min(n), pi/2) a genuine solution exists.
 """
 
@@ -210,48 +211,46 @@ def input_angles(params: PBRParams) -> np.ndarray:
     return np.hstack([np.where(bits == 0, params.theta, -params.theta), shared])
 
 
-@dataclass(frozen=True)
-class ForbiddenMap:
-    mapping: tuple[int, ...]
+def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
+    """Check that outcome x is input x's one forbidden outcome; return P[h].
 
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", tuple(int(v) for v in self.mapping))
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ProtocolError("forbidden map is not a permutation")
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping).bit_length() - 1
-
-    def __getitem__(self, x: int) -> int:
-        return self.mapping[x]
-
-
-def discover_forbidden_map(params: PBRParams) -> ForbiddenMap:
-    """Simulate every input noise-free and locate its zero-probability outcome.
-
-    Requires exactly one outcome below the discovery threshold per input,
-    with the runner-up above the guard band, and the collected outcomes to
-    form a permutation; anything else signals wrong angles or conventions.
+    The outcome probability depends on the input only through the Hamming
+    distance h to the outcome, P[h] = |cos(theta/2)^n 2^(-n/2)
+    ((1+w)^(n-h) (1-w)^h + e^{i alpha} - 1)|^2 with w = tan(theta/2) e^{i beta},
+    so input 0...0 speaks for every input. P[0] must lie below the
+    forbidden threshold and every other P[h] above the guard band. Inputs
+    0...01 and 10...0 are then simulated noise-free, and each must have its
+    smallest probability at its own index: a bit-order, sign or angle-table
+    fault in the simulator shows up as a misplaced zero. Returns the n+1
+    probabilities P[0..n].
     """
     n = params.n
-    mapping = []
-    dists = outcome_distributions(build_test_circuit(0, params), input_angles(params))
-    for x, probs in enumerate(dists):
-        order = np.argsort(probs)
-        smallest, runner_up = probs[order[0]], probs[order[1]]
-        if smallest >= FORBIDDEN_PROB_THRESHOLD:
+    w = np.tan(params.theta / 2) * np.exp(1j * params.beta)
+    h = np.arange(n + 1)
+    amp = (1 + w) ** (n - h) * (1 - w) ** h + np.exp(1j * params.alpha) - 1
+    probs = np.abs(np.cos(params.theta / 2) ** n / np.sqrt(2.0**n) * amp) ** 2
+    zeros = "0" * n
+    if probs[0] >= FORBIDDEN_PROB_THRESHOLD:
+        raise ProtocolError(
+            f"input {zeros}: smallest outcome probability {probs[0]:.3e} "
+            "is not a forbidden outcome"
+        )
+    runner_up = probs[1:].min()
+    if runner_up <= FORBIDDEN_GUARD_BAND:
+        raise ProtocolError(
+            f"input {zeros}: second outcome probability {runner_up:.3e} "
+            "inside the guard band; zero outcome is ambiguous"
+        )
+    spot = (1, 2 ** (n - 1))
+    dists = outcome_distributions(build_test_circuit(0, params), input_angles(params)[list(spot)])
+    for x, dist in zip(spot, dists):
+        z = int(np.argmin(dist))
+        if z != x:
             raise ProtocolError(
-                f"input {x:0{n}b}: smallest outcome probability {smallest:.3e} "
-                "is not a forbidden outcome"
+                f"input {x:0{n}b}: simulated zero at outcome {z:0{n}b}; "
+                "the simulator's conventions disagree with the protocol"
             )
-        if runner_up <= FORBIDDEN_GUARD_BAND:
-            raise ProtocolError(
-                f"input {x:0{n}b}: second outcome probability {runner_up:.3e} "
-                "inside the guard band; zero outcome is ambiguous"
-            )
-        mapping.append(int(order[0]))
-    return ForbiddenMap(tuple(mapping))
+    return probs
 
 
 def _as_bits(x) -> tuple[int, ...]:

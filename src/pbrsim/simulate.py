@@ -264,20 +264,6 @@ def _chunks(c: Circuit, keep: tuple[int, ...], angles) -> Iterator[tuple[np.ndar
         yield t.reshape(stop - start, 2**m, 2**m), [None if s is None else rows(s) for s in suffix]
 
 
-def _evolve(c: Circuit, keep: tuple[int, ...], angles=None) -> Iterator[np.ndarray]:
-    """Final states on the `keep` qubits, in that order, from |0...0>.
-
-    State b takes its angles from row b of `angles` (see
-    `outcome_distributions`). Yields the states chunk by chunk in row order,
-    each chunk a (b, 2^m, 2^m) stack with every kept qubit's suffix applied.
-    """
-    for rho, suffix in _chunks(c, keep, angles):
-        for i, op in enumerate(suffix):
-            if op is not None:
-                rho = _apply(rho, op, (i,), len(keep))
-        yield rho
-
-
 def _populations(mats: np.ndarray, suffix: list) -> np.ndarray:
     # Outcome probabilities of a (b, 2^m, 2^m) stack after each qubit's suffix,
     # the first qubit most significant. A suffix's populations read only rows

@@ -1,0 +1,63 @@
+"""Test-side helpers built on the simulator's own engine.
+
+`evolve` exposes the final density matrices that `pbrsim.simulate` reads
+its distributions from, so tests can check trace, purity and positivity.
+`discover_forbidden_map` is the full simulated discovery of each input's
+forbidden outcome: it evolves every ideal input and locates its zero. The
+package states that zero in closed form
+(`pbrsim.protocol.check_forbidden_outcomes`); this is its reference.
+"""
+
+from collections.abc import Iterator
+
+import numpy as np
+
+from pbrsim.circuits import Circuit
+from pbrsim.config import FORBIDDEN_GUARD_BAND, FORBIDDEN_PROB_THRESHOLD
+from pbrsim.errors import ProtocolError
+from pbrsim.protocol import PBRParams, build_test_circuit, input_angles
+from pbrsim.simulate import _apply, _chunks, outcome_distributions
+
+
+def evolve(c: Circuit, keep: tuple[int, ...], angles=None) -> Iterator[np.ndarray]:
+    """Final states on the `keep` qubits, in that order, from |0...0>.
+
+    State b takes its angles from row b of `angles` (see
+    `outcome_distributions`). Yields the states chunk by chunk in row order,
+    each chunk a (b, 2^m, 2^m) stack with every kept qubit's suffix applied.
+    """
+    for rho, suffix in _chunks(c, keep, angles):
+        for i, op in enumerate(suffix):
+            if op is not None:
+                rho = _apply(rho, op, (i,), len(keep))
+        yield rho
+
+
+def discover_forbidden_map(params: PBRParams) -> tuple[int, ...]:
+    """Simulate every input noise-free and locate its zero-probability outcome.
+
+    Requires exactly one outcome below the discovery threshold per input,
+    with the runner-up above the guard band, and the collected outcomes to
+    form a permutation; anything else signals wrong angles or conventions.
+    Returns the forbidden outcome of each input, in input order.
+    """
+    n = params.n
+    mapping = []
+    dists = outcome_distributions(build_test_circuit(0, params), input_angles(params))
+    for x, probs in enumerate(dists):
+        order = np.argsort(probs)
+        smallest, runner_up = probs[order[0]], probs[order[1]]
+        if smallest >= FORBIDDEN_PROB_THRESHOLD:
+            raise ProtocolError(
+                f"input {x:0{n}b}: smallest outcome probability {smallest:.3e} "
+                "is not a forbidden outcome"
+            )
+        if runner_up <= FORBIDDEN_GUARD_BAND:
+            raise ProtocolError(
+                f"input {x:0{n}b}: second outcome probability {runner_up:.3e} "
+                "inside the guard band; zero outcome is ambiguous"
+            )
+        mapping.append(int(order[0]))
+    if sorted(mapping) != list(range(2**n)):
+        raise ProtocolError("forbidden map is not a permutation")
+    return tuple(mapping)

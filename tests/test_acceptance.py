@@ -24,15 +24,15 @@ from pbrsim.noise import (
 from pbrsim.protocol import (
     PBRParams,
     build_test_circuit,
-    discover_forbidden_map,
     solve_angles,
     theta_min,
 )
 from pbrsim.simulate import outcome_distribution
+from simulated_reference import discover_forbidden_map
 
 # highest usable grid angle per n: the solver's endpoint root at pi/2
 # exactly is degenerate for n = 2 and 3, and the runner-up outcome
-# probability must clear the discovery guard band
+# probability must clear the forbidden-outcome guard band
 THETA_CAP_FRACTION = {2: 0.98, 3: 0.95, 4: 1.0, 5: 1.0}
 
 

@@ -275,6 +275,23 @@ def test_run_checks_calibration_before_simulating(
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_run_degenerate_endpoint_exits_2(n, calib_path, capsys):
+    # At theta = pi/2 the solver's root for n = 2 and 3 is beta = pi, where
+    # the measurement factorizes and outcomes next to 0...0 vanish too.
+    code = main(
+        ["run", "--n", str(n), "--calib", calib_path, "--model", "dep",
+         "--theta", "1.5707963267948966"]
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: input {'0' * n}: second outcome probability ")
+    assert lines[0].endswith("inside the guard band; zero outcome is ambiguous")
+
+
 def test_run_missing_calibration_exits_2(capsys):
     code = main(["run", "--n", "2", "--calib", "/nonexistent.json", "--model", "dep"])
     assert code == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pbrsim.harness
+import pbrsim.protocol
 from pbrsim.errors import RangeError, ValidationError
 from pbrsim.harness import (
     BIT_ORDER_NOTE,
@@ -15,6 +16,7 @@ from pbrsim.harness import (
     render_csv,
     render_json,
     render_sweep_json,
+    report_to_dict,
     run_experiment,
     sample_counts,
     sweep_distance,
@@ -151,7 +153,6 @@ def test_run_experiment_two_qubits():
     rep = run_experiment(cfg)
     assert rep.n == 2
     assert not rep.analytic_only
-    assert rep.forbidden_map.mapping == (0, 1, 2, 3)
     assert rep.g1 == 6 and rep.g2 == 1
     assert len(rep.inputs) == 4
     for r in rep.inputs:
@@ -189,9 +190,29 @@ def test_run_experiment_thermo_five_qubits():
         calibration=all_pairs_calibration(5), shots=4000, seed=11,
     )
     rep = run_experiment(cfg)
-    assert rep.forbidden_map.mapping == tuple(range(32))
+    assert report_to_dict(rep)["forbidden_map"] == {f"{x:05b}": f"{x:05b}" for x in range(32)}
     assert len(rep.inputs) == 32
     assert rep.mean_forbidden_exact < rep.active_tolerance
+
+
+def test_run_simulates_two_ideal_inputs(monkeypatch):
+    # The forbidden outcomes are closed-form; the ideal circuit is evolved
+    # only for the two inputs that spot-check the simulator's conventions.
+    rows = []
+    real = pbrsim.protocol.outcome_distributions
+
+    def counted(c, angles=None):
+        rows.append(1 if angles is None else len(angles))
+        return real(c, angles)
+
+    monkeypatch.setattr(pbrsim.protocol, "outcome_distributions", counted)
+    cfg = ExperimentConfig(
+        n=5, theta=theta_min(5), model=DEPOLARIZING,
+        calibration=all_pairs_calibration(5), shots=4000, seed=11,
+    )
+    rep = run_experiment(cfg)
+    assert sum(rows) <= 2
+    assert len(rep.inputs) == 32
 
 
 def test_report_json_shape():

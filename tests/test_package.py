@@ -2,12 +2,15 @@
 
 import pbrsim
 
-# The single-state density-matrix API: evolution lives in pbrsim.simulate only.
+# The single-state density-matrix API (evolution lives in pbrsim.simulate only)
+# and the simulated forbidden-map discovery (the map is closed-form).
 REMOVED = (
     "DensityMatrix",
+    "ForbiddenMap",
     "NormalizationError",
     "apply_channel",
     "apply_unitary",
+    "discover_forbidden_map",
     "ground_state",
     "marginal_distribution",
     "measurement_probs",

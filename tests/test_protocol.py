@@ -1,4 +1,4 @@
-"""Angle solving, circuit construction, forbidden-outcome discovery."""
+"""Angle solving, circuit construction, the forbidden-outcome check."""
 
 import numpy as np
 import pytest
@@ -20,17 +20,18 @@ from pbrsim.errors import (
     ValidationError,
 )
 from pbrsim.protocol import (
-    ForbiddenMap,
     PBRParams,
     bits_of,
     build_entangling_measurement,
     build_preparation,
     build_test_circuit,
-    discover_forbidden_map,
+    check_forbidden_outcomes,
+    input_angles,
     solve_angles,
     theta_min,
 )
-from pbrsim.simulate import outcome_distribution
+from pbrsim.simulate import outcome_distribution, outcome_distributions
+from simulated_reference import discover_forbidden_map
 
 
 def test_theta_min_values():
@@ -182,15 +183,16 @@ def test_forbidden_map_is_identity_on_grid():
     for n in (2, 3, 4, 5):
         tmin = theta_min(n)
         for theta in (tmin, 1.1 * tmin):
-            fmap = discover_forbidden_map(PBRParams.solve(n, theta))
-            assert fmap.mapping == tuple(range(2**n))
+            params = PBRParams.solve(n, theta)
+            check_forbidden_outcomes(params)
+            assert discover_forbidden_map(params) == tuple(range(2**n))
 
 
 def test_forbidden_map_identity_at_cap():
     for n, frac in ((2, 0.98), (3, 0.95), (4, 1.0), (5, 1.0)):
         params = PBRParams.solve(n, frac * np.pi / 2)
-        fmap = discover_forbidden_map(params)
-        assert fmap.mapping == tuple(range(2**n))
+        check_forbidden_outcomes(params)
+        assert discover_forbidden_map(params) == tuple(range(2**n))
 
 
 def test_degenerate_endpoint_small_n():
@@ -200,6 +202,8 @@ def test_degenerate_endpoint_small_n():
         alpha, beta = solve_angles(n, np.pi / 2)
         assert abs(beta - np.pi) < 1e-6
         params = PBRParams(n=n, theta=np.pi / 2, alpha=alpha, beta=beta)
+        with pytest.raises(ProtocolError, match=f"^input {'0' * n}: second outcome"):
+            check_forbidden_outcomes(params)
         with pytest.raises(ProtocolError):
             discover_forbidden_map(params)
 
@@ -208,8 +212,67 @@ def test_endpoint_fine_for_larger_n():
     for n, expected_beta in ((4, 2.418858405776378), (5, 2 * np.pi / 3)):
         alpha, beta = solve_angles(n, np.pi / 2)
         assert abs(beta - expected_beta) < 1e-7
-        fmap = discover_forbidden_map(PBRParams(n, np.pi / 2, alpha, beta))
-        assert fmap.mapping == tuple(range(2**n))
+        params = PBRParams(n, np.pi / 2, alpha, beta)
+        check_forbidden_outcomes(params)
+        assert discover_forbidden_map(params) == tuple(range(2**n))
+
+
+# One angle inside a guard-band failure per n: an outcome next to the zero
+# dips under 1e-6, and the simulated discovery rejects the angle too.
+GUARD_BAND_THETA = {3: 1.5177, 6: 1.1727, 8: 1.5013}
+
+
+def _agreement_points():
+    # The criterion-1 grid, seeded random (n, theta) up to n = 8, and the
+    # guard-band failures.
+    for n, frac in ((2, 0.98), (3, 0.95), (4, 1.0), (5, 1.0)):
+        yield n, theta_min(n)
+        yield n, 1.1 * theta_min(n)
+        yield n, frac * np.pi / 2
+    rng = np.random.default_rng(139)
+    for _ in range(24):
+        n = int(rng.integers(2, 9))
+        yield n, float(rng.uniform(theta_min(n), np.pi / 2))
+    yield from GUARD_BAND_THETA.items()
+
+
+@pytest.mark.parametrize("n, theta", list(_agreement_points()))
+def test_closed_form_agrees_with_simulated_discovery(n, theta):
+    params = PBRParams.solve(n, theta)
+    try:
+        mapping = discover_forbidden_map(params)
+    except ProtocolError:
+        with pytest.raises(ProtocolError):
+            check_forbidden_outcomes(params)
+        return
+    assert mapping == tuple(range(2**n))
+    profile = check_forbidden_outcomes(params)
+    assert profile.shape == (n + 1,)
+    # Every simulated row follows the closed-form profile by Hamming distance.
+    dists = outcome_distributions(build_test_circuit(0, params), input_angles(params))
+    x = np.arange(2**n)
+    distance = np.array([[bin(v).count("1") for v in row] for row in x[:, None] ^ x[None, :]])
+    assert np.abs(dists - profile[distance]).max() < 1e-14
+
+
+def test_guard_band_failures_raise():
+    for n, theta in GUARD_BAND_THETA.items():
+        with pytest.raises(ProtocolError, match="inside the guard band"):
+            check_forbidden_outcomes(PBRParams.solve(n, theta))
+
+
+def test_check_spots_a_simulator_convention_fault(monkeypatch):
+    # A simulator that read outcomes with qubit 0 as the least significant
+    # bit would put input 0...01's zero at 10...0.
+    n = 4
+    flip = [int(format(z, f"0{n}b")[::-1], 2) for z in range(2**n)]
+
+    def reversed_bits(c, angles):
+        return outcome_distributions(c, angles)[:, flip]
+
+    monkeypatch.setattr("pbrsim.protocol.outcome_distributions", reversed_bits)
+    with pytest.raises(ProtocolError, match="^input 0001: simulated zero at outcome 1000;"):
+        check_forbidden_outcomes(PBRParams.solve(n, theta_min(n)))
 
 
 def test_pbr_params_validation():
@@ -219,11 +282,3 @@ def test_pbr_params_validation():
         PBRParams(2, 0.5, np.pi, 0.0)  # below theta_min(2)
     with pytest.raises(ValidationError):
         PBRParams(2, np.pi / 4, 1.0, 0.0)  # residual too large
-
-
-def test_forbidden_map_container():
-    fmap = ForbiddenMap((0, 1, 2, 3))
-    assert fmap.n == 2
-    assert fmap[3] == 3
-    with pytest.raises(ProtocolError):
-        ForbiddenMap((0, 0, 1, 2))

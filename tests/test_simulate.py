@@ -39,14 +39,15 @@ from pbrsim.noise import (
 )
 from pbrsim.protocol import PBRParams, build_test_circuit, input_angles, theta_min
 from pbrsim.routing import line_map, route_linear
-from pbrsim.simulate import _evolve, _operators, outcome_distribution, outcome_distributions
+from pbrsim.simulate import _operators, outcome_distribution, outcome_distributions
+from simulated_reference import evolve
 
 DIFF_TOL = 1e-12
 
 
 def final_state(c):
     """The simulator's full n-qubit final state, every qubit kept in index order."""
-    return next(_evolve(c, tuple(range(c.n_qubits))))[0]
+    return next(evolve(c, tuple(range(c.n_qubits))))[0]
 
 
 def own_angles(c):
@@ -258,7 +259,7 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     chunked = outcome_distributions(noisy, table)
     # Five live qubits: 8 inputs per chunk, and only one chunk's states at a time.
     keep = noisy.measured_qubits
-    assert [len(states) for states in _evolve(noisy, keep, table)] == [8, 8, 8, 8]
+    assert [len(states) for states in evolve(noisy, keep, table)] == [8, 8, 8, 8]
     monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 2**30)
     whole = outcome_distributions(noisy, table)
     monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 1)
@@ -419,7 +420,7 @@ def test_folded_prefix_and_suffix_match_dense_reference(name, monkeypatch):
     # ones, so none reaches the kernel on the distribution path.
     assert min(widths, default=2) >= 2
     monkeypatch.undo()
-    states = np.concatenate(list(_evolve(template, keep, table)))
+    states = np.concatenate(list(evolve(template, keep, table)))
     for angles, row, state in zip(table, got, states):
         c = with_angles(template, angles)
         assert np.abs(row - dense_distribution(c)).max() < DIFF_TOL
