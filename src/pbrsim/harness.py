@@ -5,11 +5,12 @@ not, and share one prologue: the angles, input 0's circuit and its
 routing, gate counts, both tolerance reports and the active threshold.
 A run then attaches noise and reads the readout matrices, and only then
 checks the forbidden outcomes (`protocol.check_forbidden_outcomes`, which
-simulates two ideal inputs): every calibration lookup comes before the
-first simulation. Input x's forbidden outcome is x itself, so each row
-reads its own index. The 2^n inputs differ only in their preparation
-angles, so `simulate.outcome_distributions` evolves the one noisy
-circuit under the `protocol.input_angles` table as one stack; readout
+simulates the ideal circuit once): every calibration lookup comes before
+the first simulation. Input x's forbidden outcome is x itself, so each
+row reads its own index. Input x is input 0 with a Z after the
+preparation of each qubit whose bit is set, so
+`simulate.outcome_distributions` gives every input's distribution from
+the one noisy circuit, the preparation qubits as its frames; readout
 mixing runs once on the (2^n, 2^m) table, and shot counts (up to
 2^63 - 1, the multinomial sampler's int64 limit) are sampled from a
 per-input random stream seeded by (seed, input index), in input order.
@@ -58,7 +59,7 @@ from .noise import (
     readout_matrix,
     uniform_calibration,
 )
-from .protocol import PBRParams, build_test_circuit, check_forbidden_outcomes, input_angles
+from .protocol import PBRParams, build_test_circuit, check_forbidden_outcomes
 from .routing import CouplingMap, line_map, route_linear, routed_gate_overhead
 from .simulate import outcome_distributions
 
@@ -231,7 +232,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     noisy = attach_noise(circuit, cfg.calibration, cfg.model)
     mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy.measured_qubits]
     check_forbidden_outcomes(params)
-    dists = outcome_distributions(noisy, input_angles(params))
+    # Input x flips the preparation of the qubits of its set bits: logical
+    # qubit j is prepared on placement[j] when the config is placed.
+    dists = outcome_distributions(noisy, cfg.placement or range(cfg.n))
     dists = np.clip(apply_readout(dists, mats), 0.0, 1.0)
     rows = []
     for x, dist in enumerate(dists):

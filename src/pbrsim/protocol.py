@@ -11,8 +11,8 @@ Hamming distance between x and z, and the angle equation
 
 makes the distance-zero amplitude vanish, so the forbidden outcome for
 every input is the input itself. `check_forbidden_outcomes` evaluates the
-n+1 distance probabilities in closed form and simulates two inputs to
-check that the simulator places their zeros where the protocol does: any
+n+1 distance probabilities in closed form and simulates every input to
+check that the simulator places its zero where the protocol does: any
 relabeling bug or angle regression shows up as a misplaced zero.
 
 At theta = pi/2 the solver can land on the degenerate root beta = pi,
@@ -198,19 +198,6 @@ def build_test_circuit(x, params: PBRParams) -> Circuit:
     return Circuit(params.n, prep.gates + meas.gates)
 
 
-def input_angles(params: PBRParams) -> np.ndarray:
-    """Row x: input x's angles for the angled gates of `build_test_circuit(0, params)`.
-
-    +theta or -theta per bit (qubit 0 first), then beta and alpha. Routing
-    and noise add no angled gate, so the table fits the routed, noisy circuit.
-    """
-    n = params.n
-    bits = np.array([bits_of(x, n) for x in range(2**n)])
-    meas = build_entangling_measurement(n, params.alpha, params.beta).gates
-    shared = np.tile([g.angle for g in meas if g.angle is not None], (2**n, 1))
-    return np.hstack([np.where(bits == 0, params.theta, -params.theta), shared])
-
-
 def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
     """Check that outcome x is input x's one forbidden outcome; return P[h].
 
@@ -218,11 +205,12 @@ def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
     distance h to the outcome, P[h] = |cos(theta/2)^n 2^(-n/2)
     ((1+w)^(n-h) (1-w)^h + e^{i alpha} - 1)|^2 with w = tan(theta/2) e^{i beta},
     so input 0...0 speaks for every input. P[0] must lie below the
-    forbidden threshold and every other P[h] above the guard band. Inputs
-    0...01 and 10...0 are then simulated noise-free, and each must have its
-    smallest probability at its own index: a bit-order, sign or angle-table
-    fault in the simulator shows up as a misplaced zero. Returns the n+1
-    probabilities P[0..n].
+    forbidden threshold and every other P[h] above the guard band. The
+    ideal circuit is then simulated once for all 2^n inputs, with a Z frame
+    on each preparation qubit, and each input must have its smallest
+    probability at its own index: a bit-order, sign or frame fault in the
+    simulator shows up as a misplaced zero. Returns the n+1 probabilities
+    P[0..n].
     """
     n = params.n
     w = np.tan(params.theta / 2) * np.exp(1j * params.beta)
@@ -241,9 +229,8 @@ def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
             f"input {zeros}: second outcome probability {runner_up:.3e} "
             "inside the guard band; zero outcome is ambiguous"
         )
-    spot = (1, 2 ** (n - 1))
-    dists = outcome_distributions(build_test_circuit(0, params), input_angles(params)[list(spot)])
-    for x, dist in zip(spot, dists):
+    dists = outcome_distributions(build_test_circuit(0, params), range(n))
+    for x, dist in enumerate(dists):
         z = int(np.argmin(dist))
         if z != x:
             raise ProtocolError(

@@ -17,13 +17,22 @@ channel touches an idle qubit, so this is exact, and a routed pair holds
 at most three live qubits whatever its span. The simulation cap counts
 touched plus measured qubits.
 
-One circuit evolves B inputs that differ only in their angles (the 2^n
-inputs of a run) as one (B, 2^w, 2^w) stack, row b of a (B, k) table
-giving input b's angles for the circuit's k angled gates. An operator
-that is the same for every row is applied once to the stack, one whose
-angle differs as B operators, built once per distinct angle. Each state's
-floats do not depend on the other rows. Chunks of at most CHUNK_ENTRIES
-complex entries at the peak live width w bound the memory a table adds.
+One circuit serves 2^F inputs that differ from it only by a Z right
+after the first gate on each of F frame qubits: the 2^n inputs of a run,
+as RY(-theta)|0> = Z RY(theta)|0>. Conjugation by Z commutes with a
+diagonal gate, an X and every channel whose superoperator commutes with
+it (the depolarizing and thermal channels do), so a frame moves past
+those (a Pauli frame: Knill, Nature 434, 39 (2005)). When every frame
+moves on to its qubit's suffix, or to its trace-out, where it changes
+nothing, one row is evolved. Z-conjugation negates a qubit's two
+coherences, so each framed qubit's populations are read twice, once with
+its suffix map's coherence columns negated, and one contraction over the
+kept qubits gives every input's distribution without building their
+states. Otherwise the rows branch at the start: each frame is a per-row
+diagonal operator after its qubit's first gate, and the 2^F states
+evolve as one (B, 2^w, 2^w) stack, in chunks of at most CHUNK_ENTRIES
+complex entries at the peak live width w, which bounds the memory they
+add. Each state's floats do not depend on the other rows.
 
 A stack of b states on w live qubits is a (b, 2^w, 2^w) array; viewed as
 (b,) + (2,) * 2w, live qubit i is row axis 1 + i and column axis 1 + w + i.
@@ -37,8 +46,9 @@ matrix product (one elementwise product for a diagonal) and moves the
 axes back. It runs only for multi-qubit operators and for single-qubit
 ones that lie between two multi-qubit operators on their qubit. When the
 schedule is built, consecutive operators on the same live axes are
-multiplied into one, and two diagonals stay a diagonal. A gate without an
-angle has one read-only operator per process, shared by every position.
+multiplied into one, and two diagonals stay a diagonal. A gate's
+operator is built once per (kind, width, angle) and is read-only, shared
+by every position of every run.
 """
 
 from __future__ import annotations
@@ -48,10 +58,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .circuits import DIAGONAL_KINDS, Circuit, Gate, MEASURE, NOISE, gate_diagonal, gate_unitary
+from .circuits import DIAGONAL_KINDS, Circuit, Gate, MEASURE, NOISE, X, gate_diagonal, gate_unitary
 from .config import SIMULATION_QUBIT_CAP
 from .errors import CapError
-from .states import check_phases, check_unitary
+from .states import KrausChannel, check_phases, check_unitary
 
 # B * 4^w complex entries evolved at once, w the peak live width: 8 inputs at w=5.
 CHUNK_ENTRIES = 2**13
@@ -130,96 +140,160 @@ def _trace_out(mats: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(b, hi * lo, hi * lo)
 
 
-def _gate_operator(variants: list[Gate]) -> np.ndarray:
-    # (k, d^2) phase vectors of k diagonal gates, or (k, d^2, d^2) U (x) conj(U).
-    if variants[0].kind in DIAGONAL_KINDS:
-        diag = np.stack([gate_diagonal(h) for h in variants])
+def _gate_operator(g: Gate) -> np.ndarray:
+    # A gate's (1, d^2) phase vector diag(U) (x) conj(diag(U)) if it is
+    # diagonal, else its (1, d^2, d^2) superoperator U (x) conj(U).
+    if g.kind in DIAGONAL_KINDS:
+        diag = gate_diagonal(g)
         check_phases(diag)
-        return _phases(diag)
-    u = np.stack([gate_unitary(h) for h in variants])
+        return _phases(diag[None])
+    u = gate_unitary(g)
     check_unitary(u)
-    return _liouville(u)
+    return _liouville(u[None])
 
 
-@functools.lru_cache(maxsize=None)
-def _fixed_operator(kind: str, width: int) -> np.ndarray:
-    # An unangled gate's operator, built and checked once per process and
-    # read-only, since every position of every run shares it. One entry per
-    # unangled kind (H, X, SX, CZ, SWAP), so the cache stays this small.
-    op = _gate_operator([Gate(kind, tuple(range(width)))])
+@functools.lru_cache(maxsize=16)
+def _operator(kind: str, width: int, angle: float | None) -> np.ndarray:
+    # `_gate_operator` built and checked once per (kind, width, angle) and
+    # read-only, since every position of every run with that gate shares it.
+    # A run uses at most six entries, so runs with the same angles share
+    # them. The bound is small because an n-qubit open-controlled phase
+    # holds 4^n entries, as many as the state.
+    op = _gate_operator(Gate(kind, tuple(range(width)), angle=angle))
     op.setflags(write=False)
     return op
 
 
-def _operators(c: Circuit, angles: np.ndarray) -> list[np.ndarray]:
-    """The Liouville operator at each non-MEASURE gate of `c`.
+def _operators(c: Circuit) -> list[np.ndarray]:
+    """The Liouville operator at each non-MEASURE gate of `c`, leading axis 1.
 
     A NOISE gate gives its channel's superoperator; a unitary gives
     U (x) conj(U), or for a diagonal gate its d^2 phase vector
-    diag(U) (x) conj(diag(U)). The j-th angled gate takes its angles from
-    column j of the (B, k) `angles` table, one operator per distinct angle.
-    Each operator's leading axis is 1 when every row agrees, else B.
+    diag(U) (x) conj(diag(U)).
     """
-    ops: list[np.ndarray] = []
-    columns = iter(angles.T)
-    for g in c.gates:
-        if g.kind == NOISE:
-            ops.append(g.channel.superoperator[None])
-        elif g.angle is not None:
-            values, index = np.unique(next(columns), return_inverse=True)
-            op = _gate_operator([Gate(g.kind, g.qubits, angle=float(a)) for a in values])
-            ops.append(op if len(values) == 1 else op[index])
-        elif g.kind != MEASURE:
-            ops.append(_fixed_operator(g.kind, len(g.qubits)))
-    return ops
+    return [
+        g.channel.superoperator[None] if g.kind == NOISE else _operator(g.kind, len(g.qubits), g.angle)
+        for g in c.gates
+        if g.kind != MEASURE
+    ]
 
 
-def _schedule(c: Circuit, keep: tuple[int, ...], table: np.ndarray) -> tuple[list, list, int, list]:
-    # One lifetime schedule serves every row of the angle table. Returns the
-    # steps, each kept qubit's suffix operator (None if it has none), the
-    # peak live width and the transpose that puts the kept qubits in `keep`
-    # order. A step is a (k, 2, 2) joining state, [operator, axes],
-    # or the state axis of a qubit to trace out; consecutive operators on the
-    # same axes are fused into one.
-    ops = _operators(c, table)
+@functools.lru_cache(maxsize=128)
+def _z_covariant(channel: KrausChannel) -> tuple[bool, ...]:
+    # For each target of a channel, whether its superoperator commutes with
+    # conjugation by Z there. That conjugation negates the entries whose row
+    # and column bits for the target differ, so the superoperator must couple
+    # no such entry with one whose bits agree. Cached per channel object: the
+    # noise builders hand the same object to every position.
+    k = channel.arity
+    rows, cols = np.divmod(np.arange(4**k), 2**k)
+    flips = [((rows ^ cols) >> (k - 1 - t)) & 1 for t in range(k)]
+    return tuple(not channel.superoperator[f[:, None] != f[None, :]].any() for f in flips)
+
+
+def _keeps_frame(g: Gate, q: int) -> bool:
+    # Whether conjugation by Z on qubit q commutes with gate g.
+    if g.kind == NOISE:
+        return _z_covariant(g.channel)[g.qubits.index(q)]
+    return g.kind in DIAGONAL_KINDS or g.kind == X
+
+
+def _lifetimes(targets: list[tuple[int, ...]]) -> tuple[dict[int, int], dict[int, int]]:
+    # Each qubit's first and last multi-qubit operator, by position.
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, qs in enumerate(targets):
+        if len(qs) > 1:
+            for q in qs:
+                first.setdefault(q, i)
+                last[q] = i
+    return first, last
+
+
+def _frame_starts(c: Circuit, gates: list[Gate], frames: tuple[int, ...]) -> list[int]:
+    # The position in `gates` of the first gate on each frame qubit. Frames
+    # name distinct qubits of the circuit that some gate acts on.
+    if len(set(frames)) != len(frames):
+        raise ValueError(f"frames {frames} name a qubit twice")
+    first: dict[int, int] = {}
+    for i, g in enumerate(gates):
+        for q in g.qubits:
+            first.setdefault(q, i)
+    for q in frames:
+        if not 0 <= q < c.n_qubits:
+            raise ValueError(f"frame qubit {q} is outside the circuit's {c.n_qubits} qubits")
+        if q not in first:
+            raise ValueError(f"frame qubit {q} has no gate")
+    return [first[q] for q in frames]
+
+
+def _frames_hold(c: Circuit, keep: tuple[int, ...], frames: tuple[int, ...]) -> bool:
+    # Whether each frame's Z commutes with every later operator on its qubit
+    # up to the qubit's suffix, which starts after its last multi-qubit gate
+    # (for a qubit no multi-qubit gate touches: at the end if it is kept, and
+    # nowhere if not, as it never joins). The frame then reaches the suffix,
+    # or the qubit's trace-out.
+    gates = [g for g in c.gates if g.kind != MEASURE]
+    _, last = _lifetimes([g.qubits for g in gates])
+    for q, s in zip(frames, _frame_starts(c, gates, frames)):
+        end = last.get(q, len(gates) if q in keep else s)
+        if not all(_keeps_frame(g, q) for g in gates[s + 1 : end + 1] if q in g.qubits):
+            return False
+    return True
+
+
+def _frame_operator(j: int, count: int) -> np.ndarray:
+    # Frame j as a (2^count, 4) per-row diagonal: Z-conjugation's phase vector,
+    # which negates the two coherences, on the rows whose bit j is set
+    # (frames[0] the most significant bit), the identity on the others.
+    bit = (np.arange(2**count) >> (count - 1 - j)) & 1
+    return np.where(bit[:, None] == 1, np.array([1, -1, -1, 1], dtype=complex), 1)
+
+
+def _schedule(c: Circuit, keep: tuple[int, ...], frames: tuple[int, ...]) -> tuple[list, list, int, list]:
+    # One lifetime schedule serves every row, each frame a per-row operator
+    # right after the first gate on its qubit. Returns the steps, each kept
+    # qubit's suffix operator (None if it has none), the peak live width and
+    # the transpose that puts the kept qubits in `keep` order. A step is a
+    # (k, 2, 2) joining state, [operator, axes], or the state axis of a qubit
+    # to trace out; consecutive operators on the same axes are fused into one.
     gates = [g for g in c.gates if g.kind != MEASURE]
     width = len({q for g in gates for q in g.qubits}.union(keep))
     if width > SIMULATION_QUBIT_CAP:
         raise CapError(f"{width} qubits exceeds the simulation cap of {SIMULATION_QUBIT_CAP}")
-    first: dict[int, int] = {}  # each qubit's first and last multi-qubit gate
-    last: dict[int, int] = {}
-    for i, g in enumerate(gates):
-        if len(g.qubits) > 1:
-            for q in g.qubits:
-                first.setdefault(q, i)
-                last[q] = i
+    starts = _frame_starts(c, gates, frames)
+    items: list[tuple[tuple[int, ...], np.ndarray]] = []
+    for i, (g, op) in enumerate(zip(gates, _operators(c))):
+        items.append((g.qubits, op))
+        items.extend(((q,), _frame_operator(j, len(frames))) for j, q in enumerate(frames) if starts[j] == i)
+    first, last = _lifetimes([qs for qs, _ in items])
     prefix: dict[int, np.ndarray] = {}
     suffix: dict[int, np.ndarray] = {}
     steps: list = []
     live: list[int] = []  # circuit qubit on each state axis
     peak = 0
-    for i, (g, op) in enumerate(zip(gates, ops)):
-        q = g.qubits[0]
-        if len(g.qubits) == 1 and i < first.get(q, len(gates)):
+    for i, (qubits, op) in enumerate(items):
+        q = qubits[0]
+        if len(qubits) == 1 and i < first.get(q, len(items)):
             prefix[q] = _compose(op, prefix[q]) if q in prefix else op
             continue
-        if len(g.qubits) == 1 and i > last[q]:
+        if len(qubits) == 1 and i > last[q]:
             # A discarded qubit's trailing operators are trace-preserving: dropped.
             if q in keep:
                 suffix[q] = _compose(op, suffix[q]) if q in suffix else op
             continue
         # Joining in front, in reverse, leaves a gate's new qubits in its order.
-        for q in reversed(g.qubits):
+        for q in reversed(qubits):
             if q not in live:
                 live.insert(0, q)
                 steps.append(_joining_state(prefix.pop(q, None)))
         peak = max(peak, len(live))
-        targets = tuple(live.index(q) for q in g.qubits)
+        targets = tuple(live.index(q) for q in qubits)
         if steps and isinstance(steps[-1], list) and steps[-1][1] == targets:
             steps[-1][0] = _compose(op, steps[-1][0])
         else:
             steps.append([op, targets])
-        for q in g.qubits:
+        for q in qubits:
             if last[q] == i and q not in keep:
                 steps.append(live.index(q))
                 live.remove(q)
@@ -233,17 +307,14 @@ def _schedule(c: Circuit, keep: tuple[int, ...], table: np.ndarray) -> tuple[lis
     return steps, [suffix.get(q) for q in keep], max(peak, n), axes
 
 
-def _chunks(c: Circuit, keep: tuple[int, ...], angles) -> Iterator[tuple[np.ndarray, list]]:
-    # Evolves the angle table chunk by chunk in row order. Yields each chunk's
-    # (b, 2^m, 2^m) states on the `keep` qubits before their suffixes, and the
-    # suffix operators, each sliced to the chunk's rows (None where none).
-    own = [g.angle for g in c.gates if g.angle is not None]
-    table = np.asarray([own] if angles is None else angles, dtype=float)
-    if table.shape[1:] != (len(own),) or not len(table) or not np.isfinite(table).all():
-        raise ValueError(f"angle table {table.shape} is not B>=1 rows of {len(own)} finite angles")
-    steps, suffix, peak, axes = _schedule(c, keep, table)
+def _chunks(c: Circuit, keep: tuple[int, ...], frames: tuple[int, ...]) -> Iterator[tuple[np.ndarray, list]]:
+    # Evolves the 2^F rows of the frames chunk by chunk in row order. Yields
+    # each chunk's (b, 2^m, 2^m) states on the `keep` qubits before their
+    # suffixes, and the suffix operators, each sliced to the chunk's rows
+    # (None where none).
+    steps, suffix, peak, axes = _schedule(c, keep, frames)
     m = len(keep)
-    total = len(table)
+    total = 2 ** len(frames)
     chunk = max(1, CHUNK_ENTRIES // 4**peak)
     for start in range(0, total, chunk):
         stop = min(total, start + chunk)
@@ -264,32 +335,54 @@ def _chunks(c: Circuit, keep: tuple[int, ...], angles) -> Iterator[tuple[np.ndar
         yield t.reshape(stop - start, 2**m, 2**m), [None if s is None else rows(s) for s in suffix]
 
 
-def _populations(mats: np.ndarray, suffix: list) -> np.ndarray:
+def _populations(mats: np.ndarray, suffix: list, framed=()) -> np.ndarray:
     # Outcome probabilities of a (b, 2^m, 2^m) stack after each qubit's suffix,
     # the first qubit most significant. A suffix's populations read only rows
     # 0 and 3 of its superoperator, so each qubit's row and column axes (4
     # entries) map to its 2 populations: one (2 x 4) @ (4 x rest) product per
     # qubit. A diagonal suffix is a phase and leaves the populations alone.
+    # The qubits at the positions in `framed` carry a Z frame into their
+    # suffix: each is read twice, the second time with its map's coherence
+    # columns negated, and adds a bit after those of the row index.
     b, m = len(mats), len(suffix)
     t = mats.reshape((b,) + (2,) * (2 * m))
     t = t.transpose([0] + [a for i in range(m) for a in (1 + i, 1 + m + i)])
-    for op in suffix:
-        t = t.reshape(b, 4, -1)
-        t = t[:, [0, 3]] if op is None or op.ndim == 2 else np.matmul(op[:, [0, 3]], t)
+    for i, op in enumerate(suffix):
+        t = t.reshape(len(t), 4, -1)
+        if i in framed:
+            read = np.eye(4)[[0, 3]] if op is None or op.ndim == 2 else op[0, [0, 3]]
+            read = np.stack([read, read * [1, -1, -1, 1]])
+            t = np.matmul(read, t[:, None]).reshape(-1, 2, t.shape[-1])
+        else:
+            t = t[:, [0, 3]] if op is None or op.ndim == 2 else np.matmul(op[:, [0, 3]], t)
         t = t.transpose(0, 2, 1)
-    return np.clip(t.reshape(b, -1).real, 0.0, 1.0)
+    return np.clip(t.reshape(len(t), -1).real, 0.0, 1.0)
 
 
-def outcome_distributions(c: Circuit, angles=None) -> np.ndarray:
-    """Distributions over the measured qubits (all qubits if none), one row per angle row.
+def outcome_distributions(c: Circuit, frames=()) -> np.ndarray:
+    """Distributions over the measured qubits (all qubits if none), one row per input.
 
-    Row b of the (B, k) `angles` table gives the angles of the circuit's k
-    angled gates, in circuit order; by default the circuit's own angles
-    are the one row. Returns a (B, 2^m) array. The first measured qubit is
-    the most significant bit.
+    Row x is the distribution of `c` with a Z right after the first gate
+    on qubit frames[j], for each set bit j of x; frames[0] is the most
+    significant bit. With no frames, the circuit itself is the one row.
+    Returns a (2^F, 2^m) array; the first measured qubit is the most
+    significant bit of an outcome. Frames must name distinct qubits of the
+    circuit that some gate acts on, or ValueError is raised.
     """
     keep = c.measured_qubits or tuple(range(c.n_qubits))
-    return np.concatenate([_populations(rho, suffix) for rho, suffix in _chunks(c, keep, angles)])
+    frames = tuple(int(q) for q in frames)
+    if not _frames_hold(c, keep, frames):
+        return np.concatenate([_populations(rho, suffix) for rho, suffix in _chunks(c, keep, frames)])
+    ((rho, suffix),) = _chunks(c, keep, ())
+    probs = _populations(rho, suffix, [i for i, q in enumerate(keep) if q in frames])
+    # The rows of `probs` count the frames on kept qubits in `keep` order,
+    # the first most significant; a frame on a traced-out qubit changes no row.
+    x = np.arange(2 ** len(frames))
+    index = np.zeros_like(x)
+    for q in keep:
+        if q in frames:
+            index = 2 * index + ((x >> (len(frames) - 1 - frames.index(q))) & 1)
+    return probs[index]
 
 
 def outcome_distribution(c: Circuit) -> np.ndarray:

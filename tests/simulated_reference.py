@@ -3,8 +3,9 @@
 `evolve` exposes the final density matrices that `pbrsim.simulate` reads
 its distributions from, so tests can check trace, purity and positivity.
 `discover_forbidden_map` is the full simulated discovery of each input's
-forbidden outcome: it evolves every ideal input and locates its zero. The
-package states that zero in closed form
+forbidden outcome: it evolves every ideal input's own circuit and locates
+its zero. The package states that zero in closed form and simulates every
+input from input 0's circuit with Z frames
 (`pbrsim.protocol.check_forbidden_outcomes`); this is its reference.
 """
 
@@ -15,18 +16,19 @@ import numpy as np
 from pbrsim.circuits import Circuit
 from pbrsim.config import FORBIDDEN_GUARD_BAND, FORBIDDEN_PROB_THRESHOLD
 from pbrsim.errors import ProtocolError
-from pbrsim.protocol import PBRParams, build_test_circuit, input_angles
-from pbrsim.simulate import _apply, _chunks, outcome_distributions
+from pbrsim.protocol import PBRParams, build_test_circuit
+from pbrsim.simulate import _apply, _chunks, outcome_distribution
 
 
-def evolve(c: Circuit, keep: tuple[int, ...], angles=None) -> Iterator[np.ndarray]:
+def evolve(c: Circuit, keep: tuple[int, ...], frames=()) -> Iterator[np.ndarray]:
     """Final states on the `keep` qubits, in that order, from |0...0>.
 
-    State b takes its angles from row b of `angles` (see
-    `outcome_distributions`). Yields the states chunk by chunk in row order,
-    each chunk a (b, 2^m, 2^m) stack with every kept qubit's suffix applied.
+    State x is that of row x of `outcome_distributions(c, frames)`, every
+    row evolved in full: the frames branch at the start. Yields the states
+    chunk by chunk in row order, each chunk a (b, 2^m, 2^m) stack with every
+    kept qubit's suffix applied.
     """
-    for rho, suffix in _chunks(c, keep, angles):
+    for rho, suffix in _chunks(c, keep, tuple(frames)):
         for i, op in enumerate(suffix):
             if op is not None:
                 rho = _apply(rho, op, (i,), len(keep))
@@ -43,8 +45,8 @@ def discover_forbidden_map(params: PBRParams) -> tuple[int, ...]:
     """
     n = params.n
     mapping = []
-    dists = outcome_distributions(build_test_circuit(0, params), input_angles(params))
-    for x, probs in enumerate(dists):
+    for x in range(2**n):
+        probs = outcome_distribution(build_test_circuit(x, params))
         order = np.argsort(probs)
         smallest, runner_up = probs[order[0]], probs[order[1]]
         if smallest >= FORBIDDEN_PROB_THRESHOLD:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pbrsim.harness
-import pbrsim.protocol
+import pbrsim.simulate
 from pbrsim.errors import RangeError, ValidationError
 from pbrsim.harness import (
     BIT_ORDER_NOTE,
@@ -195,24 +195,28 @@ def test_run_experiment_thermo_five_qubits():
     assert rep.mean_forbidden_exact < rep.active_tolerance
 
 
-def test_run_simulates_two_ideal_inputs(monkeypatch):
-    # The forbidden outcomes are closed-form; the ideal circuit is evolved
-    # only for the two inputs that spot-check the simulator's conventions.
+def test_run_evolves_one_row_per_circuit(monkeypatch):
+    # The forbidden outcomes are closed-form, and every frame of an unplaced
+    # run reaches its suffix: the ideal circuit (the simulator spot-check)
+    # and the noisy one are each evolved once, as one row, for all 32 inputs.
     rows = []
-    real = pbrsim.protocol.outcome_distributions
+    real = pbrsim.simulate._chunks
 
-    def counted(c, angles=None):
-        rows.append(1 if angles is None else len(angles))
-        return real(c, angles)
+    def counted(c, keep, frames):
+        for rho, suffix in real(c, keep, frames):
+            rows.append(len(rho))
+            yield rho, suffix
 
-    monkeypatch.setattr(pbrsim.protocol, "outcome_distributions", counted)
-    cfg = ExperimentConfig(
-        n=5, theta=theta_min(5), model=DEPOLARIZING,
-        calibration=all_pairs_calibration(5), shots=4000, seed=11,
-    )
-    rep = run_experiment(cfg)
-    assert sum(rows) <= 2
-    assert len(rep.inputs) == 32
+    monkeypatch.setattr(pbrsim.simulate, "_chunks", counted)
+    for model in (DEPOLARIZING, THERMODYNAMICAL):
+        rows.clear()
+        cfg = ExperimentConfig(
+            n=5, theta=theta_min(5), model=model,
+            calibration=all_pairs_calibration(5), shots=4000, seed=11,
+        )
+        rep = run_experiment(cfg)
+        assert rows == [1, 1]
+        assert len(rep.inputs) == 32
 
 
 def test_report_json_shape():

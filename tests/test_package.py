@@ -12,6 +12,7 @@ REMOVED = (
     "apply_unitary",
     "discover_forbidden_map",
     "ground_state",
+    "input_angles",
     "marginal_distribution",
     "measurement_probs",
     "pure_density",

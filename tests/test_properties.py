@@ -125,7 +125,7 @@ def test_random_unitaries_preserve_state_structure():
         angle = float(rng.uniform(-np.pi, np.pi)) if kind in (RY, RZ, PHASE) else None
         g = Gate(kind, (int(rng.integers(n)),), angle=angle)
         # The kernel's own operator: U (x) conj(U), or the phase vector of RZ/PHASE.
-        op = _operators(Circuit(n, (g,)), np.array([[] if angle is None else [angle]]))[0]
+        op = _operators(Circuit(n, (g,)))[0]
         out = _apply(rho[None], op, g.qubits, n)[0]
         assert np.abs(out - conjugate(rho, gate_unitary(g), g.qubits)).max() < 1e-10
         assert abs(np.trace(out).real - 1.0) < 1e-10

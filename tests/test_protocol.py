@@ -26,7 +26,6 @@ from pbrsim.protocol import (
     build_preparation,
     build_test_circuit,
     check_forbidden_outcomes,
-    input_angles,
     solve_angles,
     theta_min,
 )
@@ -249,7 +248,7 @@ def test_closed_form_agrees_with_simulated_discovery(n, theta):
     profile = check_forbidden_outcomes(params)
     assert profile.shape == (n + 1,)
     # Every simulated row follows the closed-form profile by Hamming distance.
-    dists = outcome_distributions(build_test_circuit(0, params), input_angles(params))
+    dists = outcome_distributions(build_test_circuit(0, params), range(n))
     x = np.arange(2**n)
     distance = np.array([[bin(v).count("1") for v in row] for row in x[:, None] ^ x[None, :]])
     assert np.abs(dists - profile[distance]).max() < 1e-14
@@ -267,10 +266,23 @@ def test_check_spots_a_simulator_convention_fault(monkeypatch):
     n = 4
     flip = [int(format(z, f"0{n}b")[::-1], 2) for z in range(2**n)]
 
-    def reversed_bits(c, angles):
-        return outcome_distributions(c, angles)[:, flip]
+    def reversed_bits(c, frames):
+        return outcome_distributions(c, frames)[:, flip]
 
     monkeypatch.setattr("pbrsim.protocol.outcome_distributions", reversed_bits)
+    with pytest.raises(ProtocolError, match="^input 0001: simulated zero at outcome 1000;"):
+        check_forbidden_outcomes(PBRParams.solve(n, theta_min(n)))
+
+
+def test_check_spots_frame_bits_in_reversed_qubit_order(monkeypatch):
+    # A simulator that took the last frame as the most significant input bit
+    # would evolve input 10...0 as row 0...01, whose zero then sits at 10...0.
+    n = 4
+
+    def reversed_frames(c, frames):
+        return outcome_distributions(c, tuple(frames)[::-1])
+
+    monkeypatch.setattr("pbrsim.protocol.outcome_distributions", reversed_frames)
     with pytest.raises(ProtocolError, match="^input 0001: simulated zero at outcome 1000;"):
         check_forbidden_outcomes(PBRParams.solve(n, theta_min(n)))
 

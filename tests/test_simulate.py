@@ -1,4 +1,4 @@
-"""Circuit evolution: qubit lifetimes against a dense reference, cap, marginals, ordering."""
+"""Circuit evolution: qubit lifetimes and Z frames against a dense reference, cap, marginals, ordering."""
 
 from dataclasses import replace
 
@@ -25,7 +25,7 @@ from pbrsim.circuits import (
     X,
 )
 from pbrsim.errors import CapError
-from pbrsim.harness import ExperimentConfig, sweep_distance
+from pbrsim.harness import ExperimentConfig, run_experiment, sweep_distance
 from pbrsim.noise import (
     NOISE_MODELS,
     CalibrationSnapshot,
@@ -37,9 +37,18 @@ from pbrsim.noise import (
     depolarizing_channel,
     uniform_calibration,
 )
-from pbrsim.protocol import PBRParams, build_test_circuit, input_angles, theta_min
+from pbrsim.protocol import PBRParams, build_test_circuit, theta_min
 from pbrsim.routing import line_map, route_linear
-from pbrsim.simulate import _operators, outcome_distribution, outcome_distributions
+from pbrsim.simulate import (
+    _frames_hold,
+    _gate_operator,
+    _operator,
+    _operators,
+    _z_covariant,
+    outcome_distribution,
+    outcome_distributions,
+)
+from pbrsim.states import KrausChannel
 from simulated_reference import evolve
 
 DIFF_TOL = 1e-12
@@ -50,22 +59,37 @@ def final_state(c):
     return next(evolve(c, tuple(range(c.n_qubits))))[0]
 
 
-def own_angles(c):
-    """The angles of the circuit's angled gates, in circuit order."""
-    return [g.angle for g in c.gates if g.kind in ANGLED_KINDS]
+# Z as a one-operator channel, so the dense reference applies it exactly.
+Z_FRAME = KrausChannel([np.diag([1.0, -1.0])])
 
 
-def with_angles(c, row):
-    """`c` with the angles of its angled gates replaced by `row`, in circuit order."""
-    row = iter(row)
-    gates = [replace(g, angle=float(next(row))) if g.kind in ANGLED_KINDS else g for g in c.gates]
+def framed_circuit(c, frames, x):
+    """`c` with a Z right after the first gate on qubit frames[j], for each set bit j of x.
+
+    frames[0] is the most significant bit of x.
+    """
+    flipped = {q for j, q in enumerate(frames) if x >> (len(frames) - 1 - j) & 1}
+    gates, seen = [], set()
+    for g in c.gates:
+        gates.append(g)
+        gates += [Gate(NOISE, (q,), channel=Z_FRAME) for q in g.qubits if q in flipped - seen]
+        seen.update(g.qubits)
     return Circuit(c.n_qubits, tuple(gates))
 
 
-def random_table(rng, c, extra):
-    """`c`'s own angles as row 0, then `extra` rows of random angles."""
-    own = np.array([own_angles(c)], dtype=float)
-    return np.vstack([own, rng.uniform(-np.pi, np.pi, (extra, own.shape[1]))])
+def random_frames(rng, c, most=4):
+    """Up to `most` of the qubits that some gate of `c` acts on, in random order."""
+    touched = sorted({q for g in c.gates if g.kind != MEASURE for q in g.qubits})
+    k = int(rng.integers(0, min(len(touched), most) + 1))
+    return tuple(int(q) for q in rng.permutation(touched)[:k])
+
+
+def assert_rows_match_dense(c, frames):
+    """Each row of `c` under `frames` is its framed circuit's dense distribution."""
+    got = outcome_distributions(c, frames)
+    assert got.shape == (2 ** len(frames), 2 ** len(c.measured_qubits or range(c.n_qubits)))
+    for x, row in enumerate(got):
+        assert np.abs(row - dense_distribution(framed_circuit(c, frames, x))).max() < DIFF_TOL
 
 
 def random_noisy_circuit(rng, n):
@@ -121,13 +145,22 @@ def test_lifetime_evolution_matches_dense_reference():
 @pytest.mark.parametrize("model", NOISE_MODELS)
 @pytest.mark.parametrize("span", range(1, 10))
 def test_routed_pbr_circuits_match_dense_reference(span, model):
-    # One input per span, cycling through all four; dense span 9 takes ~20 s.
+    # One input per span, cycling through all four, as its own circuit and as
+    # a row of input 0's circuit under frames; dense span 9 takes ~20 s.
     params = PBRParams.solve(2, np.pi / 4)
     line = line_map(span + 1)
     cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
-    routed = route_linear(build_test_circuit(span % 4, params), line, (0, span)).circuit
-    noisy = attach_noise(routed, cal, model)
-    assert np.abs(outcome_distribution(noisy) - dense_distribution(noisy)).max() < DIFF_TOL
+
+    def noisy(x):
+        return attach_noise(route_linear(build_test_circuit(x, params), line, (0, span)).circuit, cal, model)
+
+    ref = dense_distribution(noisy(span % 4))
+    assert np.abs(outcome_distribution(noisy(span % 4)) - ref).max() < DIFF_TOL
+    # Past span 1 the decomposed SWAPs' H meets logical 0's frame, and the
+    # rows branch at the start.
+    base = noisy(0)
+    assert _frames_hold(base, base.measured_qubits, (0, span)) == (span == 1)
+    assert np.abs(outcome_distributions(base, (0, span))[span % 4] - ref).max() < DIFF_TOL
 
 
 def record_kernel_calls(monkeypatch):
@@ -181,21 +214,23 @@ def varied_calibration(n, seed):
     return CalibrationSnapshot(qubits, couplers, 0.8e-6)
 
 
-def assert_batch_matches_one_at_a_time(c, table):
-    batched = outcome_distributions(c, table)
-    assert batched.shape == (len(table), 2 ** len(c.measured_qubits))
-    for angles, row in zip(table, batched):
-        assert np.array_equal(row, outcome_distributions(c, angles[None])[0])
+def assert_rows_are_independent(c, frames):
+    # Row x is the same whichever other frames are asked for: it is the last
+    # row of the table over x's set frames alone.
+    table = outcome_distributions(c, frames)
+    for x, row in enumerate(table):
+        own = [q for j, q in enumerate(frames) if x >> (len(frames) - 1 - j) & 1]
+        assert np.array_equal(row, outcome_distributions(c, own)[-1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_batched_pbr_inputs_equal_one_at_a_time(n):
     params = PBRParams.solve(n, theta_min(n))
     ideal = build_test_circuit(0, params)
-    assert_batch_matches_one_at_a_time(ideal, input_angles(params))
+    assert_rows_are_independent(ideal, range(n))
     cal = varied_calibration(n, seed=n)
     for model in NOISE_MODELS:
-        assert_batch_matches_one_at_a_time(attach_noise(ideal, cal, model), input_angles(params))
+        assert_rows_are_independent(attach_noise(ideal, cal, model), range(n))
 
 
 @pytest.mark.parametrize("model", NOISE_MODELS)
@@ -205,75 +240,82 @@ def test_batched_routed_inputs_equal_one_at_a_time(model):
         line = line_map(span + 1)
         cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
         routed = route_linear(build_test_circuit(0, params), line, (0, span)).circuit
-        assert_batch_matches_one_at_a_time(attach_noise(routed, cal, model), input_angles(params))
-
-
-def assert_table_fits_each_input(inputs, table):
-    # Row x is input x's own angles, and evolves to its own circuit's distribution.
-    got = outcome_distributions(inputs[0], table)
-    assert table.shape == (len(inputs), len(own_angles(inputs[0])))
-    for x, c in enumerate(inputs):
-        assert table[x].tolist() == own_angles(c)
-        assert np.array_equal(got[x], outcome_distribution(c))
+        assert_rows_are_independent(attach_noise(routed, cal, model), (0, span))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_input_angles_match_every_input_circuit(n):
-    # Routing inserts only H and CZ, noise only NOISE: the table fits every form.
-    for theta in (theta_min(n), 1.2):
+def test_frames_match_every_input_circuit(n):
+    # Row x of input 0's circuit, framed on the preparation qubits, is input
+    # x's own circuit, evolved by the dense reference: ideal, and under both
+    # models on a uniform and a varied device.
+    devices = (uniform_calibration(n, p1=2e-4, p2=2.4e-3), varied_calibration(n, seed=n))
+    forms = [lambda c: c] + [
+        lambda c, cal=cal, model=model: attach_noise(c, cal, model)
+        for cal in devices
+        for model in NOISE_MODELS
+    ]
+    for theta in (theta_min(n), 1.0, 1.2):
         params = PBRParams.solve(n, theta)
-        ideal = [build_test_circuit(x, params) for x in range(2**n)]
-        assert_table_fits_each_input(ideal, input_angles(params))
-        cal = varied_calibration(n, seed=n)
-        for model in NOISE_MODELS:
-            noisy = [attach_noise(c, cal, model) for c in ideal]
-            assert_table_fits_each_input(noisy, input_angles(params))
+        inputs = [build_test_circuit(x, params) for x in range(2**n)]
+        for form in forms:
+            got = outcome_distributions(form(inputs[0]), range(n))
+            for x, c in enumerate(inputs):
+                assert np.abs(got[x] - dense_distribution(form(c))).max() < DIFF_TOL
         if n != 2:
             continue
+        # Routing inserts only H and CZ, and the preparation qubits are the placement.
         for span in range(1, 10):
             line = line_map(span + 1)
-            routed = [route_linear(c, line, (0, span)).circuit for c in ideal]
             cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
+            routed = [route_linear(c, line, (0, span)).circuit for c in inputs]
             for model in NOISE_MODELS:
                 noisy = [attach_noise(c, cal, model) for c in routed]
-                assert_table_fits_each_input(noisy, input_angles(params))
+                got = outcome_distributions(noisy[0], (0, span))
+                for x, c in enumerate(noisy):
+                    assert np.abs(got[x] - outcome_distribution(c)).max() < DIFF_TOL
 
 
 def test_random_batches_match_dense_reference():
     rng = np.random.default_rng(77)
     for _ in range(60):
         template = random_noisy_circuit(rng, int(rng.integers(1, 7)))
-        table = random_table(rng, template, int(rng.integers(1, 9)))
-        got = outcome_distributions(template, table)
-        for angles, row in zip(table, got):
-            ref = dense_distribution(with_angles(template, angles))
-            assert np.abs(row - ref).max() < DIFF_TOL
+        assert_rows_match_dense(template, random_frames(rng, template))
+
+
+def with_h_pairs(c):
+    """`c` with two H right after each RY: the same map, but a frame on an RY's qubit meets an H."""
+    gates = []
+    for g in c.gates:
+        gates += [g, Gate(H, g.qubits), Gate(H, g.qubits)] if g.kind == RY else [g]
+    return Circuit(c.n_qubits, tuple(gates))
 
 
 def test_chunked_batch_equals_one_chunk(monkeypatch):
     n = 5
     params = PBRParams.solve(n, theta_min(n))
-    cal = varied_calibration(n, seed=9)
-    noisy = attach_noise(build_test_circuit(0, params), cal, "depolarizing")
-    table = input_angles(params)
-    chunked = outcome_distributions(noisy, table)
+    noisy = attach_noise(build_test_circuit(0, params), varied_calibration(n, seed=9), "depolarizing")
+    branching = with_h_pairs(noisy)
+    frames, keep = tuple(range(n)), noisy.measured_qubits
+    assert _frames_hold(noisy, keep, frames) and not _frames_hold(branching, keep, frames)
+    chunked = outcome_distributions(branching, frames)
     # Five live qubits: 8 inputs per chunk, and only one chunk's states at a time.
-    keep = noisy.measured_qubits
-    assert [len(states) for states in evolve(noisy, keep, table)] == [8, 8, 8, 8]
+    assert [len(states) for states in evolve(branching, keep, frames)] == [8, 8, 8, 8]
     monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 2**30)
-    whole = outcome_distributions(noisy, table)
+    whole = outcome_distributions(branching, frames)
     monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 1)
-    single = outcome_distributions(noisy, table)
+    single = outcome_distributions(branching, frames)
     assert np.array_equal(chunked, whole)
     assert np.array_equal(chunked, single)
+    # The branching rows and the one evolved row read under the frames agree.
+    assert np.abs(chunked - outcome_distributions(noisy, frames)).max() < DIFF_TOL
 
 
 def random_run_circuit(rng, n):
     """Runs of operators on one target tuple each, measured in random order.
 
     Within a run, diagonal gates, full gates and channels on the same
-    qubits alternate, so the schedule fuses them; angled gates vary
-    across a batch. Runs on three or more qubits are MCPHASE_OPEN only.
+    qubits alternate, so the schedule fuses them. Runs on three or more
+    qubits are MCPHASE_OPEN only.
     """
     one = (RZ, PHASE, H, SX, RY, X, "amplitude_damping", "dephasing", "depolarizing")
     two = (CZ, CPHASE_OPEN, MCPHASE_OPEN, SWAP, "depolarizing")
@@ -304,13 +346,14 @@ def test_fused_runs_match_dense_reference(monkeypatch):
     ops = 0
     for _ in range(60):
         template = random_run_circuit(rng, int(rng.integers(1, 5)))
-        table = random_table(rng, template, int(rng.integers(0, 5)))
         ops += sum(g.kind != MEASURE for g in template.gates)
-        got = outcome_distributions(template, table)
-        for angles, row in zip(table, got):
-            ref = dense_distribution(with_angles(template, angles))
-            assert np.abs(row - ref).max() < DIFF_TOL
+        assert_rows_match_dense(template, random_frames(rng, template, most=template.n_qubits))
         assert np.abs(final_state(template) - dense_state(template)).max() < DIFF_TOL
+    # A frame that starts right after a multi-qubit gate is a per-row kernel
+    # step when the rows branch, here fused with the H after it.
+    n, gates, frames, _ = FRAME_CASES["frame_after_multi_qubit_gate"]
+    ops += len(gates) - 1
+    outcome_distributions(Circuit(n, tuple(gates)), frames)
     # Runs were fused, and all four operator forms reached the kernel:
     # diagonal or full, shared by every row or one per row.
     assert len(calls) < ops
@@ -329,10 +372,7 @@ def test_mcphase_up_to_six_qubits_matches_dense_reference():
             gates += [Gate(H, (q,)) for q in range(n)]
             gates.append(Gate(MEASURE, tuple(int(q) for q in rng.permutation(n))))
             template = Circuit(n, tuple(gates))
-            table = random_table(rng, template, 3)
-            for angles, row in zip(table, outcome_distributions(template, table)):
-                ref = dense_distribution(with_angles(template, angles))
-                assert np.abs(row - ref).max() < DIFF_TOL
+            assert_rows_match_dense(template, random_frames(rng, template))
             assert np.abs(final_state(template) - dense_state(template)).max() < DIFF_TOL
 
 
@@ -341,15 +381,16 @@ def test_fused_schedule_kernel_calls_per_chunk(model, per_chunk, monkeypatch):
     # n=5: only the MCPHASE_OPEN and, under the depolarizing model, its seven
     # two-qubit channels reach the kernel. The single-qubit operators before
     # it build each qubit's joining state, those after it are read for their
-    # populations only. 32 inputs run as 4 chunks of 8.
+    # populations only. Every frame reaches its suffix, so the 32 inputs are
+    # one evolved row: one chunk.
     params = PBRParams.solve(5, theta_min(5))
     circuit = build_test_circuit(0, params)
-    if model != "ideal":  # the discovery circuit
+    if model != "ideal":  # the forbidden-outcome check's circuit
         circuit = attach_noise(circuit, varied_calibration(5, seed=3), model)
     calls = record_kernel_calls(monkeypatch)
-    outcome_distributions(circuit, input_angles(params))
-    assert len(calls) == 4 * per_chunk
-    assert all(n == 5 for _, _, n in calls)
+    assert outcome_distributions(circuit, range(5)).shape == (32, 32)
+    assert len(calls) == per_chunk
+    assert all(k == 1 and n == 5 for _, k, n in calls)
 
 
 def reduced_state(rho, keep):
@@ -389,8 +430,8 @@ FOLDED_CASES = {
         Gate(RY, (1,), angle=0.6), Gate(RY, (2,), angle=-0.2), Gate(CZ, (1, 2)),
         Gate(H, (2,)), Gate(NOISE, (2,), channel=AD), Gate(MEASURE, (3, 1, 0, 2)),
     ]),
-    # Angled prefixes and suffixes, full and diagonal, vary by row; a diagonal-only
-    # prefix and a diagonal-only suffix; no MEASURE, so every qubit is kept.
+    # Angled prefixes and suffixes, full and diagonal; a diagonal-only prefix
+    # and a diagonal-only suffix; no MEASURE, so every qubit is kept.
     "angled_prefix_and_suffix": (3, [
         Gate(RY, (0,), angle=0.5), Gate(NOISE, (0,), channel=DEP1), Gate(PHASE, (0,), angle=0.2),
         Gate(RZ, (1,), angle=-0.4), Gate(PHASE, (1,), angle=1.0), Gate(H, (2,)),
@@ -406,7 +447,8 @@ def test_folded_prefix_and_suffix_match_dense_reference(name, monkeypatch):
     n, gates = FOLDED_CASES[name]
     template = Circuit(n, tuple(gates))
     keep = template.measured_qubits or tuple(range(n))
-    table = random_table(np.random.default_rng(len(gates)), template, 5)
+    # Every qubit that some gate acts on carries a frame, last qubit first.
+    frames = tuple(sorted({q for g in gates if g.kind != MEASURE for q in g.qubits}, reverse=True))
     widths = []
     kernel = pbrsim.simulate._apply
 
@@ -415,47 +457,135 @@ def test_folded_prefix_and_suffix_match_dense_reference(name, monkeypatch):
         return kernel(mats, op, targets, n)
 
     monkeypatch.setattr(pbrsim.simulate, "_apply", recording)
-    got = outcome_distributions(template, table)
+    got = outcome_distributions(template, frames)
     # No qubit here has a single-qubit operator between two multi-qubit
     # ones, so none reaches the kernel on the distribution path.
     assert min(widths, default=2) >= 2
     monkeypatch.undo()
-    states = np.concatenate(list(evolve(template, keep, table)))
-    for angles, row, state in zip(table, got, states):
-        c = with_angles(template, angles)
+    states = np.concatenate(list(evolve(template, keep, frames)))
+    for x, (row, state) in enumerate(zip(got, states)):
+        c = framed_circuit(template, frames, x)
         assert np.abs(row - dense_distribution(c)).max() < DIFF_TOL
         assert np.abs(state - reduced_state(dense_state(c), keep)).max() < DIFF_TOL
 
 
+_H = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+# Amplitude damping in the X basis: it does not commute with Z-conjugation.
+HADH = KrausChannel([_H @ k @ _H for k in AD.operators])
+DEP2 = depolarizing_channel(0.05, 2)
+FRAME_CASES = {
+    # name: (qubits, gates, frames, whether every frame reaches its suffix)
+    "frame_meets_h_before_suffix": (2, [
+        Gate(RY, (0,), angle=0.7), Gate(RY, (1,), angle=-0.4), Gate(H, (0,)),
+        Gate(CZ, (0, 1)), Gate(H, (0,)), Gate(H, (1,)), Gate(MEASURE, (0, 1)),
+    ], (0, 1), False),
+    "channel_not_z_covariant": (2, [
+        Gate(RY, (0,), angle=0.7), Gate(NOISE, (0,), channel=HADH), Gate(RY, (1,), angle=1.1),
+        Gate(CPHASE_OPEN, (0, 1), angle=0.9), Gate(H, (0,)), Gate(H, (1,)), Gate(MEASURE, (1, 0)),
+    ], (1, 0), False),
+    "covariant_channels_and_thermal_suffix": (3, [
+        Gate(RY, (0,), angle=0.7), Gate(NOISE, (0,), channel=AD), Gate(RY, (1,), angle=-1.2),
+        Gate(NOISE, (1,), channel=DEPH), Gate(RY, (2,), angle=0.4), Gate(X, (2,)),
+        Gate(MCPHASE_OPEN, (0, 1, 2), angle=1.3), Gate(NOISE, (1, 2), channel=DEP2),
+        Gate(CZ, (0, 2)), Gate(NOISE, (0,), channel=DEP1), Gate(H, (0,)), Gate(NOISE, (0,), channel=AD),
+        Gate(H, (1,)), Gate(NOISE, (1,), channel=HADH), Gate(SX, (2,)), Gate(MEASURE, (2, 0, 1)),
+    ], (0, 2, 1), True),
+    "framed_qubit_discarded": (3, [
+        Gate(RY, (0,), angle=0.5), Gate(RY, (1,), angle=0.9), Gate(RY, (2,), angle=-0.3),
+        Gate(CZ, (0, 1)), Gate(PHASE, (1,), angle=0.6), Gate(CZ, (1, 2)), Gate(H, (1,)),
+        Gate(H, (0,)), Gate(H, (2,)), Gate(MEASURE, (0, 2)),
+    ], (1, 0, 2), True),
+    "framed_qubit_discarded_meets_h": (3, [
+        Gate(RY, (0,), angle=0.5), Gate(RY, (1,), angle=0.9), Gate(RY, (2,), angle=-0.3),
+        Gate(CZ, (0, 1)), Gate(H, (1,)), Gate(CZ, (1, 2)), Gate(H, (0,)), Gate(H, (2,)),
+        Gate(MEASURE, (0, 2)),
+    ], (1, 0, 2), False),
+    "framed_qubit_without_multi_qubit_gate": (3, [
+        Gate(RY, (0,), angle=0.5), Gate(RY, (1,), angle=0.9), Gate(CZ, (0, 1)),
+        Gate(RY, (2,), angle=1.1), Gate(NOISE, (2,), channel=AD), Gate(PHASE, (2,), angle=0.4),
+        Gate(H, (0,)), Gate(MEASURE, (2, 0, 1)),
+    ], (2, 0), True),
+    "framed_qubit_without_multi_qubit_gate_meets_h": (3, [
+        Gate(RY, (0,), angle=0.5), Gate(RY, (1,), angle=0.9), Gate(CZ, (0, 1)),
+        Gate(RY, (2,), angle=1.1), Gate(NOISE, (2,), channel=AD), Gate(H, (2,)),
+        Gate(H, (0,)), Gate(MEASURE, (2, 0, 1)),
+    ], (2, 0), False),
+    # The first gate on qubit 0 is a CZ, so its frame starts between two
+    # multi-qubit gates, where the branching rows take it in the kernel.
+    "frame_after_multi_qubit_gate": (2, [
+        Gate(H, (1,)), Gate(CZ, (0, 1)), Gate(H, (0,)), Gate(NOISE, (0, 1), channel=DEP2),
+        Gate(CZ, (0, 1)), Gate(H, (0,)), Gate(MEASURE, (0, 1)),
+    ], (0, 1), False),
+    "frame_after_multi_qubit_gate_to_suffix": (2, [
+        Gate(H, (1,)), Gate(CZ, (0, 1)), Gate(NOISE, (0, 1), channel=DEP2),
+        Gate(CPHASE_OPEN, (1, 0), angle=0.8), Gate(H, (0,)), Gate(H, (1,)), Gate(MEASURE, (1, 0)),
+    ], (0, 1), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_crafted_frames_match_dense_reference(name):
+    n, gates, frames, held = FRAME_CASES[name]
+    c = Circuit(n, tuple(gates))
+    assert _frames_hold(c, c.measured_qubits, frames) == held
+    assert_rows_match_dense(c, frames)
+
+
+def test_z_covariance_is_read_per_channel_target():
+    assert _z_covariant(AD) == _z_covariant(DEPH) == _z_covariant(DEP1) == (True,)
+    assert _z_covariant(HADH) == (False,)
+    assert _z_covariant(DEP2) == (True, True)
+    # Amplitude damping of the second qubit in the X basis, as one channel of two.
+    mixed = KrausChannel([np.kron(np.eye(2), k) for k in HADH.operators])
+    assert _z_covariant(mixed) == (True, False)
+    assert _z_covariant(mixed) is _z_covariant(mixed)
+
+
 def test_unangled_operators_are_built_once_and_read_only():
     c = Circuit(2, (Gate(H, (0,)), Gate(CZ, (0, 1)), Gate(H, (0,)), Gate(H, (1,)), Gate(CZ, (1, 0))))
-    ops = _operators(c, np.empty((1, 0)))
+    ops = _operators(c)
     assert ops[0] is ops[2] is ops[3] and ops[1] is ops[4]
     assert not any(op.flags.writeable for op in ops)
     with pytest.raises(ValueError):
         ops[0][0, 0, 0] = 0.0
 
 
-def test_angle_table_must_fit_the_circuit():
-    c = Circuit(2, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(PHASE, (1,), angle=0.2)))
-    assert outcome_distributions(c, [[0.3, 0.2], [-0.3, 0.2]]).shape == (2, 4)
-    assert np.array_equal(outcome_distributions(c, [[0.3, 0.2]]), outcome_distributions(c))
-    bad = (
-        [[0.3], [0.1]],  # one column per angled gate
-        [[0.3, 0.2, 0.1]],
-        [0.3, 0.2],  # 1-D
-        np.empty((0, 2)),  # no rows
-        [[0.3, np.nan]],
-        [[np.inf, 0.2]],
-    )
-    for table in bad:
+def test_cached_operator_equals_a_fresh_build():
+    cases = ((H, 1, None), (SWAP, 2, None), (RY, 1, 0.3), (PHASE, 1, -1.1), (MCPHASE_OPEN, 4, 0.7))
+    for kind, width, angle in cases:
+        op = _operator(kind, width, angle)
+        assert op is _operator(kind, width, angle)
+        assert np.array_equal(op, _gate_operator(Gate(kind, tuple(range(width)), angle=angle)))
+        assert not op.flags.writeable
         with pytest.raises(ValueError):
-            outcome_distributions(c, table)
-    # A circuit without angled gates takes a table with zero columns.
-    plain = Circuit(1, (Gate(H, (0,)),))
-    assert outcome_distributions(plain, np.empty((3, 0))).shape == (3, 2)
-    with pytest.raises(ValueError):
-        outcome_distributions(plain, [[0.1]])
+            op[(0,) * op.ndim] = 0.0
+
+
+def test_second_identical_run_adds_no_cache_miss():
+    cfg = ExperimentConfig(
+        n=3, theta=1.0, model="depolarizing", calibration=varied_calibration(3, seed=4),
+        shots=100, seed=2,
+    )
+
+    def runs():
+        return [run_experiment(replace(cfg, model=model)) for model in NOISE_MODELS]
+
+    first = runs()
+    misses = (_operator.cache_info().misses, _z_covariant.cache_info().misses)
+    assert runs() == first
+    assert (_operator.cache_info().misses, _z_covariant.cache_info().misses) == misses
+
+
+def test_frames_must_name_distinct_circuit_qubits():
+    c = Circuit(3, (Gate(RY, (0,), angle=0.3), Gate(H, (1,)), Gate(PHASE, (1,), angle=0.2),
+                    Gate(MEASURE, (0, 1, 2))))
+    assert outcome_distributions(c, (1, 0)).shape == (4, 8)
+    assert outcome_distributions(c, np.array([1])).shape == (2, 8)
+    assert np.array_equal(outcome_distributions(c)[0], outcome_distribution(c))
+    # A repeated qubit, qubits outside the circuit, and qubit 2, which only MEASURE touches.
+    for frames in ((0, 0), (1, 3), (-1,), (2,), (0, 2)):
+        with pytest.raises(ValueError):
+            outcome_distributions(c, frames)
 
 
 def test_qubit_cap_enforced():
