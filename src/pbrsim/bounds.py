@@ -10,6 +10,7 @@ measurement-circuit noise enters the simulation rather than the bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ def quantum_trace_distance(theta: float) -> float:
     """sin(theta) for the two pure preparations at opening angle theta."""
     if not 0.0 <= theta <= np.pi / 2 + 1e-12:
         raise RangeError(f"theta={theta!r} outside [0, pi/2]")
-    return float(np.sin(theta))
+    return math.sin(theta)
 
 
 def epsilon_tol(d: float, n: int) -> float:
@@ -137,7 +138,7 @@ def tolerance_report(
     p_phi_bar = float(
         np.mean([mean_p_from_time((qc.single_gate_duration, t_two), qc.t2) for qc in cals])
     )
-    busy = circuit_duration(circuit, cal)
+    busy = circuit_duration(circuit, cal).tolist()
     cumulative = 0.0
     for q in qubits:
         qc = cal.qubit(q)

@@ -5,15 +5,16 @@ not, and share one prologue: the angles, input 0's circuit and its
 routing, gate counts, both tolerance reports and the active threshold.
 A run then attaches noise and reads the readout matrices, and only then
 checks the forbidden outcomes (`protocol.check_forbidden_outcomes`, which
-simulates the ideal circuit once): every calibration lookup comes before
-the first simulation. Input x's forbidden outcome is x itself, so each
-row reads its own index. Input x is input 0 with a Z after the
-preparation of each qubit whose bit is set, so
+simulates the ideal circuit once per (n, theta) per process): every
+calibration lookup comes before the first simulation. Input x's forbidden
+outcome is x itself, so each row reads its own index. Input x is input 0
+with a Z after the preparation of each qubit whose bit is set, so
 `simulate.outcome_distributions` gives every input's distribution from
 the one noisy circuit, the preparation qubits as its frames; readout
-mixing runs once on the (2^n, 2^m) table, and shot counts (up to
-2^63 - 1, the multinomial sampler's int64 limit) are sampled from a
-per-input random stream seeded by (seed, input index), in input order.
+mixing and normalization run once on the (2^n, 2^m) table, and shot
+counts (up to 2^63 - 1, the multinomial sampler's int64 limit) are
+sampled from a per-input random stream seeded by (seed, input index), in
+input order.
 
 `sweep_distance` builds one homogenized line config per span; spans
 needing more physical qubits than the cap get analytic reports, whose
@@ -31,8 +32,10 @@ too.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 import statistics
 from dataclasses import dataclass, replace
 
@@ -139,16 +142,32 @@ class ExperimentReport:
     passed: bool
 
 
+def _clipped_and_normalized(table) -> tuple[np.ndarray, np.ndarray]:
+    """Clip probabilities to [0, 1], then scale each row (last axis) to sum 1.
+
+    Returns the clipped and the normalized array. Tiny negative roundoff
+    clips to zero; a row that sums to zero raises RangeError.
+    """
+    p = np.clip(np.asarray(table, dtype=float), 0.0, 1.0)
+    total = p.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
+        raise RangeError("distribution sums to zero")
+    return p, p / total
+
+
 def sample_counts(probs, shots: int, seed) -> np.ndarray:
     """Multinomial draw over outcomes; deterministic for a given seed."""
     if shots < 0:
         raise RangeError(f"shots={shots} must be >= 0")
-    p = np.clip(np.asarray(probs, dtype=float), 0.0, 1.0)
-    total = p.sum()
-    if total <= 0:
-        raise RangeError("distribution sums to zero")
+    _, p = _clipped_and_normalized(probs)
     rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, p / total)
+    return rng.multinomial(shots, p)
+
+
+@functools.lru_cache(maxsize=16)
+def _wilson_z(confidence: float) -> float:
+    """Two-sided standard normal quantile for a confidence level."""
+    return statistics.NormalDist().inv_cdf(0.5 + confidence / 2)
 
 
 def wilson_interval(k: int, m: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
@@ -159,10 +178,10 @@ def wilson_interval(k: int, m: int, confidence: float = DEFAULT_CONFIDENCE) -> t
         raise RangeError(f"k={k} outside [0, {m}]")
     if not 0.0 < confidence < 1.0:
         raise RangeError(f"confidence={confidence!r} outside (0, 1)")
-    z = statistics.NormalDist().inv_cdf(0.5 + confidence / 2)
+    z = _wilson_z(confidence)
     denom = m + z * z
     center = (k + z * z / 2) / denom
-    half = z * np.sqrt(k * (m - k) / m + z * z / 4) / denom
+    half = z * math.sqrt(k * (m - k) / m + z * z / 4) / denom
     return float(max(0.0, center - half)), float(min(1.0, center + half))
 
 
@@ -235,11 +254,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # Input x flips the preparation of the qubits of its set bits: logical
     # qubit j is prepared on placement[j] when the config is placed.
     dists = outcome_distributions(noisy, cfg.placement or range(cfg.n))
-    dists = np.clip(apply_readout(dists, mats), 0.0, 1.0)
+    # The same clip and normalization as sample_counts, once for the table.
+    dists, p = _clipped_and_normalized(apply_readout(dists, mats))
     rows = []
     for x, dist in enumerate(dists):
-        counts = sample_counts(dist, cfg.shots, (cfg.seed, x))
-        k = int(counts[x])
+        k = int(np.random.default_rng((cfg.seed, x)).multinomial(cfg.shots, p[x])[x])
         lo, hi = wilson_interval(k, cfg.shots, cfg.confidence)
         rows.append(
             dict(

@@ -320,12 +320,13 @@ def p_from_time(t: float, T: float) -> float:
         raise RangeError(f"T={T!r} must be > 0")
     if t < 0:
         raise RangeError(f"t={t!r} must be >= 0")
-    return float(-np.expm1(-t / T))
+    return -math.expm1(-t / T)
 
 
 def mean_p_from_time(durations, T: float) -> float:
     """Unweighted mean of p_from_time over a set of gate durations."""
-    return float(np.mean([p_from_time(t, T) for t in durations]))
+    ps = [p_from_time(t, T) for t in durations]
+    return sum(ps) / len(ps)
 
 
 @_channel_cache

@@ -13,7 +13,8 @@ makes the distance-zero amplitude vanish, so the forbidden outcome for
 every input is the input itself. `check_forbidden_outcomes` evaluates the
 n+1 distance probabilities in closed form and simulates every input to
 check that the simulator places its zero where the protocol does: any
-relabeling bug or angle regression shows up as a misplaced zero.
+relabeling bug or angle regression shows up as a misplaced zero. The check
+depends only on the angles, so each (n, theta) is checked once per process.
 
 At theta = pi/2 the solver can land on the degenerate root beta = pi,
 alpha = 0, where the entangler disappears and the measurement factorizes
@@ -24,6 +25,7 @@ there. Everywhere on [theta_min(n), pi/2) a genuine solution exists.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +200,8 @@ def build_test_circuit(x, params: PBRParams) -> Circuit:
     return Circuit(params.n, prep.gates + meas.gates)
 
 
+# Bounded so a long-lived process running many angles stays small.
+@functools.lru_cache(maxsize=64)
 def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
     """Check that outcome x is input x's one forbidden outcome; return P[h].
 
@@ -209,8 +213,12 @@ def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
     ideal circuit is then simulated once for all 2^n inputs, with a Z frame
     on each preparation qubit, and each input must have its smallest
     probability at its own index: a bit-order, sign or frame fault in the
-    simulator shows up as a misplaced zero. Returns the n+1 probabilities
-    P[0..n].
+    simulator shows up as a misplaced zero, named by its first input.
+
+    The result depends only on the angles, so it is cached: the ideal
+    circuit is simulated once per (n, theta) per process. A failing check
+    is not cached and raises on every call. Returns the n+1
+    probabilities P[0..n], read-only since every caller shares them.
     """
     n = params.n
     w = np.tan(params.theta / 2) * np.exp(1j * params.beta)
@@ -230,13 +238,15 @@ def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
             "inside the guard band; zero outcome is ambiguous"
         )
     dists = outcome_distributions(build_test_circuit(0, params), range(n))
-    for x, dist in enumerate(dists):
-        z = int(np.argmin(dist))
-        if z != x:
-            raise ProtocolError(
-                f"input {x:0{n}b}: simulated zero at outcome {z:0{n}b}; "
-                "the simulator's conventions disagree with the protocol"
-            )
+    zs = np.argmin(dists, axis=1)
+    misplaced = np.flatnonzero(zs != np.arange(len(zs)))
+    if misplaced.size:
+        x = int(misplaced[0])
+        raise ProtocolError(
+            f"input {x:0{n}b}: simulated zero at outcome {int(zs[x]):0{n}b}; "
+            "the simulator's conventions disagree with the protocol"
+        )
+    probs.flags.writeable = False
     return probs
 
 

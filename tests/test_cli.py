@@ -30,7 +30,18 @@ from pbrsim.noise import (
     save_calibration,
     uniform_calibration,
 )
+from pbrsim.protocol import check_forbidden_outcomes
 from pbrsim.routing import line_map, save_coupling_map
+
+
+@pytest.fixture(autouse=True)
+def fresh_check_cache():
+    # The forbidden-outcome check is cached per process on its angles; start
+    # each test cold, so a test that patches the simulator to fail is sure to
+    # reach it whatever ran before.
+    check_forbidden_outcomes.cache_clear()
+    yield
+    check_forbidden_outcomes.cache_clear()
 
 
 @pytest.fixture

@@ -2,12 +2,14 @@
 
 import itertools
 import json
+import statistics
 
 import numpy as np
 import pytest
 
 import pbrsim.harness
 import pbrsim.simulate
+from pbrsim.config import DEFAULT_CONFIDENCE
 from pbrsim.errors import RangeError, ValidationError
 from pbrsim.harness import (
     BIT_ORDER_NOTE,
@@ -30,7 +32,7 @@ from pbrsim.noise import (
     THERMODYNAMICAL,
     uniform_calibration,
 )
-from pbrsim.protocol import theta_min
+from pbrsim.protocol import check_forbidden_outcomes, theta_min
 from pbrsim.routing import line_map, route_linear
 
 
@@ -108,6 +110,22 @@ def test_wilson_interval_ordering_and_coverage():
         assert lo <= k / m <= hi
         lo99, hi99 = wilson_interval(k, m, 0.99)
         assert lo99 <= lo and hi <= hi99
+
+
+def test_wilson_interval_matches_the_per_call_quantile():
+    # z is computed once per confidence; the interval must equal the one
+    # built from a fresh NormalDist quantile on every call, bit for bit.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        m = int(rng.integers(1, 10 ** int(rng.integers(1, 19))))
+        k = int(rng.integers(0, m + 1))
+        conf = float(rng.choice([DEFAULT_CONFIDENCE, 0.9, 0.99, rng.uniform(0.01, 0.999)]))
+        z = statistics.NormalDist().inv_cdf(0.5 + conf / 2)
+        denom = m + z * z
+        center = (k + z * z / 2) / denom
+        half = z * np.sqrt(k * (m - k) / m + z * z / 4) / denom
+        ref = float(max(0.0, center - half)), float(min(1.0, center + half))
+        assert wilson_interval(k, m, conf) == ref
 
 
 def test_experiment_config_validation():
@@ -199,6 +217,9 @@ def test_run_evolves_one_row_per_circuit(monkeypatch):
     # The forbidden outcomes are closed-form, and every frame of an unplaced
     # run reaches its suffix: the ideal circuit (the simulator spot-check)
     # and the noisy one are each evolved once, as one row, for all 32 inputs.
+    # The spot-check is cached per (n, theta), so a second run at the same
+    # angles evolves only its noisy circuit.
+    check_forbidden_outcomes.cache_clear()
     rows = []
     real = pbrsim.simulate._chunks
 
@@ -208,15 +229,58 @@ def test_run_evolves_one_row_per_circuit(monkeypatch):
             yield rho, suffix
 
     monkeypatch.setattr(pbrsim.simulate, "_chunks", counted)
-    for model in (DEPOLARIZING, THERMODYNAMICAL):
+    runs = (
+        (DEPOLARIZING, theta_min(5), [1, 1]),
+        (THERMODYNAMICAL, theta_min(5), [1]),
+        (THERMODYNAMICAL, 1.1 * theta_min(5), [1, 1]),
+    )
+    for model, theta, evolved in runs:
         rows.clear()
         cfg = ExperimentConfig(
-            n=5, theta=theta_min(5), model=model,
+            n=5, theta=theta, model=model,
             calibration=all_pairs_calibration(5), shots=4000, seed=11,
         )
         rep = run_experiment(cfg)
-        assert rows == [1, 1]
+        assert rows == evolved
         assert len(rep.inputs) == 32
+
+
+def _run_on_table(monkeypatch, table, shots, seed):
+    """run_experiment at n = log2(rows) with the noisy table replaced."""
+    n = len(table).bit_length() - 1
+    monkeypatch.setattr(pbrsim.harness, "outcome_distributions", lambda c, frames: table)
+    monkeypatch.setattr(pbrsim.harness, "apply_readout", lambda probs, mats: probs)
+    cfg = ExperimentConfig(
+        n=n, theta=theta_min(n), model=DEPOLARIZING,
+        calibration=all_pairs_calibration(n), shots=shots, seed=seed,
+    )
+    return run_experiment(cfg)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_run_samples_the_table_like_per_row_sample_counts(n, monkeypatch):
+    # The run clips and normalizes the whole table at once; every input's
+    # count must still be bit-for-bit the per-row sample_counts draw.
+    rng = np.random.default_rng(100 + n)
+    for shots in (1, 2000, 10**12, 2**63 - 1):
+        table = rng.dirichlet(np.full(2**n, 0.5), size=2**n)
+        # roundoff from the evolution: tiny negatives and entries a hair over 1
+        table[rng.random(table.shape) < 0.2] = -1e-17
+        table[0, 0] = 1.0 + 4e-16
+        seed = int(rng.integers(0, 2**32))
+        rep = _run_on_table(monkeypatch, table, shots, seed)
+        for x, row in enumerate(rep.inputs):
+            assert row.count == sample_counts(table[x], shots, (seed, x))[x]
+            assert row.exact_probability == min(1.0, max(0.0, table[x, x]))
+
+
+def test_run_rejects_a_zero_sum_row_like_sample_counts(monkeypatch):
+    table = np.full((4, 4), 0.25)
+    table[2] = [0.0, -1e-17, 0.0, -2e-18]
+    with pytest.raises(RangeError, match="^distribution sums to zero$"):
+        sample_counts(table[2], 100, 0)
+    with pytest.raises(RangeError, match="^distribution sums to zero$"):
+        _run_on_table(monkeypatch, table, 100, 0)
 
 
 def test_report_json_shape():

@@ -33,6 +33,15 @@ from pbrsim.simulate import outcome_distribution, outcome_distributions
 from simulated_reference import discover_forbidden_map
 
 
+@pytest.fixture(autouse=True)
+def fresh_check_cache():
+    # The check is cached per process on its angles; each test starts cold,
+    # so a fault injected into the simulator is reached whatever ran before.
+    check_forbidden_outcomes.cache_clear()
+    yield
+    check_forbidden_outcomes.cache_clear()
+
+
 def test_theta_min_values():
     assert abs(theta_min(2) - np.pi / 4) < 1e-15
     assert abs(theta_min(3) - 0.5085882122301613) < 1e-15
@@ -255,9 +264,30 @@ def test_closed_form_agrees_with_simulated_discovery(n, theta):
 
 
 def test_guard_band_failures_raise():
+    # A failing check is not cached: it raises on every call.
     for n, theta in GUARD_BAND_THETA.items():
-        with pytest.raises(ProtocolError, match="inside the guard band"):
-            check_forbidden_outcomes(PBRParams.solve(n, theta))
+        params = PBRParams.solve(n, theta)
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match="inside the guard band"):
+                check_forbidden_outcomes(params)
+
+
+def test_cached_profile_is_read_only_and_fresh():
+    params = PBRParams.solve(5, theta_min(5))
+    profile = check_forbidden_outcomes(params)
+    assert check_forbidden_outcomes(params) is profile
+    assert check_forbidden_outcomes.cache_info().hits == 1
+    assert not profile.flags.writeable
+    with pytest.raises(ValueError):
+        profile[0] = 1.0
+    fresh = check_forbidden_outcomes.__wrapped__(params)
+    assert fresh is not profile
+    assert np.array_equal(fresh, profile)
+    # An equal set of angles is the same cache entry; another theta is not.
+    assert check_forbidden_outcomes(PBRParams.solve(5, theta_min(5))) is profile
+    other = check_forbidden_outcomes(PBRParams.solve(5, 1.1 * theta_min(5)))
+    assert not np.array_equal(other, profile)
+    assert check_forbidden_outcomes.cache_info().misses == 2
 
 
 def test_check_spots_a_simulator_convention_fault(monkeypatch):
@@ -285,6 +315,24 @@ def test_check_spots_frame_bits_in_reversed_qubit_order(monkeypatch):
     monkeypatch.setattr("pbrsim.protocol.outcome_distributions", reversed_frames)
     with pytest.raises(ProtocolError, match="^input 0001: simulated zero at outcome 1000;"):
         check_forbidden_outcomes(PBRParams.solve(n, theta_min(n)))
+
+
+def test_check_spots_a_fault_once_the_cache_is_cleared(monkeypatch):
+    # A cached pass stands for its angles until the cache is cleared; the
+    # next call then simulates again and names the first misplaced zero.
+    n = 4
+    params = PBRParams.solve(n, theta_min(n))
+    profile = check_forbidden_outcomes(params)
+    flip = [int(format(z, f"0{n}b")[::-1], 2) for z in range(2**n)]
+
+    def reversed_bits(c, frames):
+        return outcome_distributions(c, frames)[:, flip]
+
+    monkeypatch.setattr("pbrsim.protocol.outcome_distributions", reversed_bits)
+    assert check_forbidden_outcomes(params) is profile
+    check_forbidden_outcomes.cache_clear()
+    with pytest.raises(ProtocolError, match="^input 0001: simulated zero at outcome 1000;"):
+        check_forbidden_outcomes(params)
 
 
 def test_pbr_params_validation():
