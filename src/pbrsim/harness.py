@@ -10,9 +10,10 @@ calibration lookup comes before the first simulation. Input x's forbidden
 outcome is x itself, so each row reads its own index. Input x is input 0
 with a Z after the preparation of each qubit whose bit is set, so
 `simulate.outcome_distributions` gives every input's distribution from
-the one noisy circuit, the preparation qubits as its frames; readout
-mixing and normalization run once on the (2^n, 2^m) table, and shot
-counts (up to 2^63 - 1, the multinomial sampler's int64 limit) are
+the one noisy circuit, the preparation qubits as its frames, with each
+measured qubit's readout confusion matrix folded into its population
+read. The (2^n, 2^m) table is clipped and normalized in one pass, and
+shot counts (up to 2^63 - 1, the multinomial sampler's int64 limit) are
 sampled from a per-input random stream seeded by (seed, input index), in
 input order.
 
@@ -24,9 +25,15 @@ upper bound, or the one prediction) passes only strictly below the
 active threshold; `passed` says all pass, `pass_fraction` how many.
 
 Reports render to a structured JSON document (sorted keys, so identical
-configurations are byte-identical) and to a flat CSV, one row per input.
-`render_doc` is the one JSON serializer; the CLI's other documents use it
-too.
+configurations are byte-identical) and to a flat CSV, one row per input;
+both take their input rows from one helper. `render_doc` is the one JSON
+serializer, and the CLI's other documents use it too. Its bytes are
+json.dumps(doc, indent=2, sort_keys=True) plus a newline, but json.dumps
+writes indented text with its pure-Python encoder before Python 3.13, so
+`render_doc` hands every flat container (one whose values are scalars or
+empty containers, and a list of such dicts) to the C encoder in one call,
+with the newline and indent as its item separator, and walks only the
+containers above them.
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ from .noise import (
     DEPOLARIZING,
     NOISE_MODELS,
     THERMODYNAMICAL,
-    apply_readout,
     attach_noise,
     calibration_mean,
     readout_matrix,
@@ -253,9 +259,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     check_forbidden_outcomes(params)
     # Input x flips the preparation of the qubits of its set bits: logical
     # qubit j is prepared on placement[j] when the config is placed.
-    dists = outcome_distributions(noisy, cfg.placement or range(cfg.n))
+    # Each measured qubit's readout error is folded into its population read.
+    dists = outcome_distributions(noisy, cfg.placement or range(cfg.n), mats)
     # The same clip and normalization as sample_counts, once for the table.
-    dists, p = _clipped_and_normalized(apply_readout(dists, mats))
+    dists, p = _clipped_and_normalized(dists)
     rows = []
     for x, dist in enumerate(dists):
         k = int(np.random.default_rng((cfg.seed, x)).multinomial(cfg.shots, p[x])[x])
@@ -358,8 +365,10 @@ def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
     return reports
 
 
-def _bits(index: int, n: int) -> str:
-    return format(index, f"0{n}b")
+@functools.lru_cache(maxsize=16)
+def _bit_labels(n: int) -> tuple[str, ...]:
+    """Every n-bit outcome label, qubit 0 leftmost, by index."""
+    return tuple(format(x, f"0{n}b") for x in range(2**n))
 
 
 def tolerance_to_dict(t: ToleranceReport) -> dict:
@@ -377,8 +386,37 @@ def tolerance_to_dict(t: ToleranceReport) -> dict:
     }
 
 
+def _input_rows(r: ExperimentReport) -> list[dict]:
+    """One dict per sampled input: the JSON `inputs` entries and the CSV rows."""
+    labels = _bit_labels(r.n)
+    return [
+        {
+            "input": labels[row.input_index],
+            "forbidden": labels[row.input_index],
+            "exact_probability": row.exact_probability,
+            "count": row.count,
+            "estimate": row.estimate,
+            "ci_low": row.ci_low,
+            "ci_high": row.ci_high,
+            "tolerance": row.tolerance,
+            "pass": row.passed,
+        }
+        for row in r.inputs
+    ]
+
+
 def report_to_dict(r: ExperimentReport) -> dict:
-    n = r.n
+    labels = _bit_labels(r.n)
+    routing = None
+    if r.span is not None:
+        extra_g1, extra_g2 = routed_gate_overhead(r.span)
+        routing = {
+            "placement": list(r.placement),
+            "span": r.span,
+            "swap_count": r.swap_count,
+            "extra_g1": extra_g1,
+            "extra_g2": extra_g2,
+        }
     return {
         "kind": "pbr-experiment",
         "bit_order": BIT_ORDER_NOTE,
@@ -391,36 +429,15 @@ def report_to_dict(r: ExperimentReport) -> dict:
         "seed": r.seed,
         "confidence": r.confidence,
         "analytic_only": r.analytic_only,
-        "forbidden_map": {_bits(x, n): _bits(x, n) for x in range(2**n)},
+        "forbidden_map": dict(zip(labels, labels)),
         "gate_counts": {"g1": r.g1, "g2": r.g2},
-        "routing": None
-        if r.span is None
-        else {
-            "placement": list(r.placement),
-            "span": r.span,
-            "swap_count": r.swap_count,
-            "extra_g1": routed_gate_overhead(r.span)[0],
-            "extra_g2": routed_gate_overhead(r.span)[1],
-        },
+        "routing": routing,
         "tolerances": {
             "depolarizing": tolerance_to_dict(r.tol_dep),
             "thermodynamical": tolerance_to_dict(r.tol_thermo),
             "active": r.active_tolerance,
         },
-        "inputs": [
-            {
-                "input": _bits(row.input_index, n),
-                "forbidden": _bits(row.input_index, n),
-                "exact_probability": row.exact_probability,
-                "count": row.count,
-                "estimate": row.estimate,
-                "ci_low": row.ci_low,
-                "ci_high": row.ci_high,
-                "tolerance": row.tolerance,
-                "pass": row.passed,
-            }
-            for row in r.inputs
-        ],
+        "inputs": _input_rows(r),
         "mean_forbidden_exact": r.mean_forbidden_exact,
         "predicted_error": r.predicted_error,
         "pass_fraction": r.pass_fraction,
@@ -428,9 +445,74 @@ def report_to_dict(r: ExperimentReport) -> dict:
     }
 
 
-def render_doc(doc: dict) -> str:
-    """Serialize a report document: sorted keys, two-space indent, newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=32)
+def _encoder(level: int) -> json.JSONEncoder:
+    # The C encoder (no indent), its item separator a newline and the indent
+    # of `level`: a flat container's items come out as the indented encoder
+    # writes them.
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * level, ": "))
+
+
+def _flat(o) -> bool:
+    # A non-empty container whose values are all scalars or empty containers
+    # (the type test first, as it runs in C).
+    if not isinstance(o, _CONTAINERS) or not o:
+        return False
+    values = o.values() if isinstance(o, dict) else o
+    return _SCALARS.issuperset(map(type, values)) or not any(
+        isinstance(v, _CONTAINERS) and v for v in values
+    )
+
+
+def _key(k) -> str:
+    # A dict key as json writes it: a string, or the text of a scalar.
+    if not isinstance(k, str):
+        if not (k is None or isinstance(k, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+        k = _encoder(0).encode(k)
+    return _encoder(0).encode(k)
+
+
+def _render(o, level: int) -> str:
+    # `o` as json.dumps(o, indent=2, sort_keys=True) writes it at nesting
+    # `level`. Scalars, empty containers and flat containers are one C
+    # encoder call each; so is a list of flat dicts (a report's inputs),
+    # whose dict boundaries are then indented. The encoder escapes every
+    # newline inside a string, so a raw newline comes only from a separator.
+    # Only containers that hold non-empty containers are walked here.
+    if not isinstance(o, _CONTAINERS) or not o:
+        return _encoder(0).encode(o)
+    outer, inner = _INDENT * level, _INDENT * (level + 1)
+    brackets = "{}" if isinstance(o, dict) else "[]"
+    if _flat(o):
+        body = _encoder(level + 1).encode(o)[1:-1]
+    elif isinstance(o, dict):
+        body = (",\n" + inner).join(
+            _key(k) + ": " + _render(v, level + 1) for k, v in sorted(o.items())
+        )
+    elif all(isinstance(v, dict) and _flat(v) for v in o):
+        deeper = _INDENT * (level + 2)
+        text = _encoder(level + 2).encode(o)[2:-2]
+        text = text.replace("},\n" + deeper + "{", "\n" + inner + "},\n" + inner + "{\n" + deeper)
+        body = "{\n" + deeper + text + "\n" + inner + "}"
+    else:
+        body = (",\n" + inner).join(_render(v, level + 1) for v in o)
+    return brackets[0] + "\n" + inner + body + "\n" + outer + brackets[1]
+
+
+def render_doc(doc) -> str:
+    """Serialize a report document: sorted keys, two-space indent, newline.
+
+    The bytes are those of json.dumps(doc, indent=2, sort_keys=True) + "\n",
+    written mostly by the C encoder, which json.dumps skips when indenting
+    before Python 3.13.
+    """
+    return _render(doc, 0) + "\n"
 
 
 def render_json(r: ExperimentReport) -> str:
@@ -476,6 +558,6 @@ def render_csv(reports) -> str:
                     "pass": r.passed,
                 }
             )
-        for row in report_to_dict(r)["inputs"]:
+        for row in _input_rows(r):
             writer.writerow({"span": span, **row})
     return buf.getvalue()

@@ -362,7 +362,9 @@ def apply_readout(probs: np.ndarray, mats) -> np.ndarray:
     them; each comes out as (M_0 x ... x M_{m-1}) @ probs with qubit 0 as
     the most significant bit, applied axis by axis. Each entry is the same
     two products and one sum whatever the stack holds, so a row's result
-    does not depend on the rows beside it.
+    does not depend on the rows beside it. A run folds the same matrices
+    into `simulate.outcome_distributions`' population read instead; this
+    is the reference the tests compare that fold against.
     """
     probs = np.asarray(probs, dtype=float)
     mats = [np.asarray(m, dtype=float) for m in mats]

@@ -32,7 +32,9 @@ states. Otherwise the rows branch at the start: each frame is a per-row
 diagonal operator after its qubit's first gate, and the 2^F states
 evolve as one (B, 2^w, 2^w) stack, in chunks of at most CHUNK_ENTRIES
 complex entries at the peak live width w, which bounds the memory they
-add. Each state's floats do not depend on the other rows.
+add. Each state's floats do not depend on the other rows. Either way, a
+measured qubit's readout confusion matrix, when given, is multiplied
+into the (2 x 4) map that reads its populations.
 
 A stack of b states on w live qubits is a (b, 2^w, 2^w) array; viewed as
 (b,) + (2,) * 2w, live qubit i is row axis 1 + i and column axis 1 + w + i.
@@ -65,6 +67,8 @@ from .states import KrausChannel, check_phases, check_unitary
 
 # B * 4^w complex entries evolved at once, w the peak live width: 8 inputs at w=5.
 CHUNK_ENTRIES = 2**13
+# Rows 0 and 3 of the identity superoperator: a qubit's populations.
+_POPULATION_ROWS = np.eye(4)[None, [0, 3]]
 
 
 @functools.lru_cache(maxsize=256)
@@ -335,46 +339,61 @@ def _chunks(c: Circuit, keep: tuple[int, ...], frames: tuple[int, ...]) -> Itera
         yield t.reshape(stop - start, 2**m, 2**m), [None if s is None else rows(s) for s in suffix]
 
 
-def _populations(mats: np.ndarray, suffix: list, framed=()) -> np.ndarray:
-    # Outcome probabilities of a (b, 2^m, 2^m) stack after each qubit's suffix,
-    # the first qubit most significant. A suffix's populations read only rows
-    # 0 and 3 of its superoperator, so each qubit's row and column axes (4
-    # entries) map to its 2 populations: one (2 x 4) @ (4 x rest) product per
-    # qubit. A diagonal suffix is a phase and leaves the populations alone.
-    # The qubits at the positions in `framed` carry a Z frame into their
-    # suffix: each is read twice, the second time with its map's coherence
-    # columns negated, and adds a bit after those of the row index.
+def _populations(mats: np.ndarray, suffix: list, readout: list, framed=()) -> np.ndarray:
+    # Outcome probabilities of a (b, 2^m, 2^m) stack after each qubit's suffix
+    # and readout, the first qubit most significant. A suffix's populations
+    # read only rows 0 and 3 of its superoperator, so each qubit's row and
+    # column axes (4 entries) map to its 2 populations, which its confusion
+    # matrix (if any) then mixes: one (2 x 4) @ (4 x rest) product per qubit.
+    # A diagonal suffix is a phase and leaves the populations alone. The
+    # qubits at the positions in `framed` carry a Z frame into their suffix:
+    # each is read twice, the second time with its map's coherence columns
+    # negated, and adds a bit after those of the row index.
     b, m = len(mats), len(suffix)
     t = mats.reshape((b,) + (2,) * (2 * m))
     t = t.transpose([0] + [a for i in range(m) for a in (1 + i, 1 + m + i)])
     for i, op in enumerate(suffix):
         t = t.reshape(len(t), 4, -1)
+        read = _POPULATION_ROWS if op is None or op.ndim == 2 else op[:, [0, 3]]
+        if readout:
+            read = np.matmul(readout[i], read)
         if i in framed:
-            read = np.eye(4)[[0, 3]] if op is None or op.ndim == 2 else op[0, [0, 3]]
-            read = np.stack([read, read * [1, -1, -1, 1]])
+            read = np.stack([read[0], read[0] * [1, -1, -1, 1]])
             t = np.matmul(read, t[:, None]).reshape(-1, 2, t.shape[-1])
+        elif read is _POPULATION_ROWS:
+            # No suffix map and no readout: the populations themselves.
+            t = t[:, [0, 3]]
         else:
-            t = t[:, [0, 3]] if op is None or op.ndim == 2 else np.matmul(op[:, [0, 3]], t)
+            t = np.matmul(read, t)
         t = t.transpose(0, 2, 1)
     return np.clip(t.reshape(len(t), -1).real, 0.0, 1.0)
 
 
-def outcome_distributions(c: Circuit, frames=()) -> np.ndarray:
+def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
     """Distributions over the measured qubits (all qubits if none), one row per input.
 
     Row x is the distribution of `c` with a Z right after the first gate
     on qubit frames[j], for each set bit j of x; frames[0] is the most
     significant bit. With no frames, the circuit itself is the one row.
-    Returns a (2^F, 2^m) array; the first measured qubit is the most
-    significant bit of an outcome. Frames must name distinct qubits of the
-    circuit that some gate acts on, or ValueError is raised.
+    `readout` holds one column-stochastic (2, 2) confusion matrix per
+    measured qubit, in measured order, or none: each is folded into that
+    qubit's population read, the same map as `noise.apply_readout` on the
+    result. Returns a (2^F, 2^m) array; the first measured qubit is the
+    most significant bit of an outcome. Frames must name distinct qubits
+    of the circuit that some gate acts on, and readout must give none or
+    one matrix per measured qubit, or ValueError is raised.
     """
     keep = c.measured_qubits or tuple(range(c.n_qubits))
     frames = tuple(int(q) for q in frames)
+    readout = [np.asarray(r, dtype=float) for r in readout]
+    if readout and (len(readout) != len(keep) or any(r.shape != (2, 2) for r in readout)):
+        raise ValueError(f"readout needs one (2, 2) matrix for each of {len(keep)} measured qubits")
     if not _frames_hold(c, keep, frames):
-        return np.concatenate([_populations(rho, suffix) for rho, suffix in _chunks(c, keep, frames)])
+        return np.concatenate(
+            [_populations(rho, suffix, readout) for rho, suffix in _chunks(c, keep, frames)]
+        )
     ((rho, suffix),) = _chunks(c, keep, ())
-    probs = _populations(rho, suffix, [i for i, q in enumerate(keep) if q in frames])
+    probs = _populations(rho, suffix, readout, [i for i, q in enumerate(keep) if q in frames])
     # The rows of `probs` count the frames on kept qubits in `keep` order,
     # the first most significant; a frame on a traced-out qubit changes no row.
     x = np.arange(2 ** len(frames))

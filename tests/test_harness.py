@@ -1,5 +1,7 @@
 """Experiment runner: sampling, intervals, reports, sweeps, rendering."""
 
+import csv
+import io
 import itertools
 import json
 import statistics
@@ -7,6 +9,7 @@ import statistics
 import numpy as np
 import pytest
 
+import pbrsim.cli
 import pbrsim.harness
 import pbrsim.simulate
 from pbrsim.config import DEFAULT_CONFIDENCE
@@ -16,6 +19,7 @@ from pbrsim.harness import (
     ExperimentConfig,
     analytic_report,
     render_csv,
+    render_doc,
     render_json,
     render_sweep_json,
     report_to_dict,
@@ -30,6 +34,7 @@ from pbrsim.noise import (
     DEPOLARIZING,
     QubitCalibration,
     THERMODYNAMICAL,
+    save_calibration,
     uniform_calibration,
 )
 from pbrsim.protocol import check_forbidden_outcomes, theta_min
@@ -248,8 +253,7 @@ def test_run_evolves_one_row_per_circuit(monkeypatch):
 def _run_on_table(monkeypatch, table, shots, seed):
     """run_experiment at n = log2(rows) with the noisy table replaced."""
     n = len(table).bit_length() - 1
-    monkeypatch.setattr(pbrsim.harness, "outcome_distributions", lambda c, frames: table)
-    monkeypatch.setattr(pbrsim.harness, "apply_readout", lambda probs, mats: probs)
+    monkeypatch.setattr(pbrsim.harness, "outcome_distributions", lambda c, frames, readout: table)
     cfg = ExperimentConfig(
         n=n, theta=theta_min(n), model=DEPOLARIZING,
         calibration=all_pairs_calibration(n), shots=shots, seed=seed,
@@ -448,3 +452,100 @@ def test_sweep_distance_validation(monkeypatch):
     for spans in ((0, 1), (1, 1001), (154, 10**8)):
         with pytest.raises(RangeError):
             sweep_distance(cfg, spans)
+
+
+def stdlib_render(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("model", [DEPOLARIZING, THERMODYNAMICAL])
+def test_experiment_reports_render_as_stdlib_bytes(model):
+    # The goldens compare parsed JSON; these pin the whitespace as well.
+    for n in range(2, 9):
+        cfg = ExperimentConfig(
+            n=n, theta=theta_min(n), model=model, calibration=all_pairs_calibration(n),
+            shots=2000, seed=n,
+        )
+        rep = run_experiment(cfg)
+        assert render_json(rep) == stdlib_render(report_to_dict(rep))
+
+
+@pytest.mark.parametrize("model", [DEPOLARIZING, THERMODYNAMICAL])
+def test_sweep_reports_render_as_stdlib_bytes(model):
+    cfg = ExperimentConfig(
+        n=2, theta=np.pi / 4, model=model, calibration=line_calibration(12), shots=2000, seed=3,
+    )
+    reports = sweep_distance(cfg, (1, 2, 3, 154))
+    assert [r.analytic_only for r in reports] == [False, False, False, True]
+    doc = {"kind": "pbr-distance-sweep", "reports": [report_to_dict(r) for r in reports]}
+    assert render_sweep_json(reports) == stdlib_render(doc)
+
+
+def test_cli_documents_render_as_stdlib_bytes(tmp_path, monkeypatch, capsys):
+    docs = []
+
+    def recording(doc):
+        docs.append(doc)
+        return render_doc(doc)
+
+    monkeypatch.setattr(pbrsim.cli, "render_doc", recording)
+    path = tmp_path / "cal.json"
+    save_calibration(all_pairs_calibration(5), path)
+    for n in (2, 5):
+        assert pbrsim.cli.main(["solve-angles", "--n", str(n)]) == 0
+        for model in ("dep", "thermo"):
+            argv = ["tolerance", "--n", str(n), "--calib", str(path), "--model", model]
+            assert pbrsim.cli.main(argv) == 0
+    assert [d["kind"] for d in docs] == ["pbr-angles", "pbr-tolerance", "pbr-tolerance"] * 2
+    assert capsys.readouterr().out == "".join(stdlib_render(d) for d in docs)
+
+
+EDGE_DOCS = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": ()},
+    {"a": [{}], "b": [[]], "c": [{}, [], ()], "d": {"e": {}, "f": [[], {}]}},
+    # {} among flat dicts, and flat dicts that end on an empty container
+    [{}, {"a": 1}, {"b": [], "c": {}}],
+    [{"a": 1, "b": {}}, {"c": [], "d": 2.5}, {"e": ()}],
+    {"deep": {"er": [{"x": 1, "y": {}}, {"x": 2}]}},
+    {"x": [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, None, True, False, 1, -7, 1e300]},
+    {"t": (1, (2, {"u": ()}), ("v",)), "nan": float("nan")},
+    {"s": "\u00e9 \u2603 \U0001F600", "ctl": "\t\n\r\x00\x1f\\\"", "\u00fc": ["\u00e9"]},
+    # a string that spells a dict boundary of the inputs list
+    {"inputs": [{"s": '"},\n      {"', "n": 1}, {"s": "},\n      {", "n": 2}], "t": '"},\n      {"'},
+    [[1, [2, [3, [4]]]], {"a": {"b": {"c": {"d": [5]}}}}],
+    {1: "int key", 2.5: {"float": [1]}, -3: [], 0: {}},
+    1.5,
+    -0.0,
+    "text",
+    None,
+    float("nan"),
+]
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCS, ids=range(len(EDGE_DOCS)))
+def test_edge_documents_render_as_stdlib_bytes(doc):
+    assert render_doc(doc) == stdlib_render(doc)
+
+
+def test_render_doc_rejects_what_json_rejects():
+    for doc in ({"a": object()}, {"a": {"b": [object()]}}, {(1, 2): 1}, {"a": {(1, 2): [1]}}):
+        with pytest.raises(TypeError):
+            stdlib_render(doc)
+        with pytest.raises(TypeError):
+            render_doc(doc)
+
+
+def test_csv_rows_are_the_json_input_rows():
+    cfg = ExperimentConfig(
+        n=3, theta=theta_min(3), model=THERMODYNAMICAL, calibration=all_pairs_calibration(3),
+        shots=2000, seed=4,
+    )
+    rep = run_experiment(cfg)
+    rows = list(csv.DictReader(io.StringIO(render_csv(rep))))
+    refs = report_to_dict(rep)["inputs"]
+    assert len(rows) == len(refs) == 8
+    for row, ref in zip(rows, refs):
+        assert row == {"span": "", "predicted_error": "", **{k: str(v) for k, v in ref.items()}}

@@ -32,9 +32,11 @@ from pbrsim.noise import (
     CouplerCalibration,
     QubitCalibration,
     amplitude_damping,
+    apply_readout,
     attach_noise,
     dephasing,
     depolarizing_channel,
+    readout_matrix,
     uniform_calibration,
 )
 from pbrsim.protocol import PBRParams, build_test_circuit, theta_min
@@ -308,6 +310,63 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     assert np.array_equal(chunked, single)
     # The branching rows and the one evolved row read under the frames agree.
     assert np.abs(chunked - outcome_distributions(noisy, frames)).max() < DIFF_TOL
+
+
+def with_readout_error(cal, seed):
+    """`cal` with an asymmetric confusion matrix of its own on every qubit."""
+    rng = np.random.default_rng(seed)
+    qubits = tuple(
+        replace(q, readout_p01=float(rng.uniform(0.005, 0.03)), readout_p10=float(rng.uniform(0.03, 0.08)))
+        for q in cal.qubits
+    )
+    return replace(cal, qubits=qubits)
+
+
+def assert_readout_folds(c, frames, cal):
+    # Each measured qubit's confusion matrix folded into its population read
+    # gives apply_readout over the unfolded table, to roundoff.
+    mats = [readout_matrix(cal.qubit(q)) for q in c.measured_qubits]
+    got = outcome_distributions(c, frames, mats)
+    ref = apply_readout(outcome_distributions(c, frames), mats)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= np.maximum(1e-15, 1e-12 * np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_readout_folds_into_the_population_read(n):
+    # Every qubit framed (one evolved row, each read twice), no frames, and
+    # rows that branch at the start.
+    cal = with_readout_error(varied_calibration(n, seed=n), seed=n)
+    params = PBRParams.solve(n, theta_min(n))
+    for model in NOISE_MODELS:
+        noisy = attach_noise(build_test_circuit(0, params), cal, model)
+        assert _frames_hold(noisy, noisy.measured_qubits, tuple(range(n)))
+        assert_readout_folds(noisy, range(n), cal)
+        assert_readout_folds(noisy, (), cal)
+        if n <= 5:
+            assert_readout_folds(with_h_pairs(noisy), range(n), cal)
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_readout_folds_into_routed_reads(model):
+    # Span 1 evolves one row under frames; past it the rows branch.
+    params = PBRParams.solve(2, theta_min(2))
+    for span in range(1, 8):
+        line = line_map(span + 1)
+        cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
+        cal = with_readout_error(cal, seed=span)
+        noisy = attach_noise(route_linear(build_test_circuit(0, params), line, (0, span)).circuit, cal, model)
+        assert_readout_folds(noisy, (0, span), cal)
+        assert_readout_folds(noisy, (span,), cal)
+
+
+def test_readout_needs_one_matrix_per_measured_qubit():
+    c = Circuit(3, (Gate(RY, (0,), angle=0.3), Gate(MEASURE, (2, 0))))
+    m = np.array([[0.9, 0.2], [0.1, 0.8]])
+    assert outcome_distributions(c, (0,), [m, np.eye(2)]).shape == (2, 4)
+    for readout in ([m], [m, m, m], [m, np.eye(3)]):
+        with pytest.raises(ValueError, match="readout needs one"):
+            outcome_distributions(c, (0,), readout)
 
 
 def random_run_circuit(rng, n):
