@@ -14,8 +14,11 @@ the one noisy circuit, the preparation qubits as its frames, with each
 measured qubit's readout confusion matrix folded into its population
 read. The (2^n, 2^m) table is clipped and normalized in one pass, and
 shot counts (up to 2^63 - 1, the multinomial sampler's int64 limit) are
-sampled from a per-input random stream seeded by (seed, input index), in
-input order.
+sampled from a per-input random stream, the one default_rng((seed, x))
+makes for input x. `_input_streams` builds every input's stream with one
+vectorized pass of numpy's seed hash, and each draw stops after outcome
+x, since the multinomial draws outcome by outcome: x's count is the one
+`sample_counts(row, shots, (seed, x))` gives, its reference.
 
 `sweep_distance` builds one homogenized line config per span; spans
 needing more physical qubits than the cap get analytic reports, whose
@@ -44,6 +47,7 @@ import io
 import json
 import math
 import statistics
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,6 +94,12 @@ class ExperimentConfig:
     confidence: float = DEFAULT_CONFIDENCE
 
     def __post_init__(self):
+        for name in ("n", "shots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name}={value!r} must be an integer")
+            # numpy integers render and split into seed words as ints.
+            object.__setattr__(self, name, int(value))
         if self.model not in NOISE_MODELS:
             raise ValidationError(f"unknown noise model {self.model!r}")
         if self.shots < 1:
@@ -168,6 +178,67 @@ def sample_counts(probs, shots: int, seed) -> np.ndarray:
     _, p = _clipped_and_normalized(probs)
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, p)
+
+
+# numpy's SeedSequence.generate_state makes output word i from pool word
+# w = pool[i % 4] as v = (w ^ h_i) * h_(i+1), then v ^ (v >> 16), all mod
+# 2^32, with h_0 = 0x8B51F9DD and h_(i+1) = h_i * 0x58F38DED: the constants
+# depend on the word position only. Eight words (4 uint64) cycle the pool
+# twice: as a (2, 4) array, h_0..h_7 and h_1..h_8.
+_HASH = np.cumprod(np.array([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32), dtype=np.uint32)
+_HASH_XOR, _HASH_MUL = _HASH[:-1].reshape(2, 4), _HASH[1:].reshape(2, 4)
+
+
+class _HashedState:
+    """A seed sequence whose generate_state returns PCG64's four words, hashed."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=None) -> np.ndarray:
+        return self.words
+
+
+def _input_streams(seed: int, count: int) -> Iterator:
+    """The generators default_rng((seed, x)) makes, for x in range(count).
+
+    That one seeds PCG64 with SeedSequence((seed, x)).generate_state(4,
+    uint64). The tuple's entropy words are the little-endian 32-bit words
+    of the seed, then x (x < 2^32). numpy's SeedSequence mixes the same
+    words, passed as a uint32 array, into each input's pool; the output
+    hash then runs over every pool at once, and each PCG64 takes its row.
+    """
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_HashedState)
+    words = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"), "<u4")
+    entropy = np.empty((count, len(words) + 1), dtype=np.uint32)
+    entropy[:, :-1] = words
+    entropy[:, -1] = np.arange(count)
+    state = np.empty((count, 2, 4), dtype=np.uint32)
+    for x, e in enumerate(entropy):
+        state[x] = SeedSequence(e).pool
+    state ^= _HASH_XOR
+    state *= _HASH_MUL
+    state ^= state >> 16
+    # Pairs of 32-bit words read as little-endian 64-bit ones, as numpy does.
+    state = state.reshape(count, 8).astype("<u4", copy=False).view("<u8")
+    for row in state.astype(np.uint64, copy=False):
+        yield Generator(PCG64(_HashedState(row)))
+
+
+def _count_of(x: int, rng, shots: int, p: np.ndarray) -> int:
+    """Outcome x's count in rng.multinomial(shots, p), drawn only up to x.
+
+    The multinomial draws outcome by outcome, each a binomial of the shots
+    left, so outcomes 0..x with the rest lumped as one outcome give x the
+    count the whole row's draw gives it. For the last outcome that is the
+    whole row.
+    """
+    return int(rng.multinomial(shots, p[: x + 2])[x])
 
 
 @functools.lru_cache(maxsize=16)
@@ -264,8 +335,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # The same clip and normalization as sample_counts, once for the table.
     dists, p = _clipped_and_normalized(dists)
     rows = []
-    for x, dist in enumerate(dists):
-        k = int(np.random.default_rng((cfg.seed, x)).multinomial(cfg.shots, p[x])[x])
+    for x, (dist, rng) in enumerate(zip(dists, _input_streams(cfg.seed, len(p)))):
+        k = _count_of(x, rng, cfg.shots, p[x])
         lo, hi = wilson_interval(k, cfg.shots, cfg.confidence)
         rows.append(
             dict(

@@ -172,13 +172,22 @@ def _field(entry: dict, key: str, where: str, default=None, integer: bool = Fals
     return json_number(entry[key], f"{where}: {key}", integer)
 
 
-def load_calibration(path) -> CalibrationSnapshot:
-    """Read a calibration snapshot from a JSON file (units in key names)."""
+def load_json_document(path, what: str):
+    """Parse a JSON file; FormatError if it does not parse.
+
+    Nesting too deep for the parser's recursion (such as 10^5 opening
+    brackets) is a parse failure too.
+    """
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"calibration file does not parse: {exc}") from exc
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise FormatError(f"{what} does not parse: {exc}") from exc
+
+
+def load_calibration(path) -> CalibrationSnapshot:
+    """Read a calibration snapshot from a JSON file (units in key names)."""
+    doc = load_json_document(path, "calibration file")
     if not isinstance(doc, dict):
         raise FormatError("calibration document must be an object")
     _reject_unknown(doc, {"qubits", "couplers", "readout_us"}, "calibration document")
@@ -353,32 +362,6 @@ def readout_matrix(q: QubitCalibration) -> np.ndarray:
     return np.array(
         [[1 - q.readout_p10, q.readout_p01], [q.readout_p10, 1 - q.readout_p01]]
     )
-
-
-def apply_readout(probs: np.ndarray, mats) -> np.ndarray:
-    """Push distributions through per-qubit confusion matrices.
-
-    `probs` is one distribution over 2^m outcomes or a (..., 2^m) stack of
-    them; each comes out as (M_0 x ... x M_{m-1}) @ probs with qubit 0 as
-    the most significant bit, applied axis by axis. Each entry is the same
-    two products and one sum whatever the stack holds, so a row's result
-    does not depend on the rows beside it. A run folds the same matrices
-    into `simulate.outcome_distributions`' population read instead; this
-    is the reference the tests compare that fold against.
-    """
-    probs = np.asarray(probs, dtype=float)
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    n = len(mats)
-    width = probs.shape[-1] if probs.ndim else 1
-    if width != 2**n:
-        raise IndexError(f"distribution of size {width} needs {n} matrices")
-    lead = probs.shape[:-1]
-    t = probs.reshape(lead + (2,) * n)
-    for axis, m in enumerate(mats):
-        ax = len(lead) + axis
-        zero, one = np.take(t, 0, axis=ax), np.take(t, 1, axis=ax)
-        t = np.stack([m[0, 0] * zero + m[0, 1] * one, m[1, 0] * zero + m[1, 1] * one], axis=ax)
-    return t.reshape(probs.shape)
 
 
 def _mcphase_pairs(qubits: tuple[int, ...]) -> list[tuple[int, int]]:

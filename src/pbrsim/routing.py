@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, decompose_swap
 from .errors import FormatError, PathError, RangeError, ValidationError
-from .noise import json_number
+from .noise import json_number, load_json_document
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class CouplingMap:
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         object.__setattr__(self, "_edge_set", frozenset(norm))
 
-    def neighbors(self, q: int) -> tuple[int, ...]:
-        out = [b if a == q else a for a, b in self.edges if q in (a, b)]
-        return tuple(sorted(out))
-
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self._edge_set
 
@@ -53,11 +49,7 @@ def line_map(n_qubits: int) -> CouplingMap:
 
 def load_coupling_map(path) -> CouplingMap:
     """Read a map from JSON: {"n_qubits": N, "edges": [[a, b], ...]}."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"coupling map does not parse: {exc}") from exc
+    doc = load_json_document(path, "coupling map")
     if not isinstance(doc, dict):
         raise FormatError("coupling map document must be an object")
     extra = set(doc) - {"n_qubits", "edges"}

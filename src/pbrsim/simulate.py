@@ -69,6 +69,8 @@ from .states import KrausChannel, check_phases, check_unitary
 CHUNK_ENTRIES = 2**13
 # Rows 0 and 3 of the identity superoperator: a qubit's populations.
 _POPULATION_ROWS = np.eye(4)[None, [0, 3]]
+# A population read without and with a Z frame, which negates the coherences.
+_FRAME_SIGNS = np.array([[[1.0, 1.0, 1.0, 1.0]], [[1.0, -1.0, -1.0, 1.0]]])
 
 
 @functools.lru_cache(maxsize=256)
@@ -358,8 +360,8 @@ def _populations(mats: np.ndarray, suffix: list, readout: list, framed=()) -> np
         if readout:
             read = np.matmul(readout[i], read)
         if i in framed:
-            read = np.stack([read[0], read[0] * [1, -1, -1, 1]])
-            t = np.matmul(read, t[:, None]).reshape(-1, 2, t.shape[-1])
+            # One (4 x 4) map: the read, then the read with Z's signs.
+            t = np.matmul((read * _FRAME_SIGNS).reshape(4, 4), t).reshape(-1, 2, t.shape[-1])
         elif read is _POPULATION_ROWS:
             # No suffix map and no readout: the populations themselves.
             t = t[:, [0, 3]]
@@ -377,11 +379,12 @@ def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
     significant bit. With no frames, the circuit itself is the one row.
     `readout` holds one column-stochastic (2, 2) confusion matrix per
     measured qubit, in measured order, or none: each is folded into that
-    qubit's population read, the same map as `noise.apply_readout` on the
-    result. Returns a (2^F, 2^m) array; the first measured qubit is the
-    most significant bit of an outcome. Frames must name distinct qubits
-    of the circuit that some gate acts on, and readout must give none or
-    one matrix per measured qubit, or ValueError is raised.
+    qubit's population read: the result is the unmixed table with each
+    qubit's outcome axis multiplied by its matrix. Returns a (2^F, 2^m)
+    array; the first measured qubit is the most significant bit of an
+    outcome. Frames must name distinct qubits of the circuit that some
+    gate acts on, and readout must give none or one matrix per measured
+    qubit, or ValueError is raised.
     """
     keep = c.measured_qubits or tuple(range(c.n_qubits))
     frames = tuple(int(q) for q in frames)

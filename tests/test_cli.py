@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -431,6 +432,147 @@ def test_malformed_calibration_sections_exit_2(doc, command, tmp_path, capsys):
     code = main([command, "--n", "2", "--calib", str(path), "--model", "dep"])
     assert code == 2
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("what", ["calibration", "map"])
+def test_deeply_nested_documents_exit_2(what, calib_path, tmp_path, capsys):
+    # json.load raises RecursionError, not a decode error, past its nesting limit.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    argv = ["run", "--n", "2", "--model", "dep", "--calib", calib_path]
+    if what == "calibration":
+        argv[-1] = str(path)
+    else:
+        argv += ["--map", str(path), "--place", "0,1"]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys)
+
+
+# Flag values for the contract fuzz: (valid, boundary or junk). Every
+# accepted combination is bounded work: n <= 8, spans past the simulation
+# cap are analytic, and no span list runs to MAX_SPAN.
+_FUZZ_FLAGS = {
+    "--n": (["2", "3", "5", "8"], ["0", "1", "-1", "2.5", "x", "", "+4", "0x3"]),
+    "--theta": (["0.7854", "0.3", "1.2", "1.5707963267948966"],
+                ["1.5707963267948968", "0", "5e-324", "-1", "nan", "inf", "-inf", "1e308", "x"]),
+    "--theta-scale": (["1", "1.1", "0.9999999"],
+                      ["0.5", "0", "-0.0", "-2", "nan", "inf", "1e300", "1e-300"]),
+    "--shots": (["1", "100", "100000", str(2**63 - 1)],
+                [str(2**63), "0", "-5", "1.5", "1e5", "10" * 30]),
+    "--seed": (["0", "1", str(2**32), str(2**64 + 7), str(10**30), "9" * 400], ["-1", "1.0", "x"]),
+    "--confidence": (["0.95", "0.5", "0.999999", "1e-300"], ["0", "1", "-0.1", "nan", "inf"]),
+    "--spans": (["1", "1..3", "2,4,154", "1..11", "5..5", "1000", " 2 , 1..2 "],
+                ["0", "1001", "3..1", "..", "1..", "-1..2", "1..2..3", "1,,2", " ", "a", "1e3"]),
+    "--place": (["0,1", "1,3", "3,0", " 0 , 2 "], ["1,1", "0,9", "-1,2", "0", "0,1,2", "a,b", ""]),
+}
+# Values a document field is set to: in and out of range, wrong types.
+_FUZZ_JSON = [None, "", "x", "nan", True, False, [], {}, [1], {"a": 1}, -5, -1, 0, 1, 0.5, 1.0,
+              2.5, 1e-320, 1e-300, 1e300, -1e308, 2**63, 10**400]
+_LINE8_DOC = {
+    "qubits": [dict(_PAIR_DOC["qubits"][i % 2], id=i) for i in range(8)],
+    "couplers": [dict(_PAIR_DOC["couplers"][0], q0=i, q1=i + 1) for i in range(7)],
+    "readout_us": 0.6,
+}
+
+
+def _fuzzed_doc(rng, doc):
+    # One to three mutations: a field of an entry set, removed or added, a
+    # section replaced or removed, an entry duplicated or a coupler flipped.
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        entries = [e for k in ("qubits", "couplers") if isinstance(doc.get(k), list)
+                   for e in doc[k] if isinstance(e, dict)]
+        op = rng.randrange(6)
+        if op == 0 and entries:
+            rng.choice(entries)[rng.choice(["id", "t1_us", "p1", "p01", "q0", "p2", "extra"])] = (
+                rng.choice(_FUZZ_JSON))
+        elif op == 1 and entries:
+            entry = rng.choice(entries)
+            entry.pop(rng.choice(sorted(entry)), None)
+        elif op == 2:
+            doc[rng.choice(["qubits", "couplers", "readout_us", "extra"])] = rng.choice(_FUZZ_JSON)
+        elif op == 3 and doc:
+            del doc[rng.choice(sorted(doc))]
+        elif op == 4 and entries:
+            section = rng.choice([k for k in ("qubits", "couplers") if isinstance(doc.get(k), list)])
+            doc[section].append(copy.deepcopy(rng.choice(entries)))
+        elif op == 5 and entries:
+            entry = rng.choice(entries)
+            entry["q0"], entry["q1"] = entry.get("q1"), entry.get("q0")
+    return doc
+
+
+def _fuzzed_text(rng, doc):
+    r = rng.random()
+    if r < 0.04:
+        return "[" * rng.choice([1000, 100_000])
+    if r < 0.08:
+        return json.dumps(doc)[: rng.randrange(1, 40)]
+    if r < 0.12:
+        return rng.choice(["null", "[]", "1e999", '"x"', "{}", "1" * 5000,
+                           '{"readout_us": ' + "9" * 5000 + "}"])
+    return json.dumps(doc)
+
+
+def _fuzzed_argv(rng, tmp_path):
+    command = rng.choice(["run", "run", "routed", "sweep-distance", "tolerance", "solve-angles"])
+    doc = rng.choice([_PAIR_DOC, _LINE8_DOC, _LINE8_DOC])
+    if rng.random() < 0.3:
+        doc = _fuzzed_doc(rng, doc)
+    calib = tmp_path / "cal.json"
+    calib.write_text(_fuzzed_text(rng, doc))
+    flags = {"--n": "2", "--calib": str(calib), "--model": rng.choice(["dep", "thermo"])}
+    mutable = ["--n", "--theta", "--theta-scale", "--shots", "--seed", "--confidence"]
+    if command == "routed":
+        command = "run"
+        cmap = {"n_qubits": 8, "edges": [[i, i + 1] for i in range(7)]}
+        if rng.random() < 0.3:
+            cmap[rng.choice(["n_qubits", "edges", "extra"])] = rng.choice(
+                _FUZZ_JSON + [[[0, 1], [0, 1]], [[0, 0]], [[0, 1, 2]], [[0, 9]], [["0", 1]]])
+        (tmp_path / "map.json").write_text(_fuzzed_text(rng, cmap))
+        flags.update({"--map": str(tmp_path / "map.json"), "--place": "0,3"})
+        mutable = mutable[1:] + ["--place"]
+    elif command == "sweep-distance":
+        del flags["--n"]
+        flags["--spans"] = "1..3"
+        mutable = mutable[1:] + ["--spans"]
+    elif command == "tolerance":
+        mutable = mutable[:3]
+    elif command == "solve-angles":
+        flags = {"--n": "2"}
+        mutable = mutable[:3]
+    for flag in rng.sample(mutable, rng.randint(1, 3)):
+        flags[flag] = rng.choice(_FUZZ_FLAGS[flag][rng.random() < 0.25])
+    # "--flag=value", so that a value that starts with "-" stays a value.
+    return [command] + [f"{flag}={value}" for flag, value in flags.items()]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cli_contract_fuzz(seed, tmp_path, capsys):
+    # Mutated flags and documents, run in-process: each case exits 0, 1 or
+    # 2 within 2 s and prints no traceback; exit 2 prints exactly one
+    # `error:` line (argparse's usage lines come before its own) and no
+    # report; exit 0 or 1 prints a report and nothing on stderr.
+    rng = random.Random(seed)
+    for _ in range(100):
+        argv = _fuzzed_argv(rng, tmp_path)
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value itself
+            code = exc.code
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert elapsed < 2.0, argv
+        assert "Traceback" not in err, argv
+        if code == 2:
+            lines = err.splitlines()
+            assert [line for line in lines if "error:" in line] == lines[-1:], (argv, err)
+            assert out == "", argv
+        else:
+            assert err == "", argv
+            json.loads(out)
 
 
 _NO_SCIPY_SCRIPT = """

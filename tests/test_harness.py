@@ -155,6 +155,26 @@ def test_experiment_config_validation():
         ExperimentConfig(
             n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, placement=(0, 1)
         )
+    # n, shots and seed are integers: not bools, not floats, even integral ones.
+    for field, value in (
+        ("shots", 1000.7), ("shots", 1000.0), ("shots", True), ("seed", 3.0), ("seed", False),
+        ("seed", np.float64(3)), ("seed", np.bool_(True)), ("seed", "3"), ("n", 2.0),
+        ("n", True), ("n", None),
+    ):
+        with pytest.raises(ValidationError, match=f"^{field}=.* must be an integer$"):
+            ExperimentConfig(
+                **{"n": 2, "theta": np.pi / 4, "model": DEPOLARIZING, "calibration": cal,
+                   field: value}
+            )
+    # numpy integers are accepted and stored as ints, so the report renders.
+    cfg = ExperimentConfig(
+        n=np.int8(2), theta=np.pi / 4, model=DEPOLARIZING, calibration=cal,
+        shots=np.uint64(500), seed=np.int64(2**40),
+    )
+    assert (cfg.n, cfg.shots, cfg.seed) == (2, 500, 2**40)
+    assert all(type(v) is int for v in (cfg.n, cfg.shots, cfg.seed))
+    doc = json.loads(render_json(run_experiment(cfg)))
+    assert (doc["shots"], doc["seed"]) == (500, 2**40)
 
 
 def test_shots_at_the_int64_limit_still_sample():
@@ -271,11 +291,12 @@ def test_run_samples_the_table_like_per_row_sample_counts(n, monkeypatch):
         # roundoff from the evolution: tiny negatives and entries a hair over 1
         table[rng.random(table.shape) < 0.2] = -1e-17
         table[0, 0] = 1.0 + 4e-16
-        seed = int(rng.integers(0, 2**32))
-        rep = _run_on_table(monkeypatch, table, shots, seed)
-        for x, row in enumerate(rep.inputs):
-            assert row.count == sample_counts(table[x], shots, (seed, x))[x]
-            assert row.exact_probability == min(1.0, max(0.0, table[x, x]))
+        # one to four 32-bit words of seed entropy
+        for seed in (int(rng.integers(0, 2**32)), 2**32, 2**64 + 7, 10**30):
+            rep = _run_on_table(monkeypatch, table, shots, seed)
+            for x, row in enumerate(rep.inputs):
+                assert row.count == sample_counts(table[x], shots, (seed, x))[x]
+                assert row.exact_probability == min(1.0, max(0.0, table[x, x]))
 
 
 def test_run_rejects_a_zero_sum_row_like_sample_counts(monkeypatch):

@@ -26,7 +26,6 @@ from pbrsim.noise import (
     QubitCalibration,
     THERMODYNAMICAL,
     amplitude_damping,
-    apply_readout,
     attach_noise,
     dephasing,
     depolarizing_channel,
@@ -38,6 +37,7 @@ from pbrsim.noise import (
     uniform_calibration,
 )
 from dense_reference import ground_matrix, kraus_apply, pure_matrix
+from readout_reference import apply_readout
 
 
 def plus_state():

@@ -2,13 +2,15 @@
 
 import pbrsim
 
-# The single-state density-matrix API (evolution lives in pbrsim.simulate only)
-# and the simulated forbidden-map discovery (the map is closed-form).
+# The single-state density-matrix API (evolution lives in pbrsim.simulate only),
+# the simulated forbidden-map discovery (the map is closed-form) and the
+# readout map on finished distributions (a run folds readout into its read).
 REMOVED = (
     "DensityMatrix",
     "ForbiddenMap",
     "NormalizationError",
     "apply_channel",
+    "apply_readout",
     "apply_unitary",
     "discover_forbidden_map",
     "ground_state",

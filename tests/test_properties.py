@@ -29,7 +29,6 @@ from pbrsim.errors import NoSolutionError
 from pbrsim.harness import wilson_interval
 from pbrsim.noise import (
     amplitude_damping,
-    apply_readout,
     dephasing,
     depolarizing_channel,
 )
@@ -40,6 +39,7 @@ from pbrsim.protocol import (
     theta_min,
 )
 from pbrsim.simulate import _apply, _operators, outcome_distribution
+from readout_reference import apply_readout
 from simulated_reference import evolve
 
 N_CIRCUIT = 200

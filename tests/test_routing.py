@@ -22,7 +22,6 @@ from pbrsim.simulate import outcome_distribution
 def test_coupling_map_normalization():
     cmap = CouplingMap(4, ((3, 2), (0, 1), (1, 2)))
     assert cmap.edges == ((0, 1), (1, 2), (2, 3))
-    assert cmap.neighbors(1) == (0, 2)
     assert cmap.has_edge(2, 1)
     assert not cmap.has_edge(0, 3)
 

@@ -32,7 +32,6 @@ from pbrsim.noise import (
     CouplerCalibration,
     QubitCalibration,
     amplitude_damping,
-    apply_readout,
     attach_noise,
     dephasing,
     depolarizing_channel,
@@ -51,6 +50,7 @@ from pbrsim.simulate import (
     outcome_distributions,
 )
 from pbrsim.states import KrausChannel
+from readout_reference import apply_readout
 from simulated_reference import evolve
 
 DIFF_TOL = 1e-12
