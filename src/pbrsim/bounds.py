@@ -21,6 +21,7 @@ from .noise import (
     CalibrationSnapshot,
     DEPOLARIZING,
     NOISE_MODELS,
+    THERMODYNAMICAL,
     calibration_mean,
     mean_p_from_time,
     p_from_time,
@@ -99,10 +100,10 @@ def _prep_qubits(circuit: Circuit) -> tuple[int, ...]:
     return tuple(seen)
 
 
-def tolerance_report(
-    params: PBRParams, cal: CalibrationSnapshot, circuit: Circuit, model: str
-) -> ToleranceReport:
-    """Per-model tolerance threshold plus decoherence estimates.
+def tolerance_reports(
+    params: PBRParams, cal: CalibrationSnapshot, circuit: Circuit
+) -> tuple[ToleranceReport, ToleranceReport]:
+    """Both models' tolerance reports, in NOISE_MODELS order, from one walk.
 
     The preparation error per qubit is p1 under the depolarizing model and
     the single-gate damping plus dephasing probability under the
@@ -110,9 +111,9 @@ def tolerance_report(
     preparation qubits with its spread across them. eps_dec uses the
     duration-averaged damping rates; the cumulative variant integrates
     each qubit's busy time in the given circuit (readout window included).
+    Only the preparation error depends on the model, so the preparation
+    qubits, their calibrations and both decoherence estimates are read once.
     """
-    if model not in NOISE_MODELS:
-        raise ValueError(f"unknown noise model {model!r}")
     n = params.n
     d_q = quantum_trace_distance(params.theta)
     ideal = epsilon_tol(d_q, n)
@@ -121,41 +122,49 @@ def tolerance_report(
     two_durations = [c.duration for c in cal.couplers] or [68e-9]
     t_two = calibration_mean(two_durations)
 
-    eps_prep = []
-    for qc in cals:
-        if model == DEPOLARIZING:
-            eps_prep.append(qc.p1)
-        else:
-            eps_prep.append(
-                p_from_time(qc.single_gate_duration, qc.t1)
-                + p_from_time(qc.single_gate_duration, qc.t2)
-            )
-    per_qubit_tol = [epsilon_tol(noisy_overlap(params.theta, e), n) for e in eps_prep]
-
     p_ad_bar = float(
         np.mean([mean_p_from_time((qc.single_gate_duration, t_two), qc.t1) for qc in cals])
     )
     p_phi_bar = float(
         np.mean([mean_p_from_time((qc.single_gate_duration, t_two), qc.t2) for qc in cals])
     )
+    eps_dec = epsilon_dec(n, p_ad_bar, p_phi_bar)
     busy = circuit_duration(circuit, cal).tolist()
     cumulative = 0.0
-    for q in qubits:
-        qc = cal.qubit(q)
+    for q, qc in zip(qubits, cals):
         cumulative += p_from_time(busy[q], qc.t1) + p_from_time(busy[q], qc.t2)
+    cumulative = min(1.0, cumulative)
 
-    return ToleranceReport(
-        model=model,
-        n=n,
-        d_quantum=d_q,
-        d_noisy=float(np.mean([noisy_overlap(params.theta, e) for e in eps_prep])),
-        eps_tol_ideal=ideal,
-        eps_tol_noisy=float(np.mean(per_qubit_tol)),
-        eps_tol_noisy_spread=float(np.std(per_qubit_tol)),
-        eps_dep=float(np.mean(eps_prep)),
-        eps_dec=epsilon_dec(n, p_ad_bar, p_phi_bar),
-        eps_dec_cumulative=min(1.0, cumulative),
-        qubit_ids=qubits,
-        eps_prep=tuple(eps_prep),
-        eps_tol_per_qubit=tuple(per_qubit_tol),
-    )
+    def report(model: str, eps_prep: list) -> ToleranceReport:
+        overlaps = [noisy_overlap(params.theta, e) for e in eps_prep]
+        per_qubit_tol = [epsilon_tol(d, n) for d in overlaps]
+        return ToleranceReport(
+            model=model,
+            n=n,
+            d_quantum=d_q,
+            d_noisy=float(np.mean(overlaps)),
+            eps_tol_ideal=ideal,
+            eps_tol_noisy=float(np.mean(per_qubit_tol)),
+            eps_tol_noisy_spread=float(np.std(per_qubit_tol)),
+            eps_dep=float(np.mean(eps_prep)),
+            eps_dec=eps_dec,
+            eps_dec_cumulative=cumulative,
+            qubit_ids=qubits,
+            eps_prep=tuple(eps_prep),
+            eps_tol_per_qubit=tuple(per_qubit_tol),
+        )
+
+    thermal = [
+        p_from_time(qc.single_gate_duration, qc.t1) + p_from_time(qc.single_gate_duration, qc.t2)
+        for qc in cals
+    ]
+    return report(DEPOLARIZING, [qc.p1 for qc in cals]), report(THERMODYNAMICAL, thermal)
+
+
+def tolerance_report(
+    params: PBRParams, cal: CalibrationSnapshot, circuit: Circuit, model: str
+) -> ToleranceReport:
+    """One model's report from `tolerance_reports`."""
+    if model not in NOISE_MODELS:
+        raise ValueError(f"unknown noise model {model!r}")
+    return tolerance_reports(params, cal, circuit)[NOISE_MODELS.index(model)]

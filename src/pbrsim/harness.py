@@ -46,13 +46,14 @@ import functools
 import io
 import json
 import math
+import numbers
 import statistics
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import ToleranceReport, epsilon_dep, tolerance_report
+from .bounds import ToleranceReport, epsilon_dep, tolerance_reports
 from .circuits import Circuit, gate_counts
 from .config import (
     DEFAULT_CONFIDENCE,
@@ -66,13 +67,12 @@ from .noise import (
     CalibrationSnapshot,
     DEPOLARIZING,
     NOISE_MODELS,
-    THERMODYNAMICAL,
     attach_noise,
     calibration_mean,
     readout_matrix,
     uniform_calibration,
 )
-from .protocol import PBRParams, build_test_circuit, check_forbidden_outcomes
+from .protocol import PBRParams, check_forbidden_outcomes, solved
 from .routing import CouplingMap, line_map, route_linear, routed_gate_overhead
 from .simulate import outcome_distributions
 
@@ -100,6 +100,15 @@ class ExperimentConfig:
                 raise ValidationError(f"{name}={value!r} must be an integer")
             # numpy integers render and split into seed words as ints.
             object.__setattr__(self, name, int(value))
+        for name in ("theta", "confidence"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name}={value!r} must be a real number")
+            # Python ints and floats are kept as given; other reals, numpy
+            # scalars among them, render as the Python number they equal.
+            if type(value) not in (int, float):
+                value = int(value) if isinstance(value, (int, np.integer)) else float(value)
+                object.__setattr__(self, name, value)
         if self.model not in NOISE_MODELS:
             raise ValidationError(f"unknown noise model {self.model!r}")
         if self.shots < 1:
@@ -265,21 +274,22 @@ def wilson_interval(k: int, m: int, confidence: float = DEFAULT_CONFIDENCE) -> t
 def _prologue(cfg: ExperimentConfig) -> tuple[PBRParams, Circuit, dict]:
     """Angles, input 0's circuit as it runs on the device, and shared fields.
 
-    The circuit is routed when the config is placed, and span and swap
-    count are read off the routing. Gate counts, both tolerance reports
-    and the active threshold (chosen here, from the model) come from the
-    routed circuit. The tolerance reports read the calibration, so a
-    snapshot that misses a qubit or coupler fails before any simulation.
+    The angles and input 0's logical circuit are built once per (n, theta)
+    per process (`protocol.solved`). The circuit is routed when the config
+    is placed, and span and swap count are read off the routing. Gate
+    counts, both tolerance reports (from one walk) and the active threshold
+    (chosen here, from the model) come from the routed circuit. The
+    tolerance reports read the calibration, so a snapshot that misses a
+    qubit or coupler fails before any simulation.
     """
-    params = PBRParams.solve(cfg.n, cfg.theta)
-    circuit = build_test_circuit(0, params)
+    params = solved(cfg.n, cfg.theta)
+    circuit = params.test_circuit
     span, swap_count = None, 0
     if cfg.placement is not None:
         routed = route_linear(circuit, cfg.coupling, cfg.placement)
         circuit, span, swap_count = routed.circuit, len(routed.path) - 1, routed.swap_count
     g1, g2 = gate_counts(circuit)
-    tol_dep = tolerance_report(params, cfg.calibration, circuit, DEPOLARIZING)
-    tol_thermo = tolerance_report(params, cfg.calibration, circuit, THERMODYNAMICAL)
+    tol_dep, tol_thermo = tolerance_reports(params, cfg.calibration, circuit)
     fields = dict(
         n=cfg.n,
         theta=cfg.theta,
@@ -305,16 +315,15 @@ def _judged(fields: dict, bounds, rows=(), **kind) -> ExperimentReport:
     """Finish a report by the one verdict rule, for both report kinds.
 
     A bound passes only strictly below the active threshold. An exact
-    report gives one bound per input row; an analytic one, one and no rows.
+    report gives one bound per input row, each row InputResult's fields up
+    to `ci_high`; an analytic one, one bound and no rows.
     """
     active = fields["active_tolerance"]
     checks = [bool(b < active) for b in bounds]
     return ExperimentReport(
         **fields,
         **kind,
-        inputs=tuple(
-            InputResult(**row, tolerance=active, passed=ok) for row, ok in zip(rows, checks)
-        ),
+        inputs=tuple(InputResult(*row, active, ok) for row, ok in zip(rows, checks)),
         pass_fraction=float(np.mean(checks)),
         passed=all(checks),
     )
@@ -334,26 +343,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     dists = outcome_distributions(noisy, cfg.placement or range(cfg.n), mats)
     # The same clip and normalization as sample_counts, once for the table.
     dists, p = _clipped_and_normalized(dists)
+    exact = dists.diagonal().tolist()
     rows = []
-    for x, (dist, rng) in enumerate(zip(dists, _input_streams(cfg.seed, len(p)))):
+    for x, rng in enumerate(_input_streams(cfg.seed, len(p))):
         k = _count_of(x, rng, cfg.shots, p[x])
         lo, hi = wilson_interval(k, cfg.shots, cfg.confidence)
-        rows.append(
-            dict(
-                input_index=x,
-                exact_probability=float(dist[x]),
-                count=k,
-                estimate=k / cfg.shots,
-                ci_low=lo,
-                ci_high=hi,
-            )
-        )
+        rows.append((x, exact[x], k, k / cfg.shots, lo, hi))
     return _judged(
         fields,
-        [row["ci_high"] for row in rows],
+        [ci_high for *_, ci_high in rows],
         rows,
         analytic_only=False,
-        mean_forbidden_exact=float(np.mean([row["exact_probability"] for row in rows])),
+        mean_forbidden_exact=float(np.mean(exact)),
         predicted_error=None,
     )
 

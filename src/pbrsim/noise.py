@@ -373,12 +373,20 @@ def _mcphase_pairs(qubits: tuple[int, ...]) -> list[tuple[int, int]]:
     return [pairs[k % len(pairs)] for k in range(reps)]
 
 
+# NOISE gates are frozen, so each (qubits, channel object) pair is built and
+# validated once and shared, like the cached channels it holds. Bounded at
+# twice the channel cache, so a long-lived process stays small.
+@functools.lru_cache(maxsize=1024)
+def _noise_gate(qubits: tuple[int, ...], channel: KrausChannel) -> Gate:
+    return Gate(NOISE, qubits, channel=channel)
+
+
 def _thermal_insertions(qubits, duration: float, cal: CalibrationSnapshot) -> list[Gate]:
     out = []
     for q in qubits:
         qc = cal.qubit(q)
-        out.append(Gate(NOISE, (q,), channel=amplitude_damping(p_from_time(duration, qc.t1))))
-        out.append(Gate(NOISE, (q,), channel=dephasing(p_from_time(duration, qc.t2))))
+        out.append(_noise_gate((q,), amplitude_damping(p_from_time(duration, qc.t1))))
+        out.append(_noise_gate((q,), dephasing(p_from_time(duration, qc.t2))))
     return out
 
 
@@ -407,14 +415,14 @@ def attach_noise(c: Circuit, cal: CalibrationSnapshot, model: str) -> Circuit:
         if model == DEPOLARIZING:
             if g.kind in SINGLE_QUBIT_KINDS:
                 p = cal.qubit(g.qubits[0]).p1
-                gates.append(Gate(NOISE, g.qubits, channel=depolarizing_channel(p, 1)))
+                gates.append(_noise_gate(g.qubits, depolarizing_channel(p, 1)))
             elif g.kind in TWO_QUBIT_KINDS:
                 p = cal.coupler(*g.qubits).p2
-                gates.append(Gate(NOISE, g.qubits, channel=depolarizing_channel(p, 2)))
+                gates.append(_noise_gate(g.qubits, depolarizing_channel(p, 2)))
             else:  # MCPHASE_OPEN
                 for pair in _mcphase_pairs(g.qubits):
                     p = cal.coupler(*pair).p2
-                    gates.append(Gate(NOISE, pair, channel=depolarizing_channel(p, 2)))
+                    gates.append(_noise_gate(pair, depolarizing_channel(p, 2)))
         else:
             gates.extend(_thermal_insertions(g.qubits, _gate_duration(g, cal), cal))
     return Circuit(c.n_qubits, tuple(gates))

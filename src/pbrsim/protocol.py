@@ -14,7 +14,8 @@ every input is the input itself. `check_forbidden_outcomes` evaluates the
 n+1 distance probabilities in closed form and simulates every input to
 check that the simulator places its zero where the protocol does: any
 relabeling bug or angle regression shows up as a misplaced zero. The check
-depends only on the angles, so each (n, theta) is checked once per process.
+depends only on the angles, so each (n, theta) is checked once per process;
+`solved` likewise solves the angles and builds input 0's circuit once.
 
 At theta = pi/2 the solver can land on the degenerate root beta = pi,
 alpha = 0, where the entangler disappears and the measurement factorizes
@@ -155,6 +156,25 @@ class PBRParams:
         alpha, beta = solve_angles(n, theta)
         return cls(n, theta, alpha, beta)
 
+    @functools.cached_property
+    def test_circuit(self) -> Circuit:
+        """Input 0's test circuit, built on first use and kept with the angles."""
+        return build_test_circuit(0, self)
+
+
+# Bounded so a long-lived process running many angles stays small. Typed,
+# so theta = 1 and theta = 1.0 keep their own entries and types.
+@functools.lru_cache(maxsize=64, typed=True)
+def solved(n: int, theta: float) -> PBRParams:
+    """PBRParams.solve(n, theta), once per (n, theta) per process.
+
+    Every run at the same angles shares the one PBRParams, and with it
+    input 0's test circuit (`PBRParams.test_circuit`), which the
+    forbidden-outcome check reads too: the angles are solved and the
+    circuit is built once per (n, theta). A failing solve is not cached.
+    """
+    return PBRParams.solve(n, theta)
+
 
 def build_preparation(x, theta: float) -> Circuit:
     """RY(+theta) on qubit j for bit 0, RY(-theta) for bit 1."""
@@ -237,7 +257,7 @@ def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
             f"input {zeros}: second outcome probability {runner_up:.3e} "
             "inside the guard band; zero outcome is ambiguous"
         )
-    dists = outcome_distributions(build_test_circuit(0, params), range(n))
+    dists = outcome_distributions(params.test_circuit, range(n))
     zs = np.argmin(dists, axis=1)
     misplaced = np.flatnonzero(zs != np.arange(len(zs)))
     if misplaced.size:

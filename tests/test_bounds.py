@@ -10,6 +10,7 @@ from pbrsim.bounds import (
     noisy_overlap,
     quantum_trace_distance,
     tolerance_report,
+    tolerance_reports,
 )
 from pbrsim.errors import RangeError
 from pbrsim.noise import (
@@ -20,8 +21,11 @@ from pbrsim.noise import (
     THERMODYNAMICAL,
     mean_p_from_time,
     p_from_time,
+    uniform_calibration,
 )
 from pbrsim.protocol import PBRParams, build_test_circuit, theta_min
+from pbrsim.routing import line_map, route_linear
+from tolerance_reference import reference_tolerance_report
 
 
 def test_quantum_trace_distance():
@@ -150,3 +154,55 @@ def test_tolerance_report_rejects_unknown_model():
     circuit = build_test_circuit(0, params)
     with pytest.raises(ValueError):
         tolerance_report(params, adjacent_pair_calibration(), circuit, "white")
+
+
+def varied_calibration(n, seed, edges=None):
+    """A device whose qubits and couplers all differ (all pairs by default)."""
+    rng = np.random.default_rng(seed)
+    qubits = [
+        QubitCalibration(
+            q, float(rng.uniform(80e-6, 200e-6)), float(rng.uniform(50e-6, 150e-6)),
+            float(rng.uniform(1e-4, 5e-4)), float(rng.uniform(30e-9, 40e-9)),
+        )
+        for q in range(n)
+    ]
+    if edges is None:
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    couplers = [
+        CouplerCalibration(a, b, float(rng.uniform(1e-3, 5e-3)), float(rng.uniform(60e-9, 80e-9)))
+        for a, b in edges
+    ]
+    return CalibrationSnapshot(qubits, couplers, float(rng.uniform(0.5e-6, 1.5e-6)))
+
+
+def assert_pair_matches_reference(params, cal, circuit):
+    # repr round-trips every float, so equal reprs mean equal bits.
+    pair = tolerance_reports(params, cal, circuit)
+    for model, rep in zip((DEPOLARIZING, THERMODYNAMICAL), pair):
+        ref = reference_tolerance_report(params, cal, circuit, model)
+        assert repr(rep) == repr(ref)
+        assert repr(tolerance_report(params, cal, circuit, model)) == repr(ref)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_tolerance_reports_match_single_model_reference_unplaced(n):
+    cals = (
+        uniform_calibration(n, p1=2.1e-4, p2=2.4e-3, readout=600e-9),
+        varied_calibration(n, seed=31),
+        varied_calibration(n, seed=32),
+    )
+    for theta in (theta_min(n), 1.0, 1.2):
+        params = PBRParams.solve(n, theta)
+        circuit = build_test_circuit(0, params)
+        for cal in cals:
+            assert_pair_matches_reference(params, cal, circuit)
+
+
+@pytest.mark.parametrize("span", [*range(1, 12), 154])
+def test_tolerance_reports_match_single_model_reference_routed(span):
+    line = line_map(span + 1)
+    cal = varied_calibration(span + 1, seed=span, edges=line.edges)
+    for theta in (theta_min(2), 1.2):
+        params = PBRParams.solve(2, theta)
+        routed = route_linear(build_test_circuit(0, params), line, (0, span)).circuit
+        assert_pair_matches_reference(params, cal, routed)

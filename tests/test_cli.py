@@ -331,9 +331,11 @@ def test_verdict_is_strict_for_both_report_kinds(at_threshold, calib_path, monke
     # Every bound is pinned to the threshold or to the next float below it.
     threshold = 0.25
     bound = threshold if at_threshold else float(np.nextafter(threshold, 0.0))
-    real = harness.tolerance_report
+    real = harness.tolerance_reports
     monkeypatch.setattr(
-        harness, "tolerance_report", lambda *a: replace(real(*a), eps_tol_noisy=threshold)
+        harness,
+        "tolerance_reports",
+        lambda *a: tuple(replace(t, eps_tol_noisy=threshold) for t in real(*a)),
     )
     monkeypatch.setattr(harness, "wilson_interval", lambda *a: (0.0, bound))
     monkeypatch.setattr(harness, "epsilon_dep", lambda *a: bound)

@@ -5,12 +5,14 @@ import io
 import itertools
 import json
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pbrsim.cli
 import pbrsim.harness
+import pbrsim.protocol
 import pbrsim.simulate
 from pbrsim.config import DEFAULT_CONFIDENCE
 from pbrsim.errors import RangeError, ValidationError
@@ -37,7 +39,7 @@ from pbrsim.noise import (
     save_calibration,
     uniform_calibration,
 )
-from pbrsim.protocol import check_forbidden_outcomes, theta_min
+from pbrsim.protocol import check_forbidden_outcomes, solved, theta_min
 from pbrsim.routing import line_map, route_linear
 
 
@@ -175,6 +177,35 @@ def test_experiment_config_validation():
     assert all(type(v) is int for v in (cfg.n, cfg.shots, cfg.seed))
     doc = json.loads(render_json(run_experiment(cfg)))
     assert (doc["shots"], doc["seed"]) == (500, 2**40)
+    # theta and confidence are real numbers: not bools, strings or complex.
+    for field, value in (
+        ("theta", True), ("theta", np.bool_(True)), ("theta", "0.8"), ("theta", None),
+        ("theta", 0.8 + 0j), ("theta", np.complex128(0.8)), ("theta", np.array(0.8)),
+        ("confidence", False), ("confidence", "0.95"), ("confidence", None),
+        ("confidence", np.bool_(True)),
+    ):
+        with pytest.raises(ValidationError, match=f"^{field}=.* must be a real number$"):
+            ExperimentConfig(
+                **{"n": 2, "theta": np.pi / 4, "model": DEPOLARIZING, "calibration": cal,
+                   field: value}
+            )
+    # numpy scalars are stored as the Python number they equal, so the
+    # report renders; Python ints and floats are kept as given.
+    cfg = ExperimentConfig(
+        n=2, theta=np.float32(0.8), model=DEPOLARIZING, calibration=cal,
+        confidence=np.float32(0.95),
+    )
+    assert type(cfg.theta) is float and type(cfg.confidence) is float
+    assert (cfg.theta, cfg.confidence) == (float(np.float32(0.8)), float(np.float32(0.95)))
+    doc = json.loads(render_json(run_experiment(cfg)))
+    assert (doc["theta"], doc["confidence"]) == (cfg.theta, cfg.confidence)
+    cfg = ExperimentConfig(n=2, theta=np.float64(0.8), model=DEPOLARIZING, calibration=cal)
+    assert type(cfg.theta) is float and cfg.theta == 0.8
+    cfg = ExperimentConfig(n=2, theta=np.int64(1), model=DEPOLARIZING, calibration=cal)
+    assert type(cfg.theta) is int and cfg.theta == 1
+    cfg = ExperimentConfig(n=2, theta=1, model=DEPOLARIZING, calibration=cal, confidence=0.9)
+    assert type(cfg.theta) is int and type(cfg.confidence) is float
+    assert '"theta": 1,' in render_json(run_experiment(cfg))
 
 
 def test_shots_at_the_int64_limit_still_sample():
@@ -362,21 +393,34 @@ def test_routed_run_matches_span_overhead():
 @pytest.mark.parametrize("model", [DEPOLARIZING, THERMODYNAMICAL])
 def test_run_routes_and_attaches_noise_once(model, monkeypatch):
     # The inputs differ only in their angles, so one circuit serves every input.
+    # Input 0's circuit is built once per (n, theta) per process, and the
+    # forbidden-outcome check reads that one: with both caches cold, a run
+    # builds it once, a repeat at the same angles not at all.
+    solved.cache_clear()
+    check_forbidden_outcomes.cache_clear()
     calls = {"route_linear": 0, "attach_noise": 0, "build_test_circuit": 0}
-    for name in calls:
-        original = getattr(pbrsim.harness, name)
+    for module, name in (
+        (pbrsim.harness, "route_linear"),
+        (pbrsim.harness, "attach_noise"),
+        (pbrsim.protocol, "build_test_circuit"),
+    ):
+        original = getattr(module, name)
 
         def counting(*args, _original=original, _name=name):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(pbrsim.harness, name, counting)
+        monkeypatch.setattr(module, name, counting)
     cfg = ExperimentConfig(
         n=2, theta=np.pi / 4, model=model, calibration=line_calibration(5),
         coupling=line_map(5), placement=(0, 3), shots=2000, seed=5,
     )
     run_experiment(cfg)
     assert calls == {"route_linear": 1, "attach_noise": 1, "build_test_circuit": 1}
+    run_experiment(cfg)
+    assert calls == {"route_linear": 2, "attach_noise": 2, "build_test_circuit": 1}
+    run_experiment(replace(cfg, theta=1.1 * np.pi / 4))
+    assert calls == {"route_linear": 3, "attach_noise": 3, "build_test_circuit": 2}
 
 
 def test_uniform_line_is_its_own_homogenized_line():

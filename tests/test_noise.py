@@ -35,6 +35,7 @@ from pbrsim.noise import (
     readout_matrix,
     save_calibration,
     uniform_calibration,
+    _noise_gate,
 )
 from dense_reference import ground_matrix, kraus_apply, pure_matrix
 from readout_reference import apply_readout
@@ -292,6 +293,36 @@ def test_channel_builders_share_one_object_per_argument():
         again = attach_noise(c, cal, model)
         pairs = zip(noisy.gates, again.gates)
         assert all(g.channel is h.channel for g, h in pairs if g.kind == NOISE)
+
+
+def test_attach_noise_shares_validated_noise_gates():
+    # A NOISE gate is built once per (qubits, channel object): every call
+    # hands out the same objects, each equal to a freshly validated gate.
+    cal = uniform_calibration(3, t1=90e-6, t2=70e-6, p1=1e-3, p2=5e-3, readout=1e-6)
+    c = Circuit(
+        3,
+        (
+            Gate(RY, (0,), angle=0.3),
+            Gate(H, (1,)),
+            Gate(CZ, (0, 1)),
+            Gate(MCPHASE_OPEN, (0, 1, 2), angle=0.2),
+            Gate(MEASURE, (0, 1, 2)),
+        ),
+    )
+    for model in (DEPOLARIZING, THERMODYNAMICAL):
+        noisy = attach_noise(c, cal, model)
+        again = attach_noise(c, cal, model)
+        inserted = [(g, h) for g, h in zip(noisy.gates, again.gates) if g.kind == NOISE]
+        assert inserted
+        for g, h in inserted:
+            assert g is h
+            fresh = Gate(NOISE, g.qubits, channel=g.channel)
+            assert g == fresh and g.channel is fresh.channel
+            assert type(g.qubits) is tuple and all(type(q) is int for q in g.qubits)
+
+
+def test_noise_gate_cache_is_bounded():
+    assert _noise_gate.cache_parameters()["maxsize"] == 1024
 
 
 def test_shared_channel_operators_are_read_only():

@@ -27,6 +27,7 @@ from pbrsim.protocol import (
     build_test_circuit,
     check_forbidden_outcomes,
     solve_angles,
+    solved,
     theta_min,
 )
 from pbrsim.simulate import outcome_distribution, outcome_distributions
@@ -288,6 +289,33 @@ def test_cached_profile_is_read_only_and_fresh():
     other = check_forbidden_outcomes(PBRParams.solve(5, 1.1 * theta_min(5)))
     assert not np.array_equal(other, profile)
     assert check_forbidden_outcomes.cache_info().misses == 2
+
+
+def test_solved_builds_angles_and_circuit_once_per_n_theta(monkeypatch):
+    solved.cache_clear()
+    assert solved.cache_parameters()["maxsize"] == 64
+    params = solved(3, 1.0)
+    assert solved(3, 1.0) is params
+    assert params == PBRParams.solve(3, 1.0)
+    assert params.test_circuit is params.test_circuit
+    assert params.test_circuit == build_test_circuit(0, params)
+    # theta = 1 and theta = 1.0 are separate entries, each keeping its type.
+    assert type(solved(2, 1).theta) is int and type(solved(2, 1.0).theta) is float
+    # A failing solve is not cached.
+    for _ in range(2):
+        with pytest.raises(NoSolutionError):
+            solved(2, 0.5)
+    assert solved.cache_info().currsize == 3
+    # The forbidden-outcome check simulates the shared circuit itself.
+    seen = []
+
+    def recording(c, frames):
+        seen.append(c)
+        return outcome_distributions(c, frames)
+
+    monkeypatch.setattr("pbrsim.protocol.outcome_distributions", recording)
+    check_forbidden_outcomes(params)
+    assert len(seen) == 1 and seen[0] is params.test_circuit
 
 
 def test_check_spots_a_simulator_convention_fault(monkeypatch):
