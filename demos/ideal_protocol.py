@@ -13,7 +13,6 @@ import numpy as np
 from pbrsim import (
     PBRParams,
     build_test_circuit,
-    circuit_to_lines,
     outcome_distribution,
     solve_angles,
     theta_min,
@@ -40,7 +39,10 @@ def show(n, theta):
 def main():
     print("Minimal two-qubit instance and its circuit:")
     params = PBRParams.solve(2, np.pi / 4)
-    print(circuit_to_lines(build_test_circuit("01", params)))
+    for g in build_test_circuit("01", params).gates:
+        angle = "" if g.angle is None else f" {g.angle!r}"
+        print(g.kind + angle, *g.qubits)
+    print()
 
     for n in (2, 3, 4):
         show(n, theta_min(n))

@@ -2,9 +2,7 @@
 
 Gate durations come from the calibration snapshot when timing is
 computed. NOISE entries reference a Kraus channel and are ignored by gate
-counting. Serialization is line oriented (one gate per line,
-``KIND angle? qubits...``) for golden-file tests; NOISE entries are not
-serializable.
+counting.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TWO_QUBIT_GATE_S, mcphase_cz_equivalents
-from .errors import FormatError, KindError
+from .errors import KindError
 from .states import KrausChannel
 
 H = "H"
@@ -203,54 +201,3 @@ def circuit_duration(c: Circuit, cal) -> np.ndarray:
         for q in g.qubits:
             busy[q] += dur
     return busy
-
-
-def circuit_to_lines(c: Circuit) -> str:
-    """Serialize one gate per line: KIND angle? qubits..."""
-    lines = []
-    for g in c.gates:
-        if g.kind == NOISE:
-            raise FormatError("NOISE gates are not serializable")
-        parts = [g.kind]
-        if g.kind in ANGLED_KINDS:
-            parts.append(repr(float(g.angle)))
-        parts.extend(str(q) for q in g.qubits)
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_lines(text: str, n_qubits: int | None = None) -> Circuit:
-    """Parse the line format emitted by :func:`circuit_to_lines`."""
-    gates: list[Gate] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind not in KINDS or kind == NOISE:
-            raise FormatError(f"unknown gate kind {kind!r}")
-        rest = parts[1:]
-        angle = None
-        if kind in ANGLED_KINDS:
-            if not rest:
-                raise FormatError(f"{kind} line is missing its angle")
-            try:
-                angle = float(rest[0])
-            except ValueError as exc:
-                raise FormatError(f"bad angle in line {line!r}") from exc
-            rest = rest[1:]
-        try:
-            qubits = tuple(int(tok) for tok in rest)
-        except ValueError as exc:
-            raise FormatError(f"bad qubit index in line {line!r}") from exc
-        try:
-            gates.append(Gate(kind, qubits, angle=angle))
-        except ValueError as exc:
-            raise FormatError(f"invalid gate line {line!r}: {exc}") from exc
-    if n_qubits is None:
-        n_qubits = 1 + max((q for g in gates for q in g.qubits), default=0)
-    try:
-        return Circuit(n_qubits, tuple(gates))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc

@@ -15,10 +15,15 @@ measured qubit's readout confusion matrix folded into its population
 read. The (2^n, 2^m) table is clipped and normalized in one pass, and
 shot counts (up to 2^63 - 1, the multinomial sampler's int64 limit) are
 sampled from a per-input random stream, the one default_rng((seed, x))
-makes for input x. `_input_streams` builds every input's stream with one
-vectorized pass of numpy's seed hash, and each draw stops after outcome
+makes for input x. `_input_streams` builds every input's stream from
+PCG64 state words hashed for all inputs in one vectorized pass of numpy's
+seed hash, and keeps those words per (seed, 2^n) (16 entries), so both
+models of one configuration and every span of a sweep hash them once;
+each call still builds fresh generators. Each draw stops after outcome
 x, since the multinomial draws outcome by outcome: x's count is the one
-`sample_counts(row, shots, (seed, x))` gives, its reference.
+`sample_counts(row, shots, (seed, x))` gives, its reference. The
+tolerance pair is likewise walked once per calibration object
+(`bounds.tolerance_reports`).
 
 `sweep_distance` builds one homogenized line config per span; spans
 needing more physical qubits than the cap get analytic reports, whose
@@ -210,16 +215,19 @@ class _HashedState:
         return self.words
 
 
-def _input_streams(seed: int, count: int) -> Iterator:
-    """The generators default_rng((seed, x)) makes, for x in range(count).
+@functools.lru_cache(maxsize=16)
+def _stream_words(seed: int, count: int) -> np.ndarray:
+    """PCG64's four state words for default_rng((seed, x)), x in range(count).
 
     That one seeds PCG64 with SeedSequence((seed, x)).generate_state(4,
     uint64). The tuple's entropy words are the little-endian 32-bit words
     of the seed, then x (x < 2^32). numpy's SeedSequence mixes the same
     words, passed as a uint32 array, into each input's pool; the output
-    hash then runs over every pool at once, and each PCG64 takes its row.
+    hash then runs over every pool at once. Returns a read-only (count, 4)
+    uint64 array, built once per (seed, count) per process: 16 entries of
+    at most 128 KB (2^12 inputs).
     """
-    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random import SeedSequence
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_HashedState)
@@ -235,7 +243,21 @@ def _input_streams(seed: int, count: int) -> Iterator:
     state ^= state >> 16
     # Pairs of 32-bit words read as little-endian 64-bit ones, as numpy does.
     state = state.reshape(count, 8).astype("<u4", copy=False).view("<u8")
-    for row in state.astype(np.uint64, copy=False):
+    state = state.astype(np.uint64, copy=False)
+    state.setflags(write=False)
+    return state
+
+
+def _input_streams(seed: int, count: int) -> Iterator:
+    """The generators default_rng((seed, x)) makes, for x in range(count).
+
+    Each is a fresh PCG64 seeded from its row of `_stream_words`, so
+    drawing from one leaves the cached words, and every later call's
+    streams, as they were.
+    """
+    from numpy.random import PCG64, Generator
+
+    for row in _stream_words(seed, count):
         yield Generator(PCG64(_HashedState(row)))
 
 
@@ -277,10 +299,11 @@ def _prologue(cfg: ExperimentConfig) -> tuple[PBRParams, Circuit, dict]:
     The angles and input 0's logical circuit are built once per (n, theta)
     per process (`protocol.solved`). The circuit is routed when the config
     is placed, and span and swap count are read off the routing. Gate
-    counts, both tolerance reports (from one walk) and the active threshold
-    (chosen here, from the model) come from the routed circuit. The
-    tolerance reports read the calibration, so a snapshot that misses a
-    qubit or coupler fails before any simulation.
+    counts, both tolerance reports (from one walk, kept for the same
+    calibration and circuit objects) and the active threshold (chosen
+    here, from the model) come from the routed circuit. The tolerance
+    reports read the calibration, so a snapshot that misses a qubit or
+    coupler fails before any simulation.
     """
     params = solved(cfg.n, cfg.theta)
     circuit = params.test_circuit

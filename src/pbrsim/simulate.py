@@ -204,46 +204,41 @@ def _keeps_frame(g: Gate, q: int) -> bool:
     return g.kind in DIAGONAL_KINDS or g.kind == X
 
 
-def _lifetimes(targets: list[tuple[int, ...]]) -> tuple[dict[int, int], dict[int, int]]:
-    # Each qubit's first and last multi-qubit operator, by position.
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, qs in enumerate(targets):
-        if len(qs) > 1:
-            for q in qs:
-                first.setdefault(q, i)
-                last[q] = i
-    return first, last
-
-
-def _frame_starts(c: Circuit, gates: list[Gate], frames: tuple[int, ...]) -> list[int]:
-    # The position in `gates` of the first gate on each frame qubit. Frames
-    # name distinct qubits of the circuit that some gate acts on.
+def _walk(c: Circuit, frames: tuple[int, ...] = ()) -> tuple:
+    # The one pass over the gates that the frame test and the schedule read:
+    # the circuit, its non-MEASURE gates and, by position among them, each
+    # qubit's first gate and its first and last multi-qubit gate. Frames
+    # must name distinct qubits of the circuit that some gate acts on.
     if len(set(frames)) != len(frames):
         raise ValueError(f"frames {frames} name a qubit twice")
+    gates = [g for g in c.gates if g.kind != MEASURE]
+    start: dict[int, int] = {}
     first: dict[int, int] = {}
+    last: dict[int, int] = {}
     for i, g in enumerate(gates):
         for q in g.qubits:
-            first.setdefault(q, i)
+            start.setdefault(q, i)
+            if len(g.qubits) > 1:
+                first.setdefault(q, i)
+                last[q] = i
     for q in frames:
         if not 0 <= q < c.n_qubits:
             raise ValueError(f"frame qubit {q} is outside the circuit's {c.n_qubits} qubits")
-        if q not in first:
+        if q not in start:
             raise ValueError(f"frame qubit {q} has no gate")
-    return [first[q] for q in frames]
+    return c, gates, start, first, last
 
 
-def _frames_hold(c: Circuit, keep: tuple[int, ...], frames: tuple[int, ...]) -> bool:
+def _frames_hold(w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]) -> bool:
     # Whether each frame's Z commutes with every later operator on its qubit
     # up to the qubit's suffix, which starts after its last multi-qubit gate
     # (for a qubit no multi-qubit gate touches: at the end if it is kept, and
     # nowhere if not, as it never joins). The frame then reaches the suffix,
-    # or the qubit's trace-out.
-    gates = [g for g in c.gates if g.kind != MEASURE]
-    _, last = _lifetimes([g.qubits for g in gates])
-    for q, s in zip(frames, _frame_starts(c, gates, frames)):
-        end = last.get(q, len(gates) if q in keep else s)
-        if not all(_keeps_frame(g, q) for g in gates[s + 1 : end + 1] if q in g.qubits):
+    # or the qubit's trace-out. `w` is the circuit's `_walk`.
+    _, gates, start, _, last = w
+    for q in frames:
+        end = last.get(q, len(gates) if q in keep else start[q])
+        if not all(_keeps_frame(g, q) for g in gates[start[q] + 1 : end + 1] if q in g.qubits):
             return False
     return True
 
@@ -256,34 +251,34 @@ def _frame_operator(j: int, count: int) -> np.ndarray:
     return np.where(bit[:, None] == 1, np.array([1, -1, -1, 1], dtype=complex), 1)
 
 
-def _schedule(c: Circuit, keep: tuple[int, ...], frames: tuple[int, ...]) -> tuple[list, list, int, list]:
+def _schedule(w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]) -> tuple[list, list, int, list]:
     # One lifetime schedule serves every row, each frame a per-row operator
-    # right after the first gate on its qubit. Returns the steps, each kept
-    # qubit's suffix operator (None if it has none), the peak live width and
-    # the transpose that puts the kept qubits in `keep` order. A step is a
-    # (k, 2, 2) joining state, [operator, axes], or the state axis of a qubit
-    # to trace out; consecutive operators on the same axes are fused into one.
-    gates = [g for g in c.gates if g.kind != MEASURE]
-    width = len({q for g in gates for q in g.qubits}.union(keep))
+    # right after the first gate on its qubit, at that gate's position.
+    # Returns the steps, each kept qubit's suffix operator (None if it has
+    # none), the peak live width and the transpose that puts the kept qubits
+    # in `keep` order. A step is a (k, 2, 2) joining state, [operator, axes],
+    # or the state axis of a qubit to trace out; consecutive operators on the
+    # same axes are fused into one. `w` is the circuit's `_walk`.
+    c, gates, start, first, last = w
+    width = len(start.keys() | set(keep))
     if width > SIMULATION_QUBIT_CAP:
         raise CapError(f"{width} qubits exceeds the simulation cap of {SIMULATION_QUBIT_CAP}")
-    starts = _frame_starts(c, gates, frames)
-    items: list[tuple[tuple[int, ...], np.ndarray]] = []
+    items: list[tuple[int, tuple[int, ...], np.ndarray]] = []
     for i, (g, op) in enumerate(zip(gates, _operators(c))):
-        items.append((g.qubits, op))
-        items.extend(((q,), _frame_operator(j, len(frames))) for j, q in enumerate(frames) if starts[j] == i)
-    first, last = _lifetimes([qs for qs, _ in items])
+        items.append((i, g.qubits, op))
+        items.extend((i, (q,), _frame_operator(j, len(frames))) for j, q in enumerate(frames) if start[q] == i)
     prefix: dict[int, np.ndarray] = {}
     suffix: dict[int, np.ndarray] = {}
     steps: list = []
     live: list[int] = []  # circuit qubit on each state axis
     peak = 0
-    for i, (qubits, op) in enumerate(items):
+    for i, qubits, op in items:
         q = qubits[0]
         if len(qubits) == 1 and i < first.get(q, len(items)):
             prefix[q] = _compose(op, prefix[q]) if q in prefix else op
             continue
-        if len(qubits) == 1 and i > last[q]:
+        # A frame after a qubit's last multi-qubit gate shares its position.
+        if len(qubits) == 1 and i >= last[q]:
             # A discarded qubit's trailing operators are trace-preserving: dropped.
             if q in keep:
                 suffix[q] = _compose(op, suffix[q]) if q in suffix else op
@@ -313,12 +308,12 @@ def _schedule(c: Circuit, keep: tuple[int, ...], frames: tuple[int, ...]) -> tup
     return steps, [suffix.get(q) for q in keep], max(peak, n), axes
 
 
-def _chunks(c: Circuit, keep: tuple[int, ...], frames: tuple[int, ...]) -> Iterator[tuple[np.ndarray, list]]:
+def _chunks(w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]) -> Iterator[tuple[np.ndarray, list]]:
     # Evolves the 2^F rows of the frames chunk by chunk in row order. Yields
     # each chunk's (b, 2^m, 2^m) states on the `keep` qubits before their
     # suffixes, and the suffix operators, each sliced to the chunk's rows
     # (None where none).
-    steps, suffix, peak, axes = _schedule(c, keep, frames)
+    steps, suffix, peak, axes = _schedule(w, keep, frames)
     m = len(keep)
     total = 2 ** len(frames)
     chunk = max(1, CHUNK_ENTRIES // 4**peak)
@@ -391,11 +386,12 @@ def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
     readout = [np.asarray(r, dtype=float) for r in readout]
     if readout and (len(readout) != len(keep) or any(r.shape != (2, 2) for r in readout)):
         raise ValueError(f"readout needs one (2, 2) matrix for each of {len(keep)} measured qubits")
-    if not _frames_hold(c, keep, frames):
+    w = _walk(c, frames)
+    if not _frames_hold(w, keep, frames):
         return np.concatenate(
-            [_populations(rho, suffix, readout) for rho, suffix in _chunks(c, keep, frames)]
+            [_populations(rho, suffix, readout) for rho, suffix in _chunks(w, keep, frames)]
         )
-    ((rho, suffix),) = _chunks(c, keep, ())
+    ((rho, suffix),) = _chunks(w, keep, ())
     probs = _populations(rho, suffix, readout, [i for i, q in enumerate(keep) if q in frames])
     # The rows of `probs` count the frames on kept qubits in `keep` order,
     # the first most significant; a frame on a traced-out qubit changes no row.

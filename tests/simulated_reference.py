@@ -17,7 +17,7 @@ from pbrsim.circuits import Circuit
 from pbrsim.config import FORBIDDEN_GUARD_BAND, FORBIDDEN_PROB_THRESHOLD
 from pbrsim.errors import ProtocolError
 from pbrsim.protocol import PBRParams, build_test_circuit
-from pbrsim.simulate import _apply, _chunks, outcome_distribution
+from pbrsim.simulate import _apply, _chunks, _walk, outcome_distribution
 
 
 def evolve(c: Circuit, keep: tuple[int, ...], frames=()) -> Iterator[np.ndarray]:
@@ -28,7 +28,8 @@ def evolve(c: Circuit, keep: tuple[int, ...], frames=()) -> Iterator[np.ndarray]
     chunk by chunk in row order, each chunk a (b, 2^m, 2^m) stack with every
     kept qubit's suffix applied.
     """
-    for rho, suffix in _chunks(c, keep, tuple(frames)):
+    frames = tuple(frames)
+    for rho, suffix in _chunks(_walk(c, frames), keep, frames):
         for i, op in enumerate(suffix):
             if op is not None:
                 rho = _apply(rho, op, (i,), len(keep))

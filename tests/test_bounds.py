@@ -1,8 +1,11 @@
 """Tolerance thresholds and noise-budget estimates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import pbrsim.bounds
 from pbrsim.bounds import (
     epsilon_dec,
     epsilon_dep,
@@ -12,7 +15,7 @@ from pbrsim.bounds import (
     tolerance_report,
     tolerance_reports,
 )
-from pbrsim.errors import RangeError
+from pbrsim.errors import CalibrationError, RangeError
 from pbrsim.noise import (
     CalibrationSnapshot,
     CouplerCalibration,
@@ -206,3 +209,79 @@ def test_tolerance_reports_match_single_model_reference_routed(span):
         params = PBRParams.solve(2, theta)
         routed = route_linear(build_test_circuit(0, params), line, (0, span)).circuit
         assert_pair_matches_reference(params, cal, routed)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Counts the tolerance walks: each reads the busy times once."""
+    calls = []
+    real = pbrsim.bounds.circuit_duration
+
+    def counted(circuit, cal):
+        calls.append(circuit)
+        return real(circuit, cal)
+
+    monkeypatch.setattr(pbrsim.bounds, "circuit_duration", counted)
+    return calls
+
+
+def test_tolerance_pair_is_kept_for_the_same_objects(walks):
+    params = PBRParams.solve(2, np.pi / 4)
+    circuit = build_test_circuit(0, params)
+    cal = adjacent_pair_calibration()
+    pair = tolerance_reports(params, cal, circuit)
+    assert tolerance_reports(params, cal, circuit) is pair
+    assert tolerance_report(params, cal, circuit, DEPOLARIZING) is pair[0]
+    assert tolerance_report(params, cal, circuit, THERMODYNAMICAL) is pair[1]
+    assert len(walks) == 1
+    # A value-equal new calibration object is read afresh, to an equal pair.
+    again = tolerance_reports(params, adjacent_pair_calibration(), circuit)
+    assert again is not pair and repr(again) == repr(pair)
+    assert len(walks) == 2
+
+
+def test_tolerance_pair_is_walked_afresh_for_changed_arguments(walks):
+    params = PBRParams.solve(2, np.pi / 4)
+    circuit = build_test_circuit(0, params)
+    cal = adjacent_pair_calibration()
+    dep, thermo = tolerance_reports(params, cal, circuit)
+    q0, q1 = cal.qubits
+    hotter = dataclasses.replace(cal, qubits=(dataclasses.replace(q0, p1=3e-4), q1))
+    assert tolerance_reports(params, hotter, circuit)[0].eps_prep == (3e-4, 2.8e-4)
+    shorter = dataclasses.replace(cal, qubits=(dataclasses.replace(q0, t1=50e-6), q1))
+    assert tolerance_reports(params, shorter, circuit)[1].eps_prep[0] > thermo.eps_prep[0]
+    assert len(walks) == 3
+    # The routed circuit on a line, in place of the unplaced one.
+    line_cal = uniform_calibration(3, p1=2.1e-4, p2=2.4e-3, readout=600e-9)
+    routed = route_linear(circuit, line_map(3), (0, 2)).circuit
+    unplaced = tolerance_reports(params, line_cal, circuit)
+    moved = tolerance_reports(params, line_cal, routed)
+    assert walks[-2:] == [circuit, routed]
+    assert moved[0].qubit_ids == (0, 2) and unplaced[0].qubit_ids == (0, 1)
+    assert moved[1].eps_dec_cumulative != unplaced[1].eps_dec_cumulative
+    # Every result still equals the single-model reference.
+    for c, pair in ((circuit, unplaced), (routed, moved)):
+        for model, rep in zip((DEPOLARIZING, THERMODYNAMICAL), pair):
+            assert repr(rep) == repr(reference_tolerance_report(params, line_cal, c, model))
+
+
+def test_failing_tolerance_walk_is_not_kept():
+    params = PBRParams.solve(2, np.pi / 4)
+    circuit = build_test_circuit(0, params)
+    missing = CalibrationSnapshot((QubitCalibration(0, 173e-6, 172e-6, 2.1e-4),), ())
+    for _ in range(3):
+        with pytest.raises(CalibrationError, match="no calibration for qubit 1"):
+            tolerance_reports(params, missing, circuit)
+    assert all(args[1] is not missing for args, _ in pbrsim.bounds._pairs.values())
+
+
+def test_tolerance_memo_holds_a_handful_of_entries():
+    params = PBRParams.solve(2, np.pi / 4)
+    circuit = build_test_circuit(0, params)
+    cals = [adjacent_pair_calibration() for _ in range(3 * pbrsim.bounds._PAIRS_KEPT)]
+    pairs = [tolerance_reports(params, cal, circuit) for cal in cals]
+    assert len(pbrsim.bounds._pairs) == pbrsim.bounds._PAIRS_KEPT <= 8
+    # The newest entries are kept; an evicted triple is walked again, equal.
+    assert tolerance_reports(params, cals[-1], circuit) is pairs[-1]
+    assert tolerance_reports(params, cals[0], circuit) is not pairs[0]
+    assert repr(tolerance_reports(params, cals[0], circuit)) == repr(pairs[0])

@@ -1,4 +1,4 @@
-"""Gate IR: validation, unitaries, counts, durations, serialization."""
+"""Gate IR: validation, unitaries, counts, durations."""
 
 import numpy as np
 import pytest
@@ -19,15 +19,12 @@ from pbrsim.circuits import (
     SX,
     X,
     circuit_duration,
-    circuit_from_lines,
-    circuit_to_lines,
     decompose_swap,
     gate_counts,
     gate_unitary,
 )
-from pbrsim.errors import FormatError, KindError
+from pbrsim.errors import KindError
 from pbrsim.noise import depolarizing_channel, uniform_calibration
-from pbrsim.simulate import outcome_distribution
 from dense_reference import conjugate, pure_matrix
 
 
@@ -70,8 +67,6 @@ def test_circuit_validation():
 def test_circuit_rejects_qubit_measured_twice():
     with pytest.raises(ValueError, match="qubit 0 is measured twice"):
         Circuit(2, (Gate(H, (0,)), Gate(MEASURE, (0,)), Gate(MEASURE, (0, 1))))
-    with pytest.raises(FormatError, match="qubit 1 is measured twice"):
-        circuit_from_lines("H 0\nMEASURE 1 0\nMEASURE 1\n")
     split = Circuit(2, (Gate(MEASURE, (1,)), Gate(MEASURE, (0,))))
     assert split.measured_qubits == (1, 0)
 
@@ -177,44 +172,3 @@ def test_circuit_duration():
     )
     busy = circuit_duration(c, cal)
     assert np.abs(busy - np.array([30e-9 + 80e-9 + 500e-9] * 2)).max() < 1e-18
-
-
-def test_lines_roundtrip():
-    c = Circuit(
-        3,
-        (
-            Gate(RY, (0,), angle=0.123456789),
-            Gate(H, (1,)),
-            Gate(CPHASE_OPEN, (0, 2), angle=np.pi),
-            Gate(MCPHASE_OPEN, (0, 1, 2), angle=1.25),
-            Gate(MEASURE, (0, 1, 2)),
-        ),
-    )
-    text = circuit_to_lines(c)
-    back = circuit_from_lines(text)
-    assert back == c
-    back3 = circuit_from_lines(text, n_qubits=3)
-    assert back3 == c
-
-
-def test_lines_reject_noise_and_garbage():
-    noisy = Circuit(1, (Gate(NOISE, (0,), channel=depolarizing_channel(0.1, 1)),))
-    with pytest.raises(FormatError):
-        circuit_to_lines(noisy)
-    with pytest.raises(FormatError):
-        circuit_from_lines("H zero\n")
-    with pytest.raises(FormatError):
-        circuit_from_lines("WIBBLE 0\n")
-
-
-def test_roundtrip_preserves_distribution():
-    rng = np.random.default_rng(31)
-    for _ in range(5):
-        gates = [Gate(RY, (q,), angle=float(rng.uniform(0, np.pi))) for q in range(3)]
-        gates.append(Gate(CZ, (0, 1)))
-        gates.append(Gate(MCPHASE_OPEN, (0, 1, 2), angle=float(rng.uniform(0, np.pi))))
-        gates.extend(Gate(H, (q,)) for q in range(3))
-        gates.append(Gate(MEASURE, (0, 1, 2)))
-        c = Circuit(3, tuple(gates))
-        back = circuit_from_lines(circuit_to_lines(c))
-        assert np.abs(outcome_distribution(c) - outcome_distribution(back)).max() < 1e-14

@@ -4,7 +4,8 @@ import pbrsim
 
 # The single-state density-matrix API (evolution lives in pbrsim.simulate only),
 # the simulated forbidden-map discovery (the map is closed-form) and the
-# readout map on finished distributions (a run folds readout into its read).
+# readout map on finished distributions (a run folds readout into its read)
+# and the line-oriented circuit text format.
 REMOVED = (
     "DensityMatrix",
     "ForbiddenMap",
@@ -12,6 +13,8 @@ REMOVED = (
     "apply_channel",
     "apply_readout",
     "apply_unitary",
+    "circuit_from_lines",
+    "circuit_to_lines",
     "discover_forbidden_map",
     "ground_state",
     "input_angles",

@@ -45,6 +45,7 @@ from pbrsim.simulate import (
     _gate_operator,
     _operator,
     _operators,
+    _walk,
     _z_covariant,
     outcome_distribution,
     outcome_distributions,
@@ -161,7 +162,7 @@ def test_routed_pbr_circuits_match_dense_reference(span, model):
     # Past span 1 the decomposed SWAPs' H meets logical 0's frame, and the
     # rows branch at the start.
     base = noisy(0)
-    assert _frames_hold(base, base.measured_qubits, (0, span)) == (span == 1)
+    assert _frames_hold(_walk(base), base.measured_qubits, (0, span)) == (span == 1)
     assert np.abs(outcome_distributions(base, (0, span))[span % 4] - ref).max() < DIFF_TOL
 
 
@@ -298,7 +299,7 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     noisy = attach_noise(build_test_circuit(0, params), varied_calibration(n, seed=9), "depolarizing")
     branching = with_h_pairs(noisy)
     frames, keep = tuple(range(n)), noisy.measured_qubits
-    assert _frames_hold(noisy, keep, frames) and not _frames_hold(branching, keep, frames)
+    assert _frames_hold(_walk(noisy), keep, frames) and not _frames_hold(_walk(branching), keep, frames)
     chunked = outcome_distributions(branching, frames)
     # Five live qubits: 8 inputs per chunk, and only one chunk's states at a time.
     assert [len(states) for states in evolve(branching, keep, frames)] == [8, 8, 8, 8]
@@ -340,7 +341,7 @@ def test_readout_folds_into_the_population_read(n):
     params = PBRParams.solve(n, theta_min(n))
     for model in NOISE_MODELS:
         noisy = attach_noise(build_test_circuit(0, params), cal, model)
-        assert _frames_hold(noisy, noisy.measured_qubits, tuple(range(n)))
+        assert _frames_hold(_walk(noisy), noisy.measured_qubits, tuple(range(n)))
         assert_readout_folds(noisy, range(n), cal)
         assert_readout_folds(noisy, (), cal)
         if n <= 5:
@@ -575,6 +576,12 @@ FRAME_CASES = {
         Gate(H, (1,)), Gate(CZ, (0, 1)), Gate(H, (0,)), Gate(NOISE, (0, 1), channel=DEP2),
         Gate(CZ, (0, 1)), Gate(H, (0,)), Gate(MEASURE, (0, 1)),
     ], (0, 1), False),
+    # Qubit 0's one multi-qubit gate is its first gate, and it is not
+    # measured: its frame, on the branching rows, falls after its trace-out.
+    "frame_after_last_multi_qubit_gate_of_discarded_qubit": (2, [
+        Gate(RY, (1,), angle=0.7), Gate(H, (1,)), Gate(CZ, (0, 1)), Gate(H, (1,)),
+        Gate(MEASURE, (1,)),
+    ], (0, 1), False),
     "frame_after_multi_qubit_gate_to_suffix": (2, [
         Gate(H, (1,)), Gate(CZ, (0, 1)), Gate(NOISE, (0, 1), channel=DEP2),
         Gate(CPHASE_OPEN, (1, 0), angle=0.8), Gate(H, (0,)), Gate(H, (1,)), Gate(MEASURE, (1, 0)),
@@ -586,7 +593,7 @@ FRAME_CASES = {
 def test_crafted_frames_match_dense_reference(name):
     n, gates, frames, held = FRAME_CASES[name]
     c = Circuit(n, tuple(gates))
-    assert _frames_hold(c, c.measured_qubits, frames) == held
+    assert _frames_hold(_walk(c), c.measured_qubits, frames) == held
     assert_rows_match_dense(c, frames)
 
 
