@@ -26,9 +26,7 @@ from .circuits import Circuit, RY, circuit_duration
 from .errors import RangeError
 from .noise import (
     CalibrationSnapshot,
-    DEPOLARIZING,
     NOISE_MODELS,
-    THERMODYNAMICAL,
     calibration_mean,
     mean_p_from_time,
     p_from_time,
@@ -161,43 +159,49 @@ def _tolerance_pair(
     two_durations = [c.duration for c in cal.couplers] or [68e-9]
     t_two = calibration_mean(two_durations)
 
-    p_ad_bar = float(
-        np.mean([mean_p_from_time((qc.single_gate_duration, t_two), qc.t1) for qc in cals])
-    )
-    p_phi_bar = float(
-        np.mean([mean_p_from_time((qc.single_gate_duration, t_two), qc.t2) for qc in cals])
-    )
-    eps_dec = epsilon_dec(n, p_ad_bar, p_phi_bar)
+    p_ad = [mean_p_from_time((qc.single_gate_duration, t_two), qc.t1) for qc in cals]
+    p_phi = [mean_p_from_time((qc.single_gate_duration, t_two), qc.t2) for qc in cals]
     busy = circuit_duration(circuit, cal).tolist()
     cumulative = 0.0
     for q, qc in zip(qubits, cals):
         cumulative += p_from_time(busy[q], qc.t1) + p_from_time(busy[q], qc.t2)
     cumulative = min(1.0, cumulative)
 
-    def report(model: str, eps_prep: list) -> ToleranceReport:
-        overlaps = [noisy_overlap(params.theta, e) for e in eps_prep]
-        per_qubit_tol = [epsilon_tol(d, n) for d in overlaps]
-        return ToleranceReport(
+    # Per model, in NOISE_MODELS order: each preparation qubit's error, its
+    # noisy overlap and its threshold.
+    eps_prep = (
+        [qc.p1 for qc in cals],
+        [
+            p_from_time(qc.single_gate_duration, qc.t1)
+            + p_from_time(qc.single_gate_duration, qc.t2)
+            for qc in cals
+        ],
+    )
+    overlaps = [[noisy_overlap(params.theta, e) for e in eps] for eps in eps_prep]
+    per_qubit_tol = [[epsilon_tol(d, n) for d in ds] for ds in overlaps]
+    # Every mean over the preparation qubits is one row of a stacked array
+    # reduced along axis 1, row by row the pairwise sum np.mean gives a list.
+    means = np.array([p_ad, p_phi, *overlaps, *per_qubit_tol, *eps_prep]).mean(axis=1).tolist()
+    spreads = np.array(per_qubit_tol).std(axis=1).tolist()
+    eps_dec = epsilon_dec(n, means[0], means[1])
+    return tuple(
+        ToleranceReport(
             model=model,
             n=n,
             d_quantum=d_q,
-            d_noisy=float(np.mean(overlaps)),
+            d_noisy=means[2 + i],
             eps_tol_ideal=ideal,
-            eps_tol_noisy=float(np.mean(per_qubit_tol)),
-            eps_tol_noisy_spread=float(np.std(per_qubit_tol)),
-            eps_dep=float(np.mean(eps_prep)),
+            eps_tol_noisy=means[4 + i],
+            eps_tol_noisy_spread=spreads[i],
+            eps_dep=means[6 + i],
             eps_dec=eps_dec,
             eps_dec_cumulative=cumulative,
             qubit_ids=qubits,
-            eps_prep=tuple(eps_prep),
-            eps_tol_per_qubit=tuple(per_qubit_tol),
+            eps_prep=tuple(eps_prep[i]),
+            eps_tol_per_qubit=tuple(per_qubit_tol[i]),
         )
-
-    thermal = [
-        p_from_time(qc.single_gate_duration, qc.t1) + p_from_time(qc.single_gate_duration, qc.t2)
-        for qc in cals
-    ]
-    return report(DEPOLARIZING, [qc.p1 for qc in cals]), report(THERMODYNAMICAL, thermal)
+        for i, model in enumerate(NOISE_MODELS)
+    )
 
 
 def tolerance_report(

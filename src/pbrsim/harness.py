@@ -49,6 +49,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import numbers
@@ -145,6 +146,23 @@ class InputResult:
     tolerance: float
     passed: bool
 
+    def __init__(
+        self, input_index, exact_probability, count, estimate, ci_low, ci_high, tolerance, passed
+    ):
+        # A run builds 2^n of these. The dataclass keeps this __init__, and one
+        # update of the instance dict costs less than the generated frozen
+        # __init__'s object.__setattr__ call per field.
+        self.__dict__.update(
+            input_index=input_index,
+            exact_probability=exact_probability,
+            count=count,
+            estimate=estimate,
+            ci_low=ci_low,
+            ci_high=ci_high,
+            tolerance=tolerance,
+            passed=passed,
+        )
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -178,9 +196,9 @@ def _clipped_and_normalized(table) -> tuple[np.ndarray, np.ndarray]:
     Returns the clipped and the normalized array. Tiny negative roundoff
     clips to zero; a row that sums to zero raises RangeError.
     """
-    p = np.clip(np.asarray(table, dtype=float), 0.0, 1.0)
+    p = np.asarray(table, dtype=float).clip(0.0, 1.0)
     total = p.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0):
+    if (total <= 0).any():
         raise RangeError("distribution sums to zero")
     return p, p / total
 
@@ -200,6 +218,8 @@ def sample_counts(probs, shots: int, seed) -> np.ndarray:
 # depend on the word position only. Eight words (4 uint64) cycle the pool
 # twice: as a (2, 4) array, h_0..h_7 and h_1..h_8.
 _HASH = np.cumprod(np.array([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32), dtype=np.uint32)
+# Read-only, and so are its views: every call's hash reads them.
+_HASH.setflags(write=False)
 _HASH_XOR, _HASH_MUL = _HASH[:-1].reshape(2, 4), _HASH[1:].reshape(2, 4)
 
 
@@ -278,6 +298,15 @@ def _wilson_z(confidence: float) -> float:
     return statistics.NormalDist().inv_cdf(0.5 + confidence / 2)
 
 
+def _wilson(k: int, m: int, z: float) -> tuple[float, float]:
+    # The Wilson bounds for k of m at quantile z, unchecked: the run loop
+    # checks its shots and confidence once, not per input.
+    denom = m + z * z
+    center = (k + z * z / 2) / denom
+    half = z * math.sqrt(k * (m - k) / m + z * z / 4) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
 def wilson_interval(k: int, m: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for k successes in m trials."""
     if m < 1:
@@ -286,11 +315,8 @@ def wilson_interval(k: int, m: int, confidence: float = DEFAULT_CONFIDENCE) -> t
         raise RangeError(f"k={k} outside [0, {m}]")
     if not 0.0 < confidence < 1.0:
         raise RangeError(f"confidence={confidence!r} outside (0, 1)")
-    z = _wilson_z(confidence)
-    denom = m + z * z
-    center = (k + z * z / 2) / denom
-    half = z * math.sqrt(k * (m - k) / m + z * z / 4) / denom
-    return float(max(0.0, center - half)), float(min(1.0, center + half))
+    lo, hi = _wilson(k, m, _wilson_z(confidence))
+    return float(lo), float(hi)
 
 
 def _prologue(cfg: ExperimentConfig) -> tuple[PBRParams, Circuit, dict]:
@@ -346,8 +372,8 @@ def _judged(fields: dict, bounds, rows=(), **kind) -> ExperimentReport:
     return ExperimentReport(
         **fields,
         **kind,
-        inputs=tuple(InputResult(*row, active, ok) for row, ok in zip(rows, checks)),
-        pass_fraction=float(np.mean(checks)),
+        inputs=tuple([InputResult(*row, active, ok) for row, ok in zip(rows, checks)]),
+        pass_fraction=sum(checks) / len(checks),
         passed=all(checks),
     )
 
@@ -367,14 +393,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # The same clip and normalization as sample_counts, once for the table.
     dists, p = _clipped_and_normalized(dists)
     exact = dists.diagonal().tolist()
+    # ExperimentConfig has checked shots >= 1 and the confidence level.
+    shots, z = cfg.shots, _wilson_z(cfg.confidence)
     rows = []
     for x, rng in enumerate(_input_streams(cfg.seed, len(p))):
-        k = _count_of(x, rng, cfg.shots, p[x])
-        lo, hi = wilson_interval(k, cfg.shots, cfg.confidence)
-        rows.append((x, exact[x], k, k / cfg.shots, lo, hi))
+        k = _count_of(x, rng, shots, p[x])
+        rows.append((x, exact[x], k, k / shots, *_wilson(k, shots, z)))
     return _judged(
         fields,
-        [ci_high for *_, ci_high in rows],
+        [row[-1] for row in rows],
         rows,
         analytic_only=False,
         mean_forbidden_exact=float(np.mean(exact)),
@@ -482,19 +509,22 @@ def tolerance_to_dict(t: ToleranceReport) -> dict:
 
 
 def _input_rows(r: ExperimentReport) -> list[dict]:
-    """One dict per sampled input: the JSON `inputs` entries and the CSV rows."""
+    """One dict per sampled input: the JSON `inputs` entries and the CSV rows.
+
+    Keys are listed in sorted order, so the encoder's sort finds them in place.
+    """
     labels = _bit_labels(r.n)
     return [
         {
-            "input": labels[row.input_index],
-            "forbidden": labels[row.input_index],
-            "exact_probability": row.exact_probability,
+            "ci_high": row.ci_high,
+            "ci_low": row.ci_low,
             "count": row.count,
             "estimate": row.estimate,
-            "ci_low": row.ci_low,
-            "ci_high": row.ci_high,
-            "tolerance": row.tolerance,
+            "exact_probability": row.exact_probability,
+            "forbidden": labels[row.input_index],
+            "input": labels[row.input_index],
             "pass": row.passed,
+            "tolerance": row.tolerance,
         }
         for row in r.inputs
     ]
@@ -564,6 +594,15 @@ def _flat(o) -> bool:
     )
 
 
+def _flat_dicts(o) -> bool:
+    # A list of flat dicts (a report's inputs). The common case, non-empty
+    # dicts of scalars only, is one pass over every value in C.
+    scalar_rows = set(map(type, o)) == {dict} and all(o) and _SCALARS.issuperset(
+        map(type, itertools.chain.from_iterable(map(dict.values, o)))
+    )
+    return scalar_rows or all(isinstance(v, dict) and _flat(v) for v in o)
+
+
 def _key(k) -> str:
     # A dict key as json writes it: a string, or the text of a scalar.
     if not isinstance(k, str):
@@ -587,10 +626,16 @@ def _render(o, level: int) -> str:
     if _flat(o):
         body = _encoder(level + 1).encode(o)[1:-1]
     elif isinstance(o, dict):
+        # Its scalar items come from one C encoder call, split at the item
+        # separator (the one raw newline, as above).
+        scalars = {k: v for k, v in o.items() if type(v) in _SCALARS}
+        items = _encoder(level + 1).encode(scalars)[1:-1].split(",\n" + inner) if scalars else ()
+        text = dict(zip(sorted(scalars), items))
         body = (",\n" + inner).join(
-            _key(k) + ": " + _render(v, level + 1) for k, v in sorted(o.items())
+            text[k] if k in text else _key(k) + ": " + _render(v, level + 1)
+            for k, v in sorted(o.items())
         )
-    elif all(isinstance(v, dict) and _flat(v) for v in o):
+    elif _flat_dicts(o):
         deeper = _INDENT * (level + 2)
         text = _encoder(level + 2).encode(o)[2:-2]
         text = text.replace("},\n" + deeper + "{", "\n" + inner + "},\n" + inner + "{\n" + deeper)

@@ -28,7 +28,10 @@ nothing, one row is evolved. Z-conjugation negates a qubit's two
 coherences, so each framed qubit's populations are read twice, once with
 its suffix map's coherence columns negated, and one contraction over the
 kept qubits gives every input's distribution without building their
-states. Otherwise the rows branch at the start: each frame is a per-row
+states. Which row of that read serves each input depends only on the
+kept and framed qubits: it is built once per (keep, frames), read-only,
+and skipped when it is the identity, as in every unplaced run.
+Otherwise the rows branch at the start: each frame is a per-row
 diagonal operator after its qubit's first gate, and the 2^F states
 evolve as one (B, 2^w, 2^w) stack, in chunks of at most CHUNK_ENTRIES
 complex entries at the peak live width w, which bounds the memory they
@@ -71,6 +74,12 @@ CHUNK_ENTRIES = 2**13
 _POPULATION_ROWS = np.eye(4)[None, [0, 3]]
 # A population read without and with a Z frame, which negates the coherences.
 _FRAME_SIGNS = np.array([[[1.0, 1.0, 1.0, 1.0]], [[1.0, -1.0, -1.0, 1.0]]])
+# vec(|0><0|): a qubit that joins with no prefix operator.
+_GROUND = np.eye(1, 4, dtype=complex)
+# Schedules and reads hold views of these, shared by every run.
+_POPULATION_ROWS.setflags(write=False)
+_FRAME_SIGNS.setflags(write=False)
+_GROUND.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=256)
@@ -93,15 +102,21 @@ def _apply(mats: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -
     t = mats.reshape((b,) + (2,) * (2 * n)).transpose(front)
     shape = t.shape
     t = t.reshape(b, op.shape[-1], -1)
-    t = t * op[:, :, None] if op.ndim == 2 else np.matmul(op, t)
+    t = t * op[:, :, None] if op.ndim == 2 else _matmul(op, t)
     return t.reshape(shape).transpose(back).reshape(mats.shape)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.matmul of two stacks of matrices. For one matrix each, ndarray.dot
+    # makes the same row-major BLAS gemm call with less dispatch.
+    return a[0].dot(b[0])[None] if len(a) == len(b) == 1 else np.matmul(a, b)
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     # The Liouville operator of `earlier` then `later`; two diagonals stay diagonal.
     if later.ndim == 2:
         return later * earlier if earlier.ndim == 2 else later[:, :, None] * earlier
-    return later * earlier[:, None, :] if earlier.ndim == 2 else np.matmul(later, earlier)
+    return later * earlier[:, None, :] if earlier.ndim == 2 else _matmul(later, earlier)
 
 
 def _liouville(u: np.ndarray) -> np.ndarray:
@@ -119,11 +134,10 @@ def _joining_state(prefix: np.ndarray | None) -> np.ndarray:
     # (k, 2, 2) state of a qubit as it joins: its prefix operator applied to
     # |0><0|. vec(|0><0|) is e_0, so that is column 0 of a superoperator, or
     # D[0] |0><0| for a diagonal D; with no prefix it is |0><0| itself.
-    ground = np.eye(1, 4, dtype=complex)
     if prefix is None:
-        vec = ground
+        vec = _GROUND
     elif prefix.ndim == 2:
-        vec = prefix * ground
+        vec = prefix * _GROUND
     else:
         vec = prefix[:, :, 0]
     return vec.reshape(-1, 2, 2)
@@ -251,60 +265,71 @@ def _frame_operator(j: int, count: int) -> np.ndarray:
     return np.where(bit[:, None] == 1, np.array([1, -1, -1, 1], dtype=complex), 1)
 
 
-def _schedule(w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]) -> tuple[list, list, int, list]:
+def _schedule(
+    w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]
+) -> tuple[list, list, int, list | None]:
     # One lifetime schedule serves every row, each frame a per-row operator
     # right after the first gate on its qubit, at that gate's position.
     # Returns the steps, each kept qubit's suffix operator (None if it has
     # none), the peak live width and the transpose that puts the kept qubits
-    # in `keep` order. A step is a (k, 2, 2) joining state, [operator, axes],
-    # or the state axis of a qubit to trace out; consecutive operators on the
-    # same axes are fused into one. `w` is the circuit's `_walk`.
+    # in `keep` order (None if they are in that order). A step is a (k, 2, 2)
+    # joining state, [operator, axes], or the state axis of a qubit to trace
+    # out; consecutive operators on the same axes are fused into one. `w` is
+    # the circuit's `_walk`.
     c, gates, start, first, last = w
-    width = len(start.keys() | set(keep))
+    kept = set(keep)
+    width = len(kept.union(start))
     if width > SIMULATION_QUBIT_CAP:
         raise CapError(f"{width} qubits exceeds the simulation cap of {SIMULATION_QUBIT_CAP}")
-    items: list[tuple[int, tuple[int, ...], np.ndarray]] = []
-    for i, (g, op) in enumerate(zip(gates, _operators(c))):
-        items.append((i, g.qubits, op))
-        items.extend((i, (q,), _frame_operator(j, len(frames))) for j, q in enumerate(frames) if start[q] == i)
+    items = [(i, g.qubits, op) for i, (g, op) in enumerate(zip(gates, _operators(c)))]
+    # Frames at one gate follow it in `frames` order: inserting from the last
+    # (position, j) back leaves each earlier insertion point in place.
+    for j, q in sorted(enumerate(frames), key=lambda f: (start[f[1]], f[0]), reverse=True):
+        items.insert(start[q] + 1, (start[q], (q,), _frame_operator(j, len(frames))))
+    end = len(gates)
     prefix: dict[int, np.ndarray] = {}
     suffix: dict[int, np.ndarray] = {}
     steps: list = []
     live: list[int] = []  # circuit qubit on each state axis
     peak = 0
     for i, qubits, op in items:
-        q = qubits[0]
-        if len(qubits) == 1 and i < first.get(q, len(items)):
-            prefix[q] = _compose(op, prefix[q]) if q in prefix else op
-            continue
-        # A frame after a qubit's last multi-qubit gate shares its position.
-        if len(qubits) == 1 and i >= last[q]:
-            # A discarded qubit's trailing operators are trace-preserving: dropped.
-            if q in keep:
-                suffix[q] = _compose(op, suffix[q]) if q in suffix else op
-            continue
+        if len(qubits) == 1:
+            q = qubits[0]
+            if i < first.get(q, end):
+                held = prefix.get(q)
+                prefix[q] = op if held is None else _compose(op, held)
+                continue
+            # A frame after a qubit's last multi-qubit gate shares its position.
+            if i >= last[q]:
+                # A discarded qubit's trailing operators are trace-preserving: dropped.
+                if q in kept:
+                    held = suffix.get(q)
+                    suffix[q] = op if held is None else _compose(op, held)
+                continue
         # Joining in front, in reverse, leaves a gate's new qubits in its order.
         for q in reversed(qubits):
             if q not in live:
                 live.insert(0, q)
                 steps.append(_joining_state(prefix.pop(q, None)))
         peak = max(peak, len(live))
-        targets = tuple(live.index(q) for q in qubits)
+        targets = tuple(map(live.index, qubits))
         if steps and isinstance(steps[-1], list) and steps[-1][1] == targets:
             steps[-1][0] = _compose(op, steps[-1][0])
         else:
             steps.append([op, targets])
         for q in qubits:
-            if last[q] == i and q not in keep:
+            if last[q] == i and q not in kept:
                 steps.append(live.index(q))
                 live.remove(q)
     for q in reversed(keep):
         if q not in live:
             live.insert(0, q)
             steps.append(_joining_state(prefix.pop(q, None)))
-    perm = [live.index(q) for q in keep]
     n = len(live)
-    axes = [0] + [1 + p for p in perm] + [1 + n + p for p in perm]
+    axes = None
+    if live != list(keep):
+        perm = [live.index(q) for q in keep]
+        axes = [0] + [1 + p for p in perm] + [1 + n + p for p in perm]
     return steps, [suffix.get(q) for q in keep], max(peak, n), axes
 
 
@@ -332,28 +357,37 @@ def _chunks(w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]) -> Iterato
                 rho = _apply(rho, rows(op), targets, rho.shape[1].bit_length() - 1)
             else:
                 rho = _join(rho, rows(step))
-        t = rho.reshape((stop - start,) + (2,) * (2 * m)).transpose(axes)
-        yield t.reshape(stop - start, 2**m, 2**m), [None if s is None else rows(s) for s in suffix]
+        if axes is not None:
+            t = rho.reshape((stop - start,) + (2,) * (2 * m)).transpose(axes)
+            rho = t.reshape(stop - start, 2**m, 2**m)
+        yield rho, [None if s is None else rows(s) for s in suffix]
 
 
-def _populations(mats: np.ndarray, suffix: list, readout: list, framed=()) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _population_axes(m: int) -> tuple[int, ...]:
+    # The transpose of a (b,) + (2,) * 2m stack that puts each qubit's row
+    # and column axes side by side, the first qubit's first.
+    return (0,) + tuple(a for i in range(m) for a in (1 + i, 1 + m + i))
+
+
+def _populations(mats: np.ndarray, suffix: list, readout: list, framed=frozenset()) -> np.ndarray:
     # Outcome probabilities of a (b, 2^m, 2^m) stack after each qubit's suffix
-    # and readout, the first qubit most significant. A suffix's populations
-    # read only rows 0 and 3 of its superoperator, so each qubit's row and
-    # column axes (4 entries) map to its 2 populations, which its confusion
-    # matrix (if any) then mixes: one (2 x 4) @ (4 x rest) product per qubit.
-    # A diagonal suffix is a phase and leaves the populations alone. The
-    # qubits at the positions in `framed` carry a Z frame into their suffix:
-    # each is read twice, the second time with its map's coherence columns
-    # negated, and adds a bit after those of the row index.
+    # and readout, the first qubit most significant, clipped to [0, 1]. A
+    # suffix's populations read only rows 0 and 3 of its superoperator, so
+    # each qubit's row and column axes (4 entries) map to its 2 populations,
+    # which its confusion matrix (if any) then mixes: one (2 x 4) @ (4 x rest)
+    # product per qubit. A diagonal suffix is a phase and leaves the
+    # populations alone. The qubits at the positions in `framed` carry a Z
+    # frame into their suffix: each is read twice, the second time with its
+    # map's coherence columns negated, and adds a bit after those of the row
+    # index.
     b, m = len(mats), len(suffix)
-    t = mats.reshape((b,) + (2,) * (2 * m))
-    t = t.transpose([0] + [a for i in range(m) for a in (1 + i, 1 + m + i)])
+    t = mats.reshape((b,) + (2,) * (2 * m)).transpose(_population_axes(m))
     for i, op in enumerate(suffix):
         t = t.reshape(len(t), 4, -1)
-        read = _POPULATION_ROWS if op is None or op.ndim == 2 else op[:, [0, 3]]
+        read = _POPULATION_ROWS if op is None or op.ndim == 2 else op[:, ::3].copy()
         if readout:
-            read = np.matmul(readout[i], read)
+            read = _matmul(readout[i][None], read)
         if i in framed:
             # One (4 x 4) map: the read, then the read with Z's signs.
             t = np.matmul((read * _FRAME_SIGNS).reshape(4, 4), t).reshape(-1, 2, t.shape[-1])
@@ -363,7 +397,31 @@ def _populations(mats: np.ndarray, suffix: list, readout: list, framed=()) -> np
         else:
             t = np.matmul(read, t)
         t = t.transpose(0, 2, 1)
-    return np.clip(t.reshape(len(t), -1).real, 0.0, 1.0)
+    return t.reshape(len(t), -1).real.clip(0.0, 1.0)
+
+
+@functools.lru_cache(maxsize=32)
+def _frame_rows(
+    keep: tuple[int, ...], frames: tuple[int, ...]
+) -> tuple[frozenset, np.ndarray | None]:
+    # How the one evolved row's read serves the 2^F framed inputs: the
+    # positions in `keep` of the framed kept qubits, which `_populations`
+    # reads twice, and the read's row for each input. The read's rows count
+    # the frames on kept qubits in `keep` order, the first most significant;
+    # a frame on a traced-out qubit changes no row. The row index is None
+    # when it is the identity (every frame on a kept qubit, in `keep` order:
+    # every unplaced run), else read-only, as every run with the same qubits
+    # shares it.
+    framed = frozenset(i for i, q in enumerate(keep) if q in frames)
+    if [q for q in keep if q in frames] == list(frames):
+        return framed, None
+    x = np.arange(2 ** len(frames))
+    index = np.zeros_like(x)
+    for q in keep:
+        if q in frames:
+            index = 2 * index + ((x >> (len(frames) - 1 - frames.index(q))) & 1)
+    index.setflags(write=False)
+    return framed, index
 
 
 def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
@@ -376,10 +434,10 @@ def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
     measured qubit, in measured order, or none: each is folded into that
     qubit's population read: the result is the unmixed table with each
     qubit's outcome axis multiplied by its matrix. Returns a (2^F, 2^m)
-    array; the first measured qubit is the most significant bit of an
-    outcome. Frames must name distinct qubits of the circuit that some
-    gate acts on, and readout must give none or one matrix per measured
-    qubit, or ValueError is raised.
+    array of probabilities clipped to [0, 1]; the first measured qubit is
+    the most significant bit of an outcome. Frames must name distinct
+    qubits of the circuit that some gate acts on, and readout must give
+    none or one matrix per measured qubit, or ValueError is raised.
     """
     keep = c.measured_qubits or tuple(range(c.n_qubits))
     frames = tuple(int(q) for q in frames)
@@ -392,15 +450,9 @@ def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
             [_populations(rho, suffix, readout) for rho, suffix in _chunks(w, keep, frames)]
         )
     ((rho, suffix),) = _chunks(w, keep, ())
-    probs = _populations(rho, suffix, readout, [i for i, q in enumerate(keep) if q in frames])
-    # The rows of `probs` count the frames on kept qubits in `keep` order,
-    # the first most significant; a frame on a traced-out qubit changes no row.
-    x = np.arange(2 ** len(frames))
-    index = np.zeros_like(x)
-    for q in keep:
-        if q in frames:
-            index = 2 * index + ((x >> (len(frames) - 1 - frames.index(q))) & 1)
-    return probs[index]
+    framed, index = _frame_rows(keep, frames)
+    probs = _populations(rho, suffix, readout, framed)
+    return probs if index is None else probs[index]
 
 
 def outcome_distribution(c: Circuit) -> np.ndarray:

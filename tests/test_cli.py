@@ -337,7 +337,8 @@ def test_verdict_is_strict_for_both_report_kinds(at_threshold, calib_path, monke
         "tolerance_reports",
         lambda *a: tuple(replace(t, eps_tol_noisy=threshold) for t in real(*a)),
     )
-    monkeypatch.setattr(harness, "wilson_interval", lambda *a: (0.0, bound))
+    # The run loop's unchecked Wilson helper, which wilson_interval wraps.
+    monkeypatch.setattr(harness, "_wilson", lambda *a: (0.0, bound))
     monkeypatch.setattr(harness, "epsilon_dep", lambda *a: bound)
     cfg = ExperimentConfig(
         n=2, theta=np.pi / 4, model=DEPOLARIZING,

@@ -1,6 +1,8 @@
 """Experiment runner: sampling, intervals, reports, sweeps, rendering."""
 
 import csv
+import dataclasses
+import inspect
 import io
 import itertools
 import json
@@ -19,6 +21,7 @@ from pbrsim.errors import RangeError, ValidationError
 from pbrsim.harness import (
     BIT_ORDER_NOTE,
     ExperimentConfig,
+    InputResult,
     analytic_report,
     render_csv,
     render_doc,
@@ -105,6 +108,38 @@ def test_wilson_interval_values():
     assert hi == 1.0
     assert lo < 1.0
     assert isinstance(lo, float) and isinstance(hi, float)
+
+
+def test_run_rows_carry_the_public_wilson_interval_and_mean_pass_fraction():
+    # The run loop's unchecked helper gives every row the bounds the checked
+    # wilson_interval gives its count; pass_fraction is np.mean of the verdicts.
+    for n, confidence in ((2, DEFAULT_CONFIDENCE), (3, 0.8), (4, 0.999)):
+        cfg = ExperimentConfig(
+            n=n, theta=theta_min(n), model=THERMODYNAMICAL, calibration=all_pairs_calibration(n),
+            shots=3000, seed=n, confidence=confidence,
+        )
+        rep = run_experiment(cfg)
+        for row in rep.inputs:
+            assert (row.ci_low, row.ci_high) == wilson_interval(row.count, cfg.shots, confidence)
+            assert type(row.ci_low) is type(row.ci_high) is float
+        assert rep.pass_fraction == float(np.mean([row.passed for row in rep.inputs]))
+    checks = [True, False, False, True, True, False, True]
+    for k in range(1, len(checks) + 1):
+        assert sum(checks[:k]) / k == float(np.mean(checks[:k]))
+
+
+def test_input_result_is_a_frozen_dataclass_of_its_fields():
+    # InputResult writes its own fields, which must stay the dataclass's, in order.
+    names = [f.name for f in dataclasses.fields(InputResult)]
+    assert list(inspect.signature(InputResult).parameters) == names
+    values = (3, 0.01, 7, 0.0035, 0.001, 0.006, 0.0056, False)
+    row = InputResult(*values)
+    assert tuple(getattr(row, name) for name in names) == values
+    assert row == InputResult(**dict(zip(names, values)))
+    assert hash(row) == hash(InputResult(*values))
+    assert replace(row, count=8).count == 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.count = 8
 
 
 def test_wilson_interval_ordering_and_coverage():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pbrsim.harness
 import pbrsim.simulate
 from dense_reference import dense_distribution, dense_state
 from pbrsim.circuits import (
@@ -41,10 +42,12 @@ from pbrsim.noise import (
 from pbrsim.protocol import PBRParams, build_test_circuit, theta_min
 from pbrsim.routing import line_map, route_linear
 from pbrsim.simulate import (
+    _frame_rows,
     _frames_hold,
     _gate_operator,
     _operator,
     _operators,
+    _population_axes,
     _walk,
     _z_covariant,
     outcome_distribution,
@@ -636,10 +639,76 @@ def test_second_identical_run_adds_no_cache_miss():
     def runs():
         return [run_experiment(replace(cfg, model=model)) for model in NOISE_MODELS]
 
+    caches = (_operator, _z_covariant, _frame_rows, _population_axes)
     first = runs()
-    misses = (_operator.cache_info().misses, _z_covariant.cache_info().misses)
+    misses = [cache.cache_info().misses for cache in caches]
     assert runs() == first
-    assert (_operator.cache_info().misses, _z_covariant.cache_info().misses) == misses
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
+def held_frames_circuit(measured):
+    """Four RY-prepared qubits, a CZ chain with Z-covariant noise, H on each.
+
+    Every frame on a preparation qubit reaches its qubit's suffix, or its
+    trace-out for a qubit left out of `measured`.
+    """
+    gates = [Gate(RY, (q,), angle=a) for q, a in enumerate((0.4, -0.9, 1.3, 0.7))]
+    gates += [Gate(NOISE, (1,), channel=AD), Gate(CZ, (0, 1)), Gate(NOISE, (0, 1), channel=DEP2)]
+    gates += [Gate(CZ, (1, 2)), Gate(NOISE, (2,), channel=DEPH), Gate(CZ, (2, 3))]
+    gates += [Gate(H, (q,)) for q in range(4)]
+    return Circuit(4, tuple(gates) + (Gate(MEASURE, measured),))
+
+
+ROW_INDEX_CASES = {
+    # name: (measured qubits, frames)
+    "frames_in_another_order_than_keep": ((0, 1, 2, 3), (2, 0, 3, 1)),
+    "frame_on_a_traced_out_qubit": ((0, 2, 3), (0, 1, 2)),
+    "kept_qubit_without_a_frame": ((3, 2, 0, 1), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_INDEX_CASES))
+def test_frame_row_index_orders_rows_like_input_circuits(name):
+    measured, frames = ROW_INDEX_CASES[name]
+    c = held_frames_circuit(measured)
+    # The one evolved row is read under the frames, and its rows reordered.
+    assert _frames_hold(_walk(c, frames), measured, frames)
+    assert _frame_rows(measured, frames)[1] is not None
+    assert_rows_match_dense(c, frames)
+
+
+def test_identity_frame_row_index_is_skipped():
+    # Every frame on a kept qubit, in `keep` order: the read's rows are the inputs'.
+    assert _frame_rows((0, 1, 2, 3), (0, 1, 2, 3)) == (frozenset(range(4)), None)
+    assert _frame_rows((3, 1, 0), (3, 0)) == (frozenset({0, 2}), None)
+    assert_rows_match_dense(held_frames_circuit((3, 1, 0)), (3, 0))
+
+
+def test_frame_row_index_is_cached_read_only_and_shared():
+    keep, frames = (0, 2, 3), (2, 1, 0)
+    info = _frame_rows.cache_info()
+    one = outcome_distributions(held_frames_circuit(keep), frames)
+    other = Circuit(4, (Gate(PHASE, (3,), angle=0.2),) + held_frames_circuit(keep).gates)
+    two = outcome_distributions(other, frames)
+    assert one.shape == two.shape == (8, 8)
+    # Two circuits with the same kept and framed qubits share one entry.
+    after = _frame_rows.cache_info()
+    assert after.misses - info.misses <= 1 and after.hits - info.hits >= 1
+    _, index = _frame_rows(keep, frames)
+    assert index is _frame_rows(keep, frames)[1]
+    assert _frame_rows.cache_info().maxsize and _population_axes.cache_info().maxsize
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0] = 1
+
+
+def test_module_level_arrays_are_read_only():
+    # Schedules, reads and stream hashes hold views of these, shared by every run.
+    for module in (pbrsim.simulate, pbrsim.harness):
+        arrays = {name: v for name, v in vars(module).items() if isinstance(v, np.ndarray)}
+        assert arrays, module.__name__
+        for name, array in arrays.items():
+            assert not array.flags.writeable, f"{module.__name__}.{name}"
 
 
 def test_frames_must_name_distinct_circuit_qubits():
