@@ -79,6 +79,8 @@ def epsilon_dec(n: int, p_ad: float, p_phi: float) -> float:
 
 @dataclass(frozen=True)
 class ToleranceReport:
+    """One model's thresholds for a circuit on a device: distances, tolerances, error terms."""
+
     model: str
     n: int
     d_quantum: float

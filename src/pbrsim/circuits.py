@@ -38,6 +38,8 @@ KINDS = SINGLE_QUBIT_KINDS | TWO_QUBIT_KINDS | {MCPHASE_OPEN, NOISE, MEASURE}
 
 @dataclass(frozen=True)
 class Gate:
+    """One operation: its kind, the qubits it acts on, and its angle or noise channel."""
+
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
@@ -80,6 +82,8 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A register size and its gates in time order, measurements last."""
+
     n_qubits: int
     gates: tuple[Gate, ...]
 

@@ -33,7 +33,6 @@ from .harness import (
 )
 from .noise import DEPOLARIZING, THERMODYNAMICAL, load_calibration
 from .protocol import PBRParams, build_test_circuit, theta_min
-from .routing import load_coupling_map
 
 _MODEL_ALIASES = {"dep": DEPOLARIZING, "thermo": THERMODYNAMICAL}
 _MODEL_CHOICES = (DEPOLARIZING, THERMODYNAMICAL, "dep", "thermo")
@@ -125,6 +124,8 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.map or args.place:
         if not (args.map and args.place):
             raise ValueError("--map and --place go together")
+        from .routing import load_coupling_map  # unplaced runs never route
+
         coupling = load_coupling_map(args.map)
         placement = _parse_place(args.place)
     return ExperimentConfig(
@@ -171,7 +172,8 @@ def _add_experiment_args(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pbrsim", description=__doc__.splitlines()[0])
+    # A literal, not the module docstring: `python -OO` strips docstrings.
+    parser = argparse.ArgumentParser(prog="pbrsim", description="Command line front end.")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("solve-angles", help="print alpha and beta for (n, theta)")

@@ -31,6 +31,10 @@ gate counts and closed-form error prediction stand in for per-input
 statistics. One rule judges both kinds: each bound (a per-input Wilson
 upper bound, or the one prediction) passes only strictly below the
 active threshold; `passed` says all pass, `pass_fraction` how many.
+The Wilson bounds take their normal quantile from a copy of AS241, the
+algorithm `statistics.NormalDist.inv_cdf` runs, bit for bit, so a run
+never imports `statistics`; `routing` and `csv` are imported only by
+the placed runs, sweeps and CSV output that use them.
 
 Reports render to a structured JSON document (sorted keys, so identical
 configurations are byte-identical) and to a flat CSV, one row per input;
@@ -46,16 +50,15 @@ containers above them.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import itertools
 import json
 import math
 import numbers
-import statistics
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -79,8 +82,10 @@ from .noise import (
     uniform_calibration,
 )
 from .protocol import PBRParams, check_forbidden_outcomes, solved
-from .routing import CouplingMap, line_map, route_linear, routed_gate_overhead
 from .simulate import outcome_distributions
+
+if TYPE_CHECKING:
+    from .routing import CouplingMap
 
 BIT_ORDER_NOTE = "qubit 0 is the most significant bit of every outcome index"
 # The multinomial sampler draws counts as int64.
@@ -89,6 +94,8 @@ _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """What a run simulates: size, angle, noise model, device, shots, seed, placement."""
+
     n: int
     theta: float
     model: str
@@ -137,6 +144,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class InputResult:
+    """One input's exact forbidden probability, sampled count, Wilson bounds and verdict."""
+
     input_index: int
     exact_probability: float
     count: int
@@ -166,6 +175,8 @@ class InputResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """One configuration's verdict, angles, gate counts, thresholds and per-input rows."""
+
     n: int
     theta: float
     alpha: float
@@ -292,10 +303,66 @@ def _count_of(x: int, rng, shots: int, p: np.ndarray) -> int:
     return int(rng.multinomial(shots, p[: x + 2])[x])
 
 
+# Wichura's AS241 rational approximations (Applied Statistics 37(3), 1988),
+# highest power first: numerator and denominator for |p - 1/2| <= 0.425,
+# then for the tails with r = sqrt(-log(min(p, 1 - p))) up to 5 and beyond.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
+     4.6303378461565452959e0, 1.4234371107496835773e0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+     2.0531916266377588219e0, 1.0),
+)
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
+     5.4637849111641143699e0, 6.6579046435011037772e0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0),
+)
+
+
+def _horner(coeffs, r: float) -> float:
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * r + c
+    return acc
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard normal quantile by AS241: statistics.NormalDist().inv_cdf(p), bit for bit."""
+    if not 0.0 < p < 1.0:
+        # statistics' own message: a confidence so close to 1 that 0.5 + c/2
+        # rounds to 1 still exits 2 with the same error line.
+        raise ValueError("p must be in the range 0.0 < p < 1.0")
+    q = p - 0.5
+    if math.fabs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num, den = _AS241_CENTRAL
+        return _horner(num, r) * q / _horner(den, r)
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    if r <= 5.0:
+        (num, den), r = _AS241_NEAR, r - 1.6
+    else:
+        (num, den), r = _AS241_FAR, r - 5.0
+    x = _horner(num, r) / _horner(den, r)
+    return -x if q < 0.0 else x
+
+
 @functools.lru_cache(maxsize=16)
 def _wilson_z(confidence: float) -> float:
     """Two-sided standard normal quantile for a confidence level."""
-    return statistics.NormalDist().inv_cdf(0.5 + confidence / 2)
+    return _normal_quantile(0.5 + confidence / 2)
 
 
 def _wilson(k: int, m: int, z: float) -> tuple[float, float]:
@@ -335,6 +402,8 @@ def _prologue(cfg: ExperimentConfig) -> tuple[PBRParams, Circuit, dict]:
     circuit = params.test_circuit
     span, swap_count = None, 0
     if cfg.placement is not None:
+        from .routing import route_linear  # routing loads only for placed runs
+
         routed = route_linear(circuit, cfg.coupling, cfg.placement)
         circuit, span, swap_count = routed.circuit, len(routed.path) - 1, routed.swap_count
     g1, g2 = gate_counts(circuit)
@@ -471,6 +540,8 @@ def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
     """
     if cfg.n != 2:
         raise ValidationError("distance sweeps run the two-qubit test")
+    from .routing import line_map
+
     spans = list(spans)
     for s in spans:
         check_span(s)
@@ -534,6 +605,8 @@ def report_to_dict(r: ExperimentReport) -> dict:
     labels = _bit_labels(r.n)
     routing = None
     if r.span is not None:
+        from .routing import routed_gate_overhead
+
         extra_g1, extra_g2 = routed_gate_overhead(r.span)
         routing = {
             "placement": list(r.placement),
@@ -682,6 +755,8 @@ _CSV_FIELDS = (
 
 def render_csv(reports) -> str:
     """Flat per-input table; analytic reports contribute one summary row."""
+    import csv  # only CSV output needs it
+
     if isinstance(reports, ExperimentReport):
         reports = [reports]
     buf = io.StringIO()

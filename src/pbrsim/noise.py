@@ -48,6 +48,8 @@ NOISE_MODELS = (DEPOLARIZING, THERMODYNAMICAL)
 
 @dataclass(frozen=True)
 class QubitCalibration:
+    """One qubit's T1, T2, gate error and duration, and readout flip probabilities."""
+
     id: int
     t1: float
     t2: float
@@ -71,6 +73,8 @@ class QubitCalibration:
 
 @dataclass(frozen=True)
 class CouplerCalibration:
+    """One coupled pair's two-qubit gate error and duration."""
+
     q0: int
     q1: int
     p2: float
@@ -89,6 +93,8 @@ class CouplerCalibration:
 
 @dataclass(frozen=True)
 class CalibrationSnapshot:
+    """A device's qubit and coupler calibrations and its readout window."""
+
     qubits: tuple[QubitCalibration, ...]
     couplers: tuple[CouplerCalibration, ...]
     readout_duration: float = DEFAULT_READOUT_S
@@ -381,12 +387,21 @@ def _noise_gate(qubits: tuple[int, ...], channel: KrausChannel) -> Gate:
     return Gate(NOISE, qubits, channel=channel)
 
 
-def _thermal_insertions(qubits, duration: float, cal: CalibrationSnapshot) -> list[Gate]:
+def _thermal_insertions(
+    qubits, duration: float, cal: CalibrationSnapshot, built: dict
+) -> list[Gate]:
+    # A qubit's RY, X and H share one duration, so `built` keeps each
+    # (qubit, duration)'s damping and dephasing gates for the rest of the call.
     out = []
     for q in qubits:
-        qc = cal.qubit(q)
-        out.append(_noise_gate((q,), amplitude_damping(p_from_time(duration, qc.t1))))
-        out.append(_noise_gate((q,), dephasing(p_from_time(duration, qc.t2))))
+        pair = built.get((q, duration))
+        if pair is None:
+            qc = cal.qubit(q)
+            pair = built[q, duration] = (
+                _noise_gate((q,), amplitude_damping(p_from_time(duration, qc.t1))),
+                _noise_gate((q,), dephasing(p_from_time(duration, qc.t2))),
+            )
+        out += pair
     return out
 
 
@@ -402,13 +417,14 @@ def attach_noise(c: Circuit, cal: CalibrationSnapshot, model: str) -> Circuit:
     if model not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {model!r}")
     gates: list[Gate] = []
+    built: dict = {}
     for g in c.gates:
         if g.kind == NOISE:
             gates.append(g)
             continue
         if g.kind == MEASURE:
             if model == THERMODYNAMICAL:
-                gates.extend(_thermal_insertions(g.qubits, cal.readout_duration, cal))
+                gates.extend(_thermal_insertions(g.qubits, cal.readout_duration, cal, built))
             gates.append(g)
             continue
         gates.append(g)
@@ -424,5 +440,5 @@ def attach_noise(c: Circuit, cal: CalibrationSnapshot, model: str) -> Circuit:
                     p = cal.coupler(*pair).p2
                     gates.append(_noise_gate(pair, depolarizing_channel(p, 2)))
         else:
-            gates.extend(_thermal_insertions(g.qubits, _gate_duration(g, cal), cal))
+            gates.extend(_thermal_insertions(g.qubits, _gate_duration(g, cal), cal, built))
     return Circuit(c.n_qubits, tuple(gates))

@@ -135,6 +135,8 @@ def solve_angles(n: int, theta: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PBRParams:
+    """The test size, preparation angle theta and the measurement angles solved for it."""
+
     n: int
     theta: float
     alpha: float

@@ -20,6 +20,8 @@ from .noise import json_number, load_json_document
 
 @dataclass(frozen=True)
 class CouplingMap:
+    """Physical qubit count and the undirected edges two-qubit gates may use."""
+
     n_qubits: int
     edges: tuple[tuple[int, int], ...]
 
@@ -113,6 +115,8 @@ def span_distance(cmap: CouplingMap, a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class RoutedCircuit:
+    """A routed circuit, its final layout, the SWAPs inserted and the path walked."""
+
     circuit: Circuit
     layout: tuple[int, ...]
     swap_count: int

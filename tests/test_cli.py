@@ -622,3 +622,24 @@ def test_cli_runs_without_scipy(calib_path):
     for result in results:
         assert result["code"] in (0, 1), result
         json.loads(result["stdout"])
+
+
+def test_cli_runs_under_optimize_2(calib_path):
+    # python -OO strips docstrings; the CLI must not read its own. Each
+    # command prints what it prints without -OO, with the same exit code.
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(pbrsim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src_root)
+    for argv in (
+        ["run", "--n", "2", "--calib", calib_path, "--model", "dep", "--shots", "2000"],
+        ["--help"],
+    ):
+        plain, stripped = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "pbrsim.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            for flags in ([], ["-OO"])
+        )
+        assert plain.returncode == 0, plain.stderr
+        assert (stripped.returncode, stripped.stdout, stripped.stderr) == (0, plain.stdout, "")
+        assert plain.stdout.startswith("{" if argv[0] == "run" else "usage: pbrsim")

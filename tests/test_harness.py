@@ -6,6 +6,8 @@ import inspect
 import io
 import itertools
 import json
+import math
+import re
 import statistics
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ import pytest
 import pbrsim.cli
 import pbrsim.harness
 import pbrsim.protocol
+import pbrsim.routing
 import pbrsim.simulate
 from pbrsim.config import DEFAULT_CONFIDENCE
 from pbrsim.errors import RangeError, ValidationError
@@ -32,6 +35,7 @@ from pbrsim.harness import (
     sample_counts,
     sweep_distance,
     wilson_interval,
+    _wilson_z,
 )
 from pbrsim.noise import (
     CalibrationSnapshot,
@@ -168,6 +172,24 @@ def test_wilson_interval_matches_the_per_call_quantile():
         half = z * np.sqrt(k * (m - k) / m + z * z / 4) / denom
         ref = float(max(0.0, center - half)), float(min(1.0, center + half))
         assert wilson_interval(k, m, conf) == ref
+
+
+def test_wilson_z_is_the_normal_dist_quantile_bit_for_bit():
+    # _wilson_z runs its own copy of AS241, the algorithm NormalDist.inv_cdf
+    # runs, so the run path never imports statistics; statistics stays here
+    # as the reference, on a dense grid of confidences and at both ends.
+    nd = statistics.NormalDist()
+    grid = [k / 100_003 for k in range(1, 100_003)]
+    ends = [2.0**-e for e in range(1, 1075)] + [1 - 2.0**-e for e in range(1, 53)]
+    for c in grid + ends + [0.95, 0.99, 0.999999, 1e-300]:
+        z = _wilson_z(c)
+        assert z == nd.inv_cdf(0.5 + c / 2) and math.copysign(1, z) == 1, c
+    # 0.5 + c / 2 rounds to 1 for the largest float below 1: the same error.
+    c = 1 - 2.0**-53
+    with pytest.raises(statistics.StatisticsError) as ref:
+        nd.inv_cdf(0.5 + c / 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+        _wilson_z(c)
 
 
 def test_experiment_config_validation():
@@ -435,7 +457,7 @@ def test_run_routes_and_attaches_noise_once(model, monkeypatch):
     check_forbidden_outcomes.cache_clear()
     calls = {"route_linear": 0, "attach_noise": 0, "build_test_circuit": 0}
     for module, name in (
-        (pbrsim.harness, "route_linear"),
+        (pbrsim.routing, "route_linear"),
         (pbrsim.harness, "attach_noise"),
         (pbrsim.protocol, "build_test_circuit"),
     ):
@@ -488,7 +510,7 @@ def test_analytic_report_for_long_span(monkeypatch):
         routings.append(route_linear(*args))
         return routings[-1]
 
-    monkeypatch.setattr(pbrsim.harness, "route_linear", recording)
+    monkeypatch.setattr(pbrsim.routing, "route_linear", recording)
     rep = analytic_report(cfg)
     assert render_json(rep) == render_json(sweep_distance(cfg, [154])[0])
     # span and swap count are read off the routing, not written by hand;

@@ -1,7 +1,11 @@
 """Noise channels, calibration snapshots, readout, channel insertion."""
 
+import itertools
+
 import numpy as np
 import pytest
+
+import pbrsim.noise
 
 from pbrsim.circuits import (
     CZ,
@@ -12,6 +16,7 @@ from pbrsim.circuits import (
     MEASURE,
     NOISE,
     RY,
+    _gate_duration,
 )
 from pbrsim.errors import (
     CalibrationError,
@@ -37,6 +42,7 @@ from pbrsim.noise import (
     uniform_calibration,
     _noise_gate,
 )
+from pbrsim.protocol import PBRParams, theta_min
 from dense_reference import ground_matrix, kraus_apply, pure_matrix
 from readout_reference import apply_readout
 
@@ -319,6 +325,47 @@ def test_attach_noise_shares_validated_noise_gates():
             fresh = Gate(NOISE, g.qubits, channel=g.channel)
             assert g == fresh and g.channel is fresh.channel
             assert type(g.qubits) is tuple and all(type(q) is int for q in g.qubits)
+
+
+def _thermal_reference(c, cal):
+    # Damping and dephasing on each qubit of every gate, looked up per gate:
+    # after unitaries, before MEASURE over the readout window.
+    gates = []
+    for g in c.gates:
+        dur = cal.readout_duration if g.kind == MEASURE else _gate_duration(g, cal)
+        noise = [
+            Gate(NOISE, (q,), channel=build(p_from_time(dur, T)))
+            for q in g.qubits
+            for build, T in ((amplitude_damping, cal.qubit(q).t1), (dephasing, cal.qubit(q).t2))
+        ]
+        gates += noise + [g] if g.kind == MEASURE else [g] + noise
+    return gates
+
+
+def test_thermal_noise_builds_each_qubit_duration_pair_once(monkeypatch):
+    # The n = 5 test circuit repeats (qubit, duration) pairs; attach_noise
+    # derives each pair's two channels once per call, in the same gate order.
+    cal = CalibrationSnapshot(
+        tuple(
+            QubitCalibration(q, (80 + 13 * q) * 1e-6, (60 + 11 * q) * 1e-6, 1e-4,
+                             single_gate_duration=(30 + q) * 1e-9)
+            for q in range(5)
+        ),
+        tuple(CouplerCalibration(a, b, 1e-3, 60e-9) for a, b in itertools.combinations(range(5), 2)),
+        readout_duration=1e-6,
+    )
+    c = PBRParams.solve(5, theta_min(5)).test_circuit
+    ref = _thermal_reference(c, cal)
+    calls = []
+    monkeypatch.setattr(
+        pbrsim.noise, "p_from_time", lambda t, T: calls.append(t) or p_from_time(t, T)
+    )
+    noisy = attach_noise(c, cal, THERMODYNAMICAL)
+    # Gate equality leaves the channel out: compare it by identity.
+    assert list(noisy.gates) == ref
+    assert all(g.channel is h.channel for g, h in zip(noisy.gates, ref))
+    pairs = {(g.qubits[0], g.channel) for g in ref if g.kind == NOISE}
+    assert len(calls) == len(pairs) < len(ref) - len(c.gates)
 
 
 def test_noise_gate_cache_is_bounded():

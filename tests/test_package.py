@@ -1,4 +1,10 @@
-"""The package's export list."""
+"""The package's export list and what a run imports."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pbrsim
 
@@ -30,6 +36,95 @@ def test_export_list():
     assert len(set(exported)) == len(exported)
     for name in exported:
         assert hasattr(pbrsim, name), name
+    # Each name is listed once, under the submodule that defines it.
+    owners = [name for names in pbrsim._EXPORTS.values() for name in names]
+    assert sorted(owners) == sorted(exported)
+    for module, names in pbrsim._EXPORTS.items():
+        home = importlib.import_module(f"pbrsim.{module}")
+        assert getattr(pbrsim, module) is home
+        for name in names:
+            assert getattr(pbrsim, name) is getattr(home, name), name
     for name in REMOVED:
         assert name not in exported
         assert not hasattr(pbrsim, name), name
+
+
+# Each check below runs in a fresh interpreter, so what earlier tests
+# imported does not count.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(pbrsim.__file__)))
+CALIB = os.path.join(os.path.dirname(SRC), "demos", "data", "adjacent_pair.json")
+# Modules an unplaced run leaves alone: routing, CSV output, and the
+# statistics module with the fractions and decimal modules it imports.
+UNUSED_BY_UNPLACED_RUN = ("pbrsim.routing", "csv", "statistics", "fractions", "decimal")
+
+_LOADED_AFTER_MAIN = """
+import contextlib, io, json, sys
+from pbrsim.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def _fresh(script, *args):
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _loaded_after_main(argv):
+    code, modules = _fresh(_LOADED_AFTER_MAIN, json.dumps(argv))
+    assert code in (0, 1)
+    return set(modules)
+
+
+def test_import_loads_no_submodule():
+    modules = _fresh("import json, sys, pbrsim; print(json.dumps(sorted(sys.modules)))")
+    assert "pbrsim" in modules
+    assert [m for m in modules if m.startswith("pbrsim.")] == []
+
+
+def test_unplaced_run_loads_no_routing_csv_or_statistics():
+    loaded = _loaded_after_main(
+        ["run", "--n", "2", "--calib", CALIB, "--model", "thermo", "--shots", "2000"]
+    )
+    assert "pbrsim.harness" in loaded
+    assert loaded.isdisjoint(UNUSED_BY_UNPLACED_RUN), loaded & set(UNUSED_BY_UNPLACED_RUN)
+
+
+def test_placed_run_and_sweep_load_routing(tmp_path):
+    cmap = tmp_path / "map.json"
+    cmap.write_text(json.dumps({"n_qubits": 2, "edges": [[0, 1]]}))
+    base = ["--calib", CALIB, "--model", "dep", "--shots", "2000"]
+    for argv in (
+        ["run", "--n", "2", *base, "--map", str(cmap), "--place", "0,1"],
+        ["sweep-distance", *base, "--spans", "1"],
+    ):
+        assert "pbrsim.routing" in _loaded_after_main(argv), argv
+
+
+def test_every_export_and_submodule_resolves_on_first_use():
+    script = """
+import json, pbrsim
+
+names = pbrsim.__all__ + list(pbrsim._EXPORTS)
+resolved = [name for name in names if getattr(pbrsim, name, None) is not None]
+try:
+    pbrsim.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([names, resolved, unknown, dir(pbrsim)]))
+"""
+    names, resolved, unknown, listed = _fresh(script)
+    assert resolved == names
+    assert set(pbrsim._EXPORTS) == {
+        name[:-3] for name in os.listdir(os.path.dirname(pbrsim.__file__))
+        if name.endswith(".py") and name != "__init__.py"
+    }
+    assert unknown == "module 'pbrsim' has no attribute 'no_such_name'"
+    assert set(pbrsim.__all__) <= set(listed)
