@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, RY, circuit_duration
+from .config import DEFAULT_TWO_QUBIT_GATE_S
 from .errors import RangeError
 from .noise import (
     CalibrationSnapshot,
@@ -158,7 +159,7 @@ def _tolerance_pair(
     ideal = epsilon_tol(d_q, n)
     qubits = _prep_qubits(circuit)
     cals = [cal.qubit(q) for q in qubits]
-    two_durations = [c.duration for c in cal.couplers] or [68e-9]
+    two_durations = [c.duration for c in cal.couplers] or [DEFAULT_TWO_QUBIT_GATE_S]
     t_two = calibration_mean(two_durations)
 
     p_ad = [mean_p_from_time((qc.single_gate_duration, t_two), qc.t1) for qc in cals]

@@ -32,7 +32,7 @@ from .harness import (
     tolerance_to_dict,
 )
 from .noise import DEPOLARIZING, THERMODYNAMICAL, load_calibration
-from .protocol import PBRParams, build_test_circuit, theta_min
+from .protocol import solved, theta_min
 
 _MODEL_ALIASES = {"dep": DEPOLARIZING, "thermo": THERMODYNAMICAL}
 _MODEL_CHOICES = (DEPOLARIZING, THERMODYNAMICAL, "dep", "thermo")
@@ -90,7 +90,7 @@ def _emit(text: str, args, reports=()) -> int:
 
 def _cmd_solve_angles(args) -> int:
     theta = _theta(args)
-    params = PBRParams.solve(args.n, theta)
+    params = solved(args.n, theta)
     doc = {
         "kind": "pbr-angles",
         "n": args.n,
@@ -104,9 +104,9 @@ def _cmd_solve_angles(args) -> int:
 
 def _cmd_tolerance(args) -> int:
     theta = _theta(args)
-    params = PBRParams.solve(args.n, theta)
+    params = solved(args.n, theta)
     cal = load_calibration(args.calib)
-    rep = tolerance_report(params, cal, build_test_circuit(0, params), _model(args.model))
+    rep = tolerance_report(params, cal, params.test_circuit, _model(args.model))
     doc = {
         "kind": "pbr-tolerance",
         "n": args.n,

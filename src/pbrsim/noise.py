@@ -9,7 +9,8 @@ Calibration files are JSON documents with fixed units in the key names:
 Unknown keys are rejected. Only the duration keys may be omitted; they
 fall back to 36 ns (single), 68 ns (two-qubit) and 1 us (readout). Ids
 must be JSON integers and every other value a finite JSON number; booleans,
-strings, NaN and infinities are rejected.
+strings, NaN and infinities are rejected. Qubit ids are distinct, and a
+pair has at most one coupler, in either orientation.
 """
 
 from __future__ import annotations
@@ -108,16 +109,21 @@ class CalibrationSnapshot:
         if len(set(ids)) != len(ids):
             raise ValidationError("duplicate qubit ids")
         known = set(ids)
+        by_pair = {}
         for c in self.couplers:
             for q in (c.q0, c.q1):
                 if q not in known:
                     raise ValidationError(f"coupler references unknown qubit {q}")
+            # One coupler per pair, in either orientation: a second would
+            # shadow the first in `coupler` but count in every average.
+            pair = frozenset((c.q0, c.q1))
+            if pair in by_pair:
+                raise ValidationError(f"duplicate coupler ({c.q0}, {c.q1})")
+            by_pair[pair] = c
         if not 0 <= self.readout_duration < math.inf:
             raise ValidationError("readout_us must be finite and >= 0")
         object.__setattr__(self, "_by_id", {q.id: q for q in self.qubits})
-        object.__setattr__(
-            self, "_by_pair", {frozenset((c.q0, c.q1)): c for c in self.couplers}
-        )
+        object.__setattr__(self, "_by_pair", by_pair)
 
     def qubit(self, qid: int) -> QubitCalibration:
         try:
@@ -207,7 +213,9 @@ def load_calibration(path) -> CalibrationSnapshot:
                 t1=_field(entry, "t1_us", where) * 1e-6,
                 t2=_field(entry, "t2_us", where) * 1e-6,
                 p1=_field(entry, "p1", where),
-                single_gate_duration=_field(entry, "single_ns", where, 36.0) * 1e-9,
+                single_gate_duration=(
+                    _field(entry, "single_ns", where, DEFAULT_SINGLE_GATE_S * 1e9) * 1e-9
+                ),
                 readout_p01=_field(entry, "p01", where),
                 readout_p10=_field(entry, "p10", where),
             )
@@ -221,7 +229,7 @@ def load_calibration(path) -> CalibrationSnapshot:
                 q0=_field(entry, "q0", where, integer=True),
                 q1=_field(entry, "q1", where, integer=True),
                 p2=_field(entry, "p2", where),
-                duration=_field(entry, "duration_ns", where, 68.0) * 1e-9,
+                duration=_field(entry, "duration_ns", where, DEFAULT_TWO_QUBIT_GATE_S * 1e9) * 1e-9,
             )
         )
     readout = _field(doc, "readout_us", "calibration", DEFAULT_READOUT_S * 1e6) * 1e-6

@@ -22,22 +22,24 @@ after the first gate on each of F frame qubits: the 2^n inputs of a run,
 as RY(-theta)|0> = Z RY(theta)|0>. Conjugation by Z commutes with a
 diagonal gate, an X and every channel whose superoperator commutes with
 it (the depolarizing and thermal channels do), so a frame moves past
-those (a Pauli frame: Knill, Nature 434, 39 (2005)). When every frame
-moves on to its qubit's suffix, or to its trace-out, where it changes
-nothing, one row is evolved. Z-conjugation negates a qubit's two
-coherences, so each framed qubit's populations are read twice, once with
-its suffix map's coherence columns negated, and one contraction over the
-kept qubits gives every input's distribution without building their
-states. Which row of that read serves each input depends only on the
-kept and framed qubits: it is built once per (keep, frames), read-only,
-and skipped when it is the identity, as in every unplaced run.
-Otherwise the rows branch at the start: each frame is a per-row
-diagonal operator after its qubit's first gate, and the 2^F states
-evolve as one (B, 2^w, 2^w) stack, in chunks of at most CHUNK_ENTRIES
-complex entries at the peak live width w, which bounds the memory they
-add. Each state's floats do not depend on the other rows. Either way, a
-measured qubit's readout confusion matrix, when given, is multiplied
-into the (2 x 4) map that reads its populations.
+those (a Pauli frame: Knill, Nature 434, 39 (2005)). Each frame is read
+or branched on its own. One that moves on to its qubit's trace-out
+changes nothing; one that moves on to its kept qubit's suffix is read:
+Z-conjugation negates a qubit's two coherences, so that qubit's
+populations are read twice, once with its suffix map's coherence columns
+negated. Any other frame branches the rows at the start, as a per-row
+diagonal operator after its qubit's first gate: the 2^B rows of B
+branched frames evolve as one (2^B, 2^w, 2^w) stack, in chunks of at
+most CHUNK_ENTRIES complex entries at the peak live width w, which
+bounds the memory they add, and each row's floats do not depend on the
+other rows. One contraction over the kept qubits then gives every
+input's distribution without building their states. An unplaced run
+branches no frame and evolves one row; a routed pair's decomposed SWAP
+meets the moved qubit's frame with an H, so it evolves two. Which row of
+the read serves each input is built once per (keep, frames, branched),
+read-only, and skipped when it is the identity. A measured qubit's
+readout confusion matrix, when given, is multiplied into the (2 x 4)
+map that reads its populations.
 
 A stack of b states on w live qubits is a (b, 2^w, 2^w) array; viewed as
 (b,) + (2,) * 2w, live qubit i is row axis 1 + i and column axis 1 + w + i.
@@ -243,18 +245,18 @@ def _walk(c: Circuit, frames: tuple[int, ...] = ()) -> tuple:
     return c, gates, start, first, last
 
 
-def _frames_hold(w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]) -> bool:
-    # Whether each frame's Z commutes with every later operator on its qubit
-    # up to the qubit's suffix, which starts after its last multi-qubit gate
-    # (for a qubit no multi-qubit gate touches: at the end if it is kept, and
-    # nowhere if not, as it never joins). The frame then reaches the suffix,
-    # or the qubit's trace-out. `w` is the circuit's `_walk`.
+def _branched(w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]) -> tuple[int, ...]:
+    # The frames, in `frames` order, whose Z fails to commute with a later
+    # operator on its qubit before the qubit's suffix, which starts after its
+    # last multi-qubit gate (for a qubit no multi-qubit gate touches: at the
+    # end if it is kept, and nowhere if not, as it never joins). The others
+    # reach the suffix, or the qubit's trace-out. `w` is the circuit's `_walk`.
     _, gates, start, _, last = w
-    for q in frames:
-        end = last.get(q, len(gates) if q in keep else start[q])
-        if not all(_keeps_frame(g, q) for g in gates[start[q] + 1 : end + 1] if q in g.qubits):
-            return False
-    return True
+    ends = {q: last.get(q, len(gates) if q in keep else start[q]) for q in frames}
+    return tuple(
+        q for q in frames
+        if not all(_keeps_frame(g, q) for g in gates[start[q] + 1 : ends[q] + 1] if q in g.qubits)
+    )
 
 
 def _frame_operator(j: int, count: int) -> np.ndarray:
@@ -402,24 +404,24 @@ def _populations(mats: np.ndarray, suffix: list, readout: list, framed=frozenset
 
 @functools.lru_cache(maxsize=32)
 def _frame_rows(
-    keep: tuple[int, ...], frames: tuple[int, ...]
+    keep: tuple[int, ...], frames: tuple[int, ...], branched: tuple[int, ...]
 ) -> tuple[frozenset, np.ndarray | None]:
-    # How the one evolved row's read serves the 2^F framed inputs: the
-    # positions in `keep` of the framed kept qubits, which `_populations`
-    # reads twice, and the read's row for each input. The read's rows count
-    # the frames on kept qubits in `keep` order, the first most significant;
-    # a frame on a traced-out qubit changes no row. The row index is None
-    # when it is the identity (every frame on a kept qubit, in `keep` order:
-    # every unplaced run), else read-only, as every run with the same qubits
-    # shares it.
-    framed = frozenset(i for i, q in enumerate(keep) if q in frames)
-    if [q for q in keep if q in frames] == list(frames):
+    # How the read of the rows branched on `branched` serves the 2^F framed
+    # inputs: the positions in `keep` of the read frames (the unbranched ones
+    # on kept qubits), which `_populations` reads twice, and the read's row
+    # for each input. The read's rows count the branched frames in `frames`
+    # order, then the read frames in `keep` order, the first most significant;
+    # any other frame changes no row. The row index is None when it is the
+    # identity (every unplaced run), else read-only and shared.
+    read = [q for q in keep if q in frames and q not in branched]
+    framed = frozenset(keep.index(q) for q in read)
+    order = list(branched) + read
+    if order == list(frames):
         return framed, None
     x = np.arange(2 ** len(frames))
     index = np.zeros_like(x)
-    for q in keep:
-        if q in frames:
-            index = 2 * index + ((x >> (len(frames) - 1 - frames.index(q))) & 1)
+    for q in order:
+        index = 2 * index + ((x >> (len(frames) - 1 - frames.index(q))) & 1)
     index.setflags(write=False)
     return framed, index
 
@@ -445,13 +447,11 @@ def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
     if readout and (len(readout) != len(keep) or any(r.shape != (2, 2) for r in readout)):
         raise ValueError(f"readout needs one (2, 2) matrix for each of {len(keep)} measured qubits")
     w = _walk(c, frames)
-    if not _frames_hold(w, keep, frames):
-        return np.concatenate(
-            [_populations(rho, suffix, readout) for rho, suffix in _chunks(w, keep, frames)]
-        )
-    ((rho, suffix),) = _chunks(w, keep, ())
-    framed, index = _frame_rows(keep, frames)
-    probs = _populations(rho, suffix, readout, framed)
+    branched = _branched(w, keep, frames)
+    framed, index = _frame_rows(keep, frames, branched)
+    probs = np.concatenate(
+        [_populations(rho, suffix, readout, framed) for rho, suffix in _chunks(w, keep, branched)]
+    )
     return probs if index is None else probs[index]
 
 

@@ -426,6 +426,8 @@ def _pair_doc_with(key, value, section=None):
         _pair_doc_with("duration_ns", float("nan"), "couplers"),
         _pair_doc_with("q1", True, "couplers"),
         _pair_doc_with("p2", 10**400, "couplers"),
+        # The one pair again, flipped: a second coupler on it.
+        {**_PAIR_DOC, "couplers": _PAIR_DOC["couplers"] + [{"q0": 1, "q1": 0, "p2": 0.5}]},
     ],
 )
 @pytest.mark.parametrize("command", ["tolerance", "run"])

@@ -326,22 +326,28 @@ def test_run_experiment_thermo_five_qubits():
     assert rep.mean_forbidden_exact < rep.active_tolerance
 
 
+def record_evolved_rows(monkeypatch):
+    """The number of rows of each chunk the simulator evolves, from a cold check cache."""
+    check_forbidden_outcomes.cache_clear()
+    rows = []
+    real = pbrsim.simulate._chunks
+
+    def counted(w, keep, branched):
+        for rho, suffix in real(w, keep, branched):
+            rows.append(len(rho))
+            yield rho, suffix
+
+    monkeypatch.setattr(pbrsim.simulate, "_chunks", counted)
+    return rows
+
+
 def test_run_evolves_one_row_per_circuit(monkeypatch):
     # The forbidden outcomes are closed-form, and every frame of an unplaced
     # run reaches its suffix: the ideal circuit (the simulator spot-check)
     # and the noisy one are each evolved once, as one row, for all 32 inputs.
     # The spot-check is cached per (n, theta), so a second run at the same
     # angles evolves only its noisy circuit.
-    check_forbidden_outcomes.cache_clear()
-    rows = []
-    real = pbrsim.simulate._chunks
-
-    def counted(c, keep, frames):
-        for rho, suffix in real(c, keep, frames):
-            rows.append(len(rho))
-            yield rho, suffix
-
-    monkeypatch.setattr(pbrsim.simulate, "_chunks", counted)
+    rows = record_evolved_rows(monkeypatch)
     runs = (
         (DEPOLARIZING, theta_min(5), [1, 1]),
         (THERMODYNAMICAL, theta_min(5), [1]),
@@ -356,6 +362,23 @@ def test_run_evolves_one_row_per_circuit(monkeypatch):
         rep = run_experiment(cfg)
         assert rows == evolved
         assert len(rep.inputs) == 32
+
+
+@pytest.mark.parametrize("model", [DEPOLARIZING, THERMODYNAMICAL])
+def test_placed_run_evolves_two_rows(model, monkeypatch):
+    # The SWAPs that route the pair meet the moved qubit's frame with an H:
+    # that frame branches the noisy circuit's rows, and the other is read.
+    # The ideal spot-check is unrouted and evolves one row.
+    rows = record_evolved_rows(monkeypatch)
+    line = line_map(5)
+    cfg = ExperimentConfig(
+        n=2, theta=theta_min(2), model=model,
+        calibration=uniform_calibration(5, p1=2e-4, p2=2.4e-3, edges=line.edges),
+        shots=4000, seed=11, coupling=line, placement=(0, 4),
+    )
+    rep = run_experiment(cfg)
+    assert rows == [1, 2]
+    assert len(rep.inputs) == 4
 
 
 def _run_on_table(monkeypatch, table, shots, seed):

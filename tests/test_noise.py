@@ -1,6 +1,7 @@
 """Noise channels, calibration snapshots, readout, channel insertion."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -149,6 +150,23 @@ def test_snapshot_validation_and_lookup():
             CouplerCalibration(0, 1, 1e-3, duration=bad)
         with pytest.raises(ValidationError):
             CalibrationSnapshot((q0, q1), (cpl,), readout_duration=bad)
+
+
+@pytest.mark.parametrize("second", [(0, 1), (1, 0)])
+def test_duplicate_coupler_is_rejected(second, tmp_path):
+    # A second coupler on a pair, in either orientation, would shadow the
+    # first in `coupler` but still count in every average over couplers.
+    qubits = (QubitCalibration(0, 150e-6, 120e-6, 1e-4), QubitCalibration(1, 150e-6, 120e-6, 1e-4))
+    couplers = (CouplerCalibration(0, 1, 0.01, 68e-9), CouplerCalibration(*second, 0.5, 68e-9))
+    with pytest.raises(ValidationError, match=rf"duplicate coupler \({second[0]}, {second[1]}\)"):
+        CalibrationSnapshot(qubits, couplers)
+    path = tmp_path / "cal.json"
+    save_calibration(CalibrationSnapshot(qubits, couplers[:1]), path)
+    doc = json.loads(path.read_text())
+    doc["couplers"].append({"q0": second[0], "q1": second[1], "p2": 0.5})
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="duplicate coupler"):
+        load_calibration(path)
 
 
 def test_readout_matrix_and_apply():

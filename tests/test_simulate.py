@@ -42,8 +42,8 @@ from pbrsim.noise import (
 from pbrsim.protocol import PBRParams, build_test_circuit, theta_min
 from pbrsim.routing import line_map, route_linear
 from pbrsim.simulate import (
+    _branched,
     _frame_rows,
-    _frames_hold,
     _gate_operator,
     _operator,
     _operators,
@@ -162,11 +162,46 @@ def test_routed_pbr_circuits_match_dense_reference(span, model):
 
     ref = dense_distribution(noisy(span % 4))
     assert np.abs(outcome_distribution(noisy(span % 4)) - ref).max() < DIFF_TOL
-    # Past span 1 the decomposed SWAPs' H meets logical 0's frame, and the
-    # rows branch at the start.
+    # Past span 1 the decomposed SWAPs' H meets logical 0's frame, which
+    # branches the rows at the start; logical 1's frame is read.
     base = noisy(0)
-    assert _frames_hold(_walk(base), base.measured_qubits, (0, span)) == (span == 1)
+    assert _branched(_walk(base), base.measured_qubits, (0, span)) == (() if span == 1 else (0,))
     assert np.abs(outcome_distributions(base, (0, span))[span % 4] - ref).max() < DIFF_TOL
+
+
+def record_evolved_rows(monkeypatch):
+    """The number of rows of each chunk that `outcome_distributions` evolves."""
+    rows = []
+    real = pbrsim.simulate._chunks
+
+    def counted(w, keep, branched):
+        for rho, suffix in real(w, keep, branched):
+            rows.append(len(rho))
+            yield rho, suffix
+
+    monkeypatch.setattr(pbrsim.simulate, "_chunks", counted)
+    return rows
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_routed_pair_branches_only_the_moved_frame(model, monkeypatch):
+    # The SWAPs that move logical 0 next to logical 1 meet its frame with an
+    # H; logical 1's frame meets only diagonal gates, X and Z-covariant
+    # channels before its suffix. So a routed pair evolves two rows, and an
+    # adjacent one a single row.
+    rows = record_evolved_rows(monkeypatch)
+    params = PBRParams.solve(2, theta_min(2))
+    for span in range(1, 8):
+        line = line_map(span + 1)
+        cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
+        placement = (0, span)
+        routed = route_linear(build_test_circuit(0, params), line, placement).circuit
+        noisy = attach_noise(routed, cal, model)
+        branched = _branched(_walk(noisy), noisy.measured_qubits, placement)
+        assert branched == (() if span == 1 else (placement[0],))
+        rows.clear()
+        assert outcome_distributions(noisy, placement).shape == (4, 4)
+        assert rows == [1 if span == 1 else 2]
 
 
 def record_kernel_calls(monkeypatch):
@@ -302,7 +337,8 @@ def test_chunked_batch_equals_one_chunk(monkeypatch):
     noisy = attach_noise(build_test_circuit(0, params), varied_calibration(n, seed=9), "depolarizing")
     branching = with_h_pairs(noisy)
     frames, keep = tuple(range(n)), noisy.measured_qubits
-    assert _frames_hold(_walk(noisy), keep, frames) and not _frames_hold(_walk(branching), keep, frames)
+    assert _branched(_walk(noisy), keep, frames) == ()
+    assert _branched(_walk(branching), keep, frames) == frames
     chunked = outcome_distributions(branching, frames)
     # Five live qubits: 8 inputs per chunk, and only one chunk's states at a time.
     assert [len(states) for states in evolve(branching, keep, frames)] == [8, 8, 8, 8]
@@ -344,7 +380,7 @@ def test_readout_folds_into_the_population_read(n):
     params = PBRParams.solve(n, theta_min(n))
     for model in NOISE_MODELS:
         noisy = attach_noise(build_test_circuit(0, params), cal, model)
-        assert _frames_hold(_walk(noisy), noisy.measured_qubits, tuple(range(n)))
+        assert _branched(_walk(noisy), noisy.measured_qubits, tuple(range(n))) == ()
         assert_readout_folds(noisy, range(n), cal)
         assert_readout_folds(noisy, (), cal)
         if n <= 5:
@@ -353,7 +389,8 @@ def test_readout_folds_into_the_population_read(n):
 
 @pytest.mark.parametrize("model", NOISE_MODELS)
 def test_readout_folds_into_routed_reads(model):
-    # Span 1 evolves one row under frames; past it the rows branch.
+    # Span 1 evolves one row under frames; past it logical 0's frame
+    # branches two rows and logical 1's is read.
     params = PBRParams.solve(2, theta_min(2))
     for span in range(1, 8):
         line = line_map(span + 1)
@@ -537,67 +574,115 @@ _H = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
 HADH = KrausChannel([_H @ k @ _H for k in AD.operators])
 DEP2 = depolarizing_channel(0.05, 2)
 FRAME_CASES = {
-    # name: (qubits, gates, frames, whether every frame reaches its suffix)
+    # name: (qubits, gates, frames, the frames that branch the rows)
     "frame_meets_h_before_suffix": (2, [
         Gate(RY, (0,), angle=0.7), Gate(RY, (1,), angle=-0.4), Gate(H, (0,)),
         Gate(CZ, (0, 1)), Gate(H, (0,)), Gate(H, (1,)), Gate(MEASURE, (0, 1)),
-    ], (0, 1), False),
+    ], (0, 1), (0,)),
     "channel_not_z_covariant": (2, [
         Gate(RY, (0,), angle=0.7), Gate(NOISE, (0,), channel=HADH), Gate(RY, (1,), angle=1.1),
         Gate(CPHASE_OPEN, (0, 1), angle=0.9), Gate(H, (0,)), Gate(H, (1,)), Gate(MEASURE, (1, 0)),
-    ], (1, 0), False),
+    ], (1, 0), (0,)),
     "covariant_channels_and_thermal_suffix": (3, [
         Gate(RY, (0,), angle=0.7), Gate(NOISE, (0,), channel=AD), Gate(RY, (1,), angle=-1.2),
         Gate(NOISE, (1,), channel=DEPH), Gate(RY, (2,), angle=0.4), Gate(X, (2,)),
         Gate(MCPHASE_OPEN, (0, 1, 2), angle=1.3), Gate(NOISE, (1, 2), channel=DEP2),
         Gate(CZ, (0, 2)), Gate(NOISE, (0,), channel=DEP1), Gate(H, (0,)), Gate(NOISE, (0,), channel=AD),
         Gate(H, (1,)), Gate(NOISE, (1,), channel=HADH), Gate(SX, (2,)), Gate(MEASURE, (2, 0, 1)),
-    ], (0, 2, 1), True),
+    ], (0, 2, 1), ()),
     "framed_qubit_discarded": (3, [
         Gate(RY, (0,), angle=0.5), Gate(RY, (1,), angle=0.9), Gate(RY, (2,), angle=-0.3),
         Gate(CZ, (0, 1)), Gate(PHASE, (1,), angle=0.6), Gate(CZ, (1, 2)), Gate(H, (1,)),
         Gate(H, (0,)), Gate(H, (2,)), Gate(MEASURE, (0, 2)),
-    ], (1, 0, 2), True),
+    ], (1, 0, 2), ()),
     "framed_qubit_discarded_meets_h": (3, [
         Gate(RY, (0,), angle=0.5), Gate(RY, (1,), angle=0.9), Gate(RY, (2,), angle=-0.3),
         Gate(CZ, (0, 1)), Gate(H, (1,)), Gate(CZ, (1, 2)), Gate(H, (0,)), Gate(H, (2,)),
         Gate(MEASURE, (0, 2)),
-    ], (1, 0, 2), False),
+    ], (1, 0, 2), (1,)),
     "framed_qubit_without_multi_qubit_gate": (3, [
         Gate(RY, (0,), angle=0.5), Gate(RY, (1,), angle=0.9), Gate(CZ, (0, 1)),
         Gate(RY, (2,), angle=1.1), Gate(NOISE, (2,), channel=AD), Gate(PHASE, (2,), angle=0.4),
         Gate(H, (0,)), Gate(MEASURE, (2, 0, 1)),
-    ], (2, 0), True),
+    ], (2, 0), ()),
     "framed_qubit_without_multi_qubit_gate_meets_h": (3, [
         Gate(RY, (0,), angle=0.5), Gate(RY, (1,), angle=0.9), Gate(CZ, (0, 1)),
         Gate(RY, (2,), angle=1.1), Gate(NOISE, (2,), channel=AD), Gate(H, (2,)),
         Gate(H, (0,)), Gate(MEASURE, (2, 0, 1)),
-    ], (2, 0), False),
+    ], (2, 0), (2,)),
     # The first gate on qubit 0 is a CZ, so its frame starts between two
     # multi-qubit gates, where the branching rows take it in the kernel.
     "frame_after_multi_qubit_gate": (2, [
         Gate(H, (1,)), Gate(CZ, (0, 1)), Gate(H, (0,)), Gate(NOISE, (0, 1), channel=DEP2),
         Gate(CZ, (0, 1)), Gate(H, (0,)), Gate(MEASURE, (0, 1)),
-    ], (0, 1), False),
+    ], (0, 1), (0,)),
     # Qubit 0's one multi-qubit gate is its first gate, and it is not
     # measured: its frame, on the branching rows, falls after its trace-out.
     "frame_after_last_multi_qubit_gate_of_discarded_qubit": (2, [
         Gate(RY, (1,), angle=0.7), Gate(H, (1,)), Gate(CZ, (0, 1)), Gate(H, (1,)),
         Gate(MEASURE, (1,)),
-    ], (0, 1), False),
+    ], (0, 1), (1,)),
     "frame_after_multi_qubit_gate_to_suffix": (2, [
         Gate(H, (1,)), Gate(CZ, (0, 1)), Gate(NOISE, (0, 1), channel=DEP2),
         Gate(CPHASE_OPEN, (1, 0), angle=0.8), Gate(H, (0,)), Gate(H, (1,)), Gate(MEASURE, (1, 0)),
-    ], (0, 1), True),
+    ], (0, 1), ()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FRAME_CASES))
 def test_crafted_frames_match_dense_reference(name):
-    n, gates, frames, held = FRAME_CASES[name]
+    n, gates, frames, branched = FRAME_CASES[name]
     c = Circuit(n, tuple(gates))
-    assert _frames_hold(_walk(c), c.measured_qubits, frames) == held
+    assert _branched(_walk(c), c.measured_qubits, frames) == branched
     assert_rows_match_dense(c, frames)
+
+
+def mixed_frames_circuit():
+    """Three kinds of frame in one circuit, measured as (1, 0).
+
+    Qubit 0's frame meets an H before its last multi-qubit gate and
+    branches the rows; qubit 1's reaches its suffix and is read; qubit 2
+    is not measured, and its frame reaches its trace-out.
+    """
+    return Circuit(3, (
+        Gate(RY, (0,), angle=0.7), Gate(RY, (1,), angle=-1.1), Gate(RY, (2,), angle=0.4),
+        Gate(CZ, (0, 1)), Gate(NOISE, (0, 1), channel=DEP2), Gate(H, (0,)),
+        Gate(NOISE, (1,), channel=AD), Gate(CZ, (0, 2)), Gate(NOISE, (2,), channel=DEPH),
+        Gate(CPHASE_OPEN, (1, 2), angle=0.9), Gate(H, (2,)), Gate(NOISE, (2,), channel=AD),
+        Gate(H, (0,)), Gate(H, (1,)), Gate(NOISE, (1,), channel=HADH), Gate(MEASURE, (1, 0)),
+    ))
+
+
+# Listed out of `keep` order, the traced-out qubit first.
+MIXED_FRAMES = (2, 0, 1)
+
+
+def test_mixed_frames_with_readout_match_input_circuits():
+    c = mixed_frames_circuit()
+    keep = c.measured_qubits
+    assert _branched(_walk(c), keep, MIXED_FRAMES) == (0,)
+    # Qubit 1, at position 0 of `keep`, is read twice; the rows need a reindex.
+    framed, index = _frame_rows(keep, MIXED_FRAMES, (0,))
+    assert framed == frozenset({0}) and index is not None
+    rng = np.random.default_rng(5)
+    mats = [np.array([[1 - b, a], [b, 1 - a]]) for a, b in rng.uniform(0.01, 0.1, size=(2, 2))]
+    got = outcome_distributions(c, MIXED_FRAMES, mats)
+    assert got.shape == (8, 4)
+    for x, row in enumerate(got):
+        ref = apply_readout(dense_distribution(framed_circuit(c, MIXED_FRAMES, x)), mats)
+        assert np.abs(row - ref).max() < DIFF_TOL
+
+
+def test_mixed_frames_in_several_chunks_equal_one_chunk(monkeypatch):
+    c = mixed_frames_circuit()
+    mats = [readout_matrix(QubitCalibration(q, 1e-4, 1e-4, 0.0, 36e-9, 0.02, 0.05)) for q in (1, 0)]
+    whole = outcome_distributions(c, MIXED_FRAMES, mats)
+    rows = record_evolved_rows(monkeypatch)
+    monkeypatch.setattr(pbrsim.simulate, "CHUNK_ENTRIES", 1)
+    chunked = outcome_distributions(c, MIXED_FRAMES, mats)
+    # The two branched rows, one chunk each.
+    assert rows == [1, 1]
+    assert np.array_equal(chunked, whole)
 
 
 def test_z_covariance_is_read_per_channel_target():
@@ -672,16 +757,53 @@ def test_frame_row_index_orders_rows_like_input_circuits(name):
     measured, frames = ROW_INDEX_CASES[name]
     c = held_frames_circuit(measured)
     # The one evolved row is read under the frames, and its rows reordered.
-    assert _frames_hold(_walk(c, frames), measured, frames)
-    assert _frame_rows(measured, frames)[1] is not None
+    assert _branched(_walk(c, frames), measured, frames) == ()
+    assert _frame_rows(measured, frames, ())[1] is not None
     assert_rows_match_dense(c, frames)
 
 
 def test_identity_frame_row_index_is_skipped():
     # Every frame on a kept qubit, in `keep` order: the read's rows are the inputs'.
-    assert _frame_rows((0, 1, 2, 3), (0, 1, 2, 3)) == (frozenset(range(4)), None)
-    assert _frame_rows((3, 1, 0), (3, 0)) == (frozenset({0, 2}), None)
+    assert _frame_rows((0, 1, 2, 3), (0, 1, 2, 3), ()) == (frozenset(range(4)), None)
+    assert _frame_rows((3, 1, 0), (3, 0), ()) == (frozenset({0, 2}), None)
     assert_rows_match_dense(held_frames_circuit((3, 1, 0)), (3, 0))
+
+
+def brute_force_rows(keep, frames, branched):
+    """Each input's row of the read: its branched bits, then its read bits."""
+    read = [q for q in keep if q in frames and q not in branched]
+    index = []
+    for x in range(2 ** len(frames)):
+        bit = {q: (x >> (len(frames) - 1 - j)) & 1 for j, q in enumerate(frames)}
+        row = 0
+        for q in list(branched) + read:
+            row = 2 * row + bit[q]
+        index.append(row)
+    return frozenset(keep.index(q) for q in read), index
+
+
+@pytest.mark.parametrize(
+    "keep, frames, branched",
+    [
+        ((1, 0), (2, 0, 1), (0,)),
+        ((0, 1, 2), (0, 1, 2), (1,)),
+        ((0, 1, 2), (2, 0, 1), (2, 0)),
+        ((3, 1, 0), (0, 2, 1, 3), (2,)),
+        ((0, 2, 3), (3, 1, 0, 2), (1, 0)),
+        ((4, 2), (1, 2, 3, 4), (3, 1)),
+        ((0, 1), (0, 1), (0, 1)),
+        ((0, 1), (1, 0), (1,)),
+    ],
+)
+def test_frame_row_index_with_branched_frames_matches_brute_force(keep, frames, branched):
+    framed, index = _frame_rows(keep, frames, branched)
+    want_framed, want = brute_force_rows(keep, frames, branched)
+    assert framed == want_framed
+    if index is None:
+        assert want == list(range(2 ** len(frames)))
+    else:
+        assert index.tolist() == want
+        assert not index.flags.writeable
 
 
 def test_frame_row_index_is_cached_read_only_and_shared():
@@ -694,8 +816,8 @@ def test_frame_row_index_is_cached_read_only_and_shared():
     # Two circuits with the same kept and framed qubits share one entry.
     after = _frame_rows.cache_info()
     assert after.misses - info.misses <= 1 and after.hits - info.hits >= 1
-    _, index = _frame_rows(keep, frames)
-    assert index is _frame_rows(keep, frames)[1]
+    _, index = _frame_rows(keep, frames, ())
+    assert index is _frame_rows(keep, frames, ())[1]
     assert _frame_rows.cache_info().maxsize and _population_axes.cache_info().maxsize
     assert not index.flags.writeable
     with pytest.raises(ValueError):
