@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, RY, circuit_duration
+from .circuits import Circuit, RY, _busy_times
 from .config import DEFAULT_TWO_QUBIT_GATE_S
 from .errors import RangeError
 from .noise import (
@@ -164,10 +164,9 @@ def _tolerance_pair(
 
     p_ad = [mean_p_from_time((qc.single_gate_duration, t_two), qc.t1) for qc in cals]
     p_phi = [mean_p_from_time((qc.single_gate_duration, t_two), qc.t2) for qc in cals]
-    busy = circuit_duration(circuit, cal).tolist()
     cumulative = 0.0
-    for q, qc in zip(qubits, cals):
-        cumulative += p_from_time(busy[q], qc.t1) + p_from_time(busy[q], qc.t2)
+    for busy, qc in zip(_busy_times(circuit, cal, qubits), cals):
+        cumulative += p_from_time(busy, qc.t1) + p_from_time(busy, qc.t2)
     cumulative = min(1.0, cumulative)
 
     # Per model, in NOISE_MODELS order: each preparation qubit's error, its

@@ -195,13 +195,22 @@ def _gate_duration(g: Gate, cal) -> float:
     return 0.0
 
 
-def circuit_duration(c: Circuit, cal) -> np.ndarray:
-    """Per-qubit busy time in seconds under a calibration snapshot."""
-    busy = np.zeros(c.n_qubits)
+def _busy_times(c: Circuit, cal, qubits) -> list[float]:
+    # Busy time in seconds of each of the distinct `qubits`, in their order.
+    # Every non-NOISE gate's duration is looked up in gate order, whichever
+    # qubits it acts on, so a snapshot that misses one fails at that gate;
+    # no memory is spent on the qubits left out.
+    busy = dict.fromkeys(qubits, 0.0)
     for g in c.gates:
         if g.kind == NOISE:
             continue
         dur = _gate_duration(g, cal)
         for q in g.qubits:
-            busy[q] += dur
-    return busy
+            if q in busy:
+                busy[q] += dur
+    return list(busy.values())
+
+
+def circuit_duration(c: Circuit, cal) -> np.ndarray:
+    """Per-qubit busy time in seconds under a calibration snapshot."""
+    return np.array(_busy_times(c, cal, range(c.n_qubits)))

@@ -12,9 +12,9 @@ with a Z after the preparation of each qubit whose bit is set, so
 `simulate.outcome_distributions` gives every input's distribution from
 the one noisy circuit, the preparation qubits as its frames, with each
 measured qubit's readout confusion matrix folded into its population
-read. The (2^n, 2^m) table is clipped and normalized in one pass, and
-shot counts (up to 2^63 - 1, the multinomial sampler's int64 limit) are
-sampled from a per-input random stream, the one default_rng((seed, x))
+read. The (2^n, 2^m) table comes clipped and is normalized in one pass,
+and shot counts (up to 2^63 - 1, the multinomial sampler's int64 limit)
+are sampled from a per-input random stream, the one default_rng((seed, x))
 makes for input x. `_input_streams` builds every input's stream from
 PCG64 state words hashed for all inputs in one vectorized pass of numpy's
 seed hash, and keeps those words per (seed, 2^n) (16 entries), so both
@@ -201,24 +201,23 @@ class ExperimentReport:
     passed: bool
 
 
-def _clipped_and_normalized(table) -> tuple[np.ndarray, np.ndarray]:
-    """Clip probabilities to [0, 1], then scale each row (last axis) to sum 1.
+def _normalized(p: np.ndarray) -> np.ndarray:
+    """Scale each row (last axis) of clipped probabilities to sum 1.
 
-    Returns the clipped and the normalized array. Tiny negative roundoff
-    clips to zero; a row that sums to zero raises RangeError.
+    A row that sums to zero raises RangeError.
     """
-    p = np.asarray(table, dtype=float).clip(0.0, 1.0)
     total = p.sum(axis=-1, keepdims=True)
     if (total <= 0).any():
         raise RangeError("distribution sums to zero")
-    return p, p / total
+    return p / total
 
 
 def sample_counts(probs, shots: int, seed) -> np.ndarray:
     """Multinomial draw over outcomes; deterministic for a given seed."""
     if shots < 0:
         raise RangeError(f"shots={shots} must be >= 0")
-    _, p = _clipped_and_normalized(probs)
+    # Tiny negative roundoff clips to zero.
+    p = _normalized(np.asarray(probs, dtype=float).clip(0.0, 1.0))
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, p)
 
@@ -459,8 +458,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # qubit j is prepared on placement[j] when the config is placed.
     # Each measured qubit's readout error is folded into its population read.
     dists = outcome_distributions(noisy, cfg.placement or range(cfg.n), mats)
-    # The same clip and normalization as sample_counts, once for the table.
-    dists, p = _clipped_and_normalized(dists)
+    # The table comes clipped to [0, 1]: sample_counts' normalization, once
+    # for the table.
+    p = _normalized(dists)
     exact = dists.diagonal().tolist()
     # ExperimentConfig has checked shots >= 1 and the confidence level.
     shots, z = cfg.shots, _wilson_z(cfg.confidence)

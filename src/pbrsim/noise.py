@@ -395,21 +395,12 @@ def _noise_gate(qubits: tuple[int, ...], channel: KrausChannel) -> Gate:
     return Gate(NOISE, qubits, channel=channel)
 
 
-def _thermal_insertions(
-    qubits, duration: float, cal: CalibrationSnapshot, built: dict
-) -> list[Gate]:
-    # A qubit's RY, X and H share one duration, so `built` keeps each
-    # (qubit, duration)'s damping and dephasing gates for the rest of the call.
+def _thermal_insertions(qubits, duration: float, cal: CalibrationSnapshot) -> list[Gate]:
     out = []
     for q in qubits:
-        pair = built.get((q, duration))
-        if pair is None:
-            qc = cal.qubit(q)
-            pair = built[q, duration] = (
-                _noise_gate((q,), amplitude_damping(p_from_time(duration, qc.t1))),
-                _noise_gate((q,), dephasing(p_from_time(duration, qc.t2))),
-            )
-        out += pair
+        qc = cal.qubit(q)
+        out.append(_noise_gate((q,), amplitude_damping(p_from_time(duration, qc.t1))))
+        out.append(_noise_gate((q,), dephasing(p_from_time(duration, qc.t2))))
     return out
 
 
@@ -419,20 +410,24 @@ def attach_noise(c: Circuit, cal: CalibrationSnapshot, model: str) -> Circuit:
     Depolarizing: p1 after single-qubit gates, p2 after two-qubit gates
     (open-controlled multi-qubit phases get one arity-2 channel per
     CZ-equivalent). Thermodynamical: amplitude damping plus dephasing on
-    every participating qubit, driven by the gate duration, and again
-    over the readout window before MEASURE.
+    every participating qubit, driven by the gate duration, and over the
+    readout window on every measured qubit, in measured order, before the
+    first MEASURE.
     """
     if model not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {model!r}")
     gates: list[Gate] = []
-    built: dict = {}
+    measuring = False
     for g in c.gates:
         if g.kind == NOISE:
             gates.append(g)
             continue
         if g.kind == MEASURE:
-            if model == THERMODYNAMICAL:
-                gates.extend(_thermal_insertions(g.qubits, cal.readout_duration, cal, built))
+            # Only MEASURE gates may follow a MEASURE, so every readout
+            # window goes before the first.
+            if model == THERMODYNAMICAL and not measuring:
+                gates.extend(_thermal_insertions(c.measured_qubits, cal.readout_duration, cal))
+            measuring = True
             gates.append(g)
             continue
         gates.append(g)
@@ -448,5 +443,5 @@ def attach_noise(c: Circuit, cal: CalibrationSnapshot, model: str) -> Circuit:
                     p = cal.coupler(*pair).p2
                     gates.append(_noise_gate(pair, depolarizing_channel(p, 2)))
         else:
-            gates.extend(_thermal_insertions(g.qubits, _gate_duration(g, cal), cal, built))
+            gates.extend(_thermal_insertions(g.qubits, _gate_duration(g, cal), cal))
     return Circuit(c.n_qubits, tuple(gates))

@@ -42,11 +42,7 @@ from .circuits import (
     RY,
     X,
 )
-from .config import (
-    ATOL_ALGEBRAIC,
-    FORBIDDEN_GUARD_BAND,
-    FORBIDDEN_PROB_THRESHOLD,
-)
+from .config import ATOL_ALGEBRAIC, FORBIDDEN_PROB_THRESHOLD
 from .errors import NoSolutionError, ProtocolError, RangeError, ValidationError
 from .simulate import outcome_distributions
 
@@ -230,10 +226,10 @@ def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
     The outcome probability depends on the input only through the Hamming
     distance h to the outcome, P[h] = |cos(theta/2)^n 2^(-n/2)
     ((1+w)^(n-h) (1-w)^h + e^{i alpha} - 1)|^2 with w = tan(theta/2) e^{i beta},
-    so input 0...0 speaks for every input. P[0] must lie below the
-    forbidden threshold and every other P[h] above the guard band. The
-    ideal circuit is then simulated once for all 2^n inputs, with a Z frame
-    on each preparation qubit, and each input must have its smallest
+    so input 0...0 speaks for every input. Exactly one distance, h = 0,
+    must have P[h] below the forbidden threshold. The ideal circuit is
+    then simulated once for all 2^n inputs, with a Z frame on each
+    preparation qubit, and each input must have its smallest
     probability at its own index: a bit-order, sign or frame fault in the
     simulator shows up as a misplaced zero, named by its first input.
 
@@ -254,10 +250,10 @@ def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
             "is not a forbidden outcome"
         )
     runner_up = probs[1:].min()
-    if runner_up <= FORBIDDEN_GUARD_BAND:
+    if runner_up < FORBIDDEN_PROB_THRESHOLD:
         raise ProtocolError(
             f"input {zeros}: second outcome probability {runner_up:.3e} "
-            "inside the guard band; zero outcome is ambiguous"
+            "below the forbidden threshold; zero outcome is ambiguous"
         )
     dists = outcome_distributions(params.test_circuit, range(n))
     zs = np.argmin(dists, axis=1)

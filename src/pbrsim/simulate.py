@@ -393,9 +393,6 @@ def _populations(mats: np.ndarray, suffix: list, readout: list, framed=frozenset
         if i in framed:
             # One (4 x 4) map: the read, then the read with Z's signs.
             t = np.matmul((read * _FRAME_SIGNS).reshape(4, 4), t).reshape(-1, 2, t.shape[-1])
-        elif read is _POPULATION_ROWS:
-            # No suffix map and no readout: the populations themselves.
-            t = t[:, [0, 3]]
         else:
             t = np.matmul(read, t)
         t = t.transpose(0, 2, 1)

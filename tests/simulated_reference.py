@@ -4,8 +4,9 @@
 its distributions from, so tests can check trace, purity and positivity.
 `discover_forbidden_map` is the full simulated discovery of each input's
 forbidden outcome: it evolves every ideal input's own circuit and locates
-its zero. The package states that zero in closed form and simulates every
-input from input 0's circuit with Z frames
+its zero, under the package's rule that exactly one outcome lies below the
+forbidden threshold. The package states that zero in closed form and
+simulates every input from input 0's circuit with Z frames
 (`pbrsim.protocol.check_forbidden_outcomes`); this is its reference.
 """
 
@@ -14,7 +15,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from pbrsim.circuits import Circuit
-from pbrsim.config import FORBIDDEN_GUARD_BAND, FORBIDDEN_PROB_THRESHOLD
+from pbrsim.config import FORBIDDEN_PROB_THRESHOLD
 from pbrsim.errors import ProtocolError
 from pbrsim.protocol import PBRParams, build_test_circuit
 from pbrsim.simulate import _apply, _chunks, _walk, outcome_distribution
@@ -39,9 +40,9 @@ def evolve(c: Circuit, keep: tuple[int, ...], frames=()) -> Iterator[np.ndarray]
 def discover_forbidden_map(params: PBRParams) -> tuple[int, ...]:
     """Simulate every input noise-free and locate its zero-probability outcome.
 
-    Requires exactly one outcome below the discovery threshold per input,
-    with the runner-up above the guard band, and the collected outcomes to
-    form a permutation; anything else signals wrong angles or conventions.
+    Requires exactly one outcome below the forbidden threshold per input,
+    the rule `check_forbidden_outcomes` applies, and the collected outcomes
+    to form a permutation; anything else signals wrong angles or conventions.
     Returns the forbidden outcome of each input, in input order.
     """
     n = params.n
@@ -55,10 +56,10 @@ def discover_forbidden_map(params: PBRParams) -> tuple[int, ...]:
                 f"input {x:0{n}b}: smallest outcome probability {smallest:.3e} "
                 "is not a forbidden outcome"
             )
-        if runner_up <= FORBIDDEN_GUARD_BAND:
+        if runner_up < FORBIDDEN_PROB_THRESHOLD:
             raise ProtocolError(
                 f"input {x:0{n}b}: second outcome probability {runner_up:.3e} "
-                "inside the guard band; zero outcome is ambiguous"
+                "below the forbidden threshold; zero outcome is ambiguous"
             )
         mapping.append(int(order[0]))
     if sorted(mapping) != list(range(2**n)):

@@ -31,8 +31,8 @@ from pbrsim.simulate import outcome_distribution
 from simulated_reference import discover_forbidden_map
 
 # highest usable grid angle per n: the solver's endpoint root at pi/2
-# exactly is degenerate for n = 2 and 3, and the runner-up outcome
-# probability must clear the forbidden-outcome guard band
+# exactly is degenerate for n = 2 and 3, where the outcomes next to the
+# zero fall below the forbidden threshold too
 THETA_CAP_FRACTION = {2: 0.98, 3: 0.95, 4: 1.0, 5: 1.0}
 
 

@@ -215,13 +215,13 @@ def test_tolerance_reports_match_single_model_reference_routed(span):
 def walks(monkeypatch):
     """Counts the tolerance walks: each reads the busy times once."""
     calls = []
-    real = pbrsim.bounds.circuit_duration
+    real = pbrsim.bounds._busy_times
 
-    def counted(circuit, cal):
+    def counted(circuit, cal, qubits):
         calls.append(circuit)
-        return real(circuit, cal)
+        return real(circuit, cal, qubits)
 
-    monkeypatch.setattr(pbrsim.bounds, "circuit_duration", counted)
+    monkeypatch.setattr(pbrsim.bounds, "_busy_times", counted)
     return calls
 
 

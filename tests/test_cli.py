@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -159,6 +160,31 @@ def test_run_routed_placement(calib_path, tmp_path, capsys):
     assert doc["routing"]["swap_count"] == 2
 
 
+def test_placed_run_memory_does_not_grow_with_declared_map_size(calib_path, tmp_path, capsys):
+    # Only the map's edges and the placed qubits matter: a map that declares
+    # 10^7 qubits around the same two edges gives the same report, and the
+    # run allocates nothing per declared qubit (a float each would be 80 MB).
+    def run(n_qubits):
+        path = tmp_path / f"map{n_qubits}.json"
+        path.write_text(json.dumps({"n_qubits": n_qubits, "edges": [[0, 1], [1, 2]]}))
+        tracemalloc.start()
+        try:
+            code = main(["run", "--n", "2", "--calib", calib_path, "--model", "thermo",
+                         "--map", str(path), "--place", "0,2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code in (0, 1) and captured.err == ""
+        return captured.out, peak
+
+    run(3)  # warm the process-wide caches
+    small, small_peak = run(3)
+    large, large_peak = run(10**7)
+    assert large == small
+    assert large_peak < small_peak + 4 * 2**20
+
+
 def test_run_map_without_place_exits_2(calib_path, tmp_path, capsys):
     map_path = tmp_path / "line.json"
     save_coupling_map(line_map(4), map_path)
@@ -301,7 +327,18 @@ def test_run_degenerate_endpoint_exits_2(n, calib_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"error: input {'0' * n}: second outcome probability ")
-    assert lines[0].endswith("inside the guard band; zero outcome is ambiguous")
+    assert lines[0].endswith("below the forbidden threshold; zero outcome is ambiguous")
+
+
+def test_run_with_small_runner_up_outcome_runs(capsys):
+    # Just below pi/2 the outcomes next to the zero have P = 3.2e-7: small,
+    # but far above the forbidden threshold, so the zero is unambiguous.
+    calib = os.path.join(os.path.dirname(__file__), "..", "demos", "data", "adjacent_pair.json")
+    code = main(["run", "--n", "2", "--theta", "1.57", "--model", "dep", "--calib", calib])
+    assert code in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["kind"] == "pbr-experiment"
 
 
 def test_run_missing_calibration_exits_2(capsys):

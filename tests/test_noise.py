@@ -6,8 +6,6 @@ import json
 import numpy as np
 import pytest
 
-import pbrsim.noise
-
 from pbrsim.circuits import (
     CZ,
     Circuit,
@@ -44,7 +42,8 @@ from pbrsim.noise import (
     _noise_gate,
 )
 from pbrsim.protocol import PBRParams, theta_min
-from dense_reference import ground_matrix, kraus_apply, pure_matrix
+from pbrsim.simulate import outcome_distribution
+from dense_reference import dense_distribution, ground_matrix, kraus_apply, pure_matrix
 from readout_reference import apply_readout
 
 
@@ -347,22 +346,27 @@ def test_attach_noise_shares_validated_noise_gates():
 
 def _thermal_reference(c, cal):
     # Damping and dephasing on each qubit of every gate, looked up per gate:
-    # after unitaries, before MEASURE over the readout window.
-    gates = []
-    for g in c.gates:
-        dur = cal.readout_duration if g.kind == MEASURE else _gate_duration(g, cal)
-        noise = [
+    # after unitaries, and over the readout window on every measured qubit,
+    # in measured order, before the first MEASURE.
+    def noise(qubits, dur):
+        return [
             Gate(NOISE, (q,), channel=build(p_from_time(dur, T)))
-            for q in g.qubits
+            for q in qubits
             for build, T in ((amplitude_damping, cal.qubit(q).t1), (dephasing, cal.qubit(q).t2))
         ]
-        gates += noise + [g] if g.kind == MEASURE else [g] + noise
+
+    gates = []
+    for g in c.gates:
+        if g.kind != MEASURE:
+            gates += [g] + noise(g.qubits, _gate_duration(g, cal))
+        elif gates[-1].kind != MEASURE:
+            gates += noise(c.measured_qubits, cal.readout_duration) + [g]
+        else:
+            gates.append(g)
     return gates
 
 
-def test_thermal_noise_builds_each_qubit_duration_pair_once(monkeypatch):
-    # The n = 5 test circuit repeats (qubit, duration) pairs; attach_noise
-    # derives each pair's two channels once per call, in the same gate order.
+def test_thermal_noise_matches_per_gate_reference():
     cal = CalibrationSnapshot(
         tuple(
             QubitCalibration(q, (80 + 13 * q) * 1e-6, (60 + 11 * q) * 1e-6, 1e-4,
@@ -374,16 +378,32 @@ def test_thermal_noise_builds_each_qubit_duration_pair_once(monkeypatch):
     )
     c = PBRParams.solve(5, theta_min(5)).test_circuit
     ref = _thermal_reference(c, cal)
-    calls = []
-    monkeypatch.setattr(
-        pbrsim.noise, "p_from_time", lambda t, T: calls.append(t) or p_from_time(t, T)
-    )
     noisy = attach_noise(c, cal, THERMODYNAMICAL)
     # Gate equality leaves the channel out: compare it by identity.
     assert list(noisy.gates) == ref
     assert all(g.channel is h.channel for g, h in zip(noisy.gates, ref))
-    pairs = {(g.qubits[0], g.channel) for g in ref if g.kind == NOISE}
-    assert len(calls) == len(pairs) < len(ref) - len(c.gates)
+
+
+@pytest.mark.parametrize("model", [DEPOLARIZING, THERMODYNAMICAL])
+def test_split_measure_gates_take_noise_like_one_measure(model):
+    cal = CalibrationSnapshot(
+        tuple(QubitCalibration(q, (20 + 7 * q) * 1e-6, (15 + 5 * q) * 1e-6, 2e-3) for q in range(3)),
+        (CouplerCalibration(0, 1, 1e-2, 60e-9), CouplerCalibration(1, 2, 2e-2, 80e-9)),
+        readout_duration=2e-6,
+    )
+    body = (
+        Gate(RY, (0,), angle=0.7), Gate(H, (1,)), Gate(CZ, (0, 1)), Gate(H, (2,)), Gate(CZ, (1, 2)),
+    )
+    ideal = Circuit(3, body + (Gate(MEASURE, (2,)), Gate(MEASURE, (0, 1))))
+    split = attach_noise(ideal, cal, model)
+    one = attach_noise(Circuit(3, body + (Gate(MEASURE, (2, 0, 1)),)), cal, model)
+    assert split.measured_qubits == one.measured_qubits == (2, 0, 1)
+    assert list(split.gates[: len(one.gates) - 1]) == list(one.gates[:-1])
+    if model == THERMODYNAMICAL:
+        assert list(split.gates) == _thermal_reference(ideal, cal)
+    expected = dense_distribution(one)
+    assert np.abs(dense_distribution(split) - expected).max() < 1e-14
+    assert np.abs(outcome_distribution(split) - expected).max() < 1e-14
 
 
 def test_noise_gate_cache_is_bounded():

@@ -13,6 +13,7 @@ from pbrsim.circuits import (
     X,
     gate_counts,
 )
+from pbrsim.config import FORBIDDEN_PROB_THRESHOLD
 from pbrsim.errors import (
     NoSolutionError,
     ProtocolError,
@@ -226,14 +227,18 @@ def test_endpoint_fine_for_larger_n():
         assert discover_forbidden_map(params) == tuple(range(2**n))
 
 
-# One angle inside a guard-band failure per n: an outcome next to the zero
-# dips under 1e-6, and the simulated discovery rejects the angle too.
-GUARD_BAND_THETA = {3: 1.5177, 6: 1.1727, 8: 1.5013}
+# Angles whose runner-up outcome is small but far above the forbidden
+# threshold (8.7e-7 at n = 3, 9.5e-8 at n = 6): the zero is unambiguous.
+SMALL_RUNNER_UP_THETA = ((3, 1.5177), (6, 1.1727))
+# Angles with a second zero: a runner-up outcome below the threshold
+# (4.8e-17, 5.9e-12, 3.2e-15 and 8.9e-15), which the simulated discovery
+# rejects too.
+SECOND_ZERO_THETA = ((8, 1.5013), (3, 1.5681), (9, 1.4297), (10, 1.3652))
 
 
 def _agreement_points():
     # The criterion-1 grid, seeded random (n, theta) up to n = 8, and the
-    # guard-band failures.
+    # angles next to the threshold on either side.
     for n, frac in ((2, 0.98), (3, 0.95), (4, 1.0), (5, 1.0)):
         yield n, theta_min(n)
         yield n, 1.1 * theta_min(n)
@@ -242,7 +247,8 @@ def _agreement_points():
     for _ in range(24):
         n = int(rng.integers(2, 9))
         yield n, float(rng.uniform(theta_min(n), np.pi / 2))
-    yield from GUARD_BAND_THETA.items()
+    yield from SMALL_RUNNER_UP_THETA
+    yield from SECOND_ZERO_THETA
 
 
 @pytest.mark.parametrize("n, theta", list(_agreement_points()))
@@ -264,12 +270,22 @@ def test_closed_form_agrees_with_simulated_discovery(n, theta):
     assert np.abs(dists - profile[distance]).max() < 1e-14
 
 
-def test_guard_band_failures_raise():
+def test_small_runner_up_passes():
+    for n, theta in SMALL_RUNNER_UP_THETA:
+        profile = check_forbidden_outcomes(PBRParams.solve(n, theta))
+        assert profile[0] < FORBIDDEN_PROB_THRESHOLD <= profile[1:].min() < 1e-6
+
+
+def test_second_zero_raises_on_every_call():
     # A failing check is not cached: it raises on every call.
-    for n, theta in GUARD_BAND_THETA.items():
+    for n, theta in SECOND_ZERO_THETA:
         params = PBRParams.solve(n, theta)
         for _ in range(2):
-            with pytest.raises(ProtocolError, match="inside the guard band"):
+            with pytest.raises(
+                ProtocolError,
+                match=f"^input {'0' * n}: second outcome probability .* "
+                "below the forbidden threshold; zero outcome is ambiguous$",
+            ):
                 check_forbidden_outcomes(params)
 
 
