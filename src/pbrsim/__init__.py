@@ -64,6 +64,7 @@ _EXPORTS = {
         "sweep_distance",
         "wilson_interval",
     ),
+    "memo": (),
     "noise": (
         "CalibrationSnapshot",
         "CouplerCalibration",

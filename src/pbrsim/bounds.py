@@ -17,7 +17,6 @@ calibration and routed circuit on every call.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from .circuits import Circuit, RY, _busy_times
 from .config import DEFAULT_TWO_QUBIT_GATE_S
 from .errors import RangeError
+from .memo import IdentityMemo
 from .noise import (
     CalibrationSnapshot,
     NOISE_MODELS,
@@ -108,12 +108,8 @@ def _prep_qubits(circuit: Circuit) -> tuple[int, ...]:
     return tuple(seen)
 
 
-# The last few tolerance pairs, keyed on the identity of their three
-# arguments. Each entry holds the arguments themselves, so no id in a key
-# can be reused while the entry lives.
-_PAIRS_KEPT = 4
-_pairs: dict[tuple[int, int, int], tuple[tuple, tuple[ToleranceReport, ToleranceReport]]] = {}
-_pairs_lock = threading.Lock()
+# The last few tolerance pairs, keyed on the identity of their three arguments.
+_PAIRS = IdentityMemo(4)
 
 
 def tolerance_reports(
@@ -122,22 +118,14 @@ def tolerance_reports(
     """Both models' tolerance reports, in NOISE_MODELS order.
 
     The pair is walked once for each (params, calibration, circuit) triple
-    of objects and kept for the last `_PAIRS_KEPT` triples, so both models
-    of one configuration, and repeated runs on one calibration object,
-    share it. All three are frozen, so the same objects always give the
-    same pair; a new object, even a value-equal one, is read afresh. A walk
-    that raises (a calibration that misses a qubit) is not kept and raises
-    again on the next call.
+    of objects and kept for the last few triples (`memo.IdentityMemo`), so
+    both models of one configuration, and repeated runs on one calibration
+    object, share it. All three are frozen, so the same objects always give
+    the same pair; a new object, even a value-equal one, is read afresh. A
+    walk that raises (a calibration that misses a qubit) is not kept and
+    raises again on the next call.
     """
-    key = (id(params), id(cal), id(circuit))
-    with _pairs_lock:
-        kept = _pairs.get(key)
-        if kept is None:
-            pair = _tolerance_pair(params, cal, circuit)
-            if len(_pairs) >= _PAIRS_KEPT:
-                del _pairs[next(iter(_pairs))]
-            kept = _pairs[key] = ((params, cal, circuit), pair)
-    return kept[1]
+    return _PAIRS.get(_tolerance_pair, (params, cal, circuit))
 
 
 def _tolerance_pair(

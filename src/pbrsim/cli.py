@@ -49,24 +49,33 @@ def _theta(args) -> float:
 
 def _parse_place(text: str) -> tuple[int, int]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"--place wants two qubits like 3,7 (got {text!r})")
-    return int(parts[0]), int(parts[1])
+    try:
+        if len(parts) != 2:
+            raise ValueError
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"--place wants two qubits like 3,7 (got {text!r})") from None
 
 
 def _parse_spans(text: str) -> list[int]:
+    def span(part: str) -> int:
+        try:
+            return int(part)
+        except ValueError:
+            raise ValueError(f"--spans wants spans like 1,4 or 1..8 (got {text!r})") from None
+
     spans: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if ".." in part:
-            lo, hi = (int(end) for end in part.split("..", 1))
+            lo, hi = (span(end) for end in part.split("..", 1))
             check_span(lo)  # both ends before expanding: no list of 10^8 spans
             check_span(hi)
             spans.extend(range(lo, hi + 1))
         else:
-            spans.append(int(part))
+            spans.append(span(part))
     if not spans:
         raise ValueError(f"no spans in {text!r}")
     return spans

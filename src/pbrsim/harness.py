@@ -25,6 +25,19 @@ x, since the multinomial draws outcome by outcome: x's count is the one
 tolerance pair is likewise walked once per calibration object
 (`bounds.tolerance_reports`).
 
+A configuration judged again, under a new seed, shot count or
+confidence, repeats the same objects: input 0's circuit (kept per
+(n, theta)), the calibration and the model. So the noisy circuit and the
+readout confusion matrices are kept for the last few (circuit,
+calibration, model) triples, keyed on the objects' identity
+(`memo.IdentityMemo`), and `outcome_distributions` keeps that noisy
+circuit's evolution plan: a repeat attaches noise and plans its
+evolution once. A new object, even a value-equal calibration, builds
+afresh, and a build that raises (a calibration that misses a coupler)
+is not kept. Evolution, sampling and rendering run on every call, and
+the (2^n, 2^m) table is never kept. A placed run routes afresh, so its
+new circuit misses; a one-shot `pbrsim run` gains nothing.
+
 `sweep_distance` builds one homogenized line config per span; spans
 needing more physical qubits than the cap get analytic reports, whose
 gate counts and closed-form error prediction stand in for per-input
@@ -72,6 +85,7 @@ from .config import (
     SIMULATION_QUBIT_CAP,
 )
 from .errors import RangeError, ValidationError
+from .memo import IdentityMemo
 from .noise import (
     CalibrationSnapshot,
     DEPOLARIZING,
@@ -446,13 +460,24 @@ def _judged(fields: dict, bounds, rows=(), **kind) -> ExperimentReport:
     )
 
 
+def _noisy(circuit: Circuit, cal: CalibrationSnapshot, model: str) -> tuple[Circuit, tuple]:
+    """The noisy circuit and each measured qubit's readout confusion matrix."""
+    noisy = attach_noise(circuit, cal, model)
+    return noisy, tuple(readout_matrix(cal.qubit(q)) for q in noisy.measured_qubits)
+
+
+# The noisy circuits of the last few (circuit, calibration, model): both
+# models of a configuration that runs again. A placed run routes afresh,
+# so its new circuit object misses.
+_NOISY = IdentityMemo(4)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Simulate all 2^n inputs under the configured noise and sample shots."""
     params, circuit, fields = _prologue(cfg)
     # Noise and readout read the calibration too, so a snapshot that misses
     # a qubit or coupler fails here, before anything is simulated.
-    noisy = attach_noise(circuit, cfg.calibration, cfg.model)
-    mats = [readout_matrix(cfg.calibration.qubit(q)) for q in noisy.measured_qubits]
+    noisy, mats = _NOISY.get(_noisy, (circuit, cfg.calibration), (cfg.model,))
     check_forbidden_outcomes(params)
     # Input x flips the preparation of the qubits of its set bits: logical
     # qubit j is prepared on placement[j] when the config is placed.

@@ -36,10 +36,18 @@ other rows. One contraction over the kept qubits then gives every
 input's distribution without building their states. An unplaced run
 branches no frame and evolves one row; a routed pair's decomposed SWAP
 meets the moved qubit's frame with an H, so it evolves two. Which row of
-the read serves each input is built once per (keep, frames, branched),
-read-only, and skipped when it is the identity. A measured qubit's
-readout confusion matrix, when given, is multiplied into the (2 x 4)
-map that reads its populations.
+the read serves each input is skipped when it is the identity. A
+measured qubit's readout confusion matrix, when given, is multiplied
+into the (2 x 4) map that reads its populations.
+
+Everything that depends only on the circuit and its frames is one plan:
+the walk over the gates, the branched frames, the frame-row read and
+the schedule (steps, suffixes, peak width and final axis order). It is
+kept, read-only, for the last few (circuit object, frames) pairs
+(`memo.IdentityMemo`), so a configuration that runs again (the same
+noisy circuit object, as `harness.run_experiment` keeps it) plans once.
+Evolution, the readout fold and the population read run on every call,
+and the (2^F, 2^m) table is never kept: at n = 12 it holds 128 MB.
 
 A stack of b states on w live qubits is a (b, 2^w, 2^w) array; viewed as
 (b,) + (2,) * 2w, live qubit i is row axis 1 + i and column axis 1 + w + i.
@@ -68,6 +76,7 @@ import numpy as np
 from .circuits import DIAGONAL_KINDS, Circuit, Gate, MEASURE, NOISE, X, gate_diagonal, gate_unitary
 from .config import SIMULATION_QUBIT_CAP
 from .errors import CapError
+from .memo import IdentityMemo
 from .states import KrausChannel, check_phases, check_unitary
 
 # B * 4^w complex entries evolved at once, w the peak live width: 8 inputs at w=5.
@@ -315,10 +324,10 @@ def _schedule(
                 steps.append(_joining_state(prefix.pop(q, None)))
         peak = max(peak, len(live))
         targets = tuple(map(live.index, qubits))
-        if steps and isinstance(steps[-1], list) and steps[-1][1] == targets:
-            steps[-1][0] = _compose(op, steps[-1][0])
+        if steps and isinstance(steps[-1], tuple) and steps[-1][1] == targets:
+            steps[-1] = (_compose(op, steps[-1][0]), targets)
         else:
-            steps.append([op, targets])
+            steps.append((op, targets))
         for q in qubits:
             if last[q] == i and q not in kept:
                 steps.append(live.index(q))
@@ -332,17 +341,16 @@ def _schedule(
     if live != list(keep):
         perm = [live.index(q) for q in keep]
         axes = [0] + [1 + p for p in perm] + [1 + n + p for p in perm]
-    return steps, [suffix.get(q) for q in keep], max(peak, n), axes
+    return tuple(steps), tuple(suffix.get(q) for q in keep), max(peak, n), axes
 
 
-def _chunks(w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]) -> Iterator[tuple[np.ndarray, list]]:
-    # Evolves the 2^F rows of the frames chunk by chunk in row order. Yields
-    # each chunk's (b, 2^m, 2^m) states on the `keep` qubits before their
-    # suffixes, and the suffix operators, each sliced to the chunk's rows
-    # (None where none).
-    steps, suffix, peak, axes = _schedule(w, keep, frames)
-    m = len(keep)
-    total = 2 ** len(frames)
+def _chunks(schedule: tuple, total: int) -> Iterator[tuple[np.ndarray, list]]:
+    # Evolves `total` rows of a `_schedule` chunk by chunk in row order.
+    # Yields each chunk's (b, 2^m, 2^m) states on the kept qubits before
+    # their suffixes, and the suffix operators, each sliced to the chunk's
+    # rows (None where none).
+    steps, suffix, peak, axes = schedule
+    m = len(suffix)
     chunk = max(1, CHUNK_ENTRIES // 4**peak)
     for start in range(0, total, chunk):
         stop = min(total, start + chunk)
@@ -354,7 +362,7 @@ def _chunks(w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]) -> Iterato
         for step in steps:
             if isinstance(step, int):
                 rho = _trace_out(rho, step)
-            elif isinstance(step, list):
+            elif isinstance(step, tuple):
                 op, targets = step
                 rho = _apply(rho, rows(op), targets, rho.shape[1].bit_length() - 1)
             else:
@@ -399,7 +407,6 @@ def _populations(mats: np.ndarray, suffix: list, readout: list, framed=frozenset
     return t.reshape(len(t), -1).real.clip(0.0, 1.0)
 
 
-@functools.lru_cache(maxsize=32)
 def _frame_rows(
     keep: tuple[int, ...], frames: tuple[int, ...], branched: tuple[int, ...]
 ) -> tuple[frozenset, np.ndarray | None]:
@@ -409,7 +416,7 @@ def _frame_rows(
     # for each input. The read's rows count the branched frames in `frames`
     # order, then the read frames in `keep` order, the first most significant;
     # any other frame changes no row. The row index is None when it is the
-    # identity (every unplaced run), else read-only and shared.
+    # identity (every unplaced run).
     read = [q for q in keep if q in frames and q not in branched]
     framed = frozenset(keep.index(q) for q in read)
     order = list(branched) + read
@@ -419,8 +426,22 @@ def _frame_rows(
     index = np.zeros_like(x)
     for q in order:
         index = 2 * index + ((x >> (len(frames) - 1 - frames.index(q))) & 1)
-    index.setflags(write=False)
     return framed, index
+
+
+def _plan(c: Circuit, frames: tuple[int, ...]) -> tuple:
+    # Everything `outcome_distributions` derives from the circuit and its
+    # frames alone: the kept qubits, the branched frames, how the read's
+    # rows serve the inputs (`_frame_rows`) and the schedule.
+    keep = c.measured_qubits or tuple(range(c.n_qubits))
+    w = _walk(c, frames)
+    branched = _branched(w, keep, frames)
+    return keep, branched, *_frame_rows(keep, frames, branched), _schedule(w, keep, branched)
+
+
+# The plans of the last few (circuit object, frames): both models' noisy
+# circuits of a configuration that runs again.
+_PLANS = IdentityMemo(4)
 
 
 def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
@@ -437,17 +458,20 @@ def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
     the most significant bit of an outcome. Frames must name distinct
     qubits of the circuit that some gate acts on, and readout must give
     none or one matrix per measured qubit, or ValueError is raised.
+
+    The plan of the evolution (everything but the states and the read) is
+    kept for the last few (circuit object, frames); the table is not.
     """
-    keep = c.measured_qubits or tuple(range(c.n_qubits))
     frames = tuple(int(q) for q in frames)
+    keep, branched, framed, index, schedule = _PLANS.get(_plan, (c,), (frames,))
     readout = [np.asarray(r, dtype=float) for r in readout]
     if readout and (len(readout) != len(keep) or any(r.shape != (2, 2) for r in readout)):
         raise ValueError(f"readout needs one (2, 2) matrix for each of {len(keep)} measured qubits")
-    w = _walk(c, frames)
-    branched = _branched(w, keep, frames)
-    framed, index = _frame_rows(keep, frames, branched)
     probs = np.concatenate(
-        [_populations(rho, suffix, readout, framed) for rho, suffix in _chunks(w, keep, branched)]
+        [
+            _populations(rho, suffix, readout, framed)
+            for rho, suffix in _chunks(schedule, 2 ** len(branched))
+        ]
     )
     return probs if index is None else probs[index]
 

@@ -18,7 +18,7 @@ from pbrsim.circuits import Circuit
 from pbrsim.config import FORBIDDEN_PROB_THRESHOLD
 from pbrsim.errors import ProtocolError
 from pbrsim.protocol import PBRParams, build_test_circuit
-from pbrsim.simulate import _apply, _chunks, _walk, outcome_distribution
+from pbrsim.simulate import _apply, _chunks, _schedule, _walk, outcome_distribution
 
 
 def evolve(c: Circuit, keep: tuple[int, ...], frames=()) -> Iterator[np.ndarray]:
@@ -30,7 +30,7 @@ def evolve(c: Circuit, keep: tuple[int, ...], frames=()) -> Iterator[np.ndarray]
     kept qubit's suffix applied.
     """
     frames = tuple(frames)
-    for rho, suffix in _chunks(_walk(c, frames), keep, frames):
+    for rho, suffix in _chunks(_schedule(_walk(c, frames), keep, frames), 2 ** len(frames)):
         for i, op in enumerate(suffix):
             if op is not None:
                 rho = _apply(rho, op, (i,), len(keep))

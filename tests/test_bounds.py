@@ -272,15 +272,15 @@ def test_failing_tolerance_walk_is_not_kept():
     for _ in range(3):
         with pytest.raises(CalibrationError, match="no calibration for qubit 1"):
             tolerance_reports(params, missing, circuit)
-    assert all(args[1] is not missing for args, _ in pbrsim.bounds._pairs.values())
+    assert all(args[1] is not missing for args, _ in pbrsim.bounds._PAIRS.items())
 
 
 def test_tolerance_memo_holds_a_handful_of_entries():
     params = PBRParams.solve(2, np.pi / 4)
     circuit = build_test_circuit(0, params)
-    cals = [adjacent_pair_calibration() for _ in range(3 * pbrsim.bounds._PAIRS_KEPT)]
+    cals = [adjacent_pair_calibration() for _ in range(3 * pbrsim.bounds._PAIRS.size)]
     pairs = [tolerance_reports(params, cal, circuit) for cal in cals]
-    assert len(pbrsim.bounds._pairs) == pbrsim.bounds._PAIRS_KEPT <= 8
+    assert len(pbrsim.bounds._PAIRS.items()) == pbrsim.bounds._PAIRS.size <= 8
     # The newest entries are kept; an evicted triple is walked again, equal.
     assert tolerance_reports(params, cals[-1], circuit) is pairs[-1]
     assert tolerance_reports(params, cals[0], circuit) is not pairs[0]

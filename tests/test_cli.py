@@ -426,6 +426,34 @@ def test_sweep_distance_bad_spans_exits_2(calib_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--place", "a,b", "error: --place wants two qubits like 3,7 (got 'a,b')"),
+        ("--place", "0,", "error: --place wants two qubits like 3,7 (got '0,')"),
+        ("--place", "1.5,2", "error: --place wants two qubits like 3,7 (got '1.5,2')"),
+        ("--place", "0,1,2", "error: --place wants two qubits like 3,7 (got '0,1,2')"),
+        ("--spans", "a..b", "error: --spans wants spans like 1,4 or 1..8 (got 'a..b')"),
+        ("--spans", "1..", "error: --spans wants spans like 1,4 or 1..8 (got '1..')"),
+        ("--spans", "2,x", "error: --spans wants spans like 1,4 or 1..8 (got '2,x')"),
+    ],
+)
+def test_unparsable_place_or_spans_names_the_flag(
+    flag, value, message, calib_path, tmp_path, capsys
+):
+    # int()'s own message named neither the flag nor the value's form.
+    if flag == "--place":
+        map_path = tmp_path / "line.json"
+        save_coupling_map(line_map(4), map_path)
+        argv = ["run", "--n", "2", "--map", str(map_path)]
+    else:
+        argv = ["sweep-distance"]
+    code = main(argv + ["--calib", calib_path, "--model", "dep", f"{flag}={value}"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
+
+
 _PAIR_DOC = {
     "qubits": [
         {"id": 0, "t1_us": 173.0, "t2_us": 172.0, "p1": 2.1e-4, "single_ns": 36.0,

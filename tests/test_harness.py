@@ -332,8 +332,8 @@ def record_evolved_rows(monkeypatch):
     rows = []
     real = pbrsim.simulate._chunks
 
-    def counted(w, keep, branched):
-        for rho, suffix in real(w, keep, branched):
+    def counted(schedule, total):
+        for rho, suffix in real(schedule, total):
             rows.append(len(rho))
             yield rho, suffix
 

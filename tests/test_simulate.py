@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pbrsim.bounds
 import pbrsim.harness
 import pbrsim.simulate
 from dense_reference import dense_distribution, dense_state
@@ -25,7 +26,7 @@ from pbrsim.circuits import (
     SX,
     X,
 )
-from pbrsim.errors import CapError
+from pbrsim.errors import CalibrationError, CapError
 from pbrsim.harness import ExperimentConfig, run_experiment, sweep_distance
 from pbrsim.noise import (
     NOISE_MODELS,
@@ -39,7 +40,7 @@ from pbrsim.noise import (
     readout_matrix,
     uniform_calibration,
 )
-from pbrsim.protocol import PBRParams, build_test_circuit, theta_min
+from pbrsim.protocol import PBRParams, build_test_circuit, check_forbidden_outcomes, theta_min
 from pbrsim.routing import line_map, route_linear
 from pbrsim.simulate import (
     _branched,
@@ -174,8 +175,8 @@ def record_evolved_rows(monkeypatch):
     rows = []
     real = pbrsim.simulate._chunks
 
-    def counted(w, keep, branched):
-        for rho, suffix in real(w, keep, branched):
+    def counted(schedule, total):
+        for rho, suffix in real(schedule, total):
             rows.append(len(rho))
             yield rho, suffix
 
@@ -715,7 +716,35 @@ def test_cached_operator_equals_a_fresh_build():
             op[(0,) * op.ndim] = 0.0
 
 
-def test_second_identical_run_adds_no_cache_miss():
+def kept_plan(c):
+    """The evolution plan kept for circuit object `c`."""
+    (plan,) = [plan for (circuit,), plan in pbrsim.simulate._PLANS.items() if circuit is c]
+    return plan
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts noisy circuits and schedules built, from empty run memos.
+
+    The forbidden-outcome check starts cold too, so a run's first plan
+    count includes its ideal circuit's.
+    """
+    pbrsim.harness._NOISY.clear()
+    pbrsim.simulate._PLANS.clear()
+    check_forbidden_outcomes.cache_clear()
+    calls = {"attach_noise": 0, "_schedule": 0}
+    for module, name in ((pbrsim.harness, "attach_noise"), (pbrsim.simulate, "_schedule")):
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_second_identical_run_adds_no_cache_miss(builds):
     cfg = ExperimentConfig(
         n=3, theta=1.0, model="depolarizing", calibration=varied_calibration(3, seed=4),
         shots=100, seed=2,
@@ -724,11 +753,124 @@ def test_second_identical_run_adds_no_cache_miss():
     def runs():
         return [run_experiment(replace(cfg, model=model)) for model in NOISE_MODELS]
 
-    caches = (_operator, _z_covariant, _frame_rows, _population_axes)
+    caches = (_operator, _z_covariant, _population_axes)
     first = runs()
+    # Two noisy circuits; their plans and the ideal circuit's.
+    assert builds == {"attach_noise": 2, "_schedule": 3}
     misses = [cache.cache_info().misses for cache in caches]
     assert runs() == first
     assert [cache.cache_info().misses for cache in caches] == misses
+    # Neither a noisy circuit nor a plan is built again, for a new seed too.
+    reseeded = run_experiment(replace(cfg, seed=3, shots=10**6))
+    exact = [[r.exact_probability for r in rep.inputs] for rep in (reseeded, first[0])]
+    assert exact[0] == exact[1]
+    assert builds == {"attach_noise": 2, "_schedule": 3}
+
+
+def test_value_equal_calibration_object_builds_afresh(builds):
+    cfg = ExperimentConfig(
+        n=3, theta=1.0, model="thermodynamical", calibration=varied_calibration(3, seed=4),
+        shots=100, seed=2,
+    )
+    first = run_experiment(cfg)
+    again = replace(cfg, calibration=varied_calibration(3, seed=4))
+    assert again.calibration == cfg.calibration and again.calibration is not cfg.calibration
+    assert run_experiment(again) == first
+    # One noisy circuit and its plan per calibration object, and the ideal circuit's plan.
+    assert builds == {"attach_noise": 2, "_schedule": 3}
+
+
+def test_calibration_that_misses_a_qubit_or_coupler_is_never_kept(builds):
+    full = varied_calibration(3, seed=4)
+    no_qubit = CalibrationSnapshot(full.qubits[:2], full.couplers[:1])
+    no_coupler = CalibrationSnapshot(full.qubits, ())
+    cases = (
+        # The tolerance walk fails first, and keeps nothing either.
+        (no_qubit, "no calibration for qubit 2", (pbrsim.harness._NOISY, pbrsim.bounds._PAIRS)),
+        # The tolerance pair is whole, but attach_noise fails on every call.
+        (no_coupler, "no calibration for coupler", (pbrsim.harness._NOISY,)),
+    )
+    for cal, message, memos in cases:
+        cfg = ExperimentConfig(n=3, theta=1.0, model="depolarizing", calibration=cal, shots=100)
+        for _ in range(3):
+            with pytest.raises(CalibrationError, match=message):
+                run_experiment(cfg)
+        for memo in memos:
+            assert not any(o is cal for objects, _ in memo.items() for o in objects)
+    assert builds == {"attach_noise": 3, "_schedule": 0}
+
+
+def arrays_in(value):
+    """Every numpy array in `value`, through nested tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in arrays_in(v)]
+    return []
+
+
+def test_kept_plan_and_readout_arrays_are_read_only(builds):
+    for model in NOISE_MODELS:
+        run_experiment(ExperimentConfig(
+            n=4, theta=1.0, model=model, calibration=varied_calibration(4, seed=2), shots=100,
+        ))
+    line = line_map(4)
+    routed = route_linear(build_test_circuit(0, PBRParams.solve(2, 1.0)), line, (0, 3)).circuit
+    cal = uniform_calibration(4, p1=1e-3, edges=line.edges)
+    outcome_distributions(attach_noise(routed, cal, "depolarizing"), (0, 3))
+    kept = pbrsim.simulate._PLANS.items() + pbrsim.harness._NOISY.items()
+    arrays = arrays_in([value for _, value in kept])
+    # Steps, suffixes, the routed pair's frame operator and row index, and readout matrices.
+    assert len(arrays) > 20
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_kept_plan_gives_the_freshly_built_table():
+    def tables(noisy, frames, mats):
+        pbrsim.simulate._PLANS.clear()
+        fresh = outcome_distributions(noisy, frames, mats)
+        kept = outcome_distributions(noisy, frames, mats)
+        assert kept_plan(noisy)
+        return fresh, kept
+
+    rng = np.random.default_rng(8)
+
+    def confusion(m):
+        return [np.array([[1 - b, a], [b, 1 - a]]) for a, b in rng.uniform(0.01, 0.1, size=(m, 2))]
+
+    cases = []
+    for n in range(2, 7):
+        cal = varied_calibration(n, seed=n)
+        params = PBRParams.solve(n, theta_min(n))
+        for model in NOISE_MODELS:
+            noisy = attach_noise(build_test_circuit(0, params), cal, model)
+            cases.append((noisy, range(n), confusion(n)))
+    params = PBRParams.solve(2, 1.0)
+    routed = route_linear(build_test_circuit(0, params), line_map(6), (0, 5)).circuit
+    cal = varied_calibration(6, seed=7)
+    for model in NOISE_MODELS:
+        cases.append((attach_noise(routed, cal, model), (0, 5), confusion(2)))
+    for noisy, frames, mats in cases:
+        fresh, kept = tables(noisy, frames, mats)
+        assert np.array_equal(fresh, kept)
+
+
+def test_kept_plan_at_n11_holds_the_shared_phase_vector():
+    # A plan holds no 4^n array of its own: the open-controlled phase's phase
+    # vector is the one `_operator` keeps, not a copy.
+    n = 11
+    params = PBRParams.solve(n, theta_min(n))
+    cal = uniform_calibration(n, p1=1e-4, p2=1e-3)
+    noisy = attach_noise(params.test_circuit, cal, "depolarizing")
+    try:
+        plan = pbrsim.simulate._PLANS.get(pbrsim.simulate._plan, (noisy,), (tuple(range(n)),))
+        big = [a for a in arrays_in(plan) if a.size >= 4**n]
+        (phase,) = [op for op in _operators(noisy) if op.size >= 4**n]
+        assert len(big) == 1 and big[0] is phase
+        assert not phase.flags.writeable
+    finally:
+        pbrsim.simulate._PLANS.clear()
+        _operator.cache_clear()
 
 
 def held_frames_circuit(measured):
@@ -803,25 +945,26 @@ def test_frame_row_index_with_branched_frames_matches_brute_force(keep, frames, 
         assert want == list(range(2 ** len(frames)))
     else:
         assert index.tolist() == want
-        assert not index.flags.writeable
 
 
 def test_frame_row_index_is_cached_read_only_and_shared():
+    # The index is part of the circuit's kept plan: a repeat reads the same
+    # read-only array; another circuit object builds its own.
     keep, frames = (0, 2, 3), (2, 1, 0)
-    info = _frame_rows.cache_info()
-    one = outcome_distributions(held_frames_circuit(keep), frames)
-    other = Circuit(4, (Gate(PHASE, (3,), angle=0.2),) + held_frames_circuit(keep).gates)
-    two = outcome_distributions(other, frames)
-    assert one.shape == two.shape == (8, 8)
-    # Two circuits with the same kept and framed qubits share one entry.
-    after = _frame_rows.cache_info()
-    assert after.misses - info.misses <= 1 and after.hits - info.hits >= 1
-    _, index = _frame_rows(keep, frames, ())
-    assert index is _frame_rows(keep, frames, ())[1]
-    assert _frame_rows.cache_info().maxsize and _population_axes.cache_info().maxsize
-    assert not index.flags.writeable
+    c = held_frames_circuit(keep)
+    one = outcome_distributions(c, frames)
+    index = kept_plan(c)[3]
+    assert index is not None and not index.flags.writeable
     with pytest.raises(ValueError):
         index[0] = 1
+    assert np.array_equal(outcome_distributions(c, frames), one)
+    assert kept_plan(c)[3] is index
+    other = Circuit(4, (Gate(PHASE, (3,), angle=0.2),) + c.gates)
+    two = outcome_distributions(other, frames)
+    assert one.shape == two.shape == (8, 8)
+    assert kept_plan(other)[3] is not index
+    assert np.array_equal(kept_plan(other)[3], index)
+    assert _population_axes.cache_info().maxsize
 
 
 def test_module_level_arrays_are_read_only():
