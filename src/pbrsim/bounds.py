@@ -8,10 +8,8 @@ is taken from the preparation gates only (one RY per qubit), while the
 measurement-circuit noise enters the simulation rather than the bound.
 
 `tolerance_reports` gives both models' reports from one walk and keeps
-the last few pairs, keyed on the identity of its three frozen arguments:
-both models of one configuration, and every run that passes the same
-calibration object, walk it once. Keying on values would hash a whole
-calibration and routed circuit on every call.
+nothing: `harness.run_experiment` keeps the pair a configuration that
+runs again needs.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import numpy as np
 from .circuits import Circuit, RY, _busy_times
 from .config import DEFAULT_TWO_QUBIT_GATE_S
 from .errors import RangeError
-from .memo import IdentityMemo
 from .noise import (
     CalibrationSnapshot,
     NOISE_MODELS,
@@ -48,7 +45,8 @@ def epsilon_tol(d: float, n: int) -> float:
         raise RangeError(f"d={d!r} outside [0, 1]")
     if n < 1:
         raise RangeError(f"n={n} must be >= 1")
-    return float((1.0 - d) ** n / 2**n)
+    # Scaled by 2^-n in the exponent: 2**n overflows a float from n = 1024 on.
+    return math.ldexp((1.0 - d) ** n, -n)
 
 
 def epsilon_dep(p1: float, p2: float, g1: int, g2: int) -> float:
@@ -108,27 +106,7 @@ def _prep_qubits(circuit: Circuit) -> tuple[int, ...]:
     return tuple(seen)
 
 
-# The last few tolerance pairs, keyed on the identity of their three arguments.
-_PAIRS = IdentityMemo(4)
-
-
 def tolerance_reports(
-    params: PBRParams, cal: CalibrationSnapshot, circuit: Circuit
-) -> tuple[ToleranceReport, ToleranceReport]:
-    """Both models' tolerance reports, in NOISE_MODELS order.
-
-    The pair is walked once for each (params, calibration, circuit) triple
-    of objects and kept for the last few triples (`memo.IdentityMemo`), so
-    both models of one configuration, and repeated runs on one calibration
-    object, share it. All three are frozen, so the same objects always give
-    the same pair; a new object, even a value-equal one, is read afresh. A
-    walk that raises (a calibration that misses a qubit) is not kept and
-    raises again on the next call.
-    """
-    return _PAIRS.get(_tolerance_pair, (params, cal, circuit))
-
-
-def _tolerance_pair(
     params: PBRParams, cal: CalibrationSnapshot, circuit: Circuit
 ) -> tuple[ToleranceReport, ToleranceReport]:
     """Both models' tolerance reports, in NOISE_MODELS order, from one walk.

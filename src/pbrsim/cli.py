@@ -115,6 +115,10 @@ def _cmd_tolerance(args) -> int:
     theta = _theta(args)
     params = solved(args.n, theta)
     cal = load_calibration(args.calib)
+    # The walk reads qubits 0..n-1: a missing one fails before the n-qubit
+    # circuit is built.
+    for q in range(args.n):
+        cal.qubit(q)
     rep = tolerance_report(params, cal, params.test_circuit, _model(args.model))
     doc = {
         "kind": "pbr-tolerance",

@@ -2,41 +2,42 @@
 
 `run_experiment` and `analytic_report` take the same config, placed or
 not, and share one prologue: the angles, input 0's circuit and its
-routing, gate counts, both tolerance reports and the active threshold.
+routing, and gate counts. Both then walk both tolerance reports
+(`bounds.tolerance_reports`), and `_judged` picks the active threshold.
 A run then attaches noise and reads the readout matrices, and only then
 checks the forbidden outcomes (`protocol.check_forbidden_outcomes`, which
 simulates the ideal circuit once per (n, theta) per process): every
 calibration lookup comes before the first simulation. Input x's forbidden
 outcome is x itself, so each row reads its own index. Input x is input 0
-with a Z after the preparation of each qubit whose bit is set, so
-`simulate.outcome_distributions` gives every input's distribution from
-the one noisy circuit, the preparation qubits as its frames, with each
-measured qubit's readout confusion matrix folded into its population
-read. The (2^n, 2^m) table comes clipped and is normalized in one pass,
-and shot counts (up to 2^63 - 1, the multinomial sampler's int64 limit)
-are sampled from a per-input random stream, the one default_rng((seed, x))
-makes for input x. `_input_streams` builds every input's stream from
-PCG64 state words hashed for all inputs in one vectorized pass of numpy's
-seed hash, and keeps those words per (seed, 2^n) (16 entries), so both
-models of one configuration and every span of a sweep hash them once;
-each call still builds fresh generators. Each draw stops after outcome
-x, since the multinomial draws outcome by outcome: x's count is the one
-`sample_counts(row, shots, (seed, x))` gives, its reference. The
-tolerance pair is likewise walked once per calibration object
-(`bounds.tolerance_reports`).
+with a Z after the preparation of each qubit whose bit is set, so one
+evolution plan of the noisy circuit (`simulate._plan`), the preparation
+qubits as its frames, gives every input's distribution (`simulate._table`),
+with each measured qubit's readout confusion matrix folded into its
+population read. The (2^n, 2^m) table comes clipped and is normalized in
+one pass, and shot counts (up to 2^63 - 1, the multinomial sampler's
+int64 limit) are sampled from a per-input random stream, the one
+default_rng((seed, x)) makes for input x. `_input_streams` builds every
+input's stream from PCG64 state words hashed for all inputs in one
+vectorized pass of numpy's seed hash, and keeps those words per
+(seed, 2^n) (16 entries), so both models of one configuration and every
+span of a sweep hash them once; each call still builds fresh generators.
+Each draw stops after outcome x, since the multinomial draws outcome by
+outcome: x's count is the one `sample_counts(row, shots, (seed, x))`
+gives, its reference.
 
 A configuration judged again, under a new seed, shot count or
-confidence, repeats the same objects: input 0's circuit (kept per
-(n, theta)), the calibration and the model. So the noisy circuit and the
-readout confusion matrices are kept for the last few (circuit,
-calibration, model) triples, keyed on the objects' identity
-(`memo.IdentityMemo`), and `outcome_distributions` keeps that noisy
-circuit's evolution plan: a repeat attaches noise and plans its
-evolution once. A new object, even a value-equal calibration, builds
-afresh, and a build that raises (a calibration that misses a coupler)
-is not kept. Evolution, sampling and rendering run on every call, and
-the (2^n, 2^m) table is never kept. A placed run routes afresh, so its
-new circuit misses; a one-shot `pbrsim run` gains nothing.
+confidence, repeats the same objects: the angles and input 0's circuit
+(kept per (n, theta)) and the calibration, with the same model and
+frames. So what a run builds from those alone, the tolerance pair, the
+readout confusion matrices and the noisy circuit's evolution plan, is
+kept for the last few configurations in one memo keyed on the objects'
+identity (`memo.IdentityMemo`): a repeat walks, attaches noise and plans
+once, and `bounds` and `simulate` keep nothing. A new object, even a
+value-equal calibration, builds afresh, and a build that raises (a
+calibration that misses a coupler) is not kept. Evolution, sampling and
+rendering run on every call, and the (2^n, 2^m) table is never kept. A
+placed run routes afresh, so its new circuit misses; a one-shot
+`pbrsim run` gains nothing.
 
 `sweep_distance` builds one homogenized line config per span; spans
 needing more physical qubits than the cap get analytic reports, whose
@@ -96,7 +97,7 @@ from .noise import (
     uniform_calibration,
 )
 from .protocol import PBRParams, check_forbidden_outcomes, solved
-from .simulate import outcome_distributions
+from .simulate import _plan, _table
 
 if TYPE_CHECKING:
     from .routing import CouplingMap
@@ -404,12 +405,7 @@ def _prologue(cfg: ExperimentConfig) -> tuple[PBRParams, Circuit, dict]:
 
     The angles and input 0's logical circuit are built once per (n, theta)
     per process (`protocol.solved`). The circuit is routed when the config
-    is placed, and span and swap count are read off the routing. Gate
-    counts, both tolerance reports (from one walk, kept for the same
-    calibration and circuit objects) and the active threshold (chosen
-    here, from the model) come from the routed circuit. The tolerance
-    reports read the calibration, so a snapshot that misses a qubit or
-    coupler fails before any simulation.
+    is placed, and span, swap count and gate counts are read off it.
     """
     params = solved(cfg.n, cfg.theta)
     circuit = params.test_circuit
@@ -420,7 +416,6 @@ def _prologue(cfg: ExperimentConfig) -> tuple[PBRParams, Circuit, dict]:
         routed = route_linear(circuit, cfg.coupling, cfg.placement)
         circuit, span, swap_count = routed.circuit, len(routed.path) - 1, routed.swap_count
     g1, g2 = gate_counts(circuit)
-    tol_dep, tol_thermo = tolerance_reports(params, cfg.calibration, circuit)
     fields = dict(
         n=cfg.n,
         theta=cfg.theta,
@@ -435,54 +430,65 @@ def _prologue(cfg: ExperimentConfig) -> tuple[PBRParams, Circuit, dict]:
         span=span,
         placement=cfg.placement,
         swap_count=swap_count,
-        tol_dep=tol_dep,
-        tol_thermo=tol_thermo,
-        active_tolerance=(tol_dep if cfg.model == DEPOLARIZING else tol_thermo).eps_tol_noisy,
     )
     return params, circuit, fields
 
 
-def _judged(fields: dict, bounds, rows=(), **kind) -> ExperimentReport:
+def _judged(fields: dict, pair, bounds, rows=(), **kind) -> ExperimentReport:
     """Finish a report by the one verdict rule, for both report kinds.
 
-    A bound passes only strictly below the active threshold. An exact
-    report gives one bound per input row, each row InputResult's fields up
-    to `ci_high`; an analytic one, one bound and no rows.
+    The active threshold is the model's noisy tolerance from `pair`, and a
+    bound passes only strictly below it. An exact report gives one bound
+    per input row, each row InputResult's fields up to `ci_high`; an
+    analytic one, one bound and no rows.
     """
-    active = fields["active_tolerance"]
+    tol_dep, tol_thermo = pair
+    active = (tol_dep if fields["model"] == DEPOLARIZING else tol_thermo).eps_tol_noisy
     checks = [bool(b < active) for b in bounds]
     return ExperimentReport(
         **fields,
         **kind,
+        tol_dep=tol_dep,
+        tol_thermo=tol_thermo,
+        active_tolerance=active,
         inputs=tuple([InputResult(*row, active, ok) for row, ok in zip(rows, checks)]),
         pass_fraction=sum(checks) / len(checks),
         passed=all(checks),
     )
 
 
-def _noisy(circuit: Circuit, cal: CalibrationSnapshot, model: str) -> tuple[Circuit, tuple]:
-    """The noisy circuit and each measured qubit's readout confusion matrix."""
+def _configuration(
+    params: PBRParams, circuit: Circuit, cal: CalibrationSnapshot, model: str, frames: tuple
+) -> tuple:
+    """The tolerance pair, readout matrices and noisy evolution plan of a run.
+
+    Built in the order their errors surface: every calibration lookup (the
+    tolerance walk, the noise and the readout), then the forbidden-outcome
+    check, then the plan, whose CapError a wide placed span can reach.
+    """
+    pair = tolerance_reports(params, cal, circuit)
     noisy = attach_noise(circuit, cal, model)
-    return noisy, tuple(readout_matrix(cal.qubit(q)) for q in noisy.measured_qubits)
+    mats = tuple(readout_matrix(cal.qubit(q)) for q in noisy.measured_qubits)
+    check_forbidden_outcomes(params)
+    return pair, mats, _plan(noisy, frames)
 
 
-# The noisy circuits of the last few (circuit, calibration, model): both
-# models of a configuration that runs again. A placed run routes afresh,
-# so its new circuit object misses.
-_NOISY = IdentityMemo(4)
+# What the last few configurations need: both models of one that runs
+# again. A placed run routes afresh, so its new circuit object misses.
+_CONFIGURATIONS = IdentityMemo(4)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Simulate all 2^n inputs under the configured noise and sample shots."""
     params, circuit, fields = _prologue(cfg)
-    # Noise and readout read the calibration too, so a snapshot that misses
-    # a qubit or coupler fails here, before anything is simulated.
-    noisy, mats = _NOISY.get(_noisy, (circuit, cfg.calibration), (cfg.model,))
-    check_forbidden_outcomes(params)
     # Input x flips the preparation of the qubits of its set bits: logical
     # qubit j is prepared on placement[j] when the config is placed.
+    frames = cfg.placement or tuple(range(cfg.n))
+    pair, mats, plan = _CONFIGURATIONS.get(
+        _configuration, (params, circuit, cfg.calibration), (cfg.model, frames)
+    )
     # Each measured qubit's readout error is folded into its population read.
-    dists = outcome_distributions(noisy, cfg.placement or range(cfg.n), mats)
+    dists = _table(plan, mats)
     # The table comes clipped to [0, 1]: sample_counts' normalization, once
     # for the table.
     p = _normalized(dists)
@@ -495,6 +501,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         rows.append((x, exact[x], k, k / shots, *_wilson(k, shots, z)))
     return _judged(
         fields,
+        pair,
         [row[-1] for row in rows],
         rows,
         analytic_only=False,
@@ -510,17 +517,19 @@ def analytic_report(cfg: ExperimentConfig) -> ExperimentReport:
     predicts the observable error from the model (synthesized depolarizing
     error, or the cumulative damping estimate) and judges that prediction.
     """
-    params, _, fields = _prologue(cfg)
-    check_forbidden_outcomes(params)
+    params, circuit, fields = _prologue(cfg)
     cal = cfg.calibration
+    pair = tolerance_reports(params, cal, circuit)
+    check_forbidden_outcomes(params)
     if cfg.model == DEPOLARIZING:
         p1 = float(np.mean([q.p1 for q in cal.qubits]))
         p2 = float(np.mean([c.p2 for c in cal.couplers])) if cal.couplers else 0.0
         predicted = epsilon_dep(p1, p2, fields["g1"], fields["g2"])
     else:
-        predicted = fields["tol_thermo"].eps_dec_cumulative
+        predicted = pair[1].eps_dec_cumulative
     return _judged(
         fields,
+        pair,
         [predicted],
         analytic_only=True,
         mean_forbidden_exact=None,

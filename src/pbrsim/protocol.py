@@ -77,6 +77,9 @@ def _bisect(g, lo: float, hi: float) -> float:
     return hi
 
 
+# For large n the power in the angle equation overflows where the modulus
+# is far above 1: there the condition reads +inf, with no warning.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_angles(n: int, theta: float) -> tuple[float, float]:
     """Solve e^{i alpha} + (1 + e^{i beta} tan(theta/2))^n = 1 for (alpha, beta).
 
@@ -99,7 +102,8 @@ def solve_angles(n: int, theta: float) -> tuple[float, float]:
     t = np.tan(theta / 2)
 
     def g(beta: float) -> float:
-        return abs(1 - (1 + t * np.exp(1j * beta)) ** n) - 1.0
+        m = abs(1 - (1 + t * np.exp(1j * beta)) ** n)
+        return m - 1.0 if m < np.inf else np.inf
 
     g0 = g(0.0)
     if g0 < -1e-12:

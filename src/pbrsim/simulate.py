@@ -40,14 +40,14 @@ the read serves each input is skipped when it is the identity. A
 measured qubit's readout confusion matrix, when given, is multiplied
 into the (2 x 4) map that reads its populations.
 
-Everything that depends only on the circuit and its frames is one plan:
-the walk over the gates, the branched frames, the frame-row read and
-the schedule (steps, suffixes, peak width and final axis order). It is
-kept, read-only, for the last few (circuit object, frames) pairs
-(`memo.IdentityMemo`), so a configuration that runs again (the same
-noisy circuit object, as `harness.run_experiment` keeps it) plans once.
-Evolution, the readout fold and the population read run on every call,
-and the (2^F, 2^m) table is never kept: at n = 12 it holds 128 MB.
+`outcome_distributions` is two steps. `_plan` derives everything that
+depends only on the circuit and its frames: the walk over the gates, the
+branched frames, the frame-row read and the schedule (steps, suffixes,
+peak width and final axis order). `_table` evolves a plan's rows, folds
+in the readout, reads the populations and orders the rows. This module
+keeps neither: `harness.run_experiment` keeps the plan of a
+configuration that runs again, and the (2^F, 2^m) table is never kept
+(at n = 12 it holds 128 MB).
 
 A stack of b states on w live qubits is a (b, 2^w, 2^w) array; viewed as
 (b,) + (2,) * 2w, live qubit i is row axis 1 + i and column axis 1 + w + i.
@@ -76,7 +76,6 @@ import numpy as np
 from .circuits import DIAGONAL_KINDS, Circuit, Gate, MEASURE, NOISE, X, gate_diagonal, gate_unitary
 from .config import SIMULATION_QUBIT_CAP
 from .errors import CapError
-from .memo import IdentityMemo
 from .states import KrausChannel, check_phases, check_unitary
 
 # B * 4^w complex entries evolved at once, w the peak live width: 8 inputs at w=5.
@@ -430,18 +429,29 @@ def _frame_rows(
 
 
 def _plan(c: Circuit, frames: tuple[int, ...]) -> tuple:
-    # Everything `outcome_distributions` derives from the circuit and its
-    # frames alone: the kept qubits, the branched frames, how the read's
-    # rows serve the inputs (`_frame_rows`) and the schedule.
+    # Everything `_table` reads of the circuit and its frames: the kept
+    # qubits, the branched frames, how the read's rows serve the inputs
+    # (`_frame_rows`) and the schedule.
     keep = c.measured_qubits or tuple(range(c.n_qubits))
     w = _walk(c, frames)
     branched = _branched(w, keep, frames)
     return keep, branched, *_frame_rows(keep, frames, branched), _schedule(w, keep, branched)
 
 
-# The plans of the last few (circuit object, frames): both models' noisy
-# circuits of a configuration that runs again.
-_PLANS = IdentityMemo(4)
+def _table(plan: tuple, readout=()) -> np.ndarray:
+    # A plan's (2^F, 2^m) table: its rows evolved, each measured qubit's
+    # readout matrix folded into its population read, the rows in input order.
+    keep, branched, framed, index, schedule = plan
+    readout = [np.asarray(r, dtype=float) for r in readout]
+    if readout and (len(readout) != len(keep) or any(r.shape != (2, 2) for r in readout)):
+        raise ValueError(f"readout needs one (2, 2) matrix for each of {len(keep)} measured qubits")
+    probs = np.concatenate(
+        [
+            _populations(rho, suffix, readout, framed)
+            for rho, suffix in _chunks(schedule, 2 ** len(branched))
+        ]
+    )
+    return probs if index is None else probs[index]
 
 
 def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
@@ -458,22 +468,8 @@ def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
     the most significant bit of an outcome. Frames must name distinct
     qubits of the circuit that some gate acts on, and readout must give
     none or one matrix per measured qubit, or ValueError is raised.
-
-    The plan of the evolution (everything but the states and the read) is
-    kept for the last few (circuit object, frames); the table is not.
     """
-    frames = tuple(int(q) for q in frames)
-    keep, branched, framed, index, schedule = _PLANS.get(_plan, (c,), (frames,))
-    readout = [np.asarray(r, dtype=float) for r in readout]
-    if readout and (len(readout) != len(keep) or any(r.shape != (2, 2) for r in readout)):
-        raise ValueError(f"readout needs one (2, 2) matrix for each of {len(keep)} measured qubits")
-    probs = np.concatenate(
-        [
-            _populations(rho, suffix, readout, framed)
-            for rho, suffix in _chunks(schedule, 2 ** len(branched))
-        ]
-    )
-    return probs if index is None else probs[index]
+    return _table(_plan(c, tuple(int(q) for q in frames)), readout)
 
 
 def outcome_distribution(c: Circuit) -> np.ndarray:

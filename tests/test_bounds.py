@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import pbrsim.bounds
+import pbrsim.harness
 from pbrsim.bounds import (
     epsilon_dec,
     epsilon_dep,
@@ -16,6 +17,7 @@ from pbrsim.bounds import (
     tolerance_reports,
 )
 from pbrsim.errors import CalibrationError, RangeError
+from pbrsim.harness import ExperimentConfig, run_experiment
 from pbrsim.noise import (
     CalibrationSnapshot,
     CouplerCalibration,
@@ -26,7 +28,7 @@ from pbrsim.noise import (
     p_from_time,
     uniform_calibration,
 )
-from pbrsim.protocol import PBRParams, build_test_circuit, theta_min
+from pbrsim.protocol import PBRParams, build_test_circuit, solved, theta_min
 from pbrsim.routing import line_map, route_linear
 from tolerance_reference import reference_tolerance_report
 
@@ -225,19 +227,32 @@ def walks(monkeypatch):
     return calls
 
 
+def pair_config(cal, model=DEPOLARIZING):
+    """A two-qubit run at pi/4 on `cal`."""
+    return ExperimentConfig(n=2, theta=np.pi / 4, model=model, calibration=cal, shots=100)
+
+
+def kept_pair(report):
+    return report.tol_dep, report.tol_thermo
+
+
 def test_tolerance_pair_is_kept_for_the_same_objects(walks):
-    params = PBRParams.solve(2, np.pi / 4)
-    circuit = build_test_circuit(0, params)
+    # A run keeps its pair with its configuration (harness._CONFIGURATIONS):
+    # walked once per (angles, circuit, calibration) objects and model.
+    params = solved(2, np.pi / 4)
     cal = adjacent_pair_calibration()
-    pair = tolerance_reports(params, cal, circuit)
-    assert tolerance_reports(params, cal, circuit) is pair
-    assert tolerance_report(params, cal, circuit, DEPOLARIZING) is pair[0]
-    assert tolerance_report(params, cal, circuit, THERMODYNAMICAL) is pair[1]
-    assert len(walks) == 1
+    pair = kept_pair(run_experiment(pair_config(cal)))
+    assert kept_pair(run_experiment(dataclasses.replace(pair_config(cal), seed=5)))[0] is pair[0]
+    assert repr(tolerance_report(params, cal, params.test_circuit, DEPOLARIZING)) == repr(pair[0])
+    assert repr(tolerance_report(params, cal, params.test_circuit, THERMODYNAMICAL)) == repr(pair[1])
+    assert len(walks) == 3
+    thermo = kept_pair(run_experiment(pair_config(cal, THERMODYNAMICAL)))
+    assert thermo is not pair and repr(thermo) == repr(pair)
+    assert len(walks) == 4
     # A value-equal new calibration object is read afresh, to an equal pair.
-    again = tolerance_reports(params, adjacent_pair_calibration(), circuit)
-    assert again is not pair and repr(again) == repr(pair)
-    assert len(walks) == 2
+    again = kept_pair(run_experiment(pair_config(adjacent_pair_calibration())))
+    assert again[0] is not pair[0] and repr(again) == repr(pair)
+    assert len(walks) == 5
 
 
 def test_tolerance_pair_is_walked_afresh_for_changed_arguments(walks):
@@ -266,22 +281,35 @@ def test_tolerance_pair_is_walked_afresh_for_changed_arguments(walks):
 
 
 def test_failing_tolerance_walk_is_not_kept():
-    params = PBRParams.solve(2, np.pi / 4)
-    circuit = build_test_circuit(0, params)
     missing = CalibrationSnapshot((QubitCalibration(0, 173e-6, 172e-6, 2.1e-4),), ())
     for _ in range(3):
         with pytest.raises(CalibrationError, match="no calibration for qubit 1"):
-            tolerance_reports(params, missing, circuit)
-    assert all(args[1] is not missing for args, _ in pbrsim.bounds._PAIRS.items())
+            run_experiment(pair_config(missing))
+    kept = pbrsim.harness._CONFIGURATIONS.items()
+    assert all(objects[2] is not missing for objects, _ in kept)
 
 
 def test_tolerance_memo_holds_a_handful_of_entries():
-    params = PBRParams.solve(2, np.pi / 4)
-    circuit = build_test_circuit(0, params)
-    cals = [adjacent_pair_calibration() for _ in range(3 * pbrsim.bounds._PAIRS.size)]
-    pairs = [tolerance_reports(params, cal, circuit) for cal in cals]
-    assert len(pbrsim.bounds._PAIRS.items()) == pbrsim.bounds._PAIRS.size <= 8
-    # The newest entries are kept; an evicted triple is walked again, equal.
-    assert tolerance_reports(params, cals[-1], circuit) is pairs[-1]
-    assert tolerance_reports(params, cals[0], circuit) is not pairs[0]
-    assert repr(tolerance_reports(params, cals[0], circuit)) == repr(pairs[0])
+    memo = pbrsim.harness._CONFIGURATIONS
+    cals = [adjacent_pair_calibration() for _ in range(3 * memo.size)]
+    pairs = [kept_pair(run_experiment(pair_config(cal))) for cal in cals]
+    assert len(memo.items()) == memo.size <= 8
+    # The newest entries are kept; an evicted configuration is walked again, equal.
+    assert kept_pair(run_experiment(pair_config(cals[-1])))[0] is pairs[-1][0]
+    assert kept_pair(run_experiment(pair_config(cals[0])))[0] is not pairs[0][0]
+    assert repr(kept_pair(run_experiment(pair_config(cals[0])))) == repr(pairs[0])
+
+
+def test_epsilon_tol_scales_by_a_power_of_two_past_the_float_range():
+    # Bit for bit (1 - d)^n / 2^n while 2^n is a float; from n = 1024 on,
+    # where 2**n no longer converts, a finite value (0.0 once it underflows).
+    rng = np.random.default_rng(1024)
+    for d, n in zip(rng.random(20000), rng.integers(1, 1024, 20000)):
+        n = int(n)
+        assert epsilon_tol(float(d), n) == (1.0 - float(d)) ** n / 2**n
+    for n in (1023, 1024, 1074, 1075, 200000, 10**7):
+        for d in (0.0, 1e-3, 0.5, 1.0):
+            value = epsilon_tol(d, n)
+            assert type(value) is float and 0.0 <= value < 2.0**-1022
+    assert epsilon_tol(0.0, 1074) == 5e-324 and epsilon_tol(0.0, 1024) == 2.0**-1024
+    assert epsilon_tol(0.0, 200000) == 0.0

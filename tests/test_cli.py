@@ -118,6 +118,38 @@ def test_tolerance_subcommand(calib_path, capsys):
     assert {k: doc[k] for k in tolerance_keys} == expected
 
 
+@pytest.mark.parametrize("n", [1024, 200000])
+def test_tolerance_at_large_n_checks_the_calibration_before_the_circuit(n, calib_path, capsys):
+    # 2**n stops converting to a float at n = 1024, and the n-qubit test
+    # circuit took 185 MB at n = 200000 before the calibration was read.
+    argv = ["tolerance", "--n", str(n), "--calib", calib_path, "--model", "dep"]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: no calibration for qubit 4\n"
+    assert captured.out == ""
+    assert peak < 2**20 and elapsed < 2.0
+
+
+def test_tolerance_at_n1024_on_a_covering_calibration(tmp_path, capsys):
+    # A threshold below the float range reads 0.0: no overflow, no traceback.
+    path = tmp_path / "cal.json"
+    save_calibration(uniform_calibration(1024, p1=2e-4, p2=2e-3, edges=()), path)
+    code = main(["tolerance", "--n", "1024", "--calib", str(path), "--model", "thermo"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n"] == 1024 and len(doc["eps_tol_per_qubit"]) == 1024
+    assert 0.0 <= doc["eps_tol_ideal"] < 2.0**-1022
+    assert 0.0 <= doc["eps_tol_noisy"] < 2.0**-1022
+
+
 def test_run_pass_and_outputs(calib_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     csv_out = tmp_path / "report.csv"
@@ -237,7 +269,8 @@ def test_negative_seed_exits_2_before_simulating(command, calib_path, capsys, mo
     def never(*args):
         raise AssertionError("simulated before the seed was checked")
 
-    monkeypatch.setattr("pbrsim.harness.outcome_distributions", never)
+    for name in ("_plan", "_table"):
+        monkeypatch.setattr(f"pbrsim.harness.{name}", never)
     code = main(command + ["--calib", calib_path, "--model", "dep", "--seed", "-1"])
     assert code == 2
     captured = capsys.readouterr()
@@ -254,7 +287,8 @@ def test_shots_beyond_int64_exit_2_before_simulating(command, calib_path, capsys
     def never(*args):
         raise AssertionError("simulated before the shot count was checked")
 
-    monkeypatch.setattr("pbrsim.harness.outcome_distributions", never)
+    for name in ("_plan", "_table"):
+        monkeypatch.setattr(f"pbrsim.harness.{name}", never)
     for shots in (2**63, 10**20):
         code = main(command + ["--calib", calib_path, "--model", "dep", "--shots", str(shots)])
         assert code == 2
@@ -273,7 +307,7 @@ def test_sweep_distance_spans_beyond_limit_exit_2_before_work(
     def never(*args):
         raise AssertionError("worked on a span before every span was checked")
 
-    for name in ("outcome_distributions", "run_experiment", "analytic_report"):
+    for name in ("_plan", "_table", "run_experiment", "analytic_report"):
         monkeypatch.setattr(f"pbrsim.harness.{name}", never)
     start = time.perf_counter()
     code = main(["sweep-distance", "--calib", calib_path, "--model", "dep", "--spans", spans])
@@ -300,7 +334,7 @@ def test_run_checks_calibration_before_simulating(
     def never(*args):
         raise AssertionError("simulated before the calibration was checked")
 
-    for name in ("pbrsim.harness.outcome_distributions", "pbrsim.protocol.outcome_distributions"):
+    for name in ("pbrsim.harness._plan", "pbrsim.harness._table", "pbrsim.protocol.outcome_distributions"):
         monkeypatch.setattr(name, never)
     path = tmp_path / "cal.json"
     save_calibration(uniform_calibration(qubits, p1=2e-4, p2=2.4e-3, edges=couplers), path)
@@ -519,10 +553,12 @@ def test_deeply_nested_documents_exit_2(what, calib_path, tmp_path, capsys):
 
 
 # Flag values for the contract fuzz: (valid, boundary or junk). Every
-# accepted combination is bounded work: n <= 8, spans past the simulation
-# cap are analytic, and no span list runs to MAX_SPAN.
+# accepted combination is bounded work: runs simulate n <= 8 (a larger n
+# fails the simulation cap, or the calibration lookup before any n-qubit
+# circuit is built), spans past the simulation cap are analytic, and no
+# span list runs to MAX_SPAN.
 _FUZZ_FLAGS = {
-    "--n": (["2", "3", "5", "8"], ["0", "1", "-1", "2.5", "x", "", "+4", "0x3"]),
+    "--n": (["2", "3", "5", "8"], ["0", "1", "-1", "2.5", "x", "", "+4", "0x3", "1024", "200000"]),
     "--theta": (["0.7854", "0.3", "1.2", "1.5707963267948966"],
                 ["1.5707963267948968", "0", "5e-324", "-1", "nan", "inf", "-inf", "1e308", "x"]),
     "--theta-scale": (["1", "1.1", "0.9999999"],

@@ -384,7 +384,7 @@ def test_placed_run_evolves_two_rows(model, monkeypatch):
 def _run_on_table(monkeypatch, table, shots, seed):
     """run_experiment at n = log2(rows) with the noisy table replaced."""
     n = len(table).bit_length() - 1
-    monkeypatch.setattr(pbrsim.harness, "outcome_distributions", lambda c, frames, readout: table)
+    monkeypatch.setattr(pbrsim.harness, "_table", lambda plan, readout: table)
     cfg = ExperimentConfig(
         n=n, theta=theta_min(n), model=DEPOLARIZING,
         calibration=all_pairs_calibration(n), shots=shots, seed=seed,

@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import pbrsim.bounds
 import pbrsim.harness
 import pbrsim.simulate
 from dense_reference import dense_distribution, dense_state
@@ -49,6 +48,7 @@ from pbrsim.simulate import (
     _operator,
     _operators,
     _population_axes,
+    _table,
     _walk,
     _z_covariant,
     outcome_distribution,
@@ -716,21 +716,20 @@ def test_cached_operator_equals_a_fresh_build():
             op[(0,) * op.ndim] = 0.0
 
 
-def kept_plan(c):
-    """The evolution plan kept for circuit object `c`."""
-    (plan,) = [plan for (circuit,), plan in pbrsim.simulate._PLANS.items() if circuit is c]
-    return plan
+def kept_plan(params, circuit, cal, model, frames):
+    """The evolution plan a run keeps for this configuration, built on a miss."""
+    key = (params, circuit, cal), (model, tuple(frames))
+    return pbrsim.harness._CONFIGURATIONS.get(pbrsim.harness._configuration, *key)[2]
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts noisy circuits and schedules built, from empty run memos.
+    """Counts noisy circuits and schedules built, from an empty run memo.
 
     The forbidden-outcome check starts cold too, so a run's first plan
     count includes its ideal circuit's.
     """
-    pbrsim.harness._NOISY.clear()
-    pbrsim.simulate._PLANS.clear()
+    pbrsim.harness._CONFIGURATIONS.clear()
     check_forbidden_outcomes.cache_clear()
     calls = {"attach_noise": 0, "_schedule": 0}
     for module, name in ((pbrsim.harness, "attach_noise"), (pbrsim.simulate, "_schedule")):
@@ -786,18 +785,55 @@ def test_calibration_that_misses_a_qubit_or_coupler_is_never_kept(builds):
     no_coupler = CalibrationSnapshot(full.qubits, ())
     cases = (
         # The tolerance walk fails first, and keeps nothing either.
-        (no_qubit, "no calibration for qubit 2", (pbrsim.harness._NOISY, pbrsim.bounds._PAIRS)),
+        (no_qubit, "no calibration for qubit 2"),
         # The tolerance pair is whole, but attach_noise fails on every call.
-        (no_coupler, "no calibration for coupler", (pbrsim.harness._NOISY,)),
+        (no_coupler, "no calibration for coupler"),
     )
-    for cal, message, memos in cases:
+    for cal, message in cases:
         cfg = ExperimentConfig(n=3, theta=1.0, model="depolarizing", calibration=cal, shots=100)
         for _ in range(3):
             with pytest.raises(CalibrationError, match=message):
                 run_experiment(cfg)
-        for memo in memos:
-            assert not any(o is cal for objects, _ in memo.items() for o in objects)
+        kept = pbrsim.harness._CONFIGURATIONS.items()
+        assert not any(o is cal for objects, _ in kept for o in objects)
     assert builds == {"attach_noise": 3, "_schedule": 0}
+
+
+def arrays_in(value):
+    """Every numpy array in `value`, through nested tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in arrays_in(v)]
+    return []
+
+
+def test_angle_scan_keeps_every_noisy_plan_and_no_ideal_one(builds, monkeypatch):
+    # Two angles under both models on one calibration object, then the
+    # first angle again: the memo's four entries are the four noisy
+    # configurations, so the repeat plans nothing. Each new angle plans its
+    # ideal circuit once, for the forbidden-outcome check, which keeps it
+    # in its own cache: no kept entry holds that plan.
+    schedules = []
+    counting = pbrsim.simulate._schedule
+
+    def recording(w, keep, frames):
+        schedule = counting(w, keep, frames)
+        schedules.append((w[0], schedule))
+        return schedule
+
+    monkeypatch.setattr(pbrsim.simulate, "_schedule", recording)
+    cal = varied_calibration(3, seed=4)
+    for theta in (1.0, 1.1, 1.0):
+        for model in NOISE_MODELS:
+            cfg = ExperimentConfig(n=3, theta=theta, model=model, calibration=cal, shots=100)
+            run_experiment(cfg)
+    assert builds == {"attach_noise": 4, "_schedule": 6}
+    ideal = [s for c, s in schedules if not any(g.kind == NOISE for g in c.gates)]
+    assert len(ideal) == 2
+    kept = [plan[4] for _, (_, _, plan) in pbrsim.harness._CONFIGURATIONS.items()]
+    assert len(kept) == 4
+    assert not any(k is s for k in kept for s in ideal)
 
 
 def arrays_in(value):
@@ -815,24 +851,18 @@ def test_kept_plan_and_readout_arrays_are_read_only(builds):
             n=4, theta=1.0, model=model, calibration=varied_calibration(4, seed=2), shots=100,
         ))
     line = line_map(4)
-    routed = route_linear(build_test_circuit(0, PBRParams.solve(2, 1.0)), line, (0, 3)).circuit
     cal = uniform_calibration(4, p1=1e-3, edges=line.edges)
-    outcome_distributions(attach_noise(routed, cal, "depolarizing"), (0, 3))
-    kept = pbrsim.simulate._PLANS.items() + pbrsim.harness._NOISY.items()
-    arrays = arrays_in([value for _, value in kept])
-    # Steps, suffixes, the routed pair's frame operator and row index, and readout matrices.
+    run_experiment(ExperimentConfig(
+        n=2, theta=1.0, model="depolarizing", calibration=cal, shots=100,
+        coupling=line, placement=(0, 3),
+    ))
+    arrays = arrays_in([value for _, value in pbrsim.harness._CONFIGURATIONS.items()])
+    # Steps, suffixes, the routed pair's frame operator, and readout matrices.
     assert len(arrays) > 20
     assert not any(a.flags.writeable for a in arrays)
 
 
 def test_kept_plan_gives_the_freshly_built_table():
-    def tables(noisy, frames, mats):
-        pbrsim.simulate._PLANS.clear()
-        fresh = outcome_distributions(noisy, frames, mats)
-        kept = outcome_distributions(noisy, frames, mats)
-        assert kept_plan(noisy)
-        return fresh, kept
-
     rng = np.random.default_rng(8)
 
     def confusion(m):
@@ -843,33 +873,37 @@ def test_kept_plan_gives_the_freshly_built_table():
         cal = varied_calibration(n, seed=n)
         params = PBRParams.solve(n, theta_min(n))
         for model in NOISE_MODELS:
-            noisy = attach_noise(build_test_circuit(0, params), cal, model)
-            cases.append((noisy, range(n), confusion(n)))
+            cases.append((params, params.test_circuit, cal, model, range(n), confusion(n)))
     params = PBRParams.solve(2, 1.0)
-    routed = route_linear(build_test_circuit(0, params), line_map(6), (0, 5)).circuit
+    routed = route_linear(params.test_circuit, line_map(6), (0, 5)).circuit
     cal = varied_calibration(6, seed=7)
     for model in NOISE_MODELS:
-        cases.append((attach_noise(routed, cal, model), (0, 5), confusion(2)))
-    for noisy, frames, mats in cases:
-        fresh, kept = tables(noisy, frames, mats)
-        assert np.array_equal(fresh, kept)
+        cases.append((params, routed, cal, model, (0, 5), confusion(2)))
+    for params, circuit, cal, model, frames, mats in cases:
+        pbrsim.harness._CONFIGURATIONS.clear()
+        fresh = outcome_distributions(attach_noise(circuit, cal, model), frames, mats)
+        plan = kept_plan(params, circuit, cal, model, frames)
+        assert kept_plan(params, circuit, cal, model, frames) is plan
+        assert np.array_equal(_table(plan, mats), fresh)
 
 
-def test_kept_plan_at_n11_holds_the_shared_phase_vector():
+def test_kept_plan_at_n11_holds_the_shared_phase_vector(monkeypatch):
     # A plan holds no 4^n array of its own: the open-controlled phase's phase
-    # vector is the one `_operator` keeps, not a copy.
+    # vector is the one `_operator` keeps, not a copy. Only the plan is
+    # looked at, so the n = 11 forbidden-outcome check is skipped.
+    monkeypatch.setattr(pbrsim.harness, "check_forbidden_outcomes", lambda params: None)
     n = 11
     params = PBRParams.solve(n, theta_min(n))
     cal = uniform_calibration(n, p1=1e-4, p2=1e-3)
-    noisy = attach_noise(params.test_circuit, cal, "depolarizing")
     try:
-        plan = pbrsim.simulate._PLANS.get(pbrsim.simulate._plan, (noisy,), (tuple(range(n)),))
+        plan = kept_plan(params, params.test_circuit, cal, "depolarizing", range(n))
         big = [a for a in arrays_in(plan) if a.size >= 4**n]
+        noisy = attach_noise(params.test_circuit, cal, "depolarizing")
         (phase,) = [op for op in _operators(noisy) if op.size >= 4**n]
         assert len(big) == 1 and big[0] is phase
         assert not phase.flags.writeable
     finally:
-        pbrsim.simulate._PLANS.clear()
+        pbrsim.harness._CONFIGURATIONS.clear()
         _operator.cache_clear()
 
 
@@ -948,22 +982,23 @@ def test_frame_row_index_with_branched_frames_matches_brute_force(keep, frames, 
 
 
 def test_frame_row_index_is_cached_read_only_and_shared():
-    # The index is part of the circuit's kept plan: a repeat reads the same
-    # read-only array; another circuit object builds its own.
+    # The index is part of a configuration's kept plan: a repeat reads the
+    # same read-only array; another circuit object builds its own.
     keep, frames = (0, 2, 3), (2, 1, 0)
     c = held_frames_circuit(keep)
-    one = outcome_distributions(c, frames)
-    index = kept_plan(c)[3]
+    params, cal = PBRParams.solve(4, 1.0), uniform_calibration(4, p1=1e-3, p2=1e-2)
+    one = outcome_distributions(attach_noise(c, cal, "depolarizing"), frames)
+    index = kept_plan(params, c, cal, "depolarizing", frames)[3]
     assert index is not None and not index.flags.writeable
     with pytest.raises(ValueError):
         index[0] = 1
-    assert np.array_equal(outcome_distributions(c, frames), one)
-    assert kept_plan(c)[3] is index
+    assert np.array_equal(_table(kept_plan(params, c, cal, "depolarizing", frames)), one)
+    assert kept_plan(params, c, cal, "depolarizing", frames)[3] is index
     other = Circuit(4, (Gate(PHASE, (3,), angle=0.2),) + c.gates)
-    two = outcome_distributions(other, frames)
+    two = _table(kept_plan(params, other, cal, "depolarizing", frames))
     assert one.shape == two.shape == (8, 8)
-    assert kept_plan(other)[3] is not index
-    assert np.array_equal(kept_plan(other)[3], index)
+    assert kept_plan(params, other, cal, "depolarizing", frames)[3] is not index
+    assert np.array_equal(kept_plan(params, other, cal, "depolarizing", frames)[3], index)
     assert _population_axes.cache_info().maxsize
 
 
