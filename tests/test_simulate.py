@@ -812,8 +812,8 @@ def test_angle_scan_keeps_every_noisy_plan_and_no_ideal_one(builds, monkeypatch)
     # Two angles under both models on one calibration object, then the
     # first angle again: the memo's four entries are the four noisy
     # configurations, so the repeat plans nothing. Each new angle plans its
-    # ideal circuit once, for the forbidden-outcome check, which keeps it
-    # in its own cache: no kept entry holds that plan.
+    # ideal circuit once, for the forbidden-outcome check, whose own cache
+    # answers every repeat: no kept entry holds that plan.
     schedules = []
     counting = pbrsim.simulate._schedule
 
@@ -834,15 +834,6 @@ def test_angle_scan_keeps_every_noisy_plan_and_no_ideal_one(builds, monkeypatch)
     kept = [plan[4] for _, (_, _, plan) in pbrsim.harness._CONFIGURATIONS.items()]
     assert len(kept) == 4
     assert not any(k is s for k in kept for s in ideal)
-
-
-def arrays_in(value):
-    """Every numpy array in `value`, through nested tuples and lists."""
-    if isinstance(value, np.ndarray):
-        return [value]
-    if isinstance(value, (tuple, list)):
-        return [a for v in value for a in arrays_in(v)]
-    return []
 
 
 def test_kept_plan_and_readout_arrays_are_read_only(builds):
@@ -987,18 +978,22 @@ def test_frame_row_index_is_cached_read_only_and_shared():
     keep, frames = (0, 2, 3), (2, 1, 0)
     c = held_frames_circuit(keep)
     params, cal = PBRParams.solve(4, 1.0), uniform_calibration(4, p1=1e-3, p2=1e-2)
+
+    def kept(circuit):
+        return kept_plan(params, circuit, cal, "depolarizing", frames)
+
     one = outcome_distributions(attach_noise(c, cal, "depolarizing"), frames)
-    index = kept_plan(params, c, cal, "depolarizing", frames)[3]
+    index = kept(c)[3]
     assert index is not None and not index.flags.writeable
     with pytest.raises(ValueError):
         index[0] = 1
-    assert np.array_equal(_table(kept_plan(params, c, cal, "depolarizing", frames)), one)
-    assert kept_plan(params, c, cal, "depolarizing", frames)[3] is index
+    assert np.array_equal(_table(kept(c)), one)
+    assert kept(c)[3] is index
     other = Circuit(4, (Gate(PHASE, (3,), angle=0.2),) + c.gates)
-    two = _table(kept_plan(params, other, cal, "depolarizing", frames))
+    two = _table(kept(other))
     assert one.shape == two.shape == (8, 8)
-    assert kept_plan(params, other, cal, "depolarizing", frames)[3] is not index
-    assert np.array_equal(kept_plan(params, other, cal, "depolarizing", frames)[3], index)
+    assert kept(other)[3] is not index
+    assert np.array_equal(kept(other)[3], index)
     assert _population_axes.cache_info().maxsize
 
 
