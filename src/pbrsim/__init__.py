@@ -92,10 +92,9 @@ _EXPORTS = {
     ),
     "routing": (
         "CouplingMap",
-        "RoutedCircuit",
         "line_map",
         "load_coupling_map",
-        "route_linear",
+        "lower",
         "routed_gate_overhead",
         "save_coupling_map",
         "shortest_path",

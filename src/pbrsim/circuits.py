@@ -23,14 +23,13 @@ RY = "RY"
 RZ = "RZ"
 PHASE = "PHASE"
 CZ = "CZ"
-SWAP = "SWAP"
 CPHASE_OPEN = "CPHASE_OPEN"
 MCPHASE_OPEN = "MCPHASE_OPEN"
 NOISE = "NOISE"
 MEASURE = "MEASURE"
 
 SINGLE_QUBIT_KINDS = frozenset({H, X, SX, RY, RZ, PHASE})
-TWO_QUBIT_KINDS = frozenset({CZ, SWAP, CPHASE_OPEN})
+TWO_QUBIT_KINDS = frozenset({CZ, CPHASE_OPEN})
 ANGLED_KINDS = frozenset({RY, RZ, PHASE, CPHASE_OPEN, MCPHASE_OPEN})
 DIAGONAL_KINDS = frozenset({RZ, PHASE, CZ, CPHASE_OPEN, MCPHASE_OPEN})
 KINDS = SINGLE_QUBIT_KINDS | TWO_QUBIT_KINDS | {MCPHASE_OPEN, NOISE, MEASURE}
@@ -116,9 +115,6 @@ class Circuit:
 _SX = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _H = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 
 
 def gate_diagonal(g: Gate) -> np.ndarray:
@@ -151,8 +147,6 @@ def gate_unitary(g: Gate) -> np.ndarray:
     if g.kind == RY:
         c, s = np.cos(g.angle / 2), np.sin(g.angle / 2)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if g.kind == SWAP:
-        return _SWAP.copy()
     raise KindError(f"{g.kind} has no unitary")
 
 
@@ -166,20 +160,33 @@ def decompose_swap(a: int = 0, b: int = 1) -> list[Gate]:
     ]
 
 
+def cz_pairs(g: Gate) -> tuple[tuple[int, int], ...]:
+    """The qubit pairs a gate is charged one CZ-equivalent on.
+
+    A two-qubit gate is its own pair. An open-controlled phase on k qubits
+    gets `mcphase_cz_equivalents(k - 1)` pairs, assigned round-robin over
+    its adjacent listed pairs. Any other gate gets none. Gate counting,
+    depolarizing noise and gate durations all read this one charge.
+    """
+    if g.kind in TWO_QUBIT_KINDS:
+        return (g.qubits,)
+    if g.kind != MCPHASE_OPEN:
+        return ()
+    pairs = tuple(zip(g.qubits, g.qubits[1:]))
+    return tuple(pairs[k % len(pairs)] for k in range(mcphase_cz_equivalents(len(pairs))))
+
+
 def gate_counts(c: Circuit) -> tuple[int, int]:
     """(single-qubit, two-qubit) unitary gate counts; NOISE/MEASURE excluded.
 
-    Open-controlled phase gates are charged their configured CZ-equivalent
-    cost, which is 1 for a single control.
+    Two-qubit gates are counted in CZ-equivalents (`cz_pairs`).
     """
     g1 = g2 = 0
     for g in c.gates:
         if g.kind in SINGLE_QUBIT_KINDS:
             g1 += 1
-        elif g.kind in TWO_QUBIT_KINDS:
-            g2 += 1
-        elif g.kind == MCPHASE_OPEN:
-            g2 += mcphase_cz_equivalents(len(g.qubits) - 1)
+        else:
+            g2 += len(cz_pairs(g))
     return g1, g2
 
 
@@ -189,7 +196,7 @@ def _gate_duration(g: Gate, cal) -> float:
     if g.kind in TWO_QUBIT_KINDS:
         return cal.coupler(*g.qubits).duration
     if g.kind == MCPHASE_OPEN:
-        return mcphase_cz_equivalents(len(g.qubits) - 1) * DEFAULT_TWO_QUBIT_GATE_S
+        return len(cz_pairs(g)) * DEFAULT_TWO_QUBIT_GATE_S
     if g.kind == MEASURE:
         return cal.readout_duration
     return 0.0

@@ -38,8 +38,9 @@ def mcphase_cz_equivalents(n_controls: int) -> int:
     A phase gate with one open control is a CZ up to single-qubit
     conjugation, so it costs 1. Each extra open control is charged two
     more CZ equivalents, a stand-in for device transpilation whose exact
-    counts depend on the native set. Used by gate counting, noise
-    attachment and duration accounting.
+    counts depend on the native set. Its one consumer is
+    `circuits.cz_pairs`, which gate counting, noise attachment and
+    duration accounting all read.
     """
     if n_controls < 1:
         raise ValueError("n_controls must be >= 1")

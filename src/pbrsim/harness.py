@@ -1,9 +1,10 @@
 """End-to-end experiment orchestration and shot statistics.
 
 `run_experiment` and `analytic_report` take the same config, placed or
-not, and share one prologue: the angles, input 0's circuit and its
-routing, and gate counts. Both then walk both tolerance reports
-(`bounds.tolerance_reports`), and `_judged` picks the active threshold.
+not, and share one prologue: the angles, input 0's circuit lowered onto
+the device when placed (`routing.lower`), and gate counts. Both then
+walk both tolerance reports (`bounds.tolerance_reports`), and `_judged`
+picks the active threshold.
 A run then attaches noise and reads the readout matrices, and only then
 checks the forbidden outcomes (`protocol.check_forbidden_outcomes`, which
 simulates the ideal circuit once per (n, theta) per process): every
@@ -36,7 +37,7 @@ once, and `bounds` and `simulate` keep nothing. A new object, even a
 value-equal calibration, builds afresh, and a build that raises (a
 calibration that misses a coupler) is not kept. Evolution, sampling and
 rendering run on every call, and the (2^n, 2^m) table is never kept. A
-placed run routes afresh, so its new circuit misses; a one-shot
+placed run lowers afresh, so its new circuit misses; a one-shot
 `pbrsim run` gains nothing.
 
 `sweep_distance` builds one homogenized line config per span; spans
@@ -404,17 +405,17 @@ def _prologue(cfg: ExperimentConfig) -> tuple[PBRParams, Circuit, dict]:
     """Angles, input 0's circuit as it runs on the device, and shared fields.
 
     The angles and input 0's logical circuit are built once per (n, theta)
-    per process (`protocol.solved`). The circuit is routed when the config
-    is placed, and span, swap count and gate counts are read off it.
+    per process (`protocol.solved`). A placed config lowers it onto the
+    coupling map (`routing.lower`), which gives the span and swap count;
+    gate counts are read off the circuit that runs.
     """
     params = solved(cfg.n, cfg.theta)
     circuit = params.test_circuit
     span, swap_count = None, 0
     if cfg.placement is not None:
-        from .routing import route_linear  # routing loads only for placed runs
+        from .routing import lower  # routing loads only for placed runs
 
-        routed = route_linear(circuit, cfg.coupling, cfg.placement)
-        circuit, span, swap_count = routed.circuit, len(routed.path) - 1, routed.swap_count
+        circuit, span, swap_count = lower(circuit, cfg.coupling, cfg.placement)
     g1, g2 = gate_counts(circuit)
     fields = dict(
         n=cfg.n,

@@ -30,14 +30,13 @@ from .circuits import (
     MEASURE,
     NOISE,
     SINGLE_QUBIT_KINDS,
-    TWO_QUBIT_KINDS,
     _gate_duration,
+    cz_pairs,
 )
 from .config import (
     DEFAULT_READOUT_S,
     DEFAULT_SINGLE_GATE_S,
     DEFAULT_TWO_QUBIT_GATE_S,
-    mcphase_cz_equivalents,
 )
 from .errors import CalibrationError, FormatError, RangeError, ValidationError
 from .states import KrausChannel
@@ -378,15 +377,6 @@ def readout_matrix(q: QubitCalibration) -> np.ndarray:
     )
 
 
-def _mcphase_pairs(qubits: tuple[int, ...]) -> list[tuple[int, int]]:
-    # Round-robin over adjacent listed pairs: one arity-2 channel per
-    # CZ-equivalent keeps inserted noise consistent with gate counting.
-    n_controls = len(qubits) - 1
-    reps = mcphase_cz_equivalents(n_controls)
-    pairs = [(qubits[j], qubits[j + 1]) for j in range(len(qubits) - 1)]
-    return [pairs[k % len(pairs)] for k in range(reps)]
-
-
 # NOISE gates are frozen, so each (qubits, channel object) pair is built and
 # validated once and shared, like the cached channels it holds. Bounded at
 # twice the channel cache, so a long-lived process stays small.
@@ -407,12 +397,12 @@ def _thermal_insertions(qubits, duration: float, cal: CalibrationSnapshot) -> li
 def attach_noise(c: Circuit, cal: CalibrationSnapshot, model: str) -> Circuit:
     """Insert NOISE gates after each unitary per the chosen model.
 
-    Depolarizing: p1 after single-qubit gates, p2 after two-qubit gates
-    (open-controlled multi-qubit phases get one arity-2 channel per
-    CZ-equivalent). Thermodynamical: amplitude damping plus dephasing on
-    every participating qubit, driven by the gate duration, and over the
-    readout window on every measured qubit, in measured order, before the
-    first MEASURE.
+    Depolarizing: p1 after single-qubit gates, and p2 of the pair's coupler
+    on each pair a gate is charged one CZ-equivalent on (`cz_pairs`).
+    Thermodynamical: amplitude damping plus dephasing on every
+    participating qubit, driven by the gate duration, and over the readout
+    window on every measured qubit, in measured order, before the first
+    MEASURE.
     """
     if model not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {model!r}")
@@ -435,11 +425,8 @@ def attach_noise(c: Circuit, cal: CalibrationSnapshot, model: str) -> Circuit:
             if g.kind in SINGLE_QUBIT_KINDS:
                 p = cal.qubit(g.qubits[0]).p1
                 gates.append(_noise_gate(g.qubits, depolarizing_channel(p, 1)))
-            elif g.kind in TWO_QUBIT_KINDS:
-                p = cal.coupler(*g.qubits).p2
-                gates.append(_noise_gate(g.qubits, depolarizing_channel(p, 2)))
-            else:  # MCPHASE_OPEN
-                for pair in _mcphase_pairs(g.qubits):
+            else:
+                for pair in cz_pairs(g):
                     p = cal.coupler(*pair).p2
                     gates.append(_noise_gate(pair, depolarizing_channel(p, 2)))
         else:

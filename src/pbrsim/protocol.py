@@ -27,6 +27,7 @@ there. Everywhere on [theta_min(n), pi/2) a genuine solution exists.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +107,13 @@ def solve_angles(n: int, theta: float) -> tuple[float, float]:
         return m - 1.0 if m < np.inf else np.inf
 
     g0 = g(0.0)
-    if g0 < -1e-12:
-        # (1+t)^n < 2: modulus never reaches 1, theta below threshold.
-        raise NoSolutionError(
-            f"theta={theta!r} below theta_min({n})={float(theta_min(n))!r}"
-        )
-    if abs(g0) <= 1e-12:
+    tmin = theta_min(n)
+    # (1+t)^n < 2: modulus never reaches 1, theta below threshold. Within a
+    # few ulp of theta_min, g(0) is rounding of order n * eps on either side
+    # of 0, and the root is beta = 0 (the residual check still applies).
+    if g0 < -1e-12 and theta < tmin - 4 * math.ulp(tmin):
+        raise NoSolutionError(f"theta={theta!r} below theta_min({n})={tmin!r}")
+    if g0 <= 1e-12:
         beta = 0.0
     else:
         # First sign change from g(0) > 0; scan so later crossings of a
@@ -127,6 +129,8 @@ def solve_angles(n: int, theta: float) -> tuple[float, float]:
     w = 1 - (1 + t * np.exp(1j * beta)) ** n
     alpha = float(np.angle(w)) if abs(w) > 0 else 0.0
     alpha %= 2 * np.pi
+    if alpha == 2 * np.pi:  # a tiny negative angle rounds up to 2*pi
+        alpha = 0.0
     resid = _angle_residual(n, theta, alpha, beta)
     if resid > ATOL_ALGEBRAIC:
         raise NoSolutionError(f"residual {resid:.3e} after solving n={n}, theta={theta!r}")

@@ -1,10 +1,10 @@
-"""Coupling maps and SWAP routing for two-logical-qubit circuits.
+"""Coupling maps and the lowering of a two-logical-qubit circuit onto one.
 
-Routing walks logical qubit A along a shortest path until it is adjacent
-to B, inserting decomposed SWAP chains before the first two-qubit gate.
-Measurement bits are relabeled to the final layout instead of swapping
-back, which halves the overhead; the recorded layout says where each
-logical bit ended up.
+`lower` is the one step from a logical circuit to the circuit that runs
+on the device. It walks logical qubit 0 along a shortest path until it
+is adjacent to logical qubit 1, inserting decomposed SWAP chains before
+the first two-qubit gate. Measurements read the qubits where the logical
+states ended up instead of swapping back, which halves the overhead.
 """
 
 from __future__ import annotations
@@ -113,22 +113,13 @@ def span_distance(cmap: CouplingMap, a: int, b: int) -> int:
     return len(shortest_path(cmap, a, b)) - 1
 
 
-@dataclass(frozen=True)
-class RoutedCircuit:
-    """A routed circuit, its final layout, the SWAPs inserted and the path walked."""
-
-    circuit: Circuit
-    layout: tuple[int, ...]
-    swap_count: int
-    path: tuple[int, ...]
-
-
-def route_linear(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> RoutedCircuit:
-    """Map a two-logical-qubit circuit onto physical qubits of the map.
+def lower(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> tuple[Circuit, int, int]:
+    """A two-logical-qubit circuit as it runs on the map: (circuit, span, swap count).
 
     Logical 0 starts at placement[0] and is swapped along the shortest
     path until adjacent to logical 1 at placement[1]; the swap chain (as
-    3 CZ + 6 H each) is emitted just before the first two-qubit gate.
+    3 CZ + 6 H each) is emitted just before the first two-qubit gate. The
+    span is the path's edge count.
     """
     if c.n_qubits != 2:
         raise ValidationError(f"routing handles 2 logical qubits, got {c.n_qubits}")
@@ -147,11 +138,11 @@ def route_linear(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> R
             swaps_done = True
         phys = tuple(pos[q] for q in g.qubits)
         out.append(Gate(g.kind, phys, angle=g.angle, channel=g.channel))
-    routed = Circuit(cmap.n_qubits, tuple(out))
-    for g in routed.gates:
+    lowered = Circuit(cmap.n_qubits, tuple(out))
+    for g in lowered.gates:
         if g.is_unitary and len(g.qubits) == 2 and not cmap.has_edge(*g.qubits):
             raise PathError(f"two-qubit gate off the coupling map: {g.qubits}")
-    return RoutedCircuit(routed, (pos[0], pos[1]), len(path) - 2, tuple(path))
+    return lowered, len(path) - 1, len(path) - 2
 
 
 def routed_gate_overhead(s: int) -> tuple[int, int]:

@@ -29,7 +29,7 @@ from pbrsim.noise import (
     uniform_calibration,
 )
 from pbrsim.protocol import PBRParams, build_test_circuit, solved, theta_min
-from pbrsim.routing import line_map, route_linear
+from pbrsim.routing import line_map, lower
 from tolerance_reference import reference_tolerance_report
 
 
@@ -209,7 +209,7 @@ def test_tolerance_reports_match_single_model_reference_routed(span):
     cal = varied_calibration(span + 1, seed=span, edges=line.edges)
     for theta in (theta_min(2), 1.2):
         params = PBRParams.solve(2, theta)
-        routed = route_linear(build_test_circuit(0, params), line, (0, span)).circuit
+        routed = lower(build_test_circuit(0, params), line, (0, span))[0]
         assert_pair_matches_reference(params, cal, routed)
 
 
@@ -268,7 +268,7 @@ def test_tolerance_pair_is_walked_afresh_for_changed_arguments(walks):
     assert len(walks) == 3
     # The routed circuit on a line, in place of the unplaced one.
     line_cal = uniform_calibration(3, p1=2.1e-4, p2=2.4e-3, readout=600e-9)
-    routed = route_linear(circuit, line_map(3), (0, 2)).circuit
+    routed = lower(circuit, line_map(3), (0, 2))[0]
     unplaced = tolerance_reports(params, line_cal, circuit)
     moved = tolerance_reports(params, line_cal, routed)
     assert walks[-2:] == [circuit, routed]

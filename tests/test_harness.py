@@ -47,7 +47,7 @@ from pbrsim.noise import (
     uniform_calibration,
 )
 from pbrsim.protocol import check_forbidden_outcomes, solved, theta_min
-from pbrsim.routing import line_map, route_linear
+from pbrsim.routing import line_map, lower
 
 
 def pair_calibration(readout=600e-9):
@@ -480,9 +480,9 @@ def test_run_routes_and_attaches_noise_once(model, monkeypatch):
     # builds it once, a repeat at the same angles not at all.
     solved.cache_clear()
     check_forbidden_outcomes.cache_clear()
-    calls = {"route_linear": 0, "attach_noise": 0, "build_test_circuit": 0}
+    calls = {"lower": 0, "attach_noise": 0, "build_test_circuit": 0}
     for module, name in (
-        (pbrsim.routing, "route_linear"),
+        (pbrsim.routing, "lower"),
         (pbrsim.harness, "attach_noise"),
         (pbrsim.protocol, "build_test_circuit"),
     ):
@@ -498,11 +498,55 @@ def test_run_routes_and_attaches_noise_once(model, monkeypatch):
         coupling=line_map(5), placement=(0, 3), shots=2000, seed=5,
     )
     run_experiment(cfg)
-    assert calls == {"route_linear": 1, "attach_noise": 1, "build_test_circuit": 1}
+    assert calls == {"lower": 1, "attach_noise": 1, "build_test_circuit": 1}
     run_experiment(cfg)
-    assert calls == {"route_linear": 2, "attach_noise": 2, "build_test_circuit": 1}
+    assert calls == {"lower": 2, "attach_noise": 2, "build_test_circuit": 1}
     run_experiment(replace(cfg, theta=1.1 * np.pi / 4))
-    assert calls == {"route_linear": 3, "attach_noise": 3, "build_test_circuit": 2}
+    assert calls == {"lower": 3, "attach_noise": 3, "build_test_circuit": 2}
+
+
+def spread_line_calibration(n):
+    """A line whose qubits and couplers all differ, so any mix-up shows."""
+    qubits = tuple(
+        QubitCalibration(
+            i, (150 + 17 * i) * 1e-6, (120 + 11 * i) * 1e-6, (2 + 0.3 * i) * 1e-4,
+            (30 + 2 * i) * 1e-9, 0.008 + 0.002 * i, 0.012 - 0.001 * i,
+        )
+        for i in range(n)
+    )
+    couplers = tuple(
+        CouplerCalibration(i, i + 1, (2 + 0.4 * i) * 1e-3, (60 + 5 * i) * 1e-9)
+        for i in range(n - 1)
+    )
+    return CalibrationSnapshot(qubits, couplers, 600e-9)
+
+
+@pytest.mark.parametrize("placement", [(2, 3), (4, 3)])
+def test_adjacent_placement_runs_as_the_relabelled_pair(placement):
+    # Lowering an adjacent pair only relabels qubits: the placed run sees the
+    # same gates, channels and readout as an unplaced run on the two placed
+    # qubits' calibration. eps_dec averages every coupler on the device, so
+    # only the tolerance that judges the run is compared.
+    cal = spread_line_calibration(6)
+    a, b = placement
+    qa, qb = cal.qubit(a), cal.qubit(b)
+    coupler = cal.coupler(a, b)
+    pair = CalibrationSnapshot(
+        (replace(qa, id=0), replace(qb, id=1)),
+        (CouplerCalibration(0, 1, coupler.p2, coupler.duration),),
+        cal.readout_duration,
+    )
+    for model, theta in itertools.product((DEPOLARIZING, THERMODYNAMICAL), (np.pi / 4, 1.0, 1.2)):
+        placed = run_experiment(ExperimentConfig(
+            n=2, theta=theta, model=model, calibration=cal,
+            coupling=line_map(6), placement=placement, shots=5000, seed=11,
+        ))
+        unplaced = run_experiment(ExperimentConfig(
+            n=2, theta=theta, model=model, calibration=pair, shots=5000, seed=11,
+        ))
+        assert (placed.span, placed.swap_count) == (1, 0)
+        assert placed.inputs == unplaced.inputs
+        assert placed.active_tolerance == unplaced.active_tolerance
 
 
 def test_uniform_line_is_its_own_homogenized_line():
@@ -529,20 +573,20 @@ def test_analytic_report_for_long_span(monkeypatch):
         n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal,
         coupling=line_map(155), placement=(0, 154), shots=2000, seed=3,
     )
-    routings = []
+    lowerings = []
 
     def recording(*args):
-        routings.append(route_linear(*args))
-        return routings[-1]
+        lowerings.append(lower(*args))
+        return lowerings[-1]
 
-    monkeypatch.setattr(pbrsim.routing, "route_linear", recording)
+    monkeypatch.setattr(pbrsim.routing, "lower", recording)
     rep = analytic_report(cfg)
     assert render_json(rep) == render_json(sweep_distance(cfg, [154])[0])
-    # span and swap count are read off the routing, not written by hand;
-    # the analytic report and the sweep route once each
-    routed, _ = routings
-    assert rep.span == len(routed.path) - 1 == 154
-    assert rep.swap_count == routed.swap_count == 153
+    # span and swap count are read off the lowering, not written by hand;
+    # the analytic report and the sweep lower once each
+    (_, span, swap_count), _ = lowerings
+    assert rep.span == span == 154
+    assert rep.swap_count == swap_count == 153
     assert rep.placement == cfg.placement
     assert rep.analytic_only
     assert rep.g1 == 6 + 153 * 6 and rep.g2 == 1 + 153 * 3

@@ -16,7 +16,9 @@ from pbrsim.circuits import (
     NOISE,
     RY,
     _gate_duration,
+    gate_counts,
 )
+from pbrsim.config import DEFAULT_TWO_QUBIT_GATE_S, mcphase_cz_equivalents
 from pbrsim.errors import (
     CalibrationError,
     FormatError,
@@ -271,6 +273,27 @@ def test_attach_noise_depolarizing_counts():
     assert [g.kind for g in noisy.gates if g.kind != NOISE] == [
         g.kind for g in c.gates
     ]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_open_controlled_phase_is_charged_once(k):
+    # Gate counting, depolarizing noise and the gate's duration read one
+    # stand-in charge, on adjacent listed pairs round-robin. The duration
+    # is the default CZ's, whatever the couplers say.
+    cal = uniform_calibration(k, p2=1e-3, two=100e-9)
+    qubits = tuple(int(q) for q in np.random.default_rng(k).permutation(k))
+    gate = Gate(MCPHASE_OPEN, qubits, angle=0.7)
+    c = Circuit(k, (gate,))
+    noisy = attach_noise(c, cal, DEPOLARIZING).gates
+    assert noisy[0] == gate
+    pairs = [g.qubits for g in noisy[1:] if g.kind == NOISE and len(g.qubits) == 2]
+    assert len(noisy) == 1 + len(pairs)
+    adjacent = list(zip(qubits, qubits[1:]))
+    assert pairs == [adjacent[j % len(adjacent)] for j in range(len(pairs))]
+    charge = mcphase_cz_equivalents(k - 1)
+    assert gate_counts(c) == (0, charge)
+    assert len(pairs) == charge
+    assert _gate_duration(gate, cal) / DEFAULT_TWO_QUBIT_GATE_S == pytest.approx(charge, rel=1e-15)
 
 
 def test_attach_noise_thermal_counts():

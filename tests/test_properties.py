@@ -20,9 +20,9 @@ from pbrsim.circuits import (
     PHASE,
     RY,
     RZ,
-    SWAP,
     SX,
     X,
+    decompose_swap,
     gate_unitary,
 )
 from pbrsim.errors import NoSolutionError
@@ -85,10 +85,13 @@ def random_circuit(rng, n, depth):
             angle = float(rng.uniform(-np.pi, np.pi)) if kind in (RY, RZ, PHASE) else None
             gates.append(Gate(kind, (q,), angle=angle))
         elif pick < 0.8 or n == 2:
-            kind = (CZ, SWAP, CPHASE_OPEN)[int(rng.integers(3))]
+            kind = (CZ, "swap", CPHASE_OPEN)[int(rng.integers(3))]
             a, b = rng.permutation(n)[:2]
             angle = float(rng.uniform(-np.pi, np.pi)) if kind == CPHASE_OPEN else None
-            gates.append(Gate(kind, (int(a), int(b)), angle=angle))
+            if kind == "swap":
+                gates.extend(decompose_swap(int(a), int(b)))
+            else:
+                gates.append(Gate(kind, (int(a), int(b)), angle=angle))
         else:
             k = int(rng.integers(2, n + 1))
             qs = tuple(int(q) for q in rng.permutation(n)[:k])

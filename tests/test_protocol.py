@@ -92,6 +92,29 @@ def test_solve_angles_below_threshold():
         solve_angles(5, 0.99 * theta_min(5))
 
 
+def test_solve_angles_accepts_theta_min_up_to_ten_thousand_qubits():
+    # From n = 4628 on, g(0) at theta_min(n) can round below -1e-12, which
+    # used to refuse the default angle as "below" itself. It is accepted
+    # within a few ulp; a genuine shortfall is still refused.
+    for n in range(2, 10001):
+        tmin = theta_min(n)
+        alpha, beta = solve_angles(n, tmin)
+        t = np.tan(tmin / 2)
+        assert abs(np.exp(1j * alpha) + (1 + t * np.exp(1j * beta)) ** n - 1) < 1e-10
+        if n % 97 == 0:
+            with pytest.raises(NoSolutionError, match="below theta_min"):
+                solve_angles(n, tmin * (1 - 1e-6))
+
+
+def test_solve_angles_alpha_below_two_pi():
+    # alpha %= 2 pi of a tiny negative angle rounds up to 2 pi itself.
+    for n, theta in ((200, np.pi / 4), (200_000, 1.2), (56_234, 1.2), (79_433, np.pi / 4)):
+        alpha, beta = solve_angles(n, theta)
+        assert 0.0 <= alpha < 2 * np.pi
+        t = np.tan(theta / 2)
+        assert abs(np.exp(1j * alpha) + (1 + t * np.exp(1j * beta)) ** n - 1) < 1e-10
+
+
 def test_solve_angles_range_checks():
     with pytest.raises(RangeError):
         solve_angles(0, 0.5)

@@ -1,4 +1,4 @@
-"""Coupling maps, shortest paths, swap routing for two-qubit circuits."""
+"""Coupling maps, shortest paths, and lowering two-qubit circuits onto a map."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from pbrsim.routing import (
     CouplingMap,
     line_map,
     load_coupling_map,
-    route_linear,
+    lower,
     routed_gate_overhead,
     save_coupling_map,
     shortest_path,
@@ -57,11 +57,10 @@ def test_shortest_path_and_span():
 def test_route_adjacent_is_identity_overhead():
     params = PBRParams.solve(2, np.pi / 4)
     logical = build_test_circuit(0, params)
-    routed = route_linear(logical, line_map(4), (1, 2))
-    assert routed.swap_count == 0
-    assert routed.layout == (1, 2)
-    assert routed.path == (1, 2)
-    assert gate_counts(routed.circuit) == gate_counts(logical)
+    routed, span, swap_count = lower(logical, line_map(4), (1, 2))
+    assert (span, swap_count) == (1, 0)
+    assert routed.measured_qubits == (1, 2)
+    assert gate_counts(routed) == gate_counts(logical)
 
 
 def test_route_span_inserts_swaps_and_preserves_distribution():
@@ -69,12 +68,12 @@ def test_route_span_inserts_swaps_and_preserves_distribution():
     logical = build_test_circuit(2, params)
     base = outcome_distribution(logical)
     for span in (1, 2, 3, 4):
-        routed = route_linear(logical, line_map(6), (0, span))
-        assert routed.swap_count == span - 1
-        for g in routed.circuit.gates:
+        routed, got_span, swap_count = lower(logical, line_map(6), (0, span))
+        assert (got_span, swap_count) == (span, span - 1)
+        for g in routed.gates:
             if g.is_unitary and len(g.qubits) == 2:
                 assert line_map(6).has_edge(*g.qubits)
-        got = outcome_distribution(routed.circuit)
+        got = outcome_distribution(routed)
         assert np.abs(got - base).max() < 1e-12
 
 
@@ -83,9 +82,9 @@ def test_route_gate_overhead_matches_decomposition():
     logical = build_test_circuit(0, params)
     g1, g2 = gate_counts(logical)
     for span in (2, 3, 5):
-        routed = route_linear(logical, line_map(8), (0, span))
+        routed = lower(logical, line_map(8), (0, span))[0]
         extra1, extra2 = routed_gate_overhead(span)
-        assert gate_counts(routed.circuit) == (g1 + extra1, g2 + extra2)
+        assert gate_counts(routed) == (g1 + extra1, g2 + extra2)
 
 
 def test_routed_gate_overhead_values():
@@ -95,14 +94,14 @@ def test_routed_gate_overhead_values():
         routed_gate_overhead(0)
 
 
-def test_route_linear_rejects_bad_inputs():
+def test_lower_rejects_bad_inputs():
     c3 = Circuit(3, (Gate(H, (0,)), Gate(MEASURE, (0, 1, 2))))
     with pytest.raises(ValidationError):
-        route_linear(c3, line_map(4), (0, 1))
+        lower(c3, line_map(4), (0, 1))
     params = PBRParams.solve(2, np.pi / 4)
     logical = build_test_circuit(0, params)
     with pytest.raises(PathError):
-        route_linear(logical, line_map(4), (2, 2))
+        lower(logical, line_map(4), (2, 2))
 
 
 def test_coupling_map_file_roundtrip(tmp_path):

@@ -21,9 +21,9 @@ from pbrsim.circuits import (
     PHASE,
     RY,
     RZ,
-    SWAP,
     SX,
     X,
+    decompose_swap,
 )
 from pbrsim.errors import CalibrationError, CapError
 from pbrsim.harness import ExperimentConfig, run_experiment, sweep_distance
@@ -40,7 +40,7 @@ from pbrsim.noise import (
     uniform_calibration,
 )
 from pbrsim.protocol import PBRParams, build_test_circuit, check_forbidden_outcomes, theta_min
-from pbrsim.routing import line_map, route_linear
+from pbrsim.routing import line_map, lower
 from pbrsim.simulate import (
     _branched,
     _frame_rows,
@@ -113,14 +113,17 @@ def random_noisy_circuit(rng, n):
             kind = (H, X, SX, RY, RZ, PHASE)[int(rng.integers(6))]
             qs = (touched[int(rng.integers(len(touched)))],)
         elif pick < 0.85:
-            kind = (CZ, SWAP, CPHASE_OPEN)[int(rng.integers(3))]
+            kind = (CZ, "swap", CPHASE_OPEN)[int(rng.integers(3))]
             qs = tuple(int(q) for q in rng.permutation(touched)[:2])
         else:
             kind = MCPHASE_OPEN
             k = int(rng.integers(2, len(touched) + 1))
             qs = tuple(int(q) for q in rng.permutation(touched)[:k])
         angle = float(rng.uniform(-np.pi, np.pi)) if kind in ANGLED_KINDS else None
-        gates.append(Gate(kind, qs, angle=angle))
+        if kind == "swap":
+            gates.extend(decompose_swap(*qs))
+        else:
+            gates.append(Gate(kind, qs, angle=angle))
         if rng.random() < 0.6:
             p = float(rng.uniform(0, 0.4))
             choice = int(rng.integers(4))
@@ -159,7 +162,7 @@ def test_routed_pbr_circuits_match_dense_reference(span, model):
     cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
 
     def noisy(x):
-        return attach_noise(route_linear(build_test_circuit(x, params), line, (0, span)).circuit, cal, model)
+        return attach_noise(lower(build_test_circuit(x, params), line, (0, span))[0], cal, model)
 
     ref = dense_distribution(noisy(span % 4))
     assert np.abs(outcome_distribution(noisy(span % 4)) - ref).max() < DIFF_TOL
@@ -196,7 +199,7 @@ def test_routed_pair_branches_only_the_moved_frame(model, monkeypatch):
         line = line_map(span + 1)
         cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
         placement = (0, span)
-        routed = route_linear(build_test_circuit(0, params), line, placement).circuit
+        routed = lower(build_test_circuit(0, params), line, placement)[0]
         noisy = attach_noise(routed, cal, model)
         branched = _branched(_walk(noisy), noisy.measured_qubits, placement)
         assert branched == (() if span == 1 else (placement[0],))
@@ -281,7 +284,7 @@ def test_batched_routed_inputs_equal_one_at_a_time(model):
     for span in range(1, 10):
         line = line_map(span + 1)
         cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
-        routed = route_linear(build_test_circuit(0, params), line, (0, span)).circuit
+        routed = lower(build_test_circuit(0, params), line, (0, span))[0]
         assert_rows_are_independent(attach_noise(routed, cal, model), (0, span))
 
 
@@ -309,7 +312,7 @@ def test_frames_match_every_input_circuit(n):
         for span in range(1, 10):
             line = line_map(span + 1)
             cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
-            routed = [route_linear(c, line, (0, span)).circuit for c in inputs]
+            routed = [lower(c, line, (0, span))[0] for c in inputs]
             for model in NOISE_MODELS:
                 noisy = [attach_noise(c, cal, model) for c in routed]
                 got = outcome_distributions(noisy[0], (0, span))
@@ -397,7 +400,7 @@ def test_readout_folds_into_routed_reads(model):
         line = line_map(span + 1)
         cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
         cal = with_readout_error(cal, seed=span)
-        noisy = attach_noise(route_linear(build_test_circuit(0, params), line, (0, span)).circuit, cal, model)
+        noisy = attach_noise(lower(build_test_circuit(0, params), line, (0, span))[0], cal, model)
         assert_readout_folds(noisy, (0, span), cal)
         assert_readout_folds(noisy, (span,), cal)
 
@@ -415,11 +418,12 @@ def random_run_circuit(rng, n):
     """Runs of operators on one target tuple each, measured in random order.
 
     Within a run, diagonal gates, full gates and channels on the same
-    qubits alternate, so the schedule fuses them. Runs on three or more
+    qubits alternate, so the schedule fuses them; a SWAP, as 3 CZ + 6 H,
+    splits its run. Runs on three or more
     qubits are MCPHASE_OPEN only.
     """
     one = (RZ, PHASE, H, SX, RY, X, "amplitude_damping", "dephasing", "depolarizing")
-    two = (CZ, CPHASE_OPEN, MCPHASE_OPEN, SWAP, "depolarizing")
+    two = (CZ, CPHASE_OPEN, MCPHASE_OPEN, "swap", "depolarizing")
     gates = []
     for _ in range(int(rng.integers(3, 8))):
         k = 1 if n == 1 or rng.random() < 0.5 else int(rng.integers(2, n + 1))
@@ -434,6 +438,8 @@ def random_run_circuit(rng, n):
                 gates.append(Gate(NOISE, qs, channel=dephasing(p)))
             elif kind == "depolarizing":
                 gates.append(Gate(NOISE, qs, channel=depolarizing_channel(p, k)))
+            elif kind == "swap":
+                gates.extend(decompose_swap(*qs))
             else:
                 angle = float(rng.uniform(-np.pi, np.pi)) if kind in ANGLED_KINDS else None
                 gates.append(Gate(kind, qs, angle=angle))
@@ -523,7 +529,8 @@ FOLDED_CASES = {
         Gate(RY, (0,), angle=0.8), Gate(H, (1,)), Gate(CZ, (0, 1)),
         Gate(NOISE, (0, 1), channel=depolarizing_channel(0.05, 2)),
         Gate(H, (1,)), Gate(NOISE, (1,), channel=AD), Gate(RY, (1,), angle=2.0),
-        Gate(NOISE, (1,), channel=DEPH), Gate(H, (2,)), Gate(SWAP, (0, 2)),
+        Gate(NOISE, (1,), channel=DEPH), Gate(H, (2,)), Gate(CZ, (0, 2)),
+        Gate(NOISE, (0, 2), channel=depolarizing_channel(0.05, 2)),
         Gate(RZ, (0,), angle=0.3), Gate(MEASURE, (2, 0)),
     ]),
     # Qubits 0 and 3 are measured and no gate touches them.
@@ -706,7 +713,7 @@ def test_unangled_operators_are_built_once_and_read_only():
 
 
 def test_cached_operator_equals_a_fresh_build():
-    cases = ((H, 1, None), (SWAP, 2, None), (RY, 1, 0.3), (PHASE, 1, -1.1), (MCPHASE_OPEN, 4, 0.7))
+    cases = ((H, 1, None), (CZ, 2, None), (RY, 1, 0.3), (PHASE, 1, -1.1), (MCPHASE_OPEN, 4, 0.7))
     for kind, width, angle in cases:
         op = _operator(kind, width, angle)
         assert op is _operator(kind, width, angle)
@@ -866,7 +873,7 @@ def test_kept_plan_gives_the_freshly_built_table():
         for model in NOISE_MODELS:
             cases.append((params, params.test_circuit, cal, model, range(n), confusion(n)))
     params = PBRParams.solve(2, 1.0)
-    routed = route_linear(params.test_circuit, line_map(6), (0, 5)).circuit
+    routed = lower(params.test_circuit, line_map(6), (0, 5))[0]
     cal = varied_calibration(6, seed=7)
     for model in NOISE_MODELS:
         cases.append((params, routed, cal, model, (0, 5), confusion(2)))
