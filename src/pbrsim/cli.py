@@ -11,28 +11,27 @@ Exit status is 0 when the requested check passes (informational commands
 always pass on success), 1 when an experiment runs to completion but
 fails the test, and 2 on bad arguments, malformed files, or any other
 error.
+
+`entry` is the process entry: the `pbrsim` console script and
+`python -m pbrsim.cli` both go through it. It loads the run path
+(`harness`, and with it numpy, `noise`, `protocol` and `bounds`) with the
+cyclic collector off, freezes what loaded and turns the collector back
+on before it calls `main`. Those module-level objects live until exit,
+so neither the collections that loading would trigger nor the
+interpreter's exit-time full collection need to walk them; the command
+itself runs under the usual collector. `main(argv)` is the in-process
+API and leaves the collector as it finds it. So that the console
+script's `import pbrsim.cli` loads no numpy, each command imports the
+layers it uses when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
-from .bounds import tolerance_report
-from .config import DEFAULT_CONFIDENCE, DEFAULT_SHOTS
-from .harness import (
-    ExperimentConfig,
-    check_span,
-    render_csv,
-    render_doc,
-    render_json,
-    render_sweep_json,
-    run_experiment,
-    sweep_distance,
-    tolerance_to_dict,
-)
-from .noise import DEPOLARIZING, THERMODYNAMICAL, load_calibration
-from .protocol import solved, theta_min
+from .config import DEFAULT_CONFIDENCE, DEFAULT_SHOTS, DEPOLARIZING, THERMODYNAMICAL
 
 _MODEL_ALIASES = {"dep": DEPOLARIZING, "thermo": THERMODYNAMICAL}
 _MODEL_CHOICES = (DEPOLARIZING, THERMODYNAMICAL, "dep", "thermo")
@@ -43,6 +42,8 @@ def _model(name: str) -> str:
 
 
 def _theta(args) -> float:
+    from .protocol import theta_min
+
     base = theta_min(args.n) if args.theta is None else args.theta
     return base * args.theta_scale
 
@@ -58,6 +59,8 @@ def _parse_place(text: str) -> tuple[int, int]:
 
 
 def _parse_spans(text: str) -> list[int]:
+    from .harness import check_span
+
     def span(part: str) -> int:
         try:
             return int(part)
@@ -87,6 +90,8 @@ def _emit(text: str, args, reports=()) -> int:
     The files come first: a path that cannot be written exits 2 with
     stdout empty. Informational commands pass no reports and exit 0.
     """
+    from .harness import render_csv
+
     if reports and args.csv:
         with open(args.csv, "w") as fh:
             fh.write(render_csv(reports))
@@ -98,6 +103,9 @@ def _emit(text: str, args, reports=()) -> int:
 
 
 def _cmd_solve_angles(args) -> int:
+    from .harness import render_doc
+    from .protocol import solved, theta_min
+
     theta = _theta(args)
     params = solved(args.n, theta)
     doc = {
@@ -112,6 +120,11 @@ def _cmd_solve_angles(args) -> int:
 
 
 def _cmd_tolerance(args) -> int:
+    from .bounds import tolerance_report
+    from .harness import render_doc, tolerance_to_dict
+    from .noise import load_calibration
+    from .protocol import solved
+
     theta = _theta(args)
     params = solved(args.n, theta)
     cal = load_calibration(args.calib)
@@ -132,7 +145,10 @@ def _cmd_tolerance(args) -> int:
     return _emit(render_doc(doc), args)
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _experiment_config(args):
+    from .harness import ExperimentConfig
+    from .noise import load_calibration
+
     coupling = placement = None
     if args.map or args.place:
         if not (args.map and args.place):
@@ -155,11 +171,15 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
+    from .harness import render_json, run_experiment
+
     report = run_experiment(_experiment_config(args))
     return _emit(render_json(report), args, [report])
 
 
 def _cmd_sweep(args) -> int:
+    from .harness import render_sweep_json, sweep_distance
+
     reports = sweep_distance(_experiment_config(args), _parse_spans(args.spans))
     return _emit(render_sweep_json(reports), args, reports)
 
@@ -227,5 +247,15 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry(argv=None) -> int:
+    """Run one command as a process: `main(argv)` with the run path loaded and frozen."""
+    gc.disable()
+    from . import harness  # noqa: F401  (every command's run path, loaded once)
+
+    gc.freeze()
+    gc.enable()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

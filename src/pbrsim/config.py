@@ -8,10 +8,22 @@ across modules instead of drifting as scattered literals.
 # Algebraic identities (unitarity, Kraus completeness).
 ATOL_ALGEBRAIC = 1e-10
 
+# The two noise models' names (`noise` exports them). Here, so that the
+# command line can list its choices without loading numpy.
+DEPOLARIZING = "depolarizing"
+THERMODYNAMICAL = "thermodynamical"
+
 # Default gate/readout timing used when a calibration entry omits them.
 DEFAULT_SINGLE_GATE_S = 36e-9
 DEFAULT_TWO_QUBIT_GATE_S = 68e-9
 DEFAULT_READOUT_S = 1e-6
+
+# Largest n the angle solver takes. Its rounding grows about linearly in n
+# (residuals up to ~1.8e-15 * n over theta in [theta_min(n), pi/2]), so
+# from ~55,000 qubits on some angles fail the ATOL_ALGEBRAIC residual check
+# (theta = 1.5 at n = 89125, 1.5685 at n = 72325). Up to this n, 140,000
+# sampled (n, theta) pairs all solve, the largest residual 8.3e-11.
+MAX_SOLVER_N = 50_000
 
 # Hard cap on total simulated qubits (dense 2^n density matrix).
 SIMULATION_QUBIT_CAP = 12

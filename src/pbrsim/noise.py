@@ -37,12 +37,12 @@ from .config import (
     DEFAULT_READOUT_S,
     DEFAULT_SINGLE_GATE_S,
     DEFAULT_TWO_QUBIT_GATE_S,
+    DEPOLARIZING,
+    THERMODYNAMICAL,
 )
 from .errors import CalibrationError, FormatError, RangeError, ValidationError
 from .states import KrausChannel
 
-DEPOLARIZING = "depolarizing"
-THERMODYNAMICAL = "thermodynamical"
 NOISE_MODELS = (DEPOLARIZING, THERMODYNAMICAL)
 
 

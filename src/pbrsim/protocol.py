@@ -43,7 +43,7 @@ from .circuits import (
     RY,
     X,
 )
-from .config import ATOL_ALGEBRAIC, FORBIDDEN_PROB_THRESHOLD
+from .config import ATOL_ALGEBRAIC, FORBIDDEN_PROB_THRESHOLD, MAX_SOLVER_N
 from .errors import NoSolutionError, ProtocolError, RangeError, ValidationError
 from .simulate import outcome_distributions
 
@@ -95,9 +95,13 @@ def solve_angles(n: int, theta: float) -> tuple[float, float]:
     returned at once, the bracket's upper end checked first. At
     theta = pi/2 with n = 2 or 3 the condition is numerically zero on a
     plateau below pi, and this rule returns the grid point pi itself.
+    n above `config.MAX_SOLVER_N`, where rounding can fail the residual
+    check, is refused up front.
     """
     if n < 1:
         raise RangeError(f"n={n} must be >= 1")
+    if n > MAX_SOLVER_N:
+        raise RangeError(f"n={n} above the angle solver's largest n, {MAX_SOLVER_N}")
     if not 0.0 <= theta <= np.pi / 2 + 1e-12:
         raise RangeError(f"theta={theta!r} outside [0, pi/2]")
     t = np.tan(theta / 2)

@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ import pytest
 import pbrsim
 from pbrsim import harness
 from pbrsim.cli import main
-from pbrsim.config import MAX_SPAN
+from pbrsim.config import MAX_SOLVER_N, MAX_SPAN
 from pbrsim.harness import (
     ExperimentConfig,
     analytic_report,
@@ -92,6 +93,14 @@ def test_solve_angles_below_threshold_exits_2(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("n", [MAX_SOLVER_N + 1, 10**7])
+def test_solve_angles_past_the_largest_n_exits_2(n, capsys):
+    assert main(["solve-angles", "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n={n} above the angle solver's largest n, {MAX_SOLVER_N}\n"
+
+
 def test_tolerance_subcommand(calib_path, capsys):
     code = main(
         ["tolerance", "--n", "2", "--theta", str(np.pi / 4), "--calib", calib_path,
@@ -118,7 +127,7 @@ def test_tolerance_subcommand(calib_path, capsys):
     assert {k: doc[k] for k in tolerance_keys} == expected
 
 
-@pytest.mark.parametrize("n", [1024, 200000])
+@pytest.mark.parametrize("n", [1024, MAX_SOLVER_N])
 def test_tolerance_at_large_n_checks_the_calibration_before_the_circuit(n, calib_path, capsys):
     # 2**n stops converting to a float at n = 1024, and the n-qubit test
     # circuit took 185 MB at n = 200000 before the calibration was read.
@@ -746,3 +755,61 @@ def test_cli_runs_under_optimize_2(calib_path):
         assert plain.returncode == 0, plain.stderr
         assert (stripped.returncode, stripped.stdout, stripped.stderr) == (0, plain.stdout, "")
         assert plain.stdout.startswith("{" if argv[0] == "run" else "usage: pbrsim")
+
+
+_REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(pbrsim.__file__))))
+
+
+def _console_script_target():
+    with open(os.path.join(_REPO, "pyproject.toml")) as fh:
+        match = re.search(r'^pbrsim = "([\w.]+):(\w+)"$', fh.read(), re.MULTILINE)
+    assert match, "no pbrsim console script in pyproject.toml"
+    return match.groups()
+
+
+def test_process_entries_match_main(tmp_path, capsys):
+    # `python -m pbrsim.cli` and the console script's function each run a
+    # command in a fresh interpreter through the process entry; in-process
+    # `main` is the library API. All three print, write and exit alike.
+    module, func = _console_script_target()
+    entries = {
+        "-m": [sys.executable, "-m", "pbrsim.cli"],
+        "script": [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"],
+    }
+    env = dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src"))
+    calib = os.path.join(_REPO, "demos", "data", "adjacent_pair.json")
+    run = ["run", "--n", "2", "--calib", calib, "--model", "dep", "--shots", "2000"]
+    cases = [
+        (run, (0,), []),
+        ([*run, "--theta", "1.57"], (0, 1), []),
+        (["run", "--n", "2", "--calib", str(tmp_path / "missing.json"), "--model", "dep"], (2,), []),
+        (["sweep-distance", "--calib", calib, "--model", "thermo", "--shots", "2000",
+          "--spans", "1..3", "--csv", "{dir}/sweep.csv", "--out", "{dir}/sweep.json"],
+         (0, 1), ["sweep.csv", "sweep.json"]),
+    ]
+    for k, (argv, codes, written) in enumerate(cases):
+        results = {}
+        for name in ("main", *entries):
+            out_dir = tmp_path / f"{k}{name}"
+            out_dir.mkdir()
+            args = [arg.replace("{dir}", str(out_dir)) for arg in argv]
+            if name == "main":
+                code = main(args)
+                captured = capsys.readouterr()
+                result = (code, captured.out, captured.err)
+            else:
+                proc = subprocess.run([*entries[name], *args], capture_output=True, text=True,
+                                      env=env, timeout=300)
+                result = (proc.returncode, proc.stdout, proc.stderr)
+            files = sorted((path.name, path.read_bytes()) for path in out_dir.iterdir())
+            results[name] = (*result, files)
+        assert results["-m"] == results["main"] == results["script"], argv
+        code, out, err, files = results["main"]
+        assert code in codes, (argv, err)
+        assert [name for name, _ in files] == written
+        if code == 2:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+        else:
+            assert err == "" and json.loads(out)
+        if written:
+            assert dict(files)["sweep.json"] == out.encode()

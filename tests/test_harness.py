@@ -679,7 +679,8 @@ def test_cli_documents_render_as_stdlib_bytes(tmp_path, monkeypatch, capsys):
         docs.append(doc)
         return render_doc(doc)
 
-    monkeypatch.setattr(pbrsim.cli, "render_doc", recording)
+    # The CLI's commands import render_doc from harness when they run.
+    monkeypatch.setattr(pbrsim.harness, "render_doc", recording)
     path = tmp_path / "cal.json"
     save_calibration(all_pairs_calibration(5), path)
     for n in (2, 5):

@@ -1,12 +1,16 @@
 """The package's export list and what a run imports."""
 
+import contextlib
+import gc
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pbrsim
+from pbrsim.cli import main
 
 # The single-state density-matrix API (evolution lives in pbrsim.simulate only),
 # the simulated forbidden-map discovery (the map is closed-form) and the
@@ -57,13 +61,16 @@ CALIB = os.path.join(os.path.dirname(SRC), "demos", "data", "adjacent_pair.json"
 # statistics module with the fractions and decimal modules it imports.
 UNUSED_BY_UNPLACED_RUN = ("pbrsim.routing", "csv", "statistics", "fractions", "decimal")
 
-_LOADED_AFTER_MAIN = """
-import contextlib, io, json, sys
-from pbrsim.cli import main
+# Runs one command through `pbrsim.cli.<sys.argv[2]>` (`main` or the process
+# entry `entry`) and prints its exit code, the loaded modules and the
+# collector's state afterwards.
+_LOADED_AFTER_COMMAND = """
+import contextlib, gc, io, json, sys
+import pbrsim.cli
 
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(sys.modules)]))
+    code = getattr(pbrsim.cli, sys.argv[2])(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(sys.modules), gc.isenabled(), gc.get_freeze_count()]))
 """
 
 
@@ -76,9 +83,12 @@ def _fresh(script, *args):
     return json.loads(proc.stdout)
 
 
-def _loaded_after_main(argv):
-    code, modules = _fresh(_LOADED_AFTER_MAIN, json.dumps(argv))
+def _loaded_after(argv, func="main"):
+    code, modules, enabled, frozen = _fresh(_LOADED_AFTER_COMMAND, json.dumps(argv), func)
     assert code in (0, 1)
+    # `main` leaves the collector alone; the entry turns it back on after
+    # freezing the run path it loaded.
+    assert enabled and (frozen > 0) == (func == "entry")
     return set(modules)
 
 
@@ -88,12 +98,33 @@ def test_import_loads_no_submodule():
     assert [m for m in modules if m.startswith("pbrsim.")] == []
 
 
+def test_cli_import_loads_no_numpy():
+    # The console script imports pbrsim.cli before its entry turns the
+    # collector off, so the run path must load inside the entry.
+    modules = _fresh("import json, sys, pbrsim.cli; print(json.dumps(sorted(sys.modules)))")
+    assert not [m for m in modules if m.split(".")[0] == "numpy"]
+    assert [m for m in modules if m.startswith("pbrsim.")] == ["pbrsim.cli", "pbrsim.config"]
+
+
 def test_unplaced_run_loads_no_routing_csv_or_statistics():
-    loaded = _loaded_after_main(
-        ["run", "--n", "2", "--calib", CALIB, "--model", "thermo", "--shots", "2000"]
-    )
-    assert "pbrsim.harness" in loaded
-    assert loaded.isdisjoint(UNUSED_BY_UNPLACED_RUN), loaded & set(UNUSED_BY_UNPLACED_RUN)
+    argv = ["run", "--n", "2", "--calib", CALIB, "--model", "thermo", "--shots", "2000"]
+    for func in ("main", "entry"):
+        loaded = _loaded_after(argv, func)
+        assert "pbrsim.harness" in loaded
+        assert loaded.isdisjoint(UNUSED_BY_UNPLACED_RUN), loaded & set(UNUSED_BY_UNPLACED_RUN)
+
+
+def test_main_leaves_the_collector_alone():
+    argv = ["run", "--n", "2", "--calib", CALIB, "--model", "dep", "--shots", "2000"]
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    try:
+        for on in (True, False):
+            (gc.enable if on else gc.disable)()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (on, frozen)
+    finally:
+        (gc.enable if enabled else gc.disable)()
 
 
 def test_placed_run_and_sweep_load_routing(tmp_path):
@@ -104,7 +135,7 @@ def test_placed_run_and_sweep_load_routing(tmp_path):
         ["run", "--n", "2", *base, "--map", str(cmap), "--place", "0,1"],
         ["sweep-distance", *base, "--spans", "1"],
     ):
-        assert "pbrsim.routing" in _loaded_after_main(argv), argv
+        assert "pbrsim.routing" in _loaded_after(argv), argv
 
 
 def test_every_export_and_submodule_resolves_on_first_use():

@@ -13,7 +13,7 @@ from pbrsim.circuits import (
     X,
     gate_counts,
 )
-from pbrsim.config import FORBIDDEN_PROB_THRESHOLD
+from pbrsim.config import FORBIDDEN_PROB_THRESHOLD, MAX_SOLVER_N
 from pbrsim.errors import (
     NoSolutionError,
     ProtocolError,
@@ -108,11 +108,26 @@ def test_solve_angles_accepts_theta_min_up_to_ten_thousand_qubits():
 
 def test_solve_angles_alpha_below_two_pi():
     # alpha %= 2 pi of a tiny negative angle rounds up to 2 pi itself.
-    for n, theta in ((200, np.pi / 4), (200_000, 1.2), (56_234, 1.2), (79_433, np.pi / 4)):
+    for n, theta in ((200, np.pi / 4), (26_106, 1.2), (49_992, 1.2), (47_523, np.pi / 4)):
         alpha, beta = solve_angles(n, theta)
         assert 0.0 <= alpha < 2 * np.pi
         t = np.tan(theta / 2)
         assert abs(np.exp(1j * alpha) + (1 + t * np.exp(1j * beta)) ** n - 1) < 1e-10
+
+
+def test_solve_angles_up_to_the_largest_n():
+    # The residual grows about linearly in n. At MAX_SOLVER_N the scanned
+    # angles still solve; a larger n is refused before any solving, also
+    # where the parent solved it (n = 50001) or failed the residual check.
+    n = MAX_SOLVER_N
+    tmin = theta_min(n)
+    for theta in (tmin, 1.01 * tmin, 2 * tmin, np.pi / 4, 1.2, 1.5):
+        alpha, beta = solve_angles(n, theta)
+        t = np.tan(theta / 2)
+        assert abs(np.exp(1j * alpha) + (1 + t * np.exp(1j * beta)) ** n - 1) < 1e-10
+    for n in (MAX_SOLVER_N + 1, 89125, 10**7):
+        with pytest.raises(RangeError, match=f"n={n} above the angle solver's largest n"):
+            solve_angles(n, 1.5)
 
 
 def test_solve_angles_range_checks():
