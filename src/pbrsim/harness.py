@@ -374,7 +374,6 @@ def _normal_quantile(p: float) -> float:
     return -x if q < 0.0 else x
 
 
-@functools.lru_cache(maxsize=16)
 def _wilson_z(confidence: float) -> float:
     """Two-sided standard normal quantile for a confidence level."""
     return _normal_quantile(0.5 + confidence / 2)

@@ -255,9 +255,10 @@ def save_calibration(cal: CalibrationSnapshot, path) -> None:
         ],
         "readout_us": cal.readout_duration * 1e6,
     }
+    from .harness import render_doc  # the one JSON serializer; harness imports noise
+
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(render_doc(doc))
 
 
 def calibration_mean(values) -> float:
@@ -303,8 +304,9 @@ _PAULIS = (
 
 
 # The channel builders are memoized on their arguments for speed: repeated
-# gates share one read-only channel object, its superoperator built once per
-# process, not once per gate. The bound keeps a long-lived process small.
+# gates share one read-only channel object, checked and its superoperator
+# built once per process, not once per gate. The bound keeps a long-lived
+# process small.
 _channel_cache = functools.lru_cache(maxsize=512)
 
 
@@ -333,7 +335,7 @@ def depolarizing_channel(p: float, arity: int = 1) -> KrausChannel:
             mat = np.kron(mat, f)
         weight = 1.0 - p * (dim4 - 1) / dim4 if i == 0 else p / dim4
         ops.append(np.sqrt(weight) * mat)
-    return KrausChannel(ops, check=False)
+    return KrausChannel(ops)
 
 
 def p_from_time(t: float, T: float) -> float:
@@ -357,7 +359,7 @@ def amplitude_damping(p_ad: float) -> KrausChannel:
     _check_probability(p_ad, "p_ad")
     k0 = np.array([[1, 0], [0, np.sqrt(1 - p_ad)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(p_ad)], [0, 0]], dtype=complex)
-    return KrausChannel((k0, k1), check=False)
+    return KrausChannel((k0, k1))
 
 
 @_channel_cache
@@ -367,7 +369,7 @@ def dephasing(p_phi: float) -> KrausChannel:
     # Phase flip with probability p_phi/2 multiplies coherences by 1 - p_phi.
     k0 = np.sqrt(1 - p_phi / 2) * np.eye(2, dtype=complex)
     k1 = np.sqrt(p_phi / 2) * _PAULIS[3]
-    return KrausChannel((k0, k1), check=False)
+    return KrausChannel((k0, k1))
 
 
 def readout_matrix(q: QubitCalibration) -> np.ndarray:

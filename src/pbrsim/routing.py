@@ -9,7 +9,6 @@ states ended up instead of swapping back, which halves the overhead.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -69,14 +68,10 @@ def load_coupling_map(path) -> CouplingMap:
 
 
 def save_coupling_map(cmap: CouplingMap, path) -> None:
+    from .harness import render_doc  # the one JSON serializer, loaded on use
+
     with open(path, "w") as fh:
-        json.dump(
-            {"n_qubits": cmap.n_qubits, "edges": [list(e) for e in cmap.edges]},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+        fh.write(render_doc({"n_qubits": cmap.n_qubits, "edges": [list(e) for e in cmap.edges]}))
 
 
 def shortest_path(cmap: CouplingMap, a: int, b: int) -> list[int]:

@@ -57,7 +57,7 @@ row and column axes, d = 2^k: a channel as its (d^2, d^2) superoperator
 sum_K K (x) conj(K), a unitary as U (x) conj(U), and a diagonal unitary
 as its d^2 phase vector diag(U) (x) conj(diag(U)). The one kernel,
 `_apply`, moves the target row and column axes to the front, applies one
-matrix product (one elementwise product for a diagonal) and moves the
+np.matmul (one elementwise product for a diagonal) and moves the
 axes back. It runs only for multi-qubit operators and for single-qubit
 ones that lie between two multi-qubit operators on their qubit. When the
 schedule is built, consecutive operators on the same live axes are
@@ -112,21 +112,15 @@ def _apply(mats: np.ndarray, op: np.ndarray, targets: tuple[int, ...], n: int) -
     t = mats.reshape((b,) + (2,) * (2 * n)).transpose(front)
     shape = t.shape
     t = t.reshape(b, op.shape[-1], -1)
-    t = t * op[:, :, None] if op.ndim == 2 else _matmul(op, t)
+    t = t * op[:, :, None] if op.ndim == 2 else np.matmul(op, t)
     return t.reshape(shape).transpose(back).reshape(mats.shape)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.matmul of two stacks of matrices. For one matrix each, ndarray.dot
-    # makes the same row-major BLAS gemm call with less dispatch.
-    return a[0].dot(b[0])[None] if len(a) == len(b) == 1 else np.matmul(a, b)
 
 
 def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     # The Liouville operator of `earlier` then `later`; two diagonals stay diagonal.
     if later.ndim == 2:
         return later * earlier if earlier.ndim == 2 else later[:, :, None] * earlier
-    return later * earlier[:, None, :] if earlier.ndim == 2 else _matmul(later, earlier)
+    return later * earlier[:, None, :] if earlier.ndim == 2 else np.matmul(later, earlier)
 
 
 def _liouville(u: np.ndarray) -> np.ndarray:
@@ -372,13 +366,6 @@ def _chunks(schedule: tuple, total: int) -> Iterator[tuple[np.ndarray, list]]:
         yield rho, [None if s is None else rows(s) for s in suffix]
 
 
-@functools.lru_cache(maxsize=16)
-def _population_axes(m: int) -> tuple[int, ...]:
-    # The transpose of a (b,) + (2,) * 2m stack that puts each qubit's row
-    # and column axes side by side, the first qubit's first.
-    return (0,) + tuple(a for i in range(m) for a in (1 + i, 1 + m + i))
-
-
 def _populations(mats: np.ndarray, suffix: list, readout: list, framed=frozenset()) -> np.ndarray:
     # Outcome probabilities of a (b, 2^m, 2^m) stack after each qubit's suffix
     # and readout, the first qubit most significant, clipped to [0, 1]. A
@@ -391,12 +378,14 @@ def _populations(mats: np.ndarray, suffix: list, readout: list, framed=frozenset
     # map's coherence columns negated, and adds a bit after those of the row
     # index.
     b, m = len(mats), len(suffix)
-    t = mats.reshape((b,) + (2,) * (2 * m)).transpose(_population_axes(m))
+    # Each qubit's row and column axes side by side, the first qubit's first.
+    axes = (0,) + tuple(a for i in range(m) for a in (1 + i, 1 + m + i))
+    t = mats.reshape((b,) + (2,) * (2 * m)).transpose(axes)
     for i, op in enumerate(suffix):
         t = t.reshape(len(t), 4, -1)
         read = _POPULATION_ROWS if op is None or op.ndim == 2 else op[:, ::3].copy()
         if readout:
-            read = _matmul(readout[i][None], read)
+            read = np.matmul(readout[i][None], read)
         if i in framed:
             # One (4 x 4) map: the read, then the read with Z's signs.
             t = np.matmul((read * _FRAME_SIGNS).reshape(4, 4), t).reshape(-1, 2, t.shape[-1])

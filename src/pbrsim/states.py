@@ -10,6 +10,7 @@ Channels carry their Liouville form (Wood, Biamonte & Cory,
 arXiv:1111.6950): with rho flattened row-major, vec(rho)[i*d + j] =
 rho[i, j], the map rho -> K rho K^dagger is the (d^2, d^2) matrix
 K (x) conj(K), and a channel is the sum of these over its Kraus operators.
+Every channel is checked for completeness when it is built.
 States and their evolution live in `pbrsim.simulate`.
 """
 
@@ -41,6 +42,8 @@ def check_phases(diag: np.ndarray) -> None:
 class KrausChannel:
     """Completely positive trace-preserving map given by Kraus operators.
 
+    Every channel is checked: its operators must satisfy
+    sum K^dagger K = I to ATOL_ALGEBRAIC, or ChannelError is raised.
     `superoperator` is the channel's (d^2, d^2) Liouville matrix, the sum
     of K (x) conj(K), built once here. The operators and the superoperator
     are read-only copies, so a channel shared between circuits (the noise
@@ -50,7 +53,7 @@ class KrausChannel:
 
     __slots__ = ("operators", "arity", "superoperator")
 
-    def __init__(self, operators, check: bool = True):
+    def __init__(self, operators):
         ops = tuple(np.array(k, dtype=complex) for k in operators)
         if not ops:
             raise ChannelError("channel needs at least one Kraus operator")
@@ -65,11 +68,10 @@ class KrausChannel:
         for k in ops:
             if k.shape != (dim, dim):
                 raise ChannelError("Kraus operators must share one square shape")
-        if check:
-            total = sum(k.conj().T @ k for k in ops)
-            err = np.abs(total - np.eye(dim)).max()
-            if err > ATOL_ALGEBRAIC:
-                raise ChannelError(f"completeness violated by {err:.3e}")
+        total = sum(k.conj().T @ k for k in ops)
+        err = np.abs(total - np.eye(dim)).max()
+        if err > ATOL_ALGEBRAIC:
+            raise ChannelError(f"completeness violated by {err:.3e}")
         superop = sum(np.kron(k, k.conj()) for k in ops)
         for a in ops + (superop,):
             a.setflags(write=False)

@@ -679,10 +679,11 @@ def test_cli_documents_render_as_stdlib_bytes(tmp_path, monkeypatch, capsys):
         docs.append(doc)
         return render_doc(doc)
 
-    # The CLI's commands import render_doc from harness when they run.
-    monkeypatch.setattr(pbrsim.harness, "render_doc", recording)
+    # save_calibration writes through render_doc too: before the recording.
     path = tmp_path / "cal.json"
     save_calibration(all_pairs_calibration(5), path)
+    # The CLI's commands import render_doc from harness when they run.
+    monkeypatch.setattr(pbrsim.harness, "render_doc", recording)
     for n in (2, 5):
         assert pbrsim.cli.main(["solve-angles", "--n", str(n)]) == 0
         for model in ("dep", "thermo"):

@@ -44,6 +44,7 @@ from pbrsim.noise import (
     _noise_gate,
 )
 from pbrsim.protocol import PBRParams, theta_min
+from pbrsim.routing import CouplingMap, line_map, load_coupling_map, save_coupling_map
 from pbrsim.simulate import outcome_distribution
 from dense_reference import dense_distribution, ground_matrix, kraus_apply, pure_matrix
 from readout_reference import apply_readout
@@ -232,6 +233,24 @@ def test_calibration_file_roundtrip(tmp_path):
         assert abs(a.p1 - b.p1) < 1e-18
         assert abs(a.readout_p01 - b.readout_p01) < 1e-15
     assert back.coupler(0, 1).p2 == pytest.approx(2.4e-3, rel=1e-12)
+
+
+@pytest.mark.parametrize("edges", [None, ()])
+def test_saved_files_are_the_json_dumps_bytes(edges, tmp_path):
+    # Both writers go through harness.render_doc; their bytes stay those of
+    # json.dumps(doc, indent=2, sort_keys=True) plus a newline.
+    cal = uniform_calibration(3, p1=0.1 + 0.2, p2=1e-5, p01=1 / 3, edges=edges)
+    cmap = line_map(4) if edges is None else CouplingMap(1, ())
+    cal_path, map_path = tmp_path / "cal.json", tmp_path / "map.json"
+    save_calibration(cal, cal_path)
+    save_coupling_map(cmap, map_path)
+    for path in (cal_path, map_path):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    back = load_calibration(cal_path)
+    assert [(q.p1, q.readout_p01) for q in back.qubits] == [(0.1 + 0.2, 1 / 3)] * 3
+    assert [(c.q0, c.q1, c.p2) for c in back.couplers] == [(c.q0, c.q1, 1e-5) for c in cal.couplers]
+    assert load_coupling_map(map_path) == cmap
 
 
 def test_calibration_file_errors(tmp_path):

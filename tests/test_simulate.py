@@ -1,5 +1,6 @@
 """Circuit evolution: qubit lifetimes and Z frames against a dense reference, cap, marginals, ordering."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -42,12 +43,14 @@ from pbrsim.noise import (
 from pbrsim.protocol import PBRParams, build_test_circuit, check_forbidden_outcomes, theta_min
 from pbrsim.routing import line_map, lower
 from pbrsim.simulate import (
+    _apply,
     _branched,
+    _compose,
     _frame_rows,
     _gate_operator,
+    _kernel_axes,
     _operator,
     _operators,
-    _population_axes,
     _table,
     _walk,
     _z_covariant,
@@ -693,6 +696,25 @@ def test_mixed_frames_in_several_chunks_equal_one_chunk(monkeypatch):
     assert np.array_equal(chunked, whole)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kernel_product_equals_ndarray_dot_bit_for_bit(n):
+    # The kernel multiplies with np.matmul. For one state and one operator
+    # that must be the row-major gemm ndarray.dot makes, bit for bit, on every
+    # layout the kernel meets: the goldens were recorded with dot. A numpy
+    # release that routes small stacked products differently fails here.
+    rng = np.random.default_rng(n)
+    dim = 2**n
+    mats = rng.normal(size=(1, dim, dim)) + 1j * rng.normal(size=(1, dim, dim))
+    for k in (1, 2):
+        op = rng.normal(size=(1, 4**k, 4**k)) + 1j * rng.normal(size=(1, 4**k, 4**k))
+        assert np.array_equal(_compose(op, op), op[0].dot(op[0])[None])
+        for targets in itertools.permutations(range(n), k):
+            front, back = _kernel_axes(targets, n)
+            t = mats.reshape((1,) + (2,) * (2 * n)).transpose(front)
+            dot = op[0].dot(t.reshape(4**k, -1)).reshape(t.shape).transpose(back)
+            assert np.array_equal(_apply(mats, op, targets, n), dot.reshape(mats.shape)), targets
+
+
 def test_z_covariance_is_read_per_channel_target():
     assert _z_covariant(AD) == _z_covariant(DEPH) == _z_covariant(DEP1) == (True,)
     assert _z_covariant(HADH) == (False,)
@@ -759,7 +781,7 @@ def test_second_identical_run_adds_no_cache_miss(builds):
     def runs():
         return [run_experiment(replace(cfg, model=model)) for model in NOISE_MODELS]
 
-    caches = (_operator, _z_covariant, _population_axes)
+    caches = (_operator, _z_covariant)
     first = runs()
     # Two noisy circuits; their plans and the ideal circuit's.
     assert builds == {"attach_noise": 2, "_schedule": 3}
@@ -1001,7 +1023,6 @@ def test_frame_row_index_is_cached_read_only_and_shared():
     assert one.shape == two.shape == (8, 8)
     assert kept(other)[3] is not index
     assert np.array_equal(kept(other)[3], index)
-    assert _population_axes.cache_info().maxsize
 
 
 def test_module_level_arrays_are_read_only():

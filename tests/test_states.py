@@ -95,10 +95,31 @@ def test_kraus_channel_validation():
     with pytest.raises(ChannelError):
         KrausChannel((0.5 * np.eye(2),))  # not trace preserving
     with pytest.raises(ChannelError):
+        KrausChannel((np.eye(4), 1e-4 * np.eye(4)))  # trace increasing, two qubits
+    with pytest.raises(ChannelError):
         KrausChannel((np.eye(8),))  # three qubits: a 4096-entry superoperator
     ch = KrausChannel((np.eye(2),))
     assert ch.arity == 1
     assert KrausChannel((np.eye(4),)).arity == 2
+
+
+def test_kraus_channel_takes_no_check_switch():
+    # Every channel is checked; the switch that skipped the check is gone.
+    with pytest.raises(TypeError):
+        KrausChannel((np.eye(2),), check=False)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [(depolarizing_channel, (p, arity)) for p in (0.0, 1e-12, 0.5, 1.0) for arity in (1, 2)]
+    + [(builder, (p,)) for builder in (amplitude_damping, dephasing) for p in (0.0, 1.0)],
+)
+def test_noise_builders_pass_the_completeness_check_at_their_edges(build, args):
+    # The unmemoized builder, so the check runs here whatever the cache holds.
+    ch = build.__wrapped__(*args)
+    assert ch.superoperator.shape == (4**ch.arity,) * 2
+    total = sum(k.conj().T @ k for k in ch.operators)
+    assert np.abs(total - np.eye(2**ch.arity)).max() < 1e-12
 
 
 def test_kraus_channel_holds_read_only_copies():
