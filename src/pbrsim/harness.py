@@ -54,7 +54,8 @@ the placed runs, sweeps and CSV output that use them.
 Reports render to a structured JSON document (sorted keys, so identical
 configurations are byte-identical) and to a flat CSV, one row per input;
 both take their input rows from one helper. `render_doc` is the one JSON
-serializer, and the CLI's other documents use it too. Its bytes are
+serializer: the CLI's other documents and the saved calibration and
+coupling-map files use it too. Its bytes are
 json.dumps(doc, indent=2, sort_keys=True) plus a newline, but json.dumps
 writes indented text with its pure-Python encoder before Python 3.13, so
 `render_doc` hands every flat container (one whose values are scalars or
