@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -28,51 +29,78 @@ MCPHASE_OPEN = "MCPHASE_OPEN"
 NOISE = "NOISE"
 MEASURE = "MEASURE"
 
-SINGLE_QUBIT_KINDS = frozenset({H, X, SX, RY, RZ, PHASE})
-TWO_QUBIT_KINDS = frozenset({CZ, CPHASE_OPEN})
-ANGLED_KINDS = frozenset({RY, RZ, PHASE, CPHASE_OPEN, MCPHASE_OPEN})
+# Each kind's rule: the qubit count it acts on (None: checked below, or
+# only against a NOISE channel's arity) and whether it takes an angle.
+_RULES = {
+    H: (1, False),
+    X: (1, False),
+    SX: (1, False),
+    RY: (1, True),
+    RZ: (1, True),
+    PHASE: (1, True),
+    CZ: (2, False),
+    CPHASE_OPEN: (2, True),
+    MCPHASE_OPEN: (None, True),
+    NOISE: (None, False),
+    MEASURE: (None, False),
+}
+
+SINGLE_QUBIT_KINDS = frozenset(k for k, (count, _) in _RULES.items() if count == 1)
+TWO_QUBIT_KINDS = frozenset(k for k, (count, _) in _RULES.items() if count == 2)
+ANGLED_KINDS = frozenset(k for k, (_, angled) in _RULES.items() if angled)
 DIAGONAL_KINDS = frozenset({RZ, PHASE, CZ, CPHASE_OPEN, MCPHASE_OPEN})
-KINDS = SINGLE_QUBIT_KINDS | TWO_QUBIT_KINDS | {MCPHASE_OPEN, NOISE, MEASURE}
+KINDS = frozenset(_RULES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
-    """One operation: its kind, the qubits it acts on, and its angle or noise channel."""
+    """One operation: its kind, the qubits it acts on, and its angle or noise channel.
+
+    Qubit indices must be integers (Python or numpy); each kind's qubit
+    count and angle come from one rule table.
+    """
 
     kind: str
     qubits: tuple[int, ...]
     angle: float | None = None
     channel: KrausChannel | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if self.kind not in KINDS:
-            raise KindError(f"unknown gate kind {self.kind!r}")
-        k = len(self.qubits)
-        if len(set(self.qubits)) != k:
-            raise ValueError(f"{self.kind} lists duplicate qubits {self.qubits}")
-        if self.kind in SINGLE_QUBIT_KINDS and k != 1:
-            raise ValueError(f"{self.kind} acts on exactly 1 qubit, got {k}")
-        if self.kind in TWO_QUBIT_KINDS and k != 2:
-            raise ValueError(f"{self.kind} acts on exactly 2 qubits, got {k}")
-        if self.kind == MCPHASE_OPEN and k < 2:
-            raise ValueError("MCPHASE_OPEN needs at least one control and a target")
-        if self.kind == MEASURE and k < 1:
-            raise ValueError("MEASURE needs at least one qubit")
-        if self.kind in ANGLED_KINDS:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise ValueError(f"{self.kind} needs a finite angle, got {self.angle!r}")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} takes no angle")
-        if self.kind == NOISE:
-            if self.channel is None:
+    def __init__(self, kind, qubits, angle=None, channel=None):
+        indices = map(index, qubits)
+        try:
+            qubits = tuple(indices)
+        except TypeError:
+            raise ValueError(f"{kind} qubits {qubits!r} must be integers") from None
+        rule = _RULES.get(kind)
+        if rule is None:
+            raise KindError(f"unknown gate kind {kind!r}")
+        k = len(qubits)
+        if len(set(qubits)) != k:
+            raise ValueError(f"{kind} lists duplicate qubits {qubits}")
+        count, angled = rule
+        if count is None:
+            if kind == MCPHASE_OPEN and k < 2:
+                raise ValueError("MCPHASE_OPEN needs at least one control and a target")
+            if kind == MEASURE and k < 1:
+                raise ValueError("MEASURE needs at least one qubit")
+        elif k != count:
+            raise ValueError(f"{kind} acts on exactly {count} qubit{'s' * (count > 1)}, got {k}")
+        if angled:
+            if angle is None or not math.isfinite(angle):
+                raise ValueError(f"{kind} needs a finite angle, got {angle!r}")
+        elif angle is not None:
+            raise ValueError(f"{kind} takes no angle")
+        if kind == NOISE:
+            if channel is None:
                 raise ValueError("NOISE needs a channel")
-            if self.channel.arity != k:
-                raise ValueError(
-                    f"channel arity {self.channel.arity} does not match {k} qubits"
-                )
-        elif self.channel is not None:
-            raise ValueError(f"{self.kind} takes no channel")
+            if channel.arity != k:
+                raise ValueError(f"channel arity {channel.arity} does not match {k} qubits")
+        elif channel is not None:
+            raise ValueError(f"{kind} takes no channel")
+        # Routing builds thousands of gates; one update of the instance dict
+        # costs less than the generated frozen __init__'s object.__setattr__
+        # call per field.
+        self.__dict__.update(kind=kind, qubits=qubits, angle=angle, channel=channel)
 
     @property
     def is_unitary(self) -> bool:

@@ -159,7 +159,7 @@ class ExperimentConfig:
             raise ValidationError("routing applies to the two-qubit test only")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InputResult:
     """One input's exact forbidden probability, sampled count, Wilson bounds and verdict."""
 
@@ -175,9 +175,9 @@ class InputResult:
     def __init__(
         self, input_index, exact_probability, count, estimate, ci_low, ci_high, tolerance, passed
     ):
-        # A run builds 2^n of these. The dataclass keeps this __init__, and one
-        # update of the instance dict costs less than the generated frozen
-        # __init__'s object.__setattr__ call per field.
+        # A run builds 2^n of these. One update of the instance dict costs
+        # less than a generated frozen __init__'s object.__setattr__ call
+        # per field, so the dataclass generates none.
         self.__dict__.update(
             input_index=input_index,
             exact_probability=exact_probability,

@@ -92,6 +92,10 @@ def test_epsilon_dec():
     assert epsilon_dec(10, 0.5, 0.9) == 1.0
     with pytest.raises(RangeError):
         epsilon_dec(-1, 0.1, 0.1)
+    with pytest.raises(RangeError, match=r"^p_ad=-0\.1 outside \[0, 1\]$"):
+        epsilon_dec(5, -0.1, 0.1)
+    with pytest.raises(RangeError, match=r"^p_phi=1\.5 outside \[0, 1\]$"):
+        epsilon_dec(5, 0.1, 1.5)
 
 
 def adjacent_pair_calibration():

@@ -1,5 +1,8 @@
 """Gate IR: validation, unitaries, counts, durations."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from pbrsim.circuits import (
     circuit_duration,
     decompose_swap,
     gate_counts,
+    gate_diagonal,
     gate_unitary,
 )
 from pbrsim.errors import KindError
@@ -50,6 +54,99 @@ def test_gate_validation():
         Gate(NOISE, (0, 1), channel=depolarizing_channel(0.1, 1))
     with pytest.raises(ValueError):
         Gate(H, (0,), channel=depolarizing_channel(0.1, 1))
+
+
+NAN = float("nan")
+INF = float("inf")
+
+# (kind, qubits, angle, channel arity or None, exception type, exact message).
+# Each row breaks one rule, or two where the check order decides which is named.
+GATE_REJECTIONS = [
+    # Every kind with a wrong qubit count (NOISE's count is its channel's arity).
+    (H, (0, 1), None, None, ValueError, "H acts on exactly 1 qubit, got 2"),
+    (X, (), None, None, ValueError, "X acts on exactly 1 qubit, got 0"),
+    (SX, (0, 1), None, None, ValueError, "SX acts on exactly 1 qubit, got 2"),
+    (RY, (0, 1), 0.1, None, ValueError, "RY acts on exactly 1 qubit, got 2"),
+    (RZ, (), 0.1, None, ValueError, "RZ acts on exactly 1 qubit, got 0"),
+    (PHASE, (0, 1, 2), 0.1, None, ValueError, "PHASE acts on exactly 1 qubit, got 3"),
+    (CZ, (0,), None, None, ValueError, "CZ acts on exactly 2 qubits, got 1"),
+    (CPHASE_OPEN, (0, 1, 2), 0.1, None, ValueError, "CPHASE_OPEN acts on exactly 2 qubits, got 3"),
+    (MCPHASE_OPEN, (0,), 0.1, None, ValueError,
+     "MCPHASE_OPEN needs at least one control and a target"),
+    (MCPHASE_OPEN, (), 0.1, None, ValueError,
+     "MCPHASE_OPEN needs at least one control and a target"),
+    (MEASURE, (), None, None, ValueError, "MEASURE needs at least one qubit"),
+    (NOISE, (0, 1), None, 1, ValueError, "channel arity 1 does not match 2 qubits"),
+    # Duplicate qubits, checked before the count.
+    (CZ, (1, 1), None, None, ValueError, "CZ lists duplicate qubits (1, 1)"),
+    (H, (0, 0), None, None, ValueError, "H lists duplicate qubits (0, 0)"),
+    (MEASURE, (0, 1, 0), None, None, ValueError, "MEASURE lists duplicate qubits (0, 1, 0)"),
+    # A missing, non-finite or extra angle, checked after the count.
+    (RY, (0,), None, None, ValueError, "RY needs a finite angle, got None"),
+    (RZ, (0,), NAN, None, ValueError, "RZ needs a finite angle, got nan"),
+    (CPHASE_OPEN, (0, 1), INF, None, ValueError, "CPHASE_OPEN needs a finite angle, got inf"),
+    (MCPHASE_OPEN, (0, 1, 2), -INF, None, ValueError,
+     "MCPHASE_OPEN needs a finite angle, got -inf"),
+    (H, (0,), 0.5, None, ValueError, "H takes no angle"),
+    (MEASURE, (0,), 0.5, None, ValueError, "MEASURE takes no angle"),
+    (NOISE, (0,), 0.5, 1, ValueError, "NOISE takes no angle"),
+    (H, (0, 1), 0.5, None, ValueError, "H acts on exactly 1 qubit, got 2"),
+    # A missing, extra or arity-mismatched channel, checked last.
+    (NOISE, (0,), None, None, ValueError, "NOISE needs a channel"),
+    (H, (0,), None, 1, ValueError, "H takes no channel"),
+    (CZ, (0, 1), None, 2, ValueError, "CZ takes no channel"),
+    (NOISE, (0,), None, 2, ValueError, "channel arity 2 does not match 1 qubits"),
+    (H, (0,), 0.5, 1, ValueError, "H takes no angle"),
+    # An unknown kind, checked before everything but the qubit indices.
+    ("CNOT", (0, 1), None, None, KindError, "unknown gate kind 'CNOT'"),
+    ("h", (0,), None, None, KindError, "unknown gate kind 'h'"),
+    ("CNOT", (0, 0, 0), 0.5, 1, KindError, "unknown gate kind 'CNOT'"),
+    # Qubit indices must be integers: no rounding, no parsing.
+    (H, (1.5,), None, None, ValueError, "H qubits (1.5,) must be integers"),
+    (H, ("1",), None, None, ValueError, "H qubits ('1',) must be integers"),
+    (CZ, (0.2, 0.7), None, None, ValueError, "CZ qubits (0.2, 0.7) must be integers"),
+    (CZ, (0, np.float64(1.0)), None, None, ValueError,
+     f"CZ qubits {(0, np.float64(1.0))!r} must be integers"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, qubits, angle, arity, error, message",
+    GATE_REJECTIONS,
+    ids=[f"{i}-{row[0]}" for i, row in enumerate(GATE_REJECTIONS)],
+)
+def test_gate_rejects_each_broken_rule(kind, qubits, angle, arity, error, message):
+    channel = None if arity is None else depolarizing_channel(0.1, arity)
+    with pytest.raises(ValueError) as exc:
+        Gate(kind, qubits, angle, channel)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_gate_is_a_frozen_dataclass_of_its_fields():
+    names = [f.name for f in dataclasses.fields(Gate)]
+    assert names == ["kind", "qubits", "angle", "channel"]
+    assert list(inspect.signature(Gate).parameters) == names
+    g = Gate(kind=RY, qubits=[np.int64(2)], angle=0.5)
+    assert g == Gate(RY, (2,), 0.5)
+    assert g.qubits == (2,) and type(g.qubits[0]) is int
+    assert repr(Gate(H, (0,))) == "Gate(kind='H', qubits=(0,), angle=None, channel=None)"
+    assert dataclasses.replace(g, qubits=(3,)) == Gate(RY, (3,), 0.5)
+    with pytest.raises(ValueError, match=r"^RY acts on exactly 1 qubit, got 2$"):
+        dataclasses.replace(g, qubits=(0, 1))
+    with pytest.raises(ValueError, match=r"^RY needs a finite angle, got None$"):
+        dataclasses.replace(g, angle=None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.angle = 0.6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del g.kind
+    assert g != Gate(RY, (2,), 0.6) and g != Gate(RZ, (2,), 0.5)
+    # Equality and hash ignore the channel.
+    a = Gate(NOISE, (0,), channel=depolarizing_channel(0.1, 1))
+    b = Gate(NOISE, (0,), channel=depolarizing_channel(0.2, 1))
+    assert a.channel is not b.channel
+    assert a == b and hash(a) == hash(b)
+    assert hash(g) == hash(Gate(RY, (2,), 0.5))
 
 
 def test_circuit_validation():
@@ -119,6 +216,9 @@ def test_all_unitaries_are_unitary():
 def test_gate_unitary_rejects_nonunitary_kinds():
     with pytest.raises(KindError):
         gate_unitary(Gate(MEASURE, (0,)))
+    for g in (Gate(H, (0,)), Gate(RY, (0,), angle=0.3), Gate(MEASURE, (0,))):
+        with pytest.raises(KindError, match=f"^{g.kind} is not a diagonal gate$"):
+            gate_diagonal(g)
 
 
 def test_decompose_swap_matches_swap():

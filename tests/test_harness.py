@@ -112,6 +112,8 @@ def test_wilson_interval_values():
     assert hi == 1.0
     assert lo < 1.0
     assert isinstance(lo, float) and isinstance(hi, float)
+    with pytest.raises(RangeError, match=r"^m=0 must be >= 1$"):
+        wilson_interval(0, 0)
 
 
 def test_run_rows_carry_the_public_wilson_interval_and_mean_pass_fraction():
@@ -213,6 +215,11 @@ def test_experiment_config_validation():
     with pytest.raises(ValidationError):
         ExperimentConfig(
             n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, placement=(0, 1)
+        )
+    with pytest.raises(ValidationError, match=r"^routing applies to the two-qubit test only$"):
+        ExperimentConfig(
+            n=3, theta=1.0, model=DEPOLARIZING, calibration=line_calibration(3),
+            coupling=line_map(3), placement=(0, 1),
         )
     # n, shots and seed are integers: not bools, not floats, even integral ones.
     for field, value in (
@@ -643,6 +650,8 @@ def test_sweep_distance_validation(monkeypatch):
     for spans in ((0, 1), (1, 1001), (154, 10**8)):
         with pytest.raises(RangeError):
             sweep_distance(cfg, spans)
+    with pytest.raises(ValidationError, match=r"^distance sweeps run the two-qubit test$"):
+        sweep_distance(replace(cfg, n=3, theta=1.0), (1,))
 
 
 def stdlib_render(doc) -> str:

@@ -147,6 +147,11 @@ def test_snapshot_validation_and_lookup():
         CalibrationSnapshot((q0, q0), ())
     with pytest.raises(ValidationError):
         CalibrationSnapshot((q0,), (cpl,))  # coupler names unknown qubit
+    with pytest.raises(ValidationError, match=r"^coupler \(1, 1\) is a self-loop$"):
+        CouplerCalibration(1, 1, 1e-3, 68e-9)
+    for p2 in (-1e-3, 1.5, float("nan")):
+        with pytest.raises(ValidationError, match=r"^coupler \(0, 1\): p2 outside \[0, 1\]$"):
+            CouplerCalibration(0, 1, p2, 68e-9)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError):
             CouplerCalibration(0, 1, 1e-3, duration=bad)
@@ -313,6 +318,12 @@ def test_open_controlled_phase_is_charged_once(k):
     assert gate_counts(c) == (0, charge)
     assert len(pairs) == charge
     assert _gate_duration(gate, cal) / DEFAULT_TWO_QUBIT_GATE_S == pytest.approx(charge, rel=1e-15)
+
+
+def test_open_controlled_phase_charge_needs_a_control():
+    assert [mcphase_cz_equivalents(m) for m in (1, 2, 3)] == [1, 3, 5]
+    with pytest.raises(ValueError, match=r"^n_controls must be >= 1$"):
+        mcphase_cz_equivalents(0)
 
 
 def test_attach_noise_thermal_counts():

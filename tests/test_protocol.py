@@ -155,6 +155,8 @@ def test_build_preparation_signs():
     assert from_string == c
     with pytest.raises(ValidationError):
         build_preparation("021", theta)
+    with pytest.raises(ValidationError, match=r"^bits \(0, 2\) must be 0/1$"):
+        build_preparation((0, 2), theta)
 
 
 def test_measurement_structure_without_phase_layer():
