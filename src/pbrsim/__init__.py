@@ -90,6 +90,7 @@ _EXPORTS = {
         "solve_angles",
         "theta_min",
     ),
+    "records": (),
     "routing": (
         "CouplingMap",
         "line_map",

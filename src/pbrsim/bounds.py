@@ -15,7 +15,6 @@ runs again needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .noise import (
     p_from_time,
 )
 from .protocol import PBRParams
+from .records import Record, record
 
 
 def quantum_trace_distance(theta: float) -> float:
@@ -76,8 +76,8 @@ def epsilon_dec(n: int, p_ad: float, p_phi: float) -> float:
     return float(min(1.0, n * (p_ad + p_phi)))
 
 
-@dataclass(frozen=True)
-class ToleranceReport:
+@record
+class ToleranceReport(Record):
     """One model's thresholds for a circuit on a device: distances, tolerances, error terms."""
 
     model: str

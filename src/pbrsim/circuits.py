@@ -8,13 +8,14 @@ counting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from operator import index
 
 import numpy as np
 
 from .config import DEFAULT_TWO_QUBIT_GATE_S, mcphase_cz_equivalents
 from .errors import KindError
+from .records import Record, record
 from .states import KrausChannel
 
 H = "H"
@@ -52,8 +53,8 @@ DIAGONAL_KINDS = frozenset({RZ, PHASE, CZ, CPHASE_OPEN, MCPHASE_OPEN})
 KINDS = frozenset(_RULES)
 
 
-@dataclass(frozen=True, init=False)
-class Gate:
+@record
+class Gate(Record):
     """One operation: its kind, the qubits it acts on, and its angle or noise channel.
 
     Qubit indices must be integers (Python or numpy); each kind's qubit
@@ -98,8 +99,7 @@ class Gate:
         elif channel is not None:
             raise ValueError(f"{kind} takes no channel")
         # Routing builds thousands of gates; one update of the instance dict
-        # costs less than the generated frozen __init__'s object.__setattr__
-        # call per field.
+        # costs less than one object.__setattr__ call per field.
         self.__dict__.update(kind=kind, qubits=qubits, angle=angle, channel=channel)
 
     @property
@@ -107,8 +107,8 @@ class Gate:
         return self.kind not in (NOISE, MEASURE)
 
 
-@dataclass(frozen=True)
-class Circuit:
+@record
+class Circuit(Record):
     """A register size and its gates in time order, measurements last."""
 
     n_qubits: int
@@ -116,13 +116,15 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        if self.n_qubits < 1:
+        n_qubits = self.n_qubits
+        if n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         measured: set[int] = set()
         for g in self.gates:
             for q in g.qubits:
-                if q >= self.n_qubits:
-                    raise ValueError(f"gate {g.kind} uses qubit {q} >= {self.n_qubits}")
+                if not 0 <= q < n_qubits:
+                    bound = "< 0" if q < 0 else f">= {n_qubits}"
+                    raise ValueError(f"gate {g.kind} uses qubit {q} {bound}")
             if measured and g.kind != MEASURE:
                 raise ValueError("only MEASURE gates may follow a MEASURE")
             if g.kind == MEASURE:

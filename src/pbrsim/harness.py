@@ -73,7 +73,7 @@ import json
 import math
 import numbers
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -99,6 +99,7 @@ from .noise import (
     uniform_calibration,
 )
 from .protocol import PBRParams, check_forbidden_outcomes, solved
+from .records import Record, record
 from .simulate import _plan, _table
 
 if TYPE_CHECKING:
@@ -109,8 +110,8 @@ BIT_ORDER_NOTE = "qubit 0 is the most significant bit of every outcome index"
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@record
+class ExperimentConfig(Record):
     """What a run simulates: size, angle, noise model, device, shots, seed, placement."""
 
     n: int
@@ -159,8 +160,8 @@ class ExperimentConfig:
             raise ValidationError("routing applies to the two-qubit test only")
 
 
-@dataclass(frozen=True, init=False)
-class InputResult:
+@record
+class InputResult(Record):
     """One input's exact forbidden probability, sampled count, Wilson bounds and verdict."""
 
     input_index: int
@@ -175,9 +176,8 @@ class InputResult:
     def __init__(
         self, input_index, exact_probability, count, estimate, ci_low, ci_high, tolerance, passed
     ):
-        # A run builds 2^n of these. One update of the instance dict costs
-        # less than a generated frozen __init__'s object.__setattr__ call
-        # per field, so the dataclass generates none.
+        # A run builds 2^n of these: one update of the instance dict costs
+        # less than the generic record __init__.
         self.__dict__.update(
             input_index=input_index,
             exact_probability=exact_probability,
@@ -190,8 +190,8 @@ class InputResult:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+@record
+class ExperimentReport(Record):
     """One configuration's verdict, angles, gate counts, thresholds and per-input rows."""
 
     n: int

@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +40,14 @@ from .config import (
     THERMODYNAMICAL,
 )
 from .errors import CalibrationError, FormatError, RangeError, ValidationError
+from .records import Record, record
 from .states import KrausChannel
 
 NOISE_MODELS = (DEPOLARIZING, THERMODYNAMICAL)
 
 
-@dataclass(frozen=True)
-class QubitCalibration:
+@record
+class QubitCalibration(Record):
     """One qubit's T1, T2, gate error and duration, and readout flip probabilities."""
 
     id: int
@@ -58,21 +58,40 @@ class QubitCalibration:
     readout_p01: float = 0.0
     readout_p10: float = 0.0
 
-    def __post_init__(self):
-        if not 0 < self.t1 < math.inf:
-            raise ValidationError(f"qubit {self.id}: t1 must be finite and > 0")
-        if not 0 < self.t2 < math.inf:
-            raise ValidationError(f"qubit {self.id}: t2 must be finite and > 0")
-        for name in ("p1", "readout_p01", "readout_p10"):
-            v = getattr(self, name)
+    def __init__(
+        self,
+        id,
+        t1,
+        t2,
+        p1,
+        single_gate_duration=DEFAULT_SINGLE_GATE_S,
+        readout_p01=0.0,
+        readout_p10=0.0,
+    ):
+        if not 0 < t1 < math.inf:
+            raise ValidationError(f"qubit {id}: t1 must be finite and > 0")
+        if not 0 < t2 < math.inf:
+            raise ValidationError(f"qubit {id}: t2 must be finite and > 0")
+        for name, v in (("p1", p1), ("readout_p01", readout_p01), ("readout_p10", readout_p10)):
             if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"qubit {self.id}: {name}={v!r} outside [0, 1]")
-        if not 0 <= self.single_gate_duration < math.inf:
-            raise ValidationError(f"qubit {self.id}: gate duration not finite and >= 0")
+                raise ValidationError(f"qubit {id}: {name}={v!r} outside [0, 1]")
+        if not 0 <= single_gate_duration < math.inf:
+            raise ValidationError(f"qubit {id}: gate duration not finite and >= 0")
+        # A line sweep builds hundreds of these: one update of the instance
+        # dict costs less than the generic record __init__.
+        self.__dict__.update(
+            id=id,
+            t1=t1,
+            t2=t2,
+            p1=p1,
+            single_gate_duration=single_gate_duration,
+            readout_p01=readout_p01,
+            readout_p10=readout_p10,
+        )
 
 
-@dataclass(frozen=True)
-class CouplerCalibration:
+@record
+class CouplerCalibration(Record):
     """One coupled pair's two-qubit gate error and duration."""
 
     q0: int
@@ -80,19 +99,19 @@ class CouplerCalibration:
     p2: float
     duration: float = DEFAULT_TWO_QUBIT_GATE_S
 
-    def __post_init__(self):
-        if self.q0 == self.q1:
-            raise ValidationError(f"coupler ({self.q0}, {self.q1}) is a self-loop")
-        if not 0.0 <= self.p2 <= 1.0:
-            raise ValidationError(f"coupler ({self.q0}, {self.q1}): p2 outside [0, 1]")
-        if not 0 <= self.duration < math.inf:
-            raise ValidationError(
-                f"coupler ({self.q0}, {self.q1}): duration not finite and >= 0"
-            )
+    def __init__(self, q0, q1, p2, duration=DEFAULT_TWO_QUBIT_GATE_S):
+        if q0 == q1:
+            raise ValidationError(f"coupler ({q0}, {q1}) is a self-loop")
+        if not 0.0 <= p2 <= 1.0:
+            raise ValidationError(f"coupler ({q0}, {q1}): p2 outside [0, 1]")
+        if not 0 <= duration < math.inf:
+            raise ValidationError(f"coupler ({q0}, {q1}): duration not finite and >= 0")
+        # Built as often as QubitCalibration, and written the same way.
+        self.__dict__.update(q0=q0, q1=q1, p2=p2, duration=duration)
 
 
-@dataclass(frozen=True)
-class CalibrationSnapshot:
+@record
+class CalibrationSnapshot(Record):
     """A device's qubit and coupler calibrations and its readout window."""
 
     qubits: tuple[QubitCalibration, ...]

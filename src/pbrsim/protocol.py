@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .circuits import (
 )
 from .config import ATOL_ALGEBRAIC, FORBIDDEN_PROB_THRESHOLD, MAX_SOLVER_N
 from .errors import NoSolutionError, ProtocolError, RangeError, ValidationError
+from .records import Record, record
 from .simulate import outcome_distributions
 
 
@@ -141,8 +141,8 @@ def solve_angles(n: int, theta: float) -> tuple[float, float]:
     return alpha, beta
 
 
-@dataclass(frozen=True)
-class PBRParams:
+@record
+class PBRParams(Record):
     """The test size, preparation angle theta and the measurement angles solved for it."""
 
     n: int

@@ -10,15 +10,15 @@ states ended up instead of swapping back, which halves the overhead.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, decompose_swap
 from .errors import FormatError, PathError, RangeError, ValidationError
 from .noise import json_number, load_json_document
+from .records import Record, record
 
 
-@dataclass(frozen=True)
-class CouplingMap:
+@record
+class CouplingMap(Record):
     """Physical qubit count and the undirected edges two-qubit gates may use."""
 
     n_qubits: int

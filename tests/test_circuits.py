@@ -156,6 +156,11 @@ def test_circuit_validation():
         Circuit(1, (Gate(H, (1,)),))
     with pytest.raises(ValueError):
         Circuit(2, (Gate(MEASURE, (0,)), Gate(H, (1,))))
+    # A negative index would be dropped or misread by the simulator.
+    with pytest.raises(ValueError, match=r"^gate X uses qubit -1 < 0$"):
+        Circuit(2, (Gate(X, (-1,)), Gate(MEASURE, (0, 1))))
+    with pytest.raises(ValueError, match=r"^gate MEASURE uses qubit -1 < 0$"):
+        Circuit(2, (Gate(X, (0,)), Gate(MEASURE, (-1, 0))))
     c = Circuit(2, (Gate(H, (0,)), Gate(MEASURE, (1, 0))))
     assert c.measured_qubits == (1, 0)
 

@@ -127,6 +127,30 @@ def test_main_leaves_the_collector_alone():
         (gc.enable if enabled else gc.disable)()
 
 
+def test_run_path_compiles_no_generated_code():
+    # `@dataclass(frozen=True)` execs source text for every method it
+    # writes, at every start; the records share one base instead. numpy and
+    # the standard library modules the run path imports load first, so only
+    # the package's own import is watched.
+    script = """
+import json, sys
+import dataclasses, numpy
+
+compiled = []
+sys.addaudithook(
+    lambda event, args: event == "compile" and args[1] == "<string>" and compiled.append(args[0])
+)
+import pbrsim.harness, pbrsim.routing
+print(json.dumps([source.decode() for source in compiled]))
+"""
+    compiled = _fresh(script)
+    if sys.version_info >= (3, 13):
+        # From 3.13, dataclass compiles one builder per class even when it
+        # generates no method: its body returns an empty tuple.
+        compiled = [source for source in compiled if source != "def __create_fn__():\n\n return ()"]
+    assert compiled == []
+
+
 def test_placed_run_and_sweep_load_routing(tmp_path):
     cmap = tmp_path / "map.json"
     cmap.write_text(json.dumps({"n_qubits": 2, "edges": [[0, 1]]}))
