@@ -181,13 +181,14 @@ def gate_unitary(g: Gate) -> np.ndarray:
 
 
 def decompose_swap(a: int = 0, b: int = 1) -> list[Gate]:
-    """One SWAP as 3 CZ + 6 H (each CNOT is H-conjugated CZ)."""
-    cz = Gate(CZ, (a, b))
-    return [
-        Gate(H, (b,)), cz, Gate(H, (b,)),
-        Gate(H, (a,)), cz, Gate(H, (a,)),
-        Gate(H, (b,)), cz, Gate(H, (b,)),
-    ]
+    """One SWAP as 3 CZ + 6 H (each CNOT is H-conjugated CZ).
+
+    The nine positions hold three gates, each built once: H on a, H on b
+    and CZ on (a, b). Gates are frozen and compare by value, so a shared
+    gate is equal to one built afresh.
+    """
+    ha, hb, cz = Gate(H, (a,)), Gate(H, (b,)), Gate(CZ, (a, b))
+    return [hb, cz, hb, ha, cz, ha, hb, cz, hb]
 
 
 def cz_pairs(g: Gate) -> tuple[tuple[int, int], ...]:

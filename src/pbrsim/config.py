@@ -29,7 +29,7 @@ MAX_SOLVER_N = 50_000
 SIMULATION_QUBIT_CAP = 12
 
 # Largest span a distance sweep accepts. Spans past the cap get analytic
-# reports, whose cost grows linearly with the span: ~16 ms at 1000
+# reports, whose cost grows linearly with the span: ~9 ms at 1000
 # (theta = pi/4, depolarizing, the demo pair calibration; 2-core Xeon,
 # Python 3.11).
 MAX_SPAN = 1000

@@ -108,13 +108,21 @@ def span_distance(cmap: CouplingMap, a: int, b: int) -> int:
     return len(shortest_path(cmap, a, b)) - 1
 
 
+def _check_coupler(g: Gate, cmap: CouplingMap) -> None:
+    if not cmap.has_edge(*g.qubits):
+        raise PathError(f"two-qubit gate off the coupling map: {g.qubits}")
+
+
 def lower(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> tuple[Circuit, int, int]:
     """A two-logical-qubit circuit as it runs on the map: (circuit, span, swap count).
 
     Logical 0 starts at placement[0] and is swapped along the shortest
     path until adjacent to logical 1 at placement[1]; the swap chain (as
     3 CZ + 6 H each) is emitted just before the first two-qubit gate. The
-    span is the path's edge count.
+    span is the path's edge count; the swap count is the SWAPs emitted,
+    0 for a circuit with no two-qubit gate. Every two-qubit gate is
+    checked against the map as it is emitted, each SWAP's coupler once
+    for its three CZ.
     """
     if c.n_qubits != 2:
         raise ValidationError(f"routing handles 2 logical qubits, got {c.n_qubits}")
@@ -123,21 +131,24 @@ def lower(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> tuple[Ci
     if len(path) < 2:
         raise PathError("placement must name two distinct physical qubits")
     pos = {0: path[0], 1: path[-1]}
+    swap_count = 0
     swaps_done = False
     out: list[Gate] = []
     for g in c.gates:
-        if g.is_unitary and len(g.qubits) == 2 and not swaps_done:
+        two_qubit = g.is_unitary and len(g.qubits) == 2
+        if two_qubit and not swaps_done:
             for i in range(len(path) - 2):
-                out.extend(decompose_swap(path[i], path[i + 1]))
+                swap = decompose_swap(path[i], path[i + 1])
+                _check_coupler(swap[1], cmap)  # the SWAP's CZ
+                out.extend(swap)
             pos[0] = path[-2]
+            swap_count = len(path) - 2
             swaps_done = True
-        phys = tuple(pos[q] for q in g.qubits)
-        out.append(Gate(g.kind, phys, angle=g.angle, channel=g.channel))
-    lowered = Circuit(cmap.n_qubits, tuple(out))
-    for g in lowered.gates:
-        if g.is_unitary and len(g.qubits) == 2 and not cmap.has_edge(*g.qubits):
-            raise PathError(f"two-qubit gate off the coupling map: {g.qubits}")
-    return lowered, len(path) - 1, len(path) - 2
+        phys = Gate(g.kind, tuple(pos[q] for q in g.qubits), angle=g.angle, channel=g.channel)
+        if two_qubit:
+            _check_coupler(phys, cmap)
+        out.append(phys)
+    return Circuit(cmap.n_qubits, tuple(out)), len(path) - 1, swap_count
 
 
 def routed_gate_overhead(s: int) -> tuple[int, int]:

@@ -257,6 +257,17 @@ def test_gate_counts():
     assert gate_counts(c) == (2, 5)
 
 
+def test_decompose_swap_shares_three_gates_equal_to_fresh_ones():
+    gates = decompose_swap(3, 5)
+    fresh = [Gate(*spec) for spec in [
+        (H, (5,)), (CZ, (3, 5)), (H, (5,)),
+        (H, (3,)), (CZ, (3, 5)), (H, (3,)),
+        (H, (5,)), (CZ, (3, 5)), (H, (5,)),
+    ]]
+    assert gates == fresh
+    assert len({id(g) for g in gates}) == 3
+
+
 def test_swap_decomposition_counts():
     c = Circuit(2, tuple(decompose_swap(0, 1)))
     assert gate_counts(c) == (6, 3)

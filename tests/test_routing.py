@@ -1,9 +1,11 @@
 """Coupling maps, shortest paths, and lowering two-qubit circuits onto a map."""
 
+import re
+
 import numpy as np
 import pytest
 
-from pbrsim.circuits import Circuit, Gate, H, MEASURE, gate_counts
+from pbrsim.circuits import CZ, Circuit, Gate, H, MEASURE, gate_counts
 from pbrsim.errors import FormatError, PathError, RangeError, ValidationError
 from pbrsim.protocol import PBRParams, build_test_circuit
 from pbrsim.routing import (
@@ -81,10 +83,99 @@ def test_route_gate_overhead_matches_decomposition():
     params = PBRParams.solve(2, np.pi / 4)
     logical = build_test_circuit(0, params)
     g1, g2 = gate_counts(logical)
-    for span in (2, 3, 5):
-        routed = lower(logical, line_map(8), (0, span))[0]
+    cmap = line_map(155)
+    for span in range(1, 155):
+        routed = lower(logical, cmap, (0, span))[0]
         extra1, extra2 = routed_gate_overhead(span)
         assert gate_counts(routed) == (g1 + extra1, g2 + extra2)
+
+
+def _reference_lower(c, cmap, placement):
+    # The lowering built the plain way: a fresh Gate at every position,
+    # then every two-qubit gate of the result checked against the map.
+    path = shortest_path(cmap, *placement)
+    pos = {0: path[0], 1: path[-1]}
+    gates = []
+    swapped = False
+    for g in c.gates:
+        if g.is_unitary and len(g.qubits) == 2 and not swapped:
+            for a, b in zip(path, path[1:-1]):
+                for kind, qubits in ((H, (b,)), (CZ, (a, b)), (H, (b,)),
+                                     (H, (a,)), (CZ, (a, b)), (H, (a,)),
+                                     (H, (b,)), (CZ, (a, b)), (H, (b,))):
+                    gates.append(Gate(kind, qubits))
+            pos[0] = path[-2]
+            swapped = True
+        gates.append(Gate(g.kind, tuple(pos[q] for q in g.qubits), angle=g.angle, channel=g.channel))
+    for g in gates:
+        if g.is_unitary and len(g.qubits) == 2:
+            assert cmap.has_edge(*g.qubits), g
+    return Circuit(cmap.n_qubits, tuple(gates))
+
+
+def _ring_map(n):
+    return CouplingMap(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def _grid_map(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return CouplingMap(rows * cols, tuple(edges))
+
+
+def test_lower_matches_reference_on_line_spans_1_to_154():
+    params = PBRParams.solve(2, np.pi / 4)
+    logical = build_test_circuit(3, params)
+    cmap = line_map(155)
+    for span in range(1, 155):
+        for placement in ((0, span), (span, 0)):
+            routed, got_span, swap_count = lower(logical, cmap, placement)
+            assert routed == _reference_lower(logical, cmap, placement)
+            assert (got_span, swap_count) == (span, span - 1)
+
+
+def test_lower_matches_reference_on_ring_and_grid():
+    params = PBRParams.solve(2, np.pi / 4)
+    logical = build_test_circuit(1, params)
+    for cmap in (_ring_map(6), _grid_map(3, 3)):
+        for qa in range(cmap.n_qubits):
+            for qb in range(cmap.n_qubits):
+                if qa == qb:
+                    continue
+                routed, span, swap_count = lower(logical, cmap, (qa, qb))
+                assert routed == _reference_lower(logical, cmap, (qa, qb))
+                assert (span, swap_count) == (span_distance(cmap, qa, qb), span - 1)
+
+
+def test_lower_counts_no_swap_without_a_two_qubit_gate():
+    c = Circuit(2, (Gate(H, (0,)), Gate(H, (1,)), Gate(MEASURE, (0, 1))))
+    routed, span, swap_count = lower(c, line_map(6), (0, 4))
+    assert (span, swap_count) == (4, 0)
+    assert gate_counts(routed) == (2, 0)
+    assert routed.measured_qubits == (0, 4)
+
+
+@pytest.mark.parametrize(
+    "placement, refused, qubits",
+    [
+        ((0, 4), (1, 2), "(1, 2)"),  # the second SWAP's coupler
+        ((4, 0), (2, 3), "(3, 2)"),
+        ((0, 4), (3, 4), "(3, 4)"),  # only the logical pair's coupler
+        ((4, 0), (0, 1), "(1, 0)"),
+    ],
+)
+def test_lower_refuses_a_two_qubit_gate_off_the_map(monkeypatch, placement, refused, qubits):
+    params = PBRParams.solve(2, np.pi / 4)
+    logical = build_test_circuit(0, params)
+    cmap = line_map(6)
+    has_edge = CouplingMap.has_edge
+    monkeypatch.setattr(
+        CouplingMap, "has_edge",
+        lambda self, a, b: (min(a, b), max(a, b)) != refused and has_edge(self, a, b),
+    )
+    message = f"two-qubit gate off the coupling map: {qubits}"
+    with pytest.raises(PathError, match=f"^{re.escape(message)}$"):
+        lower(logical, cmap, placement)
 
 
 def test_routed_gate_overhead_values():
