@@ -195,16 +195,21 @@ def cz_pairs(g: Gate) -> tuple[tuple[int, int], ...]:
     """The qubit pairs a gate is charged one CZ-equivalent on.
 
     A two-qubit gate is its own pair. An open-controlled phase on k qubits
-    gets `mcphase_cz_equivalents(k - 1)` pairs, assigned round-robin over
-    its adjacent listed pairs. Any other gate gets none. Gate counting,
-    depolarizing noise and gate durations all read this one charge.
+    gets `mcphase_cz_equivalents(k - 1)` pairs over its adjacent listed
+    pairs: each pair's count is the one dealing them round-robin gives
+    (two each, one for the last), and each pair's charges come back to
+    back, in listed order, so the noise they carry fuses into one channel
+    per pair. Any other gate gets none. Gate counting, depolarizing noise
+    and gate durations all read this one charge.
     """
     if g.kind in TWO_QUBIT_KINDS:
         return (g.qubits,)
     if g.kind != MCPHASE_OPEN:
         return ()
     pairs = tuple(zip(g.qubits, g.qubits[1:]))
-    return tuple(pairs[k % len(pairs)] for k in range(mcphase_cz_equivalents(len(pairs))))
+    total = mcphase_cz_equivalents(len(pairs))
+    # Pair j is charged once for each k < total with k % len(pairs) == j.
+    return tuple(p for j, p in enumerate(pairs) for _ in range(j, total, len(pairs)))
 
 
 def gate_counts(c: Circuit) -> tuple[int, int]:

@@ -12,11 +12,11 @@ calibration lookup comes before the first simulation. Input x's forbidden
 outcome is x itself, so each row reads its own index. Input x is input 0
 with a Z after the preparation of each qubit whose bit is set, so one
 evolution plan of the noisy circuit (`simulate._plan`), the preparation
-qubits as its frames, gives every input's distribution (`simulate._table`),
-with each measured qubit's readout confusion matrix folded into its
-population read. The (2^n, 2^m) table comes clipped and is normalized in
-one pass, and shot counts (up to 2^63 - 1, the multinomial sampler's
-int64 limit) are sampled from a per-input random stream, the one
+qubits as its frames, gives every input's distribution (`simulate._table`);
+the plan folds each measured qubit's readout confusion matrix into that
+qubit's read map once. The (2^n, 2^m) table comes clipped and is
+normalized in one pass, and shot counts (up to 2^63 - 1, the multinomial
+sampler's int64 limit) are sampled from a per-input random stream, the one
 default_rng((seed, x)) makes for input x. `_input_streams` builds every
 input's stream from PCG64 state words hashed for all inputs in one
 vectorized pass of numpy's seed hash, and keeps those words per
@@ -29,11 +29,11 @@ gives, its reference.
 A configuration judged again, under a new seed, shot count or
 confidence, repeats the same objects: the angles and input 0's circuit
 (kept per (n, theta)) and the calibration, with the same model and
-frames. So what a run builds from those alone, the tolerance pair, the
-readout confusion matrices and the noisy circuit's evolution plan, is
-kept for the last few configurations in one memo keyed on the objects'
-identity (`memo.IdentityMemo`): a repeat walks, attaches noise and plans
-once, and `bounds` and `simulate` keep nothing. A new object, even a
+frames. So what a run builds from those alone, the tolerance pair and
+the noisy circuit's evolution plan with its read maps, is kept for the
+last few configurations in one memo keyed on the objects' identity
+(`memo.IdentityMemo`): a repeat walks, attaches noise and plans once,
+and `bounds` and `simulate` keep nothing. A new object, even a
 value-equal calibration, builds afresh, and a build that raises (a
 calibration that misses a coupler) is not kept. Evolution, sampling and
 rendering run on every call, and the (2^n, 2^m) table is never kept. A
@@ -110,6 +110,11 @@ BIT_ORDER_NOTE = "qubit 0 is the most significant bit of every outcome index"
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
+def _is_integer(value) -> bool:
+    # A Python or numpy integer, and not a bool.
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 @record
 class ExperimentConfig(Record):
     """What a run simulates: size, angle, noise model, device, shots, seed, placement."""
@@ -127,7 +132,7 @@ class ExperimentConfig(Record):
     def __post_init__(self):
         for name in ("n", "shots", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValidationError(f"{name}={value!r} must be an integer")
             # numpy integers render and split into seed words as ints.
             object.__setattr__(self, name, int(value))
@@ -154,6 +159,13 @@ class ExperimentConfig(Record):
             )
         if not 0.0 < self.confidence < 1.0:
             raise ValidationError(f"confidence={self.confidence!r} outside (0, 1)")
+        if self.placement is not None:
+            pair = self.placement
+            two = isinstance(pair, (tuple, list)) and len(pair) == 2
+            if not (two and all(map(_is_integer, pair))):
+                raise ValidationError(f"placement={pair!r} must be two integers")
+            # Stored as Python ints, so the memo hashes it and the report renders it.
+            object.__setattr__(self, "placement", tuple(map(int, pair)))
         if (self.coupling is None) != (self.placement is None):
             raise ValidationError("coupling map and placement go together")
         if self.placement is not None and self.n != 2:
@@ -461,17 +473,19 @@ def _judged(fields: dict, pair, bounds, rows=(), **kind) -> ExperimentReport:
 def _configuration(
     params: PBRParams, circuit: Circuit, cal: CalibrationSnapshot, model: str, frames: tuple
 ) -> tuple:
-    """The tolerance pair, readout matrices and noisy evolution plan of a run.
+    """The tolerance pair and noisy evolution plan of a run.
 
-    Built in the order their errors surface: every calibration lookup (the
-    tolerance walk, the noise and the readout), then the forbidden-outcome
-    check, then the plan, whose CapError a wide placed span can reach.
+    The plan holds each measured qubit's read map, with its readout
+    confusion matrix folded in. Built in the order their errors surface:
+    every calibration lookup (the tolerance walk, the noise and the
+    readout), then the forbidden-outcome check, then the plan, whose
+    CapError a wide placed span can reach.
     """
     pair = tolerance_reports(params, cal, circuit)
     noisy = attach_noise(circuit, cal, model)
     mats = tuple(readout_matrix(cal.qubit(q)) for q in noisy.measured_qubits)
     check_forbidden_outcomes(params)
-    return pair, mats, _plan(noisy, frames)
+    return pair, _plan(noisy, frames, mats)
 
 
 # What the last few configurations need: both models of one that runs
@@ -485,11 +499,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # Input x flips the preparation of the qubits of its set bits: logical
     # qubit j is prepared on placement[j] when the config is placed.
     frames = cfg.placement or tuple(range(cfg.n))
-    pair, mats, plan = _CONFIGURATIONS.get(
+    pair, plan = _CONFIGURATIONS.get(
         _configuration, (params, circuit, cfg.calibration), (cfg.model, frames)
     )
     # Each measured qubit's readout error is folded into its population read.
-    dists = _table(plan, mats)
+    dists = _table(plan)
     # The table comes clipped to [0, 1]: sample_counts' normalization, once
     # for the table.
     p = _normalized(dists)
@@ -560,10 +574,16 @@ def _line_calibration(cal: CalibrationSnapshot, n_phys: int) -> CalibrationSnaps
     )
 
 
-def check_span(s: int) -> None:
-    """Raise RangeError unless a sweep span lies in 1..MAX_SPAN."""
+def check_span(s) -> int:
+    """A sweep span as a Python int; RangeError unless it is an integer in 1..MAX_SPAN.
+
+    numpy integers are accepted; bools, floats and other values are not.
+    """
+    if not _is_integer(s):
+        raise RangeError(f"span {s!r} must be an integer")
     if not 1 <= s <= MAX_SPAN:
         raise RangeError(f"span {s} is outside 1..{MAX_SPAN}")
+    return int(s)
 
 
 def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
@@ -577,9 +597,7 @@ def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
         raise ValidationError("distance sweeps run the two-qubit test")
     from .routing import line_map
 
-    spans = list(spans)
-    for s in spans:
-        check_span(s)
+    spans = [check_span(s) for s in spans]
     reports = []
     for s in spans:
         line = replace(

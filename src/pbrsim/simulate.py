@@ -41,11 +41,13 @@ measured qubit's readout confusion matrix, when given, is multiplied
 into the (2 x 4) map that reads its populations.
 
 `outcome_distributions` is two steps. `_plan` derives everything that
-depends only on the circuit and its frames: the walk over the gates, the
-branched frames, the frame-row read and the schedule (steps, suffixes,
-peak width and final axis order). `_table` evolves a plan's rows, folds
-in the readout, reads the populations and orders the rows. This module
-keeps neither: `harness.run_experiment` keeps the plan of a
+depends only on the circuit, its frames and its readout matrices: the
+walk over the gates, the branched frames, the frame-row read, the
+schedule (steps, peak width and final axis order) and each kept qubit's
+read map (its suffix's population rows, then its confusion matrix, then
+its frame's signs when its frame is read). `_table` only evolves a
+plan's rows, contracts them with the read maps and orders the rows. This
+module keeps neither: `harness.run_experiment` keeps the plan of a
 configuration that runs again, and the (2^F, 2^m) table is never kept
 (at n = 12 it holds 128 MB).
 
@@ -271,15 +273,15 @@ def _frame_operator(j: int, count: int) -> np.ndarray:
 
 def _schedule(
     w: tuple, keep: tuple[int, ...], frames: tuple[int, ...]
-) -> tuple[list, list, int, list | None]:
+) -> tuple[tuple, tuple]:
     # One lifetime schedule serves every row, each frame a per-row operator
     # right after the first gate on its qubit, at that gate's position.
-    # Returns the steps, each kept qubit's suffix operator (None if it has
-    # none), the peak live width and the transpose that puts the kept qubits
-    # in `keep` order (None if they are in that order). A step is a (k, 2, 2)
-    # joining state, [operator, axes], or the state axis of a qubit to trace
-    # out; consecutive operators on the same axes are fused into one. `w` is
-    # the circuit's `_walk`.
+    # Returns the schedule that `_chunks` evolves (the steps, the peak live
+    # width and the transpose that puts the kept qubits in `keep` order, None
+    # if they are in that order) and each kept qubit's suffix operator (None
+    # if it has none). A step is a (k, 2, 2) joining state, [operator, axes],
+    # or the state axis of a qubit to trace out; consecutive operators on the
+    # same axes are fused into one. `w` is the circuit's `_walk`.
     c, gates, start, first, last = w
     kept = set(keep)
     width = len(kept.union(start))
@@ -334,16 +336,14 @@ def _schedule(
     if live != list(keep):
         perm = [live.index(q) for q in keep]
         axes = [0] + [1 + p for p in perm] + [1 + n + p for p in perm]
-    return tuple(steps), tuple(suffix.get(q) for q in keep), max(peak, n), axes
+    return (tuple(steps), max(peak, n), axes), tuple(suffix.get(q) for q in keep)
 
 
-def _chunks(schedule: tuple, total: int) -> Iterator[tuple[np.ndarray, list]]:
-    # Evolves `total` rows of a `_schedule` chunk by chunk in row order.
-    # Yields each chunk's (b, 2^m, 2^m) states on the kept qubits before
-    # their suffixes, and the suffix operators, each sliced to the chunk's
-    # rows (None where none).
-    steps, suffix, peak, axes = schedule
-    m = len(suffix)
+def _chunks(schedule: tuple, total: int) -> Iterator[np.ndarray]:
+    # Evolves `total` rows of a `_schedule` schedule chunk by chunk in row
+    # order. Yields each chunk's (b, 2^m, 2^m) states on the kept qubits,
+    # in `keep` order, before their suffixes.
+    steps, peak, axes = schedule
     chunk = max(1, CHUNK_ENTRIES // 4**peak)
     for start in range(0, total, chunk):
         stop = min(total, start + chunk)
@@ -361,38 +361,51 @@ def _chunks(schedule: tuple, total: int) -> Iterator[tuple[np.ndarray, list]]:
             else:
                 rho = _join(rho, rows(step))
         if axes is not None:
+            m = rho.shape[1].bit_length() - 1
             t = rho.reshape((stop - start,) + (2,) * (2 * m)).transpose(axes)
             rho = t.reshape(stop - start, 2**m, 2**m)
-        yield rho, [None if s is None else rows(s) for s in suffix]
+        yield rho
 
 
-def _populations(mats: np.ndarray, suffix: list, readout: list, framed=frozenset()) -> np.ndarray:
-    # Outcome probabilities of a (b, 2^m, 2^m) stack after each qubit's suffix
-    # and readout, the first qubit most significant, clipped to [0, 1]. A
-    # suffix's populations read only rows 0 and 3 of its superoperator, so
-    # each qubit's row and column axes (4 entries) map to its 2 populations,
-    # which its confusion matrix (if any) then mixes: one (2 x 4) @ (4 x rest)
-    # product per qubit. A diagonal suffix is a phase and leaves the
-    # populations alone. The qubits at the positions in `framed` carry a Z
-    # frame into their suffix: each is read twice, the second time with its
-    # map's coherence columns negated, and adds a bit after those of the row
-    # index.
-    b, m = len(mats), len(suffix)
-    # Each qubit's row and column axes side by side, the first qubit's first.
-    axes = (0,) + tuple(a for i in range(m) for a in (1 + i, 1 + m + i))
-    t = mats.reshape((b,) + (2,) * (2 * m)).transpose(axes)
+def _reads(suffix: tuple, readout: list, framed: frozenset) -> tuple:
+    # Each kept qubit's read map, from its row and column axes (4 entries)
+    # to its outcomes. A suffix's populations read only rows 0 and 3 of its
+    # superoperator: a (1, 2, 4) map, which a diagonal suffix (a phase)
+    # leaves as the identity's rows. The qubit's confusion matrix, if any,
+    # then mixes them. A qubit at a position in `framed` carries a Z frame
+    # into its suffix and is read twice, the second time with the map's
+    # coherence columns negated: one (4 x 4) map, the frame bit first.
+    # Every suffix operator serves all rows alike: a branched frame meets a
+    # later operator on its qubit, so it lies before the qubit's suffix.
+    reads = []
     for i, op in enumerate(suffix):
-        t = t.reshape(len(t), 4, -1)
         read = _POPULATION_ROWS if op is None or op.ndim == 2 else op[:, ::3].copy()
         if readout:
             read = np.matmul(readout[i][None], read)
         if i in framed:
-            # One (4 x 4) map: the read, then the read with Z's signs.
-            t = np.matmul((read * _FRAME_SIGNS).reshape(4, 4), t).reshape(-1, 2, t.shape[-1])
-        else:
-            t = np.matmul(read, t)
+            read = (read * _FRAME_SIGNS).reshape(4, 4)
+        reads.append(read)
+    return tuple(reads)
+
+
+def _populations(mats: np.ndarray, reads: tuple) -> np.ndarray:
+    # Outcome probabilities of a (b, 2^m, 2^m) stack through each qubit's
+    # read map, the first qubit most significant, clipped to [0, 1]: one
+    # (r x 4) @ (4 x rest) product per qubit. A (4 x 4) map's frame bit
+    # goes after those of the row index.
+    b, m = len(mats), len(reads)
+    # Each qubit's row and column axes side by side, the first qubit's first.
+    axes = (0,) + tuple(a for i in range(m) for a in (1 + i, 1 + m + i))
+    t = mats.reshape((b,) + (2,) * (2 * m)).transpose(axes)
+    for read in reads:
+        # Rebound before the product, which then holds two live arrays, not three.
+        t = t.reshape(len(t), 4, -1)
+        t = np.matmul(read, t)
+        if read.ndim == 2:
+            t = t.reshape(-1, 2, t.shape[-1])
         t = t.transpose(0, 2, 1)
-    return t.reshape(len(t), -1).real.clip(0.0, 1.0)
+    # The real parts before the reshape's copy: it copies floats, not complex.
+    return t.real.reshape(len(t), -1).clip(0.0, 1.0)
 
 
 def _frame_rows(
@@ -400,7 +413,7 @@ def _frame_rows(
 ) -> tuple[frozenset, np.ndarray | None]:
     # How the read of the rows branched on `branched` serves the 2^F framed
     # inputs: the positions in `keep` of the read frames (the unbranched ones
-    # on kept qubits), which `_populations` reads twice, and the read's row
+    # on kept qubits), which `_reads` reads twice, and the read's row
     # for each input. The read's rows count the branched frames in `frames`
     # order, then the read frames in `keep` order, the first most significant;
     # any other frame changes no row. The row index is None when it is the
@@ -417,28 +430,27 @@ def _frame_rows(
     return framed, index
 
 
-def _plan(c: Circuit, frames: tuple[int, ...]) -> tuple:
-    # Everything `_table` reads of the circuit and its frames: the kept
-    # qubits, the branched frames, how the read's rows serve the inputs
-    # (`_frame_rows`) and the schedule.
+def _plan(c: Circuit, frames: tuple[int, ...], readout=()) -> tuple:
+    # Everything `_table` reads of the circuit, its frames and its readout,
+    # built once: the branched frames, each kept qubit's read map
+    # (`_reads`), the read's row for each input (`_frame_rows`) and the
+    # schedule.
     keep = c.measured_qubits or tuple(range(c.n_qubits))
     w = _walk(c, frames)
-    branched = _branched(w, keep, frames)
-    return keep, branched, *_frame_rows(keep, frames, branched), _schedule(w, keep, branched)
-
-
-def _table(plan: tuple, readout=()) -> np.ndarray:
-    # A plan's (2^F, 2^m) table: its rows evolved, each measured qubit's
-    # readout matrix folded into its population read, the rows in input order.
-    keep, branched, framed, index, schedule = plan
     readout = [np.asarray(r, dtype=float) for r in readout]
     if readout and (len(readout) != len(keep) or any(r.shape != (2, 2) for r in readout)):
         raise ValueError(f"readout needs one (2, 2) matrix for each of {len(keep)} measured qubits")
+    branched = _branched(w, keep, frames)
+    framed, index = _frame_rows(keep, frames, branched)
+    schedule, suffix = _schedule(w, keep, branched)
+    return branched, _reads(suffix, readout, framed), index, schedule
+
+
+def _table(plan: tuple) -> np.ndarray:
+    # A plan's (2^F, 2^m) table: its rows evolved and read, in input order.
+    branched, reads, index, schedule = plan
     probs = np.concatenate(
-        [
-            _populations(rho, suffix, readout, framed)
-            for rho, suffix in _chunks(schedule, 2 ** len(branched))
-        ]
+        [_populations(rho, reads) for rho in _chunks(schedule, 2 ** len(branched))]
     )
     return probs if index is None else probs[index]
 
@@ -458,7 +470,7 @@ def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
     qubits of the circuit that some gate acts on, and readout must give
     none or one matrix per measured qubit, or ValueError is raised.
     """
-    return _table(_plan(c, tuple(int(q) for q in frames)), readout)
+    return _table(_plan(c, tuple(int(q) for q in frames), readout))
 
 
 def outcome_distribution(c: Circuit) -> np.ndarray:

@@ -30,10 +30,15 @@ def evolve(c: Circuit, keep: tuple[int, ...], frames=()) -> Iterator[np.ndarray]
     kept qubit's suffix applied.
     """
     frames = tuple(frames)
-    for rho, suffix in _chunks(_schedule(_walk(c, frames), keep, frames), 2 ** len(frames)):
+    schedule, suffix = _schedule(_walk(c, frames), keep, frames)
+    start = 0
+    for rho in _chunks(schedule, 2 ** len(frames)):
         for i, op in enumerate(suffix):
             if op is not None:
-                rho = _apply(rho, op, (i,), len(keep))
+                # A suffix holds one operator for every row, or one per row.
+                rows = op if len(op) == 1 else op[start : start + len(rho)]
+                rho = _apply(rho, rows, (i,), len(keep))
+        start += len(rho)
         yield rho
 
 

@@ -26,6 +26,7 @@ from pbrsim.harness import (
     ExperimentConfig,
     InputResult,
     analytic_report,
+    check_span,
     render_csv,
     render_doc,
     render_json,
@@ -340,9 +341,9 @@ def record_evolved_rows(monkeypatch):
     real = pbrsim.simulate._chunks
 
     def counted(schedule, total):
-        for rho, suffix in real(schedule, total):
+        for rho in real(schedule, total):
             rows.append(len(rho))
-            yield rho, suffix
+            yield rho
 
     monkeypatch.setattr(pbrsim.simulate, "_chunks", counted)
     return rows
@@ -391,7 +392,7 @@ def test_placed_run_evolves_two_rows(model, monkeypatch):
 def _run_on_table(monkeypatch, table, shots, seed):
     """run_experiment at n = log2(rows) with the noisy table replaced."""
     n = len(table).bit_length() - 1
-    monkeypatch.setattr(pbrsim.harness, "_table", lambda plan, readout: table)
+    monkeypatch.setattr(pbrsim.harness, "_table", lambda plan: table)
     cfg = ExperimentConfig(
         n=n, theta=theta_min(n), model=DEPOLARIZING,
         calibration=all_pairs_calibration(n), shots=shots, seed=seed,
@@ -650,8 +651,46 @@ def test_sweep_distance_validation(monkeypatch):
     for spans in ((0, 1), (1, 1001), (154, 10**8)):
         with pytest.raises(RangeError):
             sweep_distance(cfg, spans)
+    # A bool used to run as span 1 and render as `true` in the placement; a
+    # float raised a bare TypeError.
+    for spans in ([True], [2.0], [1, np.float64(2)], [np.bool_(True)], ["2"], [None]):
+        with pytest.raises(RangeError, match=r"^span .* must be an integer$"):
+            sweep_distance(cfg, spans)
     with pytest.raises(ValidationError, match=r"^distance sweeps run the two-qubit test$"):
         sweep_distance(replace(cfg, n=3, theta=1.0), (1,))
+
+
+def test_sweep_runs_numpy_integer_spans_as_ints():
+    cfg = ExperimentConfig(
+        n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=line_calibration(4),
+        shots=100, seed=0,
+    )
+    assert type(check_span(np.int64(2))) is int
+    text = render_sweep_json(sweep_distance(cfg, [np.int64(2)]))
+    assert text == render_sweep_json(sweep_distance(cfg, [2]))
+    assert json.loads(text)["reports"][0]["routing"]["placement"] == [0, 2]
+
+
+def test_placement_is_two_integers_stored_as_ints():
+    # A list used to fail inside the run memo (unhashable), numpy ints failed
+    # to render, a bool rendered as `true`, and three qubits failed to unpack.
+    line = line_map(4)
+    base = dict(
+        n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=line_calibration(4),
+        shots=100, seed=1, coupling=line,
+    )
+    expected = render_json(run_experiment(ExperimentConfig(**base, placement=(0, 3))))
+    for placement in ([0, 3], (np.int64(0), np.int64(3)), (np.uint8(0), 3)):
+        cfg = ExperimentConfig(**base, placement=placement)
+        assert cfg.placement == (0, 3) and all(type(q) is int for q in cfg.placement)
+        assert render_json(run_experiment(cfg)) == expected
+    refused = (
+        (True, 3), (0, np.bool_(False)), (0.0, 3), (0, 3.0), ("0", "3"), "03", b"\x00\x03",
+        (0,), (0, 3, 1), [], 3, {0: 3},
+    )
+    for placement in refused:
+        with pytest.raises(ValidationError, match=r"^placement=.* must be two integers$"):
+            ExperimentConfig(**base, placement=placement)
 
 
 def stdlib_render(doc) -> str:

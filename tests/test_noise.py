@@ -302,8 +302,9 @@ def test_attach_noise_depolarizing_counts():
 @pytest.mark.parametrize("k", range(2, 7))
 def test_open_controlled_phase_is_charged_once(k):
     # Gate counting, depolarizing noise and the gate's duration read one
-    # stand-in charge, on adjacent listed pairs round-robin. The duration
-    # is the default CZ's, whatever the couplers say.
+    # stand-in charge on adjacent listed pairs: as many on each as dealing
+    # them round-robin gives, each pair's back to back in listed order. The
+    # duration is the default CZ's, whatever the couplers say.
     cal = uniform_calibration(k, p2=1e-3, two=100e-9)
     qubits = tuple(int(q) for q in np.random.default_rng(k).permutation(k))
     gate = Gate(MCPHASE_OPEN, qubits, angle=0.7)
@@ -313,7 +314,8 @@ def test_open_controlled_phase_is_charged_once(k):
     pairs = [g.qubits for g in noisy[1:] if g.kind == NOISE and len(g.qubits) == 2]
     assert len(noisy) == 1 + len(pairs)
     adjacent = list(zip(qubits, qubits[1:]))
-    assert pairs == [adjacent[j % len(adjacent)] for j in range(len(pairs))]
+    dealt = [adjacent[j % len(adjacent)] for j in range(len(pairs))]
+    assert pairs == sorted(dealt, key=adjacent.index)
     charge = mcphase_cz_equivalents(k - 1)
     assert gate_counts(c) == (0, charge)
     assert len(pairs) == charge

@@ -1,12 +1,14 @@
 """Circuit evolution: qubit lifetimes and Z frames against a dense reference, cap, marginals, ordering."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pbrsim.harness
+import pbrsim.noise
 import pbrsim.simulate
 from dense_reference import dense_distribution, dense_state
 from pbrsim.circuits import (
@@ -24,8 +26,10 @@ from pbrsim.circuits import (
     RZ,
     SX,
     X,
+    cz_pairs,
     decompose_swap,
 )
+from pbrsim.config import mcphase_cz_equivalents
 from pbrsim.errors import CalibrationError, CapError
 from pbrsim.harness import ExperimentConfig, run_experiment, sweep_distance
 from pbrsim.noise import (
@@ -51,6 +55,7 @@ from pbrsim.simulate import (
     _kernel_axes,
     _operator,
     _operators,
+    _plan,
     _table,
     _walk,
     _z_covariant,
@@ -182,9 +187,9 @@ def record_evolved_rows(monkeypatch):
     real = pbrsim.simulate._chunks
 
     def counted(schedule, total):
-        for rho, suffix in real(schedule, total):
+        for rho in real(schedule, total):
             rows.append(len(rho))
-            yield rho, suffix
+            yield rho
 
     monkeypatch.setattr(pbrsim.simulate, "_chunks", counted)
     return rows
@@ -486,11 +491,12 @@ def test_mcphase_up_to_six_qubits_matches_dense_reference():
             assert np.abs(final_state(template) - dense_state(template)).max() < DIFF_TOL
 
 
-@pytest.mark.parametrize("model, per_chunk", [("ideal", 1), ("depolarizing", 8), ("thermodynamical", 1)])
+@pytest.mark.parametrize("model, per_chunk", [("ideal", 1), ("depolarizing", 5), ("thermodynamical", 1)])
 def test_fused_schedule_kernel_calls_per_chunk(model, per_chunk, monkeypatch):
     # n=5: only the MCPHASE_OPEN and, under the depolarizing model, its seven
-    # two-qubit channels reach the kernel. The single-qubit operators before
-    # it build each qubit's joining state, those after it are read for their
+    # two-qubit channels reach the kernel, each adjacent pair's back to back
+    # and fused into one: four. The single-qubit operators before it build
+    # each qubit's joining state, those after it are read for their
     # populations only. Every frame reaches its suffix, so the 32 inputs are
     # one evolved row: one chunk.
     params = PBRParams.solve(5, theta_min(5))
@@ -501,6 +507,104 @@ def test_fused_schedule_kernel_calls_per_chunk(model, per_chunk, monkeypatch):
     assert outcome_distributions(circuit, range(5)).shape == (32, 32)
     assert len(calls) == per_chunk
     assert all(k == 1 and n == 5 for _, k, n in calls)
+
+
+def round_robin_pairs(g):
+    """`circuits.cz_pairs` with an open-controlled phase's charges dealt round-robin."""
+    if g.kind != MCPHASE_OPEN:
+        return cz_pairs(g)
+    pairs = tuple(zip(g.qubits, g.qubits[1:]))
+    return tuple(pairs[k % len(pairs)] for k in range(mcphase_cz_equivalents(len(pairs))))
+
+
+def round_robin_noise(circuit, cal, monkeypatch):
+    """`circuit` under depolarizing noise, its charges in round-robin order.
+
+    The same channels as `attach_noise` gives, the two-qubit ones after an
+    open-controlled phase interleaved instead of grouped by pair.
+    """
+    with monkeypatch.context() as m:
+        m.setattr(pbrsim.noise, "cz_pairs", round_robin_pairs)
+        return attach_noise(circuit, cal, "depolarizing")
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_grouped_charges_match_round_robin_reference(n, monkeypatch):
+    # Depolarizing channels are Pauli channels, which commute: grouping each
+    # pair's charges changes only the float roundoff of the table.
+    params = PBRParams.solve(n, theta_min(n))
+    cal = varied_calibration(n, seed=20 + n)
+    grouped = attach_noise(params.test_circuit, cal, "depolarizing")
+    reference = round_robin_noise(params.test_circuit, cal, monkeypatch)
+    assert grouped.gates != reference.gates
+    assert sorted(map(repr, grouped.gates)) == sorted(map(repr, reference.gates))
+    misread = [replace(q, readout_p01=0.02, readout_p10=0.03) for q in cal.qubits]
+    mats = [readout_matrix(q) for q in misread]
+    got = outcome_distributions(grouped, range(n), mats)
+    want = outcome_distributions(reference, range(n), mats)
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def test_grouped_charges_keep_seeded_counts_and_verdicts(monkeypatch):
+    # A run whose noise is attached round-robin draws the same counts and
+    # gives the same verdicts; its exact probabilities agree to 1e-15.
+    for n in range(3, 8):
+        cfg = ExperimentConfig(
+            n=n, theta=theta_min(n), model="depolarizing",
+            calibration=varied_calibration(n, seed=30 + n), shots=10**6, seed=n,
+        )
+        pbrsim.harness._CONFIGURATIONS.clear()
+        got = run_experiment(cfg)
+        pbrsim.harness._CONFIGURATIONS.clear()
+        with monkeypatch.context() as m:
+            m.setattr(pbrsim.noise, "cz_pairs", round_robin_pairs)
+            want = run_experiment(cfg)
+        pbrsim.harness._CONFIGURATIONS.clear()
+        assert [r.count for r in got.inputs] == [r.count for r in want.inputs]
+        assert [r.passed for r in got.inputs] == [r.passed for r in want.inputs]
+        assert (got.passed, got.pass_fraction) == (want.passed, want.pass_fraction)
+        exact = [(a.exact_probability, b.exact_probability) for a, b in zip(got.inputs, want.inputs)]
+        assert max(abs(a - b) for a, b in exact) <= 1e-15
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_grouped_charges_take_one_kernel_step_per_pair(k, monkeypatch):
+    # At n = k the open-controlled phase and one fused channel on each of
+    # its k - 1 adjacent pairs reach the kernel: k steps, where the
+    # round-robin order took 1 + (2k - 3), as no two neighbours share axes.
+    params = PBRParams.solve(k, theta_min(k))
+    cal = varied_calibration(k, seed=k)
+    reference = round_robin_noise(params.test_circuit, cal, monkeypatch)
+    grouped = attach_noise(params.test_circuit, cal, "depolarizing")
+    calls = record_kernel_calls(monkeypatch)
+    outcome_distributions(grouped, range(k))
+    assert len(calls) == k
+    assert [ndim for ndim, _, _ in calls] == [2] + [3] * (k - 1)
+    calls.clear()
+    outcome_distributions(reference, range(k))
+    assert len(calls) == 1 + mcphase_cz_equivalents(k - 1)
+
+
+def test_table_peak_memory_at_n10():
+    # Evolution and the read each hold at most three states at once: the
+    # state, the copy a product reads and the product (48 MB at n = 10).
+    # Reading a qubit from a fresh reshape of a state still held, or copying
+    # the last complex product before taking its real parts, holds half a
+    # state more or worse. The bound is below 3.5 states plus the table.
+    n = 10
+    params = PBRParams.solve(n, theta_min(n))
+    cal = uniform_calibration(n, p1=1e-4, p2=1e-3, p01=0.01, p10=0.02)
+    noisy = attach_noise(params.test_circuit, cal, "depolarizing")
+    plan = _plan(noisy, tuple(range(n)), [readout_matrix(cal.qubit(q)) for q in range(n)])
+    state, table = 16 * 4**n, 8 * 4**n
+    tracemalloc.start()
+    try:
+        got = _table(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == table
+    assert peak <= 3.25 * state
 
 
 def reduced_state(rho, keep):
@@ -748,7 +852,7 @@ def test_cached_operator_equals_a_fresh_build():
 def kept_plan(params, circuit, cal, model, frames):
     """The evolution plan a run keeps for this configuration, built on a miss."""
     key = (params, circuit, cal), (model, tuple(frames))
-    return pbrsim.harness._CONFIGURATIONS.get(pbrsim.harness._configuration, *key)[2]
+    return pbrsim.harness._CONFIGURATIONS.get(pbrsim.harness._configuration, *key)[1]
 
 
 @pytest.fixture
@@ -847,9 +951,9 @@ def test_angle_scan_keeps_every_noisy_plan_and_no_ideal_one(builds, monkeypatch)
     counting = pbrsim.simulate._schedule
 
     def recording(w, keep, frames):
-        schedule = counting(w, keep, frames)
+        schedule, suffix = counting(w, keep, frames)
         schedules.append((w[0], schedule))
-        return schedule
+        return schedule, suffix
 
     monkeypatch.setattr(pbrsim.simulate, "_schedule", recording)
     cal = varied_calibration(3, seed=4)
@@ -860,7 +964,7 @@ def test_angle_scan_keeps_every_noisy_plan_and_no_ideal_one(builds, monkeypatch)
     assert builds == {"attach_noise": 4, "_schedule": 6}
     ideal = [s for c, s in schedules if not any(g.kind == NOISE for g in c.gates)]
     assert len(ideal) == 2
-    kept = [plan[4] for _, (_, _, plan) in pbrsim.harness._CONFIGURATIONS.items()]
+    kept = [plan[3] for _, (_, plan) in pbrsim.harness._CONFIGURATIONS.items()]
     assert len(kept) == 4
     assert not any(k is s for k in kept for s in ideal)
 
@@ -877,34 +981,45 @@ def test_kept_plan_and_readout_arrays_are_read_only(builds):
         coupling=line, placement=(0, 3),
     ))
     arrays = arrays_in([value for _, value in pbrsim.harness._CONFIGURATIONS.items()])
-    # Steps, suffixes, the routed pair's frame operator, and readout matrices.
+    # Steps, the routed pair's frame operator, and read maps with readout folded in.
     assert len(arrays) > 20
     assert not any(a.flags.writeable for a in arrays)
 
 
 def test_kept_plan_gives_the_freshly_built_table():
+    # The kept plan folds the calibration's readout matrices into its read
+    # maps; a fresh build folds them in from the readout argument.
     rng = np.random.default_rng(8)
 
-    def confusion(m):
-        return [np.array([[1 - b, a], [b, 1 - a]]) for a, b in rng.uniform(0.01, 0.1, size=(m, 2))]
+    def misread(cal):
+        """`cal` with every qubit's readout flips drawn afresh."""
+        flips = rng.uniform(0.01, 0.1, size=(len(cal.qubits), 2))
+        qubits = tuple(
+            replace(q, readout_p01=float(a), readout_p10=float(b))
+            for q, (a, b) in zip(cal.qubits, flips)
+        )
+        return replace(cal, qubits=qubits)
 
     cases = []
     for n in range(2, 7):
-        cal = varied_calibration(n, seed=n)
+        cal = misread(varied_calibration(n, seed=n))
         params = PBRParams.solve(n, theta_min(n))
         for model in NOISE_MODELS:
-            cases.append((params, params.test_circuit, cal, model, range(n), confusion(n)))
+            cases.append((params, params.test_circuit, cal, model, range(n)))
     params = PBRParams.solve(2, 1.0)
     routed = lower(params.test_circuit, line_map(6), (0, 5))[0]
-    cal = varied_calibration(6, seed=7)
+    cal = misread(varied_calibration(6, seed=7))
     for model in NOISE_MODELS:
-        cases.append((params, routed, cal, model, (0, 5), confusion(2)))
-    for params, circuit, cal, model, frames, mats in cases:
+        cases.append((params, routed, cal, model, (0, 5)))
+    for params, circuit, cal, model, frames in cases:
         pbrsim.harness._CONFIGURATIONS.clear()
-        fresh = outcome_distributions(attach_noise(circuit, cal, model), frames, mats)
+        noisy = attach_noise(circuit, cal, model)
+        mats = [readout_matrix(cal.qubit(q)) for q in noisy.measured_qubits]
+        assert not any(np.array_equal(m, np.eye(2)) for m in mats)
+        fresh = outcome_distributions(noisy, frames, mats)
         plan = kept_plan(params, circuit, cal, model, frames)
         assert kept_plan(params, circuit, cal, model, frames) is plan
-        assert np.array_equal(_table(plan, mats), fresh)
+        assert np.array_equal(_table(plan), fresh)
 
 
 def test_kept_plan_at_n11_holds_the_shared_phase_vector(monkeypatch):
@@ -1012,17 +1127,17 @@ def test_frame_row_index_is_cached_read_only_and_shared():
         return kept_plan(params, circuit, cal, "depolarizing", frames)
 
     one = outcome_distributions(attach_noise(c, cal, "depolarizing"), frames)
-    index = kept(c)[3]
+    index = kept(c)[2]
     assert index is not None and not index.flags.writeable
     with pytest.raises(ValueError):
         index[0] = 1
     assert np.array_equal(_table(kept(c)), one)
-    assert kept(c)[3] is index
+    assert kept(c)[2] is index
     other = Circuit(4, (Gate(PHASE, (3,), angle=0.2),) + c.gates)
     two = _table(kept(other))
     assert one.shape == two.shape == (8, 8)
-    assert kept(other)[3] is not index
-    assert np.array_equal(kept(other)[3], index)
+    assert kept(other)[2] is not index
+    assert np.array_equal(kept(other)[2], index)
 
 
 def test_module_level_arrays_are_read_only():
