@@ -14,9 +14,10 @@ with a Z after the preparation of each qubit whose bit is set, so one
 evolution plan of the noisy circuit (`simulate._plan`), the preparation
 qubits as its frames, gives every input's distribution (`simulate._table`);
 the plan folds each measured qubit's readout confusion matrix into that
-qubit's read map once. The (2^n, 2^m) table comes clipped and is
-normalized in one pass, and shot counts (up to 2^63 - 1, the multinomial
-sampler's int64 limit) are sampled from a per-input random stream, the one
+qubit's read map once. The (2^n, 2^m) table comes clipped; its diagonal
+gives the exact forbidden probabilities, and it is normalized in one
+pass. Shot counts (up to 2^63 - 1, the multinomial sampler's int64
+limit) are sampled from a per-input random stream, the one
 default_rng((seed, x)) makes for input x. `_input_streams` builds every
 input's stream from PCG64 state words hashed for all inputs in one
 vectorized pass of numpy's seed hash, and keeps those words per
@@ -29,16 +30,23 @@ gives, its reference.
 A configuration judged again, under a new seed, shot count or
 confidence, repeats the same objects: the angles and input 0's circuit
 (kept per (n, theta)) and the calibration, with the same model and
-frames. So what a run builds from those alone, the tolerance pair and
-the noisy circuit's evolution plan with its read maps, is kept for the
-last few configurations in one memo keyed on the objects' identity
-(`memo.IdentityMemo`): a repeat walks, attaches noise and plans once,
-and `bounds` and `simulate` keep nothing. A new object, even a
-value-equal calibration, builds afresh, and a build that raises (a
-calibration that misses a coupler) is not kept. Evolution, sampling and
-rendering run on every call, and the (2^n, 2^m) table is never kept. A
-placed run lowers afresh, so its new circuit misses; a one-shot
-`pbrsim run` gains nothing.
+frames. Its exact probabilities depend on those alone, so what a run
+builds from them, the tolerance pair, the normalized table, the exact
+forbidden probabilities and their mean, is kept for the last few
+configurations in one memo keyed on the objects' identity
+(`memo.IdentityMemo`): a configuration walks, attaches noise, plans and
+evolves once, and a repeat only draws, judges and renders; `bounds` and
+`simulate` keep nothing. The plan is dropped once its table is read. A
+table is kept only up to the bytes of one evolution chunk (16 *
+CHUNK_ENTRIES, 128 KiB: n <= 7), so the memo holds at most 512 KiB. Past
+n = 7 each call builds its configuration again: a table's evolution
+costs far more than the rest of its rebuild, and a kept table of the
+other model would add its whole size to a wide run's peak memory (at n =
+12 it holds 128 MB). A new object, even a value-equal calibration,
+builds afresh, and a build that raises (a calibration that misses a
+coupler, a row that sums to zero) is not kept and raises again on the
+next call. A placed run lowers afresh, so its new circuit misses; a
+one-shot `pbrsim run` gains nothing.
 
 `sweep_distance` builds one homogenized line config per span; spans
 needing more physical qubits than the cap get analytic reports, whose
@@ -100,7 +108,7 @@ from .noise import (
 )
 from .protocol import PBRParams, check_forbidden_outcomes, solved
 from .records import Record, record
-from .simulate import _plan, _table
+from .simulate import CHUNK_ENTRIES, _plan, _table
 
 if TYPE_CHECKING:
     from .routing import CouplingMap
@@ -166,6 +174,13 @@ class ExperimentConfig(Record):
                 raise ValidationError(f"placement={pair!r} must be two integers")
             # Stored as Python ints, so the memo hashes it and the report renders it.
             object.__setattr__(self, "placement", tuple(map(int, pair)))
+        if self.coupling is not None:
+            from .routing import CouplingMap  # routing loads only for placed runs
+
+            if not isinstance(self.coupling, CouplingMap):
+                raise ValidationError(
+                    f"coupling must be a CouplingMap, not {type(self.coupling).__name__}"
+                )
         if (self.coupling is None) != (self.placement is None):
             raise ValidationError("coupling map and placement go together")
         if self.placement is not None and self.n != 2:
@@ -473,24 +488,34 @@ def _judged(fields: dict, pair, bounds, rows=(), **kind) -> ExperimentReport:
 def _configuration(
     params: PBRParams, circuit: Circuit, cal: CalibrationSnapshot, model: str, frames: tuple
 ) -> tuple:
-    """The tolerance pair and noisy evolution plan of a run.
+    """The tolerance pair and the exact numbers a run samples from.
 
-    The plan holds each measured qubit's read map, with its readout
-    confusion matrix folded in. Built in the order their errors surface:
-    every calibration lookup (the tolerance walk, the noise and the
-    readout), then the forbidden-outcome check, then the plan, whose
-    CapError a wide placed span can reach.
+    Built in the order their errors surface: every calibration lookup
+    (the tolerance walk, the noise and the readout), then the
+    forbidden-outcome check, then the plan, whose CapError a wide placed
+    span can reach, and its table, whose rows must not sum to zero. The
+    plan folds each measured qubit's readout confusion matrix into its
+    read map, and is dropped once the table is read. Returns the pair,
+    the normalized table, each input's exact forbidden probability (the
+    clipped table's diagonal) and their mean.
     """
     pair = tolerance_reports(params, cal, circuit)
     noisy = attach_noise(circuit, cal, model)
     mats = tuple(readout_matrix(cal.qubit(q)) for q in noisy.measured_qubits)
     check_forbidden_outcomes(params)
-    return pair, _plan(noisy, frames, mats)
+    table = _table(_plan(noisy, frames, mats))
+    exact = tuple(table.diagonal().tolist())
+    # The table comes clipped to [0, 1]: sample_counts' normalization, once
+    # for the table.
+    return pair, _normalized(table), exact, float(np.mean(exact))
 
 
 # What the last few configurations need: both models of one that runs
-# again. A placed run routes afresh, so its new circuit object misses.
-_CONFIGURATIONS = IdentityMemo(4)
+# again. A placed run routes afresh, so its new circuit object misses. A
+# table larger than one evolution chunk's bytes (past n = 7) is not kept:
+# its evolution costs far more than its rebuild's other steps, and a kept
+# table of the other model would stay alive beside the next run's.
+_CONFIGURATIONS = IdentityMemo(4, max_bytes=16 * CHUNK_ENTRIES)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -499,15 +524,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # Input x flips the preparation of the qubits of its set bits: logical
     # qubit j is prepared on placement[j] when the config is placed.
     frames = cfg.placement or tuple(range(cfg.n))
-    pair, plan = _CONFIGURATIONS.get(
+    pair, p, exact, mean = _CONFIGURATIONS.get(
         _configuration, (params, circuit, cfg.calibration), (cfg.model, frames)
     )
-    # Each measured qubit's readout error is folded into its population read.
-    dists = _table(plan)
-    # The table comes clipped to [0, 1]: sample_counts' normalization, once
-    # for the table.
-    p = _normalized(dists)
-    exact = dists.diagonal().tolist()
     # ExperimentConfig has checked shots >= 1 and the confidence level.
     shots, z = cfg.shots, _wilson_z(cfg.confidence)
     rows = []
@@ -520,7 +539,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         [row[-1] for row in rows],
         rows,
         analytic_only=False,
-        mean_forbidden_exact=float(np.mean(exact)),
+        mean_forbidden_exact=mean,
         predicted_error=None,
     )
 

@@ -47,9 +47,9 @@ schedule (steps, peak width and final axis order) and each kept qubit's
 read map (its suffix's population rows, then its confusion matrix, then
 its frame's signs when its frame is read). `_table` only evolves a
 plan's rows, contracts them with the read maps and orders the rows. This
-module keeps neither: `harness.run_experiment` keeps the plan of a
-configuration that runs again, and the (2^F, 2^m) table is never kept
-(at n = 12 it holds 128 MB).
+module keeps neither: `harness.run_experiment` keeps the normalized table
+of a configuration that runs again, up to one chunk's bytes, and drops
+the plan once the table is read.
 
 A stack of b states on w live qubits is a (b, 2^w, 2^w) array; viewed as
 (b,) + (2,) * 2w, live qubit i is row axis 1 + i and column axis 1 + w + i.
@@ -76,7 +76,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .circuits import DIAGONAL_KINDS, Circuit, Gate, MEASURE, NOISE, X, gate_diagonal, gate_unitary
-from .config import SIMULATION_QUBIT_CAP
+from .config import ATOL_ALGEBRAIC, SIMULATION_QUBIT_CAP
 from .errors import CapError
 from .states import KrausChannel, check_phases, check_unitary
 
@@ -440,6 +440,18 @@ def _plan(c: Circuit, frames: tuple[int, ...], readout=()) -> tuple:
     readout = [np.asarray(r, dtype=float) for r in readout]
     if readout and (len(readout) != len(keep) or any(r.shape != (2, 2) for r in readout)):
         raise ValueError(f"readout needs one (2, 2) matrix for each of {len(keep)} measured qubits")
+    if readout:
+        # Checked finite first, so the column sums never meet an inf - inf.
+        mats = np.array(readout)
+        if not (
+            np.isfinite(mats).all()
+            and (mats >= 0).all()
+            and np.abs(mats.sum(axis=1) - 1).max() <= ATOL_ALGEBRAIC
+        ):
+            raise ValueError(
+                "readout matrices must be column-stochastic: finite, non-negative, "
+                "each column summing to 1"
+            )
     branched = _branched(w, keep, frames)
     framed, index = _frame_rows(keep, frames, branched)
     schedule, suffix = _schedule(w, keep, branched)
@@ -449,9 +461,9 @@ def _plan(c: Circuit, frames: tuple[int, ...], readout=()) -> tuple:
 def _table(plan: tuple) -> np.ndarray:
     # A plan's (2^F, 2^m) table: its rows evolved and read, in input order.
     branched, reads, index, schedule = plan
-    probs = np.concatenate(
-        [_populations(rho, reads) for rho in _chunks(schedule, 2 ** len(branched))]
-    )
+    probs = [_populations(rho, reads) for rho in _chunks(schedule, 2 ** len(branched))]
+    # One chunk (every unplaced run) is the table as it is, not copied.
+    probs = probs[0] if len(probs) == 1 else np.concatenate(probs)
     return probs if index is None else probs[index]
 
 
@@ -468,7 +480,9 @@ def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
     array of probabilities clipped to [0, 1]; the first measured qubit is
     the most significant bit of an outcome. Frames must name distinct
     qubits of the circuit that some gate acts on, and readout must give
-    none or one matrix per measured qubit, or ValueError is raised.
+    none or one matrix per measured qubit, each finite, non-negative and
+    with columns summing to 1 within ATOL_ALGEBRAIC, or ValueError is
+    raised.
     """
     return _table(_plan(c, tuple(int(q) for q in frames), readout))
 

@@ -389,6 +389,75 @@ def test_placed_run_evolves_two_rows(model, monkeypatch):
     assert len(rep.inputs) == 4
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_reseeded_runs_evolve_nothing_and_match_a_cleared_memo(n, monkeypatch):
+    # A configuration's exact probabilities depend on its objects alone: a
+    # run under a new seed, shot count or confidence draws from the kept
+    # table and evolves no row. Each report equals, byte for byte, the same
+    # run made from an empty memo, which evolves its noisy circuit again.
+    rows = record_evolved_rows(monkeypatch)
+    cal = all_pairs_calibration(n)
+    changes = (
+        dict(seed=12),
+        dict(shots=999),
+        dict(confidence=0.9),
+        dict(seed=2**40, shots=10**9, confidence=0.5),
+    )
+    for model in (DEPOLARIZING, THERMODYNAMICAL):
+        base = ExperimentConfig(
+            n=n, theta=theta_min(n), model=model, calibration=cal, shots=4000, seed=11,
+        )
+        run_experiment(base)
+        rows.clear()
+        kept = [render_json(run_experiment(replace(base, **change))) for change in changes]
+        assert rows == []
+        fresh = []
+        for change in changes:
+            pbrsim.harness._CONFIGURATIONS.clear()
+            fresh.append(render_json(run_experiment(replace(base, **change))))
+        assert rows == [1] * len(changes)
+        assert kept == fresh
+
+
+def test_placed_run_evolves_on_every_call(monkeypatch):
+    # A placed run lowers its circuit afresh, so its new circuit object
+    # misses the memo: each call evolves the routed pair's two rows again.
+    rows = record_evolved_rows(monkeypatch)
+    line = line_map(5)
+    cfg = ExperimentConfig(
+        n=2, theta=theta_min(2), model=DEPOLARIZING,
+        calibration=uniform_calibration(5, p1=2e-4, p2=2.4e-3, edges=line.edges),
+        shots=4000, seed=11, coupling=line, placement=(0, 4),
+    )
+    first = render_json(run_experiment(cfg))
+    rows.clear()
+    assert render_json(run_experiment(cfg)) == first
+    run_experiment(replace(cfg, seed=12))
+    assert rows == [2, 2]
+
+
+def test_run_memo_keeps_at_most_one_chunk_of_bytes_per_entry(monkeypatch):
+    # A table past one evolution chunk's bytes (16 * CHUNK_ENTRIES, n >= 8)
+    # is not kept, so no wide table outlives its run. Only the memo is looked
+    # at, so the forbidden-outcome checks are skipped.
+    monkeypatch.setattr(pbrsim.harness, "check_forbidden_outcomes", lambda params: None)
+    pbrsim.harness._CONFIGURATIONS.clear()
+    bound = 16 * pbrsim.simulate.CHUNK_ENTRIES
+    assert bound == 128 * 1024
+    for n in (3, 7, 8, 11):
+        cfg = ExperimentConfig(
+            n=n, theta=theta_min(n), model=THERMODYNAMICAL,
+            calibration=uniform_calibration(n, p1=1e-4, p2=1e-3, p01=0.01, p10=0.02),
+            shots=1000,
+        )
+        assert len(run_experiment(cfg).inputs) == 2**n
+    kept = pbrsim.harness._CONFIGURATIONS.items()
+    arrays = [value[1] for _, value in kept]
+    assert [a.shape for a in arrays] == [(8, 8), (128, 128)]
+    assert arrays[1].nbytes == bound
+    assert sum(a.nbytes for a in arrays) <= 4 * bound
+
+
 def _run_on_table(monkeypatch, table, shots, seed):
     """run_experiment at n = log2(rows) with the noisy table replaced."""
     n = len(table).bit_length() - 1
@@ -691,6 +760,22 @@ def test_placement_is_two_integers_stored_as_ints():
     for placement in refused:
         with pytest.raises(ValidationError, match=r"^placement=.* must be two integers$"):
             ExperimentConfig(**base, placement=placement)
+
+
+def test_coupling_must_be_a_coupling_map():
+    # Anything but a CouplingMap is one ValidationError line, placed or not,
+    # before routing could meet it.
+    base = dict(
+        n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=line_calibration(4),
+        shots=100, seed=1, placement=(0, 3),
+    )
+    for coupling, name in ((((0, 1), (1, 2), (2, 3)), "tuple"), ("0-1,1-2,2-3", "str")):
+        for placement in ((0, 3), None):
+            with pytest.raises(
+                ValidationError, match=f"^coupling must be a CouplingMap, not {name}$"
+            ):
+                ExperimentConfig(**{**base, "placement": placement}, coupling=coupling)
+    assert ExperimentConfig(**base, coupling=line_map(4)).coupling == line_map(4)
 
 
 def stdlib_render(doc) -> str:

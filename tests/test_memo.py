@@ -1,4 +1,4 @@
-"""The identity-keyed memo behind the tolerance pair, the noisy circuit and the evolution plan."""
+"""The identity-keyed memo behind the run configurations: tolerance pair and normalized table."""
 
 import sys
 import threading
@@ -16,7 +16,7 @@ class Device:
 
 
 def test_keys_are_object_identity_and_values():
-    memo, built = IdentityMemo(4), []
+    memo, built = IdentityMemo(4, max_bytes=1024), []
 
     def build(device, label):
         built.append((device, label))
@@ -37,7 +37,7 @@ def test_keys_are_object_identity_and_values():
 
 
 def test_only_the_last_entries_used_are_kept():
-    memo = IdentityMemo(3)
+    memo = IdentityMemo(3, max_bytes=1024)
     devices = [Device(str(i)) for i in range(5)]
     values = [memo.get(lambda d: [d.name], (d,)) for d in devices[:3]]
     assert memo.get(lambda d: [d.name], (devices[0],)) is values[0]  # now the newest
@@ -50,7 +50,7 @@ def test_only_the_last_entries_used_are_kept():
 
 
 def test_a_build_that_raises_is_not_kept():
-    memo, calls = IdentityMemo(4), []
+    memo, calls = IdentityMemo(4, max_bytes=1024), []
 
     def failing(device):
         calls.append(device)
@@ -64,7 +64,7 @@ def test_a_build_that_raises_is_not_kept():
 
 
 def test_kept_arrays_are_read_only():
-    memo = IdentityMemo(4)
+    memo = IdentityMemo(4, max_bytes=1024)
     inner = np.zeros(3)
     value = memo.get(lambda d: (np.ones(2), [inner, (np.eye(2), None)], 5), (Device("d"),))
     arrays = [value[0], value[1][0], value[1][1][0]]
@@ -74,10 +74,31 @@ def test_kept_arrays_are_read_only():
         inner[0] = 1.0
 
 
+def test_values_over_max_bytes_are_returned_read_only_but_not_kept():
+    # The bound counts every array of a value, nested ones too: exactly
+    # max_bytes is kept, one byte more is built on every call.
+    memo, built = IdentityMemo(4, max_bytes=1024), []
+
+    def build(device, size):
+        built.append(size)
+        return (np.zeros(size - 24, dtype=np.uint8), [np.zeros(3)], "label")
+
+    d = Device("d")
+    fits = memo.get(build, (d,), (1024,))
+    assert memo.get(build, (d,), (1024,)) is fits and built == [1024]
+    over = [memo.get(build, (d,), (1025,)) for _ in range(3)]
+    assert built == [1024] + [1025] * 3
+    assert over[0] is not over[1] and len(over[0][0]) == 1001
+    assert not any(a.flags.writeable for value in over for a in (value[0], value[1][0]))
+    with pytest.raises(ValueError):
+        over[2][0][0] = 1
+    assert [value for _, value in memo.items()] == [fits]
+
+
 def test_concurrent_gets_share_one_kept_value_per_key():
     # More threads than cores, switching often: every caller of one key gets
     # the one value kept for it, and the memo never holds more than its size.
-    memo = IdentityMemo(8)
+    memo = IdentityMemo(8, max_bytes=1024)
     devices = [Device(str(i)) for i in range(8)]
     seen = [[] for _ in devices]
     errors = []

@@ -1,5 +1,6 @@
 """Circuit evolution: qubit lifetimes and Z frames against a dense reference, cap, marginals, ordering."""
 
+import inspect
 import itertools
 import tracemalloc
 from dataclasses import replace
@@ -422,6 +423,34 @@ def test_readout_needs_one_matrix_per_measured_qubit():
             outcome_distributions(c, (0,), readout)
 
 
+def test_readout_must_be_column_stochastic():
+    # A matrix that is not column-stochastic would fold into a row that does
+    # not sum to 1 ([[2, -1], [3, 5]] on an H: [0.5, 1.0]) or a NaN row.
+    # Each is one ValueError.
+    c = Circuit(2, (Gate(H, (0,)), Gate(MEASURE, (0, 1))))
+    message = "^readout matrices must be column-stochastic: finite, non-negative, each column summing to 1$"
+    good = np.array([[0.9, 0.2], [0.1, 0.8]])
+    bad = (
+        [[2.0, -1.0], [3.0, 5.0]],
+        [[0.9, np.nan], [0.1, 0.8]],
+        [[np.inf, 0.2], [-np.inf, 0.8]],
+        [[0.9, 0.1], [0.2, 0.8]],  # row-stochastic
+        [[0.9, 0.2], [0.1 + 2e-10, 0.8]],
+    )
+    for m in bad:
+        for readout in ([m, good], [good, m]):
+            with pytest.raises(ValueError, match=message):
+                outcome_distributions(c, (), readout)
+    # Columns within ATOL_ALGEBRAIC of 1 pass, and so does every matrix a
+    # calibration gives, at the ends of its range too.
+    near = np.array([[0.9, 0.2], [0.1 + 5e-11, 0.8 - 5e-11]])
+    assert outcome_distributions(c, (), [near, good]).shape == (1, 4)
+    flips = [0.0, 1e-17, 0.1, 1 / 3, 0.5, 0.7, 1 - 1e-16, 1.0]
+    for p01, p10 in itertools.product(flips, flips):
+        m = readout_matrix(QubitCalibration(0, 1e-4, 1e-4, 0.0, readout_p01=p01, readout_p10=p10))
+        assert outcome_distributions(c, (), [m, m]).shape == (1, 4)
+
+
 def random_run_circuit(rng, n):
     """Runs of operators on one target tuple each, measured in random order.
 
@@ -605,6 +634,33 @@ def test_table_peak_memory_at_n10():
         tracemalloc.stop()
     assert got.nbytes == table
     assert peak <= 3.25 * state
+
+
+def test_one_chunk_table_is_its_read_not_a_copy():
+    # An unplaced n = 10 run evolves one row, one chunk: the table is the
+    # array the read allocated. Joining chunks would allocate a second
+    # table and free the first, which the peak cannot show (the state it
+    # reads is twice a table), so the test asks tracemalloc where the one
+    # table-sized buffer still alive was allocated.
+    n = 10
+    params = PBRParams.solve(n, theta_min(n))
+    cal = uniform_calibration(n, p1=1e-4, p2=1e-3, p01=0.01, p10=0.02)
+    noisy = attach_noise(params.test_circuit, cal, "depolarizing")
+    plan = _plan(noisy, tuple(range(n)), [readout_matrix(cal.qubit(q)) for q in range(n)])
+    code = pbrsim.simulate._populations.__code__
+    last = code.co_firstlineno + len(inspect.getsource(code).splitlines())
+    tracemalloc.start(8)
+    try:
+        got = _table(plan)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    (trace,) = [t for t in snapshot.traces if t.size >= got.nbytes]
+    assert trace.size == got.nbytes == 8 * 4**n
+    assert any(
+        f.filename == code.co_filename and code.co_firstlineno <= f.lineno < last
+        for f in trace.traceback
+    )
 
 
 def reduced_state(rho, keep):
@@ -849,10 +905,10 @@ def test_cached_operator_equals_a_fresh_build():
             op[(0,) * op.ndim] = 0.0
 
 
-def kept_plan(params, circuit, cal, model, frames):
-    """The evolution plan a run keeps for this configuration, built on a miss."""
+def kept_configuration(params, circuit, cal, model, frames):
+    """What a run keeps for this configuration, built on a miss: (pair, p, exact, mean)."""
     key = (params, circuit, cal), (model, tuple(frames))
-    return pbrsim.harness._CONFIGURATIONS.get(pbrsim.harness._configuration, *key)[1]
+    return pbrsim.harness._CONFIGURATIONS.get(pbrsim.harness._configuration, *key)
 
 
 @pytest.fixture
@@ -944,32 +1000,36 @@ def arrays_in(value):
 def test_angle_scan_keeps_every_noisy_plan_and_no_ideal_one(builds, monkeypatch):
     # Two angles under both models on one calibration object, then the
     # first angle again: the memo's four entries are the four noisy
-    # configurations, so the repeat plans nothing. Each new angle plans its
-    # ideal circuit once, for the forbidden-outcome check, whose own cache
-    # answers every repeat: no kept entry holds that plan.
-    schedules = []
-    counting = pbrsim.simulate._schedule
+    # configurations' tables, so the repeat plans and evolves nothing. Each
+    # new angle plans its ideal circuit once, for the forbidden-outcome
+    # check, whose own cache answers every repeat: no kept entry holds its
+    # table, whose forbidden probabilities are below 1e-10.
+    tables = []
+    real = pbrsim.harness._table
 
-    def recording(w, keep, frames):
-        schedule, suffix = counting(w, keep, frames)
-        schedules.append((w[0], schedule))
-        return schedule, suffix
+    def recording(plan):
+        tables.append(real(plan))
+        return tables[-1]
 
-    monkeypatch.setattr(pbrsim.simulate, "_schedule", recording)
+    monkeypatch.setattr(pbrsim.harness, "_table", recording)
     cal = varied_calibration(3, seed=4)
     for theta in (1.0, 1.1, 1.0):
         for model in NOISE_MODELS:
             cfg = ExperimentConfig(n=3, theta=theta, model=model, calibration=cal, shots=100)
             run_experiment(cfg)
     assert builds == {"attach_noise": 4, "_schedule": 6}
-    ideal = [s for c, s in schedules if not any(g.kind == NOISE for g in c.gates)]
-    assert len(ideal) == 2
-    kept = [plan[3] for _, (_, plan) in pbrsim.harness._CONFIGURATIONS.items()]
+    assert len(tables) == 4
+    # The repeat moved the first angle's two entries to the newest place.
+    kept = [value for _, value in pbrsim.harness._CONFIGURATIONS.items()]
     assert len(kept) == 4
-    assert not any(k is s for k in kept for s in ideal)
+    for (_, p, exact, _), table in zip(kept, tables[2:] + tables[:2]):
+        assert exact == tuple(table.diagonal().tolist()) and min(exact) > 1e-6
+        assert np.array_equal(p, table / table.sum(axis=1, keepdims=True))
 
 
 def test_kept_plan_and_readout_arrays_are_read_only(builds):
+    # A kept configuration holds one array, its normalized table: no plan,
+    # and so no steps, frame operator or read maps with readout folded in.
     for model in NOISE_MODELS:
         run_experiment(ExperimentConfig(
             n=4, theta=1.0, model=model, calibration=varied_calibration(4, seed=2), shots=100,
@@ -980,15 +1040,20 @@ def test_kept_plan_and_readout_arrays_are_read_only(builds):
         n=2, theta=1.0, model="depolarizing", calibration=cal, shots=100,
         coupling=line, placement=(0, 3),
     ))
-    arrays = arrays_in([value for _, value in pbrsim.harness._CONFIGURATIONS.items()])
-    # Steps, the routed pair's frame operator, and read maps with readout folded in.
-    assert len(arrays) > 20
+    kept = [value for _, value in pbrsim.harness._CONFIGURATIONS.items()]
+    arrays = arrays_in(kept)
+    assert [a.shape for a in arrays] == [(16, 16), (16, 16), (4, 4)]
+    assert all(value[1] is a for value, a in zip(kept, arrays))
     assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[0][0, 0] = 1.0
 
 
 def test_kept_plan_gives_the_freshly_built_table():
-    # The kept plan folds the calibration's readout matrices into its read
-    # maps; a fresh build folds them in from the readout argument.
+    # The kept table is built with the calibration's readout matrices folded
+    # into the plan's read maps; a fresh build folds them in from the
+    # readout argument. Both agree bit for bit, normalized, and so do the
+    # exact probabilities and their mean.
     rng = np.random.default_rng(8)
 
     def misread(cal):
@@ -1017,29 +1082,28 @@ def test_kept_plan_gives_the_freshly_built_table():
         mats = [readout_matrix(cal.qubit(q)) for q in noisy.measured_qubits]
         assert not any(np.array_equal(m, np.eye(2)) for m in mats)
         fresh = outcome_distributions(noisy, frames, mats)
-        plan = kept_plan(params, circuit, cal, model, frames)
-        assert kept_plan(params, circuit, cal, model, frames) is plan
-        assert np.array_equal(_table(plan), fresh)
+        value = kept_configuration(params, circuit, cal, model, frames)
+        assert kept_configuration(params, circuit, cal, model, frames) is value
+        _, p, exact, mean = value
+        assert np.array_equal(p, fresh / fresh.sum(axis=-1, keepdims=True))
+        assert exact == tuple(fresh.diagonal().tolist())
+        assert mean == float(np.mean(fresh.diagonal()))
 
 
-def test_kept_plan_at_n11_holds_the_shared_phase_vector(monkeypatch):
-    # A plan holds no 4^n array of its own: the open-controlled phase's phase
-    # vector is the one `_operator` keeps, not a copy. Only the plan is
-    # looked at, so the n = 11 forbidden-outcome check is skipped.
+def test_n11_configuration_is_returned_but_not_kept(monkeypatch):
+    # Its 32 MB table is past the memo's byte bound: the run gets it,
+    # read-only, and the memo keeps nothing of it, so no second n = 11
+    # table can stay alive next to the next run's. Only the configuration
+    # is looked at, so the n = 11 forbidden-outcome check is skipped.
     monkeypatch.setattr(pbrsim.harness, "check_forbidden_outcomes", lambda params: None)
     n = 11
     params = PBRParams.solve(n, theta_min(n))
     cal = uniform_calibration(n, p1=1e-4, p2=1e-3)
-    try:
-        plan = kept_plan(params, params.test_circuit, cal, "depolarizing", range(n))
-        big = [a for a in arrays_in(plan) if a.size >= 4**n]
-        noisy = attach_noise(params.test_circuit, cal, "depolarizing")
-        (phase,) = [op for op in _operators(noisy) if op.size >= 4**n]
-        assert len(big) == 1 and big[0] is phase
-        assert not phase.flags.writeable
-    finally:
-        pbrsim.harness._CONFIGURATIONS.clear()
-        _operator.cache_clear()
+    pbrsim.harness._CONFIGURATIONS.clear()
+    _, p, exact, _ = kept_configuration(params, params.test_circuit, cal, "thermodynamical", range(n))
+    assert p.shape == (2**n, 2**n) and len(exact) == 2**n
+    assert not p.flags.writeable
+    assert pbrsim.harness._CONFIGURATIONS.items() == []
 
 
 def held_frames_circuit(measured):
@@ -1116,28 +1180,25 @@ def test_frame_row_index_with_branched_frames_matches_brute_force(keep, frames, 
         assert index.tolist() == want
 
 
-def test_frame_row_index_is_cached_read_only_and_shared():
-    # The index is part of a configuration's kept plan: a repeat reads the
-    # same read-only array; another circuit object builds its own.
+def test_frame_row_index_is_built_with_each_plan():
+    # A plan's frame-row index reorders its read's rows into input order. A
+    # run keeps no plan, so each plan builds its own index: another circuit
+    # object with the same kept qubits and frames builds an equal one.
     keep, frames = (0, 2, 3), (2, 1, 0)
     c = held_frames_circuit(keep)
-    params, cal = PBRParams.solve(4, 1.0), uniform_calibration(4, p1=1e-3, p2=1e-2)
+    cal = uniform_calibration(4, p1=1e-3, p2=1e-2)
 
-    def kept(circuit):
-        return kept_plan(params, circuit, cal, "depolarizing", frames)
+    def plan(circuit):
+        return _plan(attach_noise(circuit, cal, "depolarizing"), frames)
 
-    one = outcome_distributions(attach_noise(c, cal, "depolarizing"), frames)
-    index = kept(c)[2]
-    assert index is not None and not index.flags.writeable
-    with pytest.raises(ValueError):
-        index[0] = 1
-    assert np.array_equal(_table(kept(c)), one)
-    assert kept(c)[2] is index
+    one = plan(c)
+    index = one[2]
+    assert index is not None
+    assert np.array_equal(_table(one), outcome_distributions(attach_noise(c, cal, "depolarizing"), frames))
     other = Circuit(4, (Gate(PHASE, (3,), angle=0.2),) + c.gates)
-    two = _table(kept(other))
-    assert one.shape == two.shape == (8, 8)
-    assert kept(other)[2] is not index
-    assert np.array_equal(kept(other)[2], index)
+    two = plan(other)
+    assert _table(two).shape == (8, 8)
+    assert two[2] is not index and np.array_equal(two[2], index)
 
 
 def test_module_level_arrays_are_read_only():
