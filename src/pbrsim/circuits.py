@@ -14,7 +14,7 @@ from operator import index
 import numpy as np
 
 from .config import DEFAULT_TWO_QUBIT_GATE_S, mcphase_cz_equivalents
-from .errors import KindError
+from .errors import KindError, ValidationError
 from .records import Record, record
 from .states import KrausChannel
 
@@ -51,6 +51,13 @@ TWO_QUBIT_KINDS = frozenset(k for k, (count, _) in _RULES.items() if count == 2)
 ANGLED_KINDS = frozenset(k for k, (_, angled) in _RULES.items() if angled)
 DIAGONAL_KINDS = frozenset({RZ, PHASE, CZ, CPHASE_OPEN, MCPHASE_OPEN})
 KINDS = frozenset(_RULES)
+
+
+def as_integer(value, name: str) -> int:
+    """`value` as a Python int; ValidationError unless it is a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name}={value!r} must be an integer")
+    return int(value)
 
 
 @record
@@ -109,14 +116,18 @@ class Gate(Record):
 
 @record
 class Circuit(Record):
-    """A register size and its gates in time order, measurements last."""
+    """A register size and its gates in time order, measurements last.
+
+    The size must be an integer (Python or numpy, not a bool) of at least 1.
+    """
 
     n_qubits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        n_qubits = self.n_qubits
+        n_qubits = as_integer(self.n_qubits, "n_qubits")
+        object.__setattr__(self, "n_qubits", n_qubits)
         if n_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
         measured: set[int] = set()

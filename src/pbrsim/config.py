@@ -25,13 +25,16 @@ DEFAULT_READOUT_S = 1e-6
 # sampled (n, theta) pairs all solve, the largest residual 8.3e-11.
 MAX_SOLVER_N = 50_000
 
-# Hard cap on total simulated qubits (dense 2^n density matrix).
+# Most qubits the density matrix holds at once (its peak live width; a
+# qubit is live from its first multi-qubit gate to its last, or to the end
+# if it is measured): 4^12 complex entries, 268 MB per state. A circuit on
+# more qubits runs when fewer are live at once, as a routed pair does.
 SIMULATION_QUBIT_CAP = 12
 
-# Largest span a distance sweep accepts. Spans past the cap get analytic
-# reports, whose cost grows linearly with the span: ~9 ms at 1000
-# (theta = pi/4, depolarizing, the demo pair calibration; 2-core Xeon,
-# Python 3.11).
+# Largest span a distance sweep accepts and a placed run routes. Sweep
+# spans past the cap get analytic reports, whose cost grows linearly with
+# the span: ~9 ms at 1000 (theta = pi/4, depolarizing, the demo pair
+# calibration; 2-core Xeon, Python 3.11).
 MAX_SPAN = 1000
 
 # Forbidden-outcome check (`protocol.check_forbidden_outcomes`): the

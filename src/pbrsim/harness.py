@@ -48,12 +48,14 @@ coupler, a row that sums to zero) is not kept and raises again on the
 next call. A placed run lowers afresh, so its new circuit misses; a
 one-shot `pbrsim run` gains nothing.
 
-`sweep_distance` builds one homogenized line config per span; spans
-needing more physical qubits than the cap get analytic reports, whose
-gate counts and closed-form error prediction stand in for per-input
-statistics. One rule judges both kinds: each bound (a per-input Wilson
-upper bound, or the one prediction) passes only strictly below the
-active threshold; `passed` says all pass, `pass_fraction` how many.
+`sweep_distance` builds one homogenized line config per span; by the
+sweep's own rule, a span whose line has more physical qubits than the
+cap gets an analytic report, whose gate counts and closed-form error
+prediction stand in for per-input statistics (a placed run of that span
+is exact: its peak live width is three qubits). One rule judges both
+kinds: each bound (a per-input Wilson upper bound, or the one
+prediction) passes only strictly below the active threshold; `passed`
+says all pass, `pass_fraction` how many.
 The Wilson bounds take their normal quantile from a copy of AS241, the
 algorithm `statistics.NormalDist.inv_cdf` runs, bit for bit, so a run
 never imports `statistics`; `routing` and `csv` are imported only by
@@ -87,7 +89,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bounds import ToleranceReport, epsilon_dep, tolerance_reports
-from .circuits import Circuit, gate_counts
+from .circuits import Circuit, as_integer, gate_counts
 from .config import (
     DEFAULT_CONFIDENCE,
     DEFAULT_SHOTS,
@@ -139,11 +141,8 @@ class ExperimentConfig(Record):
 
     def __post_init__(self):
         for name in ("n", "shots", "seed"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValidationError(f"{name}={value!r} must be an integer")
             # numpy integers render and split into seed words as ints.
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         for name in ("theta", "confidence"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -492,12 +491,11 @@ def _configuration(
 
     Built in the order their errors surface: every calibration lookup
     (the tolerance walk, the noise and the readout), then the
-    forbidden-outcome check, then the plan, whose CapError a wide placed
-    span can reach, and its table, whose rows must not sum to zero. The
-    plan folds each measured qubit's readout confusion matrix into its
-    read map, and is dropped once the table is read. Returns the pair,
-    the normalized table, each input's exact forbidden probability (the
-    clipped table's diagonal) and their mean.
+    forbidden-outcome check, then the plan and its table, whose rows must
+    not sum to zero. The plan folds each measured qubit's readout
+    confusion matrix into its read map, and is dropped once the table is
+    read. Returns the pair, the normalized table, each input's exact
+    forbidden probability (the clipped table's diagonal) and their mean.
     """
     pair = tolerance_reports(params, cal, circuit)
     noisy = attach_noise(circuit, cal, model)
@@ -609,8 +607,13 @@ def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
     """One report per span on a homogenized line device.
 
     Every span must lie in 1..MAX_SPAN; all are checked before the first
-    runs. Spans needing more physical qubits than the cap come back as
-    analytic-only reports instead of failing.
+    runs. A span whose line has more physical qubits than
+    SIMULATION_QUBIT_CAP comes back as an analytic-only report. That is
+    this sweep's rule, not a limit of the simulator: a placed
+    `run_experiment` holds at most three live qubits at any span and is
+    exact up to MAX_SPAN, so past span 11 the two differ (at span 154 on
+    the demo calibration's line, thermodynamical, theta = pi/4: a
+    predicted 0.0105 passes, an exact mean of 0.0612 fails).
     """
     if cfg.n != 2:
         raise ValidationError("distance sweeps run the two-qubit test")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .circuits import Circuit, Gate, decompose_swap
+from .circuits import Circuit, Gate, as_integer, decompose_swap
+from .config import MAX_SPAN
 from .errors import FormatError, PathError, RangeError, ValidationError
 from .noise import json_number, load_json_document
 from .records import Record, record
@@ -19,15 +20,23 @@ from .records import Record, record
 
 @record
 class CouplingMap(Record):
-    """Physical qubit count and the undirected edges two-qubit gates may use."""
+    """Physical qubit count and the undirected edges two-qubit gates may use.
+
+    The count and every endpoint must be integers (Python or numpy, not
+    bools), the count at least 1.
+    """
 
     n_qubits: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        n_qubits = as_integer(self.n_qubits, "n_qubits")
+        if n_qubits < 1:
+            raise ValidationError(f"n_qubits={n_qubits} must be >= 1")
+        object.__setattr__(self, "n_qubits", n_qubits)
         norm = []
         for a, b in self.edges:
-            a, b = int(a), int(b)
+            a, b = as_integer(a, "edge endpoint"), as_integer(b, "edge endpoint")
             if a == b:
                 raise ValidationError(f"self-loop on qubit {a}")
             for q in (a, b):
@@ -122,7 +131,8 @@ def lower(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> tuple[Ci
     span is the path's edge count; the swap count is the SWAPs emitted,
     0 for a circuit with no two-qubit gate. Every two-qubit gate is
     checked against the map as it is emitted, each SWAP's coupler once
-    for its three CZ.
+    for its three CZ. A span past MAX_SPAN, the largest a distance sweep
+    takes, raises RangeError before any gate is built.
     """
     if c.n_qubits != 2:
         raise ValidationError(f"routing handles 2 logical qubits, got {c.n_qubits}")
@@ -130,6 +140,8 @@ def lower(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> tuple[Ci
     path = shortest_path(cmap, qa, qb)
     if len(path) < 2:
         raise PathError("placement must name two distinct physical qubits")
+    if len(path) - 1 > MAX_SPAN:
+        raise RangeError(f"span {len(path) - 1} is outside 1..{MAX_SPAN}")
     pos = {0: path[0], 1: path[-1]}
     swap_count = 0
     swaps_done = False

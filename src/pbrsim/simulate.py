@@ -14,8 +14,10 @@ distribution reads only that map's two population rows, once per qubit,
 where it would read the diagonal. A qubit that no multi-qubit operator
 touches joins at the end if it is kept and never joins otherwise. No
 channel touches an idle qubit, so this is exact, and a routed pair holds
-at most three live qubits whatever its span. The simulation cap counts
-touched plus measured qubits.
+at most three live qubits whatever its span. The simulation cap bounds
+that peak live width, which the schedule reads off the walk before any
+operator is built: a circuit of any size runs when at most
+SIMULATION_QUBIT_CAP qubits are live at once.
 
 One circuit serves 2^F inputs that differ from it only by a Z right
 after the first gate on each of F frame qubits: the 2^n inputs of a run,
@@ -71,6 +73,7 @@ by every position of every run.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from collections.abc import Iterator
 
 import numpy as np
@@ -284,9 +287,14 @@ def _schedule(
     # same axes are fused into one. `w` is the circuit's `_walk`.
     c, gates, start, first, last = w
     kept = set(keep)
-    width = len(kept.union(start))
-    if width > SIMULATION_QUBIT_CAP:
-        raise CapError(f"{width} qubits exceeds the simulation cap of {SIMULATION_QUBIT_CAP}")
+    # The peak live width, before any operator is built: the k-th join (by
+    # position) makes k + 1 live, less the discarded qubits whose last
+    # multi-qubit gate came before it; at the end every kept qubit is live.
+    leaves = sorted(last[q] for q in last if q not in kept)
+    joins = enumerate(sorted(first.values()))
+    peak = max([len(kept)] + [k + 1 - bisect_left(leaves, i) for k, i in joins])
+    if peak > SIMULATION_QUBIT_CAP:
+        raise CapError(f"{peak} qubits exceeds the simulation cap of {SIMULATION_QUBIT_CAP}")
     items = [(i, g.qubits, op) for i, (g, op) in enumerate(zip(gates, _operators(c)))]
     # Frames at one gate follow it in `frames` order: inserting from the last
     # (position, j) back leaves each earlier insertion point in place.
@@ -297,7 +305,6 @@ def _schedule(
     suffix: dict[int, np.ndarray] = {}
     steps: list = []
     live: list[int] = []  # circuit qubit on each state axis
-    peak = 0
     for i, qubits, op in items:
         if len(qubits) == 1:
             q = qubits[0]
@@ -317,7 +324,6 @@ def _schedule(
             if q not in live:
                 live.insert(0, q)
                 steps.append(_joining_state(prefix.pop(q, None)))
-        peak = max(peak, len(live))
         targets = tuple(map(live.index, qubits))
         if steps and isinstance(steps[-1], tuple) and steps[-1][1] == targets:
             steps[-1] = (_compose(op, steps[-1][0]), targets)
@@ -331,12 +337,11 @@ def _schedule(
         if q not in live:
             live.insert(0, q)
             steps.append(_joining_state(prefix.pop(q, None)))
-    n = len(live)
     axes = None
     if live != list(keep):
         perm = [live.index(q) for q in keep]
-        axes = [0] + [1 + p for p in perm] + [1 + n + p for p in perm]
-    return (tuple(steps), max(peak, n), axes), tuple(suffix.get(q) for q in keep)
+        axes = [0] + [1 + p for p in perm] + [1 + len(keep) + p for p in perm]
+    return (tuple(steps), peak, axes), tuple(suffix.get(q) for q in keep)
 
 
 def _chunks(schedule: tuple, total: int) -> Iterator[np.ndarray]:

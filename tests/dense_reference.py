@@ -9,6 +9,11 @@ a fault in the simulator's contraction kernel cannot hide in its reference.
 
 Qubit 0 is the most significant bit of a basis index, and the first listed
 target is the most significant bit of an operator's own basis.
+
+`lifetime_distribution` is the same sum on fewer qubits at a time: a
+qubit joins as |0><0| at its first gate and, unless it is measured, is
+traced out right after its last, so a routed pair can be checked at spans
+whose full register would not fit in memory.
 """
 
 import numpy as np
@@ -67,3 +72,44 @@ def dense_distribution(c):
     keep = list(c.measured_qubits or range(n))
     probs = np.clip(np.diagonal(dense_state(c)).real, 0.0, 1.0).reshape((2,) * n)
     return np.moveaxis(probs, keep, range(len(keep))).reshape(2 ** len(keep), -1).sum(axis=1)
+
+
+def lifetime_distribution(c):
+    """`dense_distribution(c)`, holding each qubit only from its first gate to its last.
+
+    A measured qubit (every qubit when none is) is held from its first gate
+    to the end, and joins there as |0><0| if no gate touches it. Each gate
+    acts on the live qubits alone, by the same Kraus sums as `dense_state`.
+    """
+    gates = [g for g in c.gates if g.kind != MEASURE]
+    keep = list(c.measured_qubits or range(c.n_qubits))
+    last = {q: i for i, g in enumerate(gates) for q in g.qubits}
+    live = []  # the qubit on each axis of rho, the first most significant
+    rho = np.ones((1, 1), dtype=complex)
+
+    def join(q):
+        nonlocal rho
+        live.append(q)
+        rho = np.kron(rho, ground_matrix(1))
+
+    for i, g in enumerate(gates):
+        for q in g.qubits:
+            if q not in live:
+                join(q)
+        targets = [live.index(q) for q in g.qubits]
+        if g.kind == NOISE:
+            rho = kraus_apply(rho, g.channel.operators, targets)
+        else:
+            rho = conjugate(rho, gate_unitary(g), targets)
+        for q in g.qubits:
+            if last[q] == i and q not in keep:
+                m = len(live)
+                t = rho.reshape((2,) * (2 * m))
+                axis = live.index(q)
+                rho = np.trace(t, axis1=axis, axis2=m + axis).reshape(2 ** (m - 1), -1)
+                live.remove(q)
+    for q in keep:
+        if q not in live:
+            join(q)
+    probs = np.clip(np.diagonal(rho).real, 0.0, 1.0).reshape((2,) * len(live))
+    return np.moveaxis(probs, [live.index(q) for q in keep], range(len(keep))).reshape(-1)

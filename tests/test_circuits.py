@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,19 @@ def test_circuit_validation():
         Circuit(2, (Gate(X, (0,)), Gate(MEASURE, (-1, 0))))
     c = Circuit(2, (Gate(H, (0,)), Gate(MEASURE, (1, 0))))
     assert c.measured_qubits == (1, 0)
+
+
+def test_circuit_size_must_be_an_integer():
+    # A float size was kept and failed later in the simulator as a bare
+    # TypeError; True ran as one qubit.
+    for size in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match=f"^n_qubits={re.escape(repr(size))} must be an integer$"):
+            Circuit(size, (Gate(H, (0,)),))
+    with pytest.raises(ValueError, match="at least one qubit"):
+        Circuit(-2, ())
+    # numpy integers run as the Python int they equal.
+    c = Circuit(np.int64(2), (Gate(H, (0,)), Gate(MEASURE, (0, 1))))
+    assert type(c.n_qubits) is int and c == Circuit(2, c.gates)
 
 
 def test_circuit_rejects_qubit_measured_twice():

@@ -255,19 +255,37 @@ def test_run_fractional_map_edge_exits_2(calib_path, tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
-def test_run_routed_over_cap_exits_2(tmp_path, capsys):
-    # Placement 0,15 on a 20-qubit line routes through 16 live qubits.
-    cal_path = tmp_path / "line20.json"
-    save_calibration(
-        uniform_calibration(20, p1=2e-4, p2=2.4e-3, edges=line_map(20).edges), cal_path
-    )
-    map_path = tmp_path / "line20_map.json"
-    save_coupling_map(line_map(20), map_path)
+def _line_files(tmp_path, n):
+    """A uniform n-qubit line calibration and its map, saved: (calibration, map) paths."""
+    cal_path = tmp_path / f"line{n}.json"
+    save_calibration(uniform_calibration(n, p1=2e-4, p2=2.4e-3, edges=line_map(n).edges), cal_path)
+    map_path = tmp_path / f"line{n}_map.json"
+    save_coupling_map(line_map(n), map_path)
+    return str(cal_path), str(map_path)
+
+
+def test_run_routed_over_cap_exits_2(calib_path, tmp_path, capsys):
+    # Placement 0,15 on a 20-qubit line touches 16 qubits but holds at most
+    # three live at once: the cap bounds the live width, so it runs exactly.
+    cal_path, map_path = _line_files(tmp_path, 20)
     code = main(
-        ["run", "--n", "2", "--calib", str(cal_path), "--model", "dep",
-         "--map", str(map_path), "--place", "0,15"]
+        ["run", "--n", "2", "--calib", cal_path, "--model", "dep",
+         "--map", map_path, "--place", "0,15"]
+    )
+    assert code in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["routing"]["span"] == 15 and doc["analytic_only"] is False
+    assert len(doc["inputs"]) == 4
+    # A span past MAX_SPAN is refused before any gate is lowered.
+    cal_path, map_path = _line_files(tmp_path, MAX_SPAN + 2)
+    code = main(
+        ["run", "--n", "2", "--calib", cal_path, "--model", "dep",
+         "--map", map_path, "--place", f"0,{MAX_SPAN + 1}"]
     )
     assert code == 2
+    _assert_one_error_line(capsys)
+    # Unplaced, every one of n qubits is live: n = 13 is over the cap.
+    assert main(["run", "--n", "13", "--calib", calib_path, "--model", "dep"]) == 2
     _assert_one_error_line(capsys)
 
 

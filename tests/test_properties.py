@@ -7,6 +7,7 @@ to 1000 and the acceptance gate times the full batch.
 import numpy as np
 import pytest
 
+import pbrsim.simulate
 from dense_reference import conjugate
 from pbrsim.circuits import (
     CPHASE_OPEN,
@@ -28,9 +29,12 @@ from pbrsim.circuits import (
 from pbrsim.errors import NoSolutionError
 from pbrsim.harness import wilson_interval
 from pbrsim.noise import (
+    NOISE_MODELS,
     amplitude_damping,
+    attach_noise,
     dephasing,
     depolarizing_channel,
+    uniform_calibration,
 )
 from pbrsim.protocol import (
     PBRParams,
@@ -38,7 +42,8 @@ from pbrsim.protocol import (
     solve_angles,
     theta_min,
 )
-from pbrsim.simulate import _apply, _operators, outcome_distribution
+from pbrsim.routing import line_map, lower
+from pbrsim.simulate import _apply, _operators, _plan, _table, outcome_distribution
 from readout_reference import apply_readout
 from simulated_reference import evolve
 
@@ -117,6 +122,41 @@ def test_random_circuits_produce_distributions():
         final = next(evolve(c, tuple(range(n))))[0]
         assert abs(np.trace(final).real - 1.0) < 1e-9
         assert purity(final) <= 1.0 + 1e-9
+
+
+def test_schedule_peak_is_the_widest_evolved_state(monkeypatch):
+    # The peak live width the schedule reads off the walk, before any
+    # operator is built, is the widest state the evolution holds: over the
+    # random circuits above, each measuring a random subset, and over
+    # routed pairs at every span up to 154, where the line is far wider.
+    widths = []
+    join = pbrsim.simulate._join
+
+    def recorded(mats, sigma):
+        out = join(mats, sigma)
+        widths.append(out.shape[1].bit_length() - 1)
+        return out
+
+    monkeypatch.setattr(pbrsim.simulate, "_join", recorded)
+
+    def assert_peak(c, frames):
+        plan = _plan(c, frames)
+        widths.clear()
+        _table(plan)
+        assert plan[3][1] == max(widths)
+
+    rng = np.random.default_rng(101)
+    for _ in range(N_CIRCUIT):
+        n = int(rng.integers(1, 4))
+        c = random_circuit(rng, n, int(rng.integers(2, 11)))
+        measured = tuple(int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))])
+        assert_peak(Circuit(n, c.gates[:-1] + (Gate(MEASURE, measured),)), ())
+    params = PBRParams.solve(2, np.pi / 4)
+    for span in range(1, 155):
+        line = line_map(span + 1)
+        cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
+        routed = lower(build_test_circuit(0, params), line, (0, span))[0]
+        assert_peak(attach_noise(routed, cal, NOISE_MODELS[span % 2]), (0, span))
 
 
 def test_random_unitaries_preserve_state_structure():

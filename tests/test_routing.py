@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pbrsim.circuits import CZ, Circuit, Gate, H, MEASURE, gate_counts
+from pbrsim.config import MAX_SPAN
 from pbrsim.errors import FormatError, PathError, RangeError, ValidationError
 from pbrsim.protocol import PBRParams, build_test_circuit
 from pbrsim.routing import (
@@ -35,6 +36,24 @@ def test_coupling_map_validation():
         CouplingMap(2, ((0, 2),))
     with pytest.raises(ValidationError):
         CouplingMap(3, ((0, 1), (1, 0)))
+
+
+def test_coupling_map_needs_integer_sizes_and_endpoints():
+    # A float endpoint was truncated (1.7 to 1) and a float or negative size
+    # kept, which `lower` then built a circuit of.
+    for size in (3.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match=f"^n_qubits={re.escape(repr(size))} must be an integer$"):
+            CouplingMap(size, ((0, 1),))
+    for size in (0, -2):
+        with pytest.raises(ValueError, match=f"^n_qubits={size} must be >= 1$"):
+            CouplingMap(size, ())
+    for endpoint in (1.7, 1.0, True, None):
+        with pytest.raises(ValueError, match=f"^edge endpoint={re.escape(repr(endpoint))} must be an integer$"):
+            CouplingMap(4, ((0, endpoint), (2, 3)))
+    # numpy integers are kept as the Python ints they equal.
+    cmap = CouplingMap(np.int64(4), ((np.int32(1), np.int64(0)), (2, 3)))
+    assert cmap == CouplingMap(4, ((0, 1), (2, 3)))
+    assert type(cmap.n_qubits) is int and all(type(q) is int for e in cmap.edges for q in e)
 
 
 def test_line_map():
@@ -193,6 +212,21 @@ def test_lower_rejects_bad_inputs():
     logical = build_test_circuit(0, params)
     with pytest.raises(PathError):
         lower(logical, line_map(4), (2, 2))
+
+
+def test_lower_refuses_a_span_past_max_span(monkeypatch):
+    # The path is measured before any gate is built: past MAX_SPAN, one
+    # RangeError and no SWAP.
+    logical = build_test_circuit(0, PBRParams.solve(2, np.pi / 4))
+    cmap = line_map(MAX_SPAN + 2)
+    assert lower(logical, cmap, (1, MAX_SPAN + 1))[1] == MAX_SPAN
+
+    def never(*args):
+        raise AssertionError("a SWAP was built for a refused span")
+
+    monkeypatch.setattr("pbrsim.routing.decompose_swap", never)
+    with pytest.raises(RangeError, match=f"^span {MAX_SPAN + 1} is outside 1..{MAX_SPAN}$"):
+        lower(logical, cmap, (0, MAX_SPAN + 1))
 
 
 def test_coupling_map_file_roundtrip(tmp_path):

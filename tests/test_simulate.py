@@ -11,7 +11,7 @@ import pytest
 import pbrsim.harness
 import pbrsim.noise
 import pbrsim.simulate
-from dense_reference import dense_distribution, dense_state
+from dense_reference import dense_distribution, dense_state, lifetime_distribution
 from pbrsim.circuits import (
     ANGLED_KINDS,
     CPHASE_OPEN,
@@ -180,6 +180,56 @@ def test_routed_pbr_circuits_match_dense_reference(span, model):
     base = noisy(0)
     assert _branched(_walk(base), base.measured_qubits, (0, span)) == (() if span == 1 else (0,))
     assert np.abs(outcome_distributions(base, (0, span))[span % 4] - ref).max() < DIFF_TOL
+
+
+def test_lifetime_reference_matches_dense_reference():
+    # The reference for spans whose full register is too wide for
+    # `dense_distribution` agrees with it where both fit.
+    rng = np.random.default_rng(35)
+    for _ in range(200):
+        c = random_noisy_circuit(rng, int(rng.integers(1, 7)))
+        assert np.abs(lifetime_distribution(c) - dense_distribution(c)).max() < DIFF_TOL
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+@pytest.mark.parametrize("span", range(12, 21))
+def test_routed_pairs_past_the_cap_match_lifetime_reference(span, model):
+    # Past the cap the line has more qubits than the cap, but a routed pair
+    # holds three live ones: every input's row of input 0's framed table is
+    # its own circuit under the lifetime reference.
+    params = PBRParams.solve(2, np.pi / 4)
+    line = line_map(span + 1)
+    cal = uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges)
+    noisy = [
+        attach_noise(lower(build_test_circuit(x, params), line, (0, span))[0], cal, model)
+        for x in range(4)
+    ]
+    got = outcome_distributions(noisy[0], (0, span))
+    for x, c in enumerate(noisy):
+        assert np.abs(got[x] - lifetime_distribution(c)).max() < DIFF_TOL
+
+
+@pytest.mark.parametrize("model", NOISE_MODELS)
+def test_exact_means_past_the_cap_grow_with_span(model):
+    # Placed runs are exact at any span up to MAX_SPAN: each SWAP adds
+    # error, so the mean forbidden probability does not fall.
+    means = []
+    for span in (12, 20, 40, 80, 154):
+        line = line_map(span + 1)
+        cfg = ExperimentConfig(
+            n=2,
+            theta=np.pi / 4,
+            model=model,
+            calibration=uniform_calibration(span + 1, p1=2e-4, p2=2.4e-3, edges=line.edges),
+            shots=2000,
+            seed=6,
+            coupling=line,
+            placement=(0, span),
+        )
+        report = run_experiment(cfg)
+        assert not report.analytic_only and report.span == span
+        means.append(report.mean_forbidden_exact)
+    assert all(b >= a for a, b in zip(means, means[1:])), means
 
 
 def record_evolved_rows(monkeypatch):
@@ -1232,6 +1282,37 @@ def test_qubit_cap_enforced():
     wide = Circuit(30, (Gate(H, (0,)), Gate(MEASURE, tuple(range(0, 26, 2)))))
     with pytest.raises(CapError):
         outcome_distribution(wide)
+
+
+def test_cap_refuses_before_building_an_operator():
+    # 13 qubits live at once, all joining at one 13-wide open-controlled
+    # phase; and a 12-wide one beside a 13th kept qubit. The cap is checked
+    # on the peak live width before any operator is built: the 12-wide
+    # phase vector alone would be 4^12 complex entries, 268 MB.
+    wide = Circuit(13, (Gate(MCPHASE_OPEN, tuple(range(13)), angle=0.4), Gate(MEASURE, (0,))))
+    beside = Circuit(13, (Gate(MCPHASE_OPEN, tuple(range(12)), angle=0.4), Gate(X, (12,))))
+    for c in (wide, beside):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapError, match="^13 qubits exceeds the simulation cap of 12$"):
+                outcome_distribution(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def test_cap_counts_live_qubits_not_touched_ones():
+    # A CZ chain over 30 qubits touches every one, but each discarded qubit
+    # leaves after its second CZ: three live at once, and only the two ends
+    # are measured.
+    chain = [Gate(H, (0,))]
+    for q in range(29):
+        chain += [Gate(H, (q + 1,)), Gate(CZ, (q, q + 1))]
+    c = Circuit(30, tuple(chain) + (Gate(MEASURE, (0, 29)),))
+    assert pbrsim.simulate._schedule(_walk(c), (0, 29), ())[0][1] == 3
+    ref = lifetime_distribution(c)
+    assert np.abs(outcome_distribution(c) - ref).max() < DIFF_TOL
 
 
 def test_measured_untouched_qubits_join_as_zero():
