@@ -24,36 +24,34 @@ from .errors import RangeError
 from .noise import (
     CalibrationSnapshot,
     NOISE_MODELS,
+    _check_model,
+    _check_probability,
     calibration_mean,
     mean_p_from_time,
     p_from_time,
 )
-from .protocol import PBRParams
+from .protocol import PBRParams, _check_size, _check_theta
 from .records import Record, record
 
 
 def quantum_trace_distance(theta: float) -> float:
     """sin(theta) for the two pure preparations at opening angle theta."""
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-        raise RangeError(f"theta={theta!r} outside [0, pi/2]")
+    _check_theta(theta)
     return math.sin(theta)
 
 
 def epsilon_tol(d: float, n: int) -> float:
     """(1 - d)^n / 2^n, the psi-epistemic bound at trace distance d."""
-    if not 0.0 <= d <= 1.0:
-        raise RangeError(f"d={d!r} outside [0, 1]")
-    if n < 1:
-        raise RangeError(f"n={n} must be >= 1")
+    _check_probability(d, "d")
+    _check_size(n)
     # Scaled by 2^-n in the exponent: 2**n overflows a float from n = 1024 on.
     return math.ldexp((1.0 - d) ** n, -n)
 
 
 def epsilon_dep(p1: float, p2: float, g1: int, g2: int) -> float:
     """Synthesized depolarizing error 1 - (1-p1)^G1 (1-p2)^G2."""
-    for name, p in (("p1", p1), ("p2", p2)):
-        if not 0.0 <= p <= 1.0:
-            raise RangeError(f"{name}={p!r} outside [0, 1]")
+    _check_probability(p1, "p1")
+    _check_probability(p2, "p2")
     if g1 < 0 or g2 < 0:
         raise RangeError(f"gate counts ({g1}, {g2}) must be >= 0")
     return float(1.0 - (1.0 - p1) ** g1 * (1.0 - p2) ** g2)
@@ -61,8 +59,7 @@ def epsilon_dep(p1: float, p2: float, g1: int, g2: int) -> float:
 
 def noisy_overlap(theta: float, eps_dep: float) -> float:
     """(1 - eps_dep) sin(theta): trace distance surviving noisy preparation."""
-    if not 0.0 <= eps_dep <= 1.0:
-        raise RangeError(f"eps_dep={eps_dep!r} outside [0, 1]")
+    _check_probability(eps_dep, "eps_dep")
     return float((1.0 - eps_dep) * quantum_trace_distance(theta))
 
 
@@ -70,9 +67,8 @@ def epsilon_dec(n: int, p_ad: float, p_phi: float) -> float:
     """Linearized decoherence estimate min(1, n (p_ad + p_phi))."""
     if n < 0:
         raise RangeError(f"n={n} must be >= 0")
-    for name, p in (("p_ad", p_ad), ("p_phi", p_phi)):
-        if not 0.0 <= p <= 1.0:
-            raise RangeError(f"{name}={p!r} outside [0, 1]")
+    _check_probability(p_ad, "p_ad")
+    _check_probability(p_phi, "p_phi")
     return float(min(1.0, n * (p_ad + p_phi)))
 
 
@@ -176,6 +172,5 @@ def tolerance_report(
     params: PBRParams, cal: CalibrationSnapshot, circuit: Circuit, model: str
 ) -> ToleranceReport:
     """One model's report from `tolerance_reports`."""
-    if model not in NOISE_MODELS:
-        raise ValueError(f"unknown noise model {model!r}")
+    _check_model(model)
     return tolerance_reports(params, cal, circuit)[NOISE_MODELS.index(model)]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import field
-from operator import index
 
 import numpy as np
 
@@ -53,9 +52,14 @@ DIAGONAL_KINDS = frozenset({RZ, PHASE, CZ, CPHASE_OPEN, MCPHASE_OPEN})
 KINDS = frozenset(_RULES)
 
 
+def _is_integer(value) -> bool:
+    """The package's one integer rule: a Python or numpy integer, never a bool."""
+    return type(value) is not bool and isinstance(value, (int, np.integer))
+
+
 def as_integer(value, name: str) -> int:
-    """`value` as a Python int; ValidationError unless it is a Python or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """`value` as a Python int; ValidationError unless `_is_integer(value)`."""
+    if not _is_integer(value):
         raise ValidationError(f"{name}={value!r} must be an integer")
     return int(value)
 
@@ -64,8 +68,8 @@ def as_integer(value, name: str) -> int:
 class Gate(Record):
     """One operation: its kind, the qubits it acts on, and its angle or noise channel.
 
-    Qubit indices must be integers (Python or numpy); each kind's qubit
-    count and angle come from one rule table.
+    Qubit indices must be integers (Python or numpy, not bools); each
+    kind's qubit count and angle come from one rule table.
     """
 
     kind: str
@@ -74,11 +78,10 @@ class Gate(Record):
     channel: KrausChannel | None = field(default=None, compare=False)
 
     def __init__(self, kind, qubits, angle=None, channel=None):
-        indices = map(index, qubits)
-        try:
-            qubits = tuple(indices)
-        except TypeError:
-            raise ValueError(f"{kind} qubits {qubits!r} must be integers") from None
+        indices = tuple(qubits)
+        if not all(map(_is_integer, indices)):
+            raise ValueError(f"{kind} qubits {qubits!r} must be integers")
+        qubits = tuple(map(int, indices))
         rule = _RULES.get(kind)
         if rule is None:
             raise KindError(f"unknown gate kind {kind!r}")

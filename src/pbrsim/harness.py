@@ -89,7 +89,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bounds import ToleranceReport, epsilon_dep, tolerance_reports
-from .circuits import Circuit, as_integer, gate_counts
+from .circuits import Circuit, _is_integer, as_integer, gate_counts
 from .config import (
     DEFAULT_CONFIDENCE,
     DEFAULT_SHOTS,
@@ -102,7 +102,7 @@ from .memo import IdentityMemo
 from .noise import (
     CalibrationSnapshot,
     DEPOLARIZING,
-    NOISE_MODELS,
+    _check_model,
     attach_noise,
     calibration_mean,
     readout_matrix,
@@ -118,11 +118,6 @@ if TYPE_CHECKING:
 BIT_ORDER_NOTE = "qubit 0 is the most significant bit of every outcome index"
 # The multinomial sampler draws counts as int64.
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
-
-
-def _is_integer(value) -> bool:
-    # A Python or numpy integer, and not a bool.
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 @record
@@ -150,10 +145,8 @@ class ExperimentConfig(Record):
             # Python ints and floats are kept as given; other reals, numpy
             # scalars among them, render as the Python number they equal.
             if type(value) not in (int, float):
-                value = int(value) if isinstance(value, (int, np.integer)) else float(value)
-                object.__setattr__(self, name, value)
-        if self.model not in NOISE_MODELS:
-            raise ValidationError(f"unknown noise model {self.model!r}")
+                object.__setattr__(self, name, int(value) if _is_integer(value) else float(value))
+        _check_model(self.model)
         if self.shots < 1:
             raise ValidationError(f"shots={self.shots} must be >= 1")
         if self.shots > _MAX_SHOTS:
@@ -554,8 +547,8 @@ def analytic_report(cfg: ExperimentConfig) -> ExperimentReport:
     pair = tolerance_reports(params, cal, circuit)
     check_forbidden_outcomes(params)
     if cfg.model == DEPOLARIZING:
-        p1 = float(np.mean([q.p1 for q in cal.qubits]))
-        p2 = float(np.mean([c.p2 for c in cal.couplers])) if cal.couplers else 0.0
+        p1 = calibration_mean(q.p1 for q in cal.qubits)
+        p2 = calibration_mean(c.p2 for c in cal.couplers) if cal.couplers else 0.0
         predicted = epsilon_dep(p1, p2, fields["g1"], fields["g2"])
     else:
         predicted = pair[1].eps_dec_cumulative
@@ -592,10 +585,7 @@ def _line_calibration(cal: CalibrationSnapshot, n_phys: int) -> CalibrationSnaps
 
 
 def check_span(s) -> int:
-    """A sweep span as a Python int; RangeError unless it is an integer in 1..MAX_SPAN.
-
-    numpy integers are accepted; bools, floats and other values are not.
-    """
+    """A sweep span as a Python int; RangeError unless `_is_integer(s)` and 1 <= s <= MAX_SPAN."""
     if not _is_integer(s):
         raise RangeError(f"span {s!r} must be an integer")
     if not 1 <= s <= MAX_SPAN:

@@ -68,10 +68,9 @@ class QubitCalibration(Record):
         readout_p01=0.0,
         readout_p10=0.0,
     ):
-        if not 0 < t1 < math.inf:
-            raise ValidationError(f"qubit {id}: t1 must be finite and > 0")
-        if not 0 < t2 < math.inf:
-            raise ValidationError(f"qubit {id}: t2 must be finite and > 0")
+        for name, t in (("t1", t1), ("t2", t2)):
+            if not 0 < t < math.inf:
+                raise ValidationError(f"qubit {id}: {name} must be finite and > 0")
         for name, v in (("p1", p1), ("readout_p01", readout_p01), ("readout_p10", readout_p10)):
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"qubit {id}: {name}={v!r} outside [0, 1]")
@@ -329,10 +328,9 @@ _PAULIS = (
 _channel_cache = functools.lru_cache(maxsize=512)
 
 
-def _check_probability(p: float, name: str = "p") -> float:
+def _check_probability(p: float, name: str = "p") -> None:
     if not 0.0 <= p <= 1.0:
         raise RangeError(f"{name}={p!r} outside [0, 1]")
-    return float(p)
 
 
 @_channel_cache
@@ -415,6 +413,11 @@ def _thermal_insertions(qubits, duration: float, cal: CalibrationSnapshot) -> li
     return out
 
 
+def _check_model(model: str) -> None:
+    if model not in NOISE_MODELS:
+        raise ValidationError(f"unknown noise model {model!r}")
+
+
 def attach_noise(c: Circuit, cal: CalibrationSnapshot, model: str) -> Circuit:
     """Insert NOISE gates after each unitary per the chosen model.
 
@@ -425,8 +428,7 @@ def attach_noise(c: Circuit, cal: CalibrationSnapshot, model: str) -> Circuit:
     window on every measured qubit, in measured order, before the first
     MEASURE.
     """
-    if model not in NOISE_MODELS:
-        raise ValueError(f"unknown noise model {model!r}")
+    _check_model(model)
     gates: list[Gate] = []
     measuring = False
     for g in c.gates:

@@ -41,6 +41,7 @@ from .circuits import (
     PHASE,
     RY,
     X,
+    _is_integer,
 )
 from .config import ATOL_ALGEBRAIC, FORBIDDEN_PROB_THRESHOLD, MAX_SOLVER_N
 from .errors import NoSolutionError, ProtocolError, RangeError, ValidationError
@@ -48,10 +49,19 @@ from .records import Record, record
 from .simulate import outcome_distributions
 
 
-def theta_min(n: int) -> float:
-    """Smallest opening angle with an antidistinguishing measurement."""
+def _check_size(n: int) -> None:
     if n < 1:
         raise RangeError(f"n={n} must be >= 1")
+
+
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
+        raise RangeError(f"theta={theta!r} outside [0, pi/2]")
+
+
+def theta_min(n: int) -> float:
+    """Smallest opening angle with an antidistinguishing measurement."""
+    _check_size(n)
     return float(2.0 * np.arctan(2.0 ** (1.0 / n) - 1.0))
 
 
@@ -98,12 +108,10 @@ def solve_angles(n: int, theta: float) -> tuple[float, float]:
     n above `config.MAX_SOLVER_N`, where rounding can fail the residual
     check, is refused up front.
     """
-    if n < 1:
-        raise RangeError(f"n={n} must be >= 1")
     if n > MAX_SOLVER_N:
         raise RangeError(f"n={n} above the angle solver's largest n, {MAX_SOLVER_N}")
-    if not 0.0 <= theta <= np.pi / 2 + 1e-12:
-        raise RangeError(f"theta={theta!r} outside [0, pi/2]")
+    tmin = theta_min(n)  # refuses n < 1
+    _check_theta(theta)
     t = np.tan(theta / 2)
 
     def g(beta: float) -> float:
@@ -111,7 +119,6 @@ def solve_angles(n: int, theta: float) -> tuple[float, float]:
         return m - 1.0 if m < np.inf else np.inf
 
     g0 = g(0.0)
-    tmin = theta_min(n)
     # (1+t)^n < 2: modulus never reaches 1, theta below threshold. Within a
     # few ulp of theta_min, g(0) is rounding of order n * eps on either side
     # of 0, and the root is beta = 0 (the residual check still applies).
@@ -218,8 +225,8 @@ def build_entangling_measurement(n: int, alpha: float, beta: float) -> Circuit:
 
 
 def build_test_circuit(x, params: PBRParams) -> Circuit:
-    """Preparation for input x (index or bits) followed by the measurement."""
-    if isinstance(x, (int, np.integer)):
+    """Preparation for input x (an integer index, not a bool, or bits) then the measurement."""
+    if _is_integer(x):
         if not 0 <= x < 2**params.n:
             raise RangeError(f"input index {x} outside [0, {2**params.n})")
         x = bits_of(int(x), params.n)
@@ -281,10 +288,8 @@ def check_forbidden_outcomes(params: PBRParams) -> np.ndarray:
 
 
 def _as_bits(x) -> tuple[int, ...]:
-    if isinstance(x, str):
-        if not x or set(x) - {"0", "1"}:
-            raise ValidationError(f"bitstring {x!r} must be over 0/1")
-        return tuple(int(ch) for ch in x)
+    if isinstance(x, str) and (not x or set(x) - {"0", "1"}):
+        raise ValidationError(f"bitstring {x!r} must be over 0/1")
     bits = tuple(int(b) for b in x)
     if set(bits) - {0, 1}:
         raise ValidationError(f"bits {x!r} must be 0/1")

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from collections import deque
 
-from .circuits import Circuit, Gate, as_integer, decompose_swap
+from .circuits import Circuit, Gate, as_integer, decompose_swap, gate_counts
 from .config import MAX_SPAN
 from .errors import FormatError, PathError, RangeError, ValidationError
 from .noise import json_number, load_json_document
 from .records import Record, record
+
+_SWAP_GATE_COUNTS = gate_counts(Circuit(2, decompose_swap()))
 
 
 @record
@@ -164,7 +166,7 @@ def lower(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> tuple[Ci
 
 
 def routed_gate_overhead(s: int) -> tuple[int, int]:
-    """(extra single-qubit, extra two-qubit) gates for a span-s placement."""
+    """(extra single-qubit, extra two-qubit) gates for a span-s placement: s - 1 SWAPs."""
     if s < 1:
         raise RangeError(f"span {s} must be >= 1")
-    return (s - 1) * 6, (s - 1) * 3
+    return tuple((s - 1) * k for k in _SWAP_GATE_COUNTS)

@@ -78,7 +78,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .circuits import DIAGONAL_KINDS, Circuit, Gate, MEASURE, NOISE, X, gate_diagonal, gate_unitary
+from .circuits import (
+    DIAGONAL_KINDS, Circuit, Gate, MEASURE, NOISE, X, as_integer, gate_diagonal, gate_unitary,
+)
 from .config import ATOL_ALGEBRAIC, SIMULATION_QUBIT_CAP
 from .errors import CapError
 from .states import KrausChannel, check_phases, check_unitary
@@ -483,13 +485,13 @@ def outcome_distributions(c: Circuit, frames=(), readout=()) -> np.ndarray:
     qubit's population read: the result is the unmixed table with each
     qubit's outcome axis multiplied by its matrix. Returns a (2^F, 2^m)
     array of probabilities clipped to [0, 1]; the first measured qubit is
-    the most significant bit of an outcome. Frames must name distinct
-    qubits of the circuit that some gate acts on, and readout must give
-    none or one matrix per measured qubit, each finite, non-negative and
-    with columns summing to 1 within ATOL_ALGEBRAIC, or ValueError is
-    raised.
+    the most significant bit of an outcome. Frames must be integers (not
+    bools) naming distinct qubits of the circuit that some gate acts on,
+    and readout must give none or one matrix per measured qubit, each
+    finite, non-negative and with columns summing to 1 within
+    ATOL_ALGEBRAIC, or ValueError is raised.
     """
-    return _table(_plan(c, tuple(int(q) for q in frames), readout))
+    return _table(_plan(c, tuple(as_integer(q, "frame qubit") for q in frames), readout))
 
 
 def outcome_distribution(c: Circuit) -> np.ndarray:

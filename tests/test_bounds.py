@@ -16,7 +16,7 @@ from pbrsim.bounds import (
     tolerance_report,
     tolerance_reports,
 )
-from pbrsim.errors import CalibrationError, RangeError
+from pbrsim.errors import CalibrationError, RangeError, ValidationError
 from pbrsim.harness import ExperimentConfig, run_experiment
 from pbrsim.noise import (
     CalibrationSnapshot,
@@ -39,7 +39,7 @@ def test_quantum_trace_distance():
     assert abs(quantum_trace_distance(np.pi / 4) - np.sin(np.pi / 4)) < 1e-15
     with pytest.raises(RangeError):
         quantum_trace_distance(-0.1)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^theta=2\.0 outside \[0, pi/2\]$"):
         quantum_trace_distance(2.0)
 
 
@@ -49,9 +49,9 @@ def test_epsilon_tol_values():
     assert abs(epsilon_tol(np.sin(theta_min(5)), 5) - 0.005600077148876709) < 1e-15
     assert epsilon_tol(1.0, 3) == 0.0
     assert abs(epsilon_tol(0.0, 1) - 0.5) < 1e-15
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^d=1\.5 outside \[0, 1\]$"):
         epsilon_tol(1.5, 2)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^n=0 must be >= 1$"):
         epsilon_tol(0.5, 0)
 
 
@@ -68,8 +68,12 @@ def test_epsilon_dep():
     assert abs(epsilon_dep(1e-3, 1e-2, 10, 5) - 0.05847716996609209) < 1e-15
     assert epsilon_dep(0.0, 0.0, 100, 100) == 0.0
     assert abs(epsilon_dep(1e-4, 0.0, 1, 0) - 1e-4) < 1e-15
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^p1=2\.0 outside \[0, 1\]$"):
         epsilon_dep(2.0, 0.0, 1, 1)
+    with pytest.raises(RangeError, match=r"^p1=1\.5 outside \[0, 1\]$"):
+        epsilon_dep(1.5, 0, 1, 1)
+    with pytest.raises(RangeError, match=r"^p2=-0\.5 outside \[0, 1\]$"):
+        epsilon_dep(0, -0.5, 1, 1)
     with pytest.raises(RangeError):
         epsilon_dep(0.1, 0.1, -1, 0)
 
@@ -77,8 +81,9 @@ def test_epsilon_dep():
 def test_noisy_overlap():
     assert abs(noisy_overlap(np.pi / 4, 0.0) - np.sin(np.pi / 4)) < 1e-15
     assert abs(noisy_overlap(np.pi / 4, 0.1) - 0.9 * np.sin(np.pi / 4)) < 1e-15
-    with pytest.raises(RangeError):
-        noisy_overlap(np.pi / 4, 1.5)
+    for theta in (np.pi / 4, 0.5):
+        with pytest.raises(RangeError, match=r"^eps_dep=1\.5 outside \[0, 1\]$"):
+            noisy_overlap(theta, 1.5)
 
 
 def test_epsilon_dec():
@@ -94,6 +99,8 @@ def test_epsilon_dec():
         epsilon_dec(-1, 0.1, 0.1)
     with pytest.raises(RangeError, match=r"^p_ad=-0\.1 outside \[0, 1\]$"):
         epsilon_dec(5, -0.1, 0.1)
+    with pytest.raises(RangeError, match=r"^p_ad=1\.5 outside \[0, 1\]$"):
+        epsilon_dec(1, 1.5, 0)
     with pytest.raises(RangeError, match=r"^p_phi=1\.5 outside \[0, 1\]$"):
         epsilon_dec(5, 0.1, 1.5)
 
@@ -161,7 +168,7 @@ def test_tolerance_report_readout_window_dominates_cumulative():
 def test_tolerance_report_rejects_unknown_model():
     params = PBRParams.solve(2, np.pi / 4)
     circuit = build_test_circuit(0, params)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match=r"^unknown noise model 'white'$"):
         tolerance_report(params, adjacent_pair_calibration(), circuit, "white")
 
 

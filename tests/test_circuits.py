@@ -108,6 +108,12 @@ GATE_REJECTIONS = [
     (CZ, (0.2, 0.7), None, None, ValueError, "CZ qubits (0.2, 0.7) must be integers"),
     (CZ, (0, np.float64(1.0)), None, None, ValueError,
      f"CZ qubits {(0, np.float64(1.0))!r} must be integers"),
+    # Bools are not integers here, as for sizes, spans and placements: True
+    # used to run as qubit 1.
+    (X, (True,), None, None, ValueError, "X qubits (True,) must be integers"),
+    (CZ, (0, False), None, None, ValueError, "CZ qubits (0, False) must be integers"),
+    (H, (np.bool_(True),), None, None, ValueError,
+     f"H qubits {(np.bool_(True),)!r} must be integers"),
 ]
 
 
@@ -131,6 +137,8 @@ def test_gate_is_a_frozen_dataclass_of_its_fields():
     g = Gate(kind=RY, qubits=[np.int64(2)], angle=0.5)
     assert g == Gate(RY, (2,), 0.5)
     assert g.qubits == (2,) and type(g.qubits[0]) is int
+    mixed = Gate(CZ, [0, np.int64(1)])
+    assert mixed.qubits == (0, 1) and all(type(q) is int for q in mixed.qubits)
     assert repr(Gate(H, (0,))) == "Gate(kind='H', qubits=(0,), angle=None, channel=None)"
     assert dataclasses.replace(g, qubits=(3,)) == Gate(RY, (3,), 0.5)
     with pytest.raises(ValueError, match=r"^RY acts on exactly 1 qubit, got 2$"):

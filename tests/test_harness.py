@@ -197,7 +197,7 @@ def test_wilson_z_is_the_normal_dist_quantile_bit_for_bit():
 
 def test_experiment_config_validation():
     cal = pair_calibration()
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^unknown noise model 'white'$"):
         ExperimentConfig(n=2, theta=np.pi / 4, model="white", calibration=cal)
     with pytest.raises(ValidationError):
         ExperimentConfig(n=2, theta=np.pi / 4, model=DEPOLARIZING, calibration=cal, shots=0)

@@ -351,7 +351,7 @@ def test_attach_noise_thermal_counts():
 def test_attach_noise_rejects_unknown_model():
     cal = uniform_calibration(1)
     c = Circuit(1, (Gate(H, (0,)), Gate(MEASURE, (0,))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match=r"^unknown noise model 'gaussian'$"):
         attach_noise(c, cal, "gaussian")
 
 

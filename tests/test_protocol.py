@@ -50,7 +50,7 @@ def test_theta_min_values():
     assert abs(theta_min(4) - 0.3739931524730452) < 1e-15
     assert abs(theta_min(5) - 0.29523340544588333) < 1e-15
     assert isinstance(theta_min(2), float)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^n=0 must be >= 1$"):
         theta_min(0)
 
 
@@ -131,11 +131,11 @@ def test_solve_angles_up_to_the_largest_n():
 
 
 def test_solve_angles_range_checks():
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^n=0 must be >= 1$"):
         solve_angles(0, 0.5)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^theta=-0\.1 outside \[0, pi/2\]$"):
         solve_angles(2, -0.1)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^theta=3\.14159\d* outside \[0, pi/2\]$"):
         solve_angles(2, np.pi)
 
 
@@ -192,6 +192,12 @@ def test_build_test_circuit_input_forms():
         build_test_circuit(-1, params)
     with pytest.raises(ValidationError):
         build_test_circuit("011", params)
+    # An index is an integer by the package's one rule: numpy integers are,
+    # bools are not, and a bool is no bit sequence either.
+    assert build_test_circuit(np.int64(1), params) == a
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(TypeError):
+            build_test_circuit(flag, params)
 
 
 def test_ideal_distribution_two_qubits():

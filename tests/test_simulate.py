@@ -31,7 +31,7 @@ from pbrsim.circuits import (
     decompose_swap,
 )
 from pbrsim.config import mcphase_cz_equivalents
-from pbrsim.errors import CalibrationError, CapError
+from pbrsim.errors import CalibrationError, CapError, ValidationError
 from pbrsim.harness import ExperimentConfig, run_experiment, sweep_distance
 from pbrsim.noise import (
     NOISE_MODELS,
@@ -471,6 +471,28 @@ def test_readout_needs_one_matrix_per_measured_qubit():
     for readout in ([m], [m, m, m], [m, np.eye(3)]):
         with pytest.raises(ValueError, match="readout needs one"):
             outcome_distributions(c, (0,), readout)
+
+
+FRAME_REJECTIONS = [
+    ((0, 0), ValueError, "frames (0, 0) name a qubit twice"),
+    ((3,), ValueError, "frame qubit 3 is outside the circuit's 3 qubits"),
+    ((2,), ValueError, "frame qubit 2 has no gate"),
+    # Frames are qubit indices, so they take the one integer rule: a bool
+    # or a float names no qubit.
+    ((True,), ValidationError, "frame qubit=True must be an integer"),
+    ((0, 1.0), ValidationError, "frame qubit=1.0 must be an integer"),
+    ((np.bool_(False),), ValidationError, f"frame qubit={np.bool_(False)!r} must be an integer"),
+]
+
+
+@pytest.mark.parametrize("frames, error, message", FRAME_REJECTIONS)
+def test_frames_are_distinct_integer_qubits_with_a_gate(frames, error, message):
+    c = Circuit(3, (Gate(H, (0,)), Gate(H, (1,)), Gate(MEASURE, (0, 1))))
+    with pytest.raises(ValueError) as exc:
+        outcome_distributions(c, frames)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert np.array_equal(outcome_distributions(c, (np.int64(1), 0)), outcome_distributions(c, (1, 0)))
 
 
 def test_readout_must_be_column_stochastic():
