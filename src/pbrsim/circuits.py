@@ -12,8 +12,8 @@ from dataclasses import field
 
 import numpy as np
 
-from .config import DEFAULT_TWO_QUBIT_GATE_S, mcphase_cz_equivalents
-from .errors import KindError, ValidationError
+from .config import DEFAULT_TWO_QUBIT_GATE_S, MAX_SPAN, mcphase_cz_equivalents
+from .errors import KindError, RangeError, ValidationError
 from .records import Record, record
 from .states import KrausChannel
 
@@ -62,6 +62,15 @@ def as_integer(value, name: str) -> int:
     if not _is_integer(value):
         raise ValidationError(f"{name}={value!r} must be an integer")
     return int(value)
+
+
+def check_span(s) -> int:
+    """A span as a Python int; RangeError unless `_is_integer(s)` and 1 <= s <= MAX_SPAN."""
+    if not _is_integer(s):
+        raise RangeError(f"span {s!r} must be an integer")
+    if not 1 <= s <= MAX_SPAN:
+        raise RangeError(f"span {s} is outside 1..{MAX_SPAN}")
+    return int(s)
 
 
 @record

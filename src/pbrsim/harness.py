@@ -62,39 +62,41 @@ never imports `statistics`; `routing` and `csv` are imported only by
 the placed runs, sweeps and CSV output that use them.
 
 Reports render to a structured JSON document (sorted keys, so identical
-configurations are byte-identical) and to a flat CSV, one row per input;
-both take their input rows from one helper. `render_doc` is the one JSON
-serializer: the CLI's other documents and the saved calibration and
-coupling-map files use it too. Its bytes are
-json.dumps(doc, indent=2, sort_keys=True) plus a newline, but json.dumps
-writes indented text with its pure-Python encoder before Python 3.13, so
-`render_doc` hands every flat container (one whose values are scalars or
-empty containers, and a list of such dicts) to the C encoder in one call,
-with the newline and indent as its item separator, and walks only the
-containers above them.
+configurations are byte-identical) and to a flat CSV, one row per input.
+`_report_text` writes a `pbr-experiment` report straight from its fields
+into %-templates that json.dumps writes once, at import, from skeletons
+of the report's fixed shape (`_template`): each input row is one
+template with its floats by repr, and the active tolerance, which every
+row carries, is formatted once. Its bytes are those of
+json.dumps(report_to_dict(r), indent=2, sort_keys=True), which json.dumps
+would write with its pure-Python encoder before Python 3.13; a sweep
+indents each report two levels deeper. `report_to_dict` is the report's
+dict form, and it and the CSV take their input rows from one helper. The
+CLI's other documents and the saved calibration and coupling-map files
+are cold, written once per command: `render_doc` is json.dumps itself.
 """
 
 from __future__ import annotations
 
 import functools
 import io
-import itertools
 import json
 import math
 import numbers
+import operator
 from collections.abc import Iterator
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bounds import ToleranceReport, epsilon_dep, tolerance_reports
-from .circuits import Circuit, _is_integer, as_integer, gate_counts
+from .circuits import Circuit, _is_integer, as_integer, check_span, gate_counts
 from .config import (
     DEFAULT_CONFIDENCE,
     DEFAULT_SHOTS,
     DEFAULT_TWO_QUBIT_GATE_S,
-    MAX_SPAN,
     SIMULATION_QUBIT_CAP,
 )
 from .errors import RangeError, ValidationError
@@ -584,15 +586,6 @@ def _line_calibration(cal: CalibrationSnapshot, n_phys: int) -> CalibrationSnaps
     )
 
 
-def check_span(s) -> int:
-    """A sweep span as a Python int; RangeError unless `_is_integer(s)` and 1 <= s <= MAX_SPAN."""
-    if not _is_integer(s):
-        raise RangeError(f"span {s!r} must be an integer")
-    if not 1 <= s <= MAX_SPAN:
-        raise RangeError(f"span {s} is outside 1..{MAX_SPAN}")
-    return int(s)
-
-
 def sweep_distance(cfg: ExperimentConfig, spans) -> list[ExperimentReport]:
     """One report per span on a homogenized line device.
 
@@ -645,10 +638,7 @@ def tolerance_to_dict(t: ToleranceReport) -> dict:
 
 
 def _input_rows(r: ExperimentReport) -> list[dict]:
-    """One dict per sampled input: the JSON `inputs` entries and the CSV rows.
-
-    Keys are listed in sorted order, so the encoder's sort finds them in place.
-    """
+    """One dict per sampled input: the JSON `inputs` entries and the CSV rows."""
     labels = _bit_labels(r.n)
     return [
         {
@@ -708,99 +698,100 @@ def report_to_dict(r: ExperimentReport) -> dict:
     }
 
 
-_INDENT = "  "
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-@functools.lru_cache(maxsize=32)
-def _encoder(level: int) -> json.JSONEncoder:
-    # The C encoder (no indent), its item separator a newline and the indent
-    # of `level`: a flat container's items come out as the indented encoder
-    # writes them.
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + _INDENT * level, ": "))
-
-
-def _flat(o) -> bool:
-    # A non-empty container whose values are all scalars or empty containers
-    # (the type test first, as it runs in C).
-    if not isinstance(o, _CONTAINERS) or not o:
-        return False
-    values = o.values() if isinstance(o, dict) else o
-    return _SCALARS.issuperset(map(type, values)) or not any(
-        isinstance(v, _CONTAINERS) and v for v in values
-    )
-
-
-def _flat_dicts(o) -> bool:
-    # A list of flat dicts (a report's inputs). The common case, non-empty
-    # dicts of scalars only, is one pass over every value in C.
-    scalar_rows = set(map(type, o)) == {dict} and all(o) and _SCALARS.issuperset(
-        map(type, itertools.chain.from_iterable(map(dict.values, o)))
-    )
-    return scalar_rows or all(isinstance(v, dict) and _flat(v) for v in o)
-
-
-def _key(k) -> str:
-    # A dict key as json writes it: a string, or the text of a scalar.
-    if not isinstance(k, str):
-        if not (k is None or isinstance(k, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-        k = _encoder(0).encode(k)
-    return _encoder(0).encode(k)
-
-
-def _render(o, level: int) -> str:
-    # `o` as json.dumps(o, indent=2, sort_keys=True) writes it at nesting
-    # `level`. Scalars, empty containers and flat containers are one C
-    # encoder call each; so is a list of flat dicts (a report's inputs),
-    # whose dict boundaries are then indented. The encoder escapes every
-    # newline inside a string, so a raw newline comes only from a separator.
-    # Only containers that hold non-empty containers are walked here.
-    if not isinstance(o, _CONTAINERS) or not o:
-        return _encoder(0).encode(o)
-    outer, inner = _INDENT * level, _INDENT * (level + 1)
-    brackets = "{}" if isinstance(o, dict) else "[]"
-    if _flat(o):
-        body = _encoder(level + 1).encode(o)[1:-1]
-    elif isinstance(o, dict):
-        # Its scalar items come from one C encoder call, split at the item
-        # separator (the one raw newline, as above).
-        scalars = {k: v for k, v in o.items() if type(v) in _SCALARS}
-        items = _encoder(level + 1).encode(scalars)[1:-1].split(",\n" + inner) if scalars else ()
-        text = dict(zip(sorted(scalars), items))
-        body = (",\n" + inner).join(
-            text[k] if k in text else _key(k) + ": " + _render(v, level + 1)
-            for k, v in sorted(o.items())
-        )
-    elif _flat_dicts(o):
-        deeper = _INDENT * (level + 2)
-        text = _encoder(level + 2).encode(o)[2:-2]
-        text = text.replace("},\n" + deeper + "{", "\n" + inner + "},\n" + inner + "{\n" + deeper)
-        body = "{\n" + deeper + text + "\n" + inner + "}"
-    else:
-        body = (",\n" + inner).join(_render(v, level + 1) for v in o)
-    return brackets[0] + "\n" + inner + body + "\n" + outer + brackets[1]
-
-
 def render_doc(doc) -> str:
-    """Serialize a report document: sorted keys, two-space indent, newline.
+    """Serialize a report document: sorted keys, two-space indent, newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    The bytes are those of json.dumps(doc, indent=2, sort_keys=True) + "\n",
-    written mostly by the C encoder, which json.dumps skips when indenting
-    before Python 3.13.
+
+def _template(skeleton: dict, level: int) -> str:
+    """json.dumps(skeleton, indent=2, sort_keys=True) at nesting `level`, as a %-template.
+
+    Values "%r" and "%s" come out unquoted, to take a number or a value's
+    JSON text; "%%s" comes out as "%s", to take a string needing no escapes.
     """
-    return _render(doc, 0) + "\n"
+    text = json.dumps(skeleton, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+    return text.replace('"%r"', "%r").replace('"%s"', "%s").replace("%%s", "%s")
+
+
+# A `pbr-experiment` report's text, filled in its keys' sorted order.
+# Numbers go in by repr, which is how json writes an int or a finite float.
+_TOLERANCE_FIELDS = (
+    "d_noisy", "d_quantum", "eps_dec", "eps_dec_cumulative", "eps_dep", "eps_tol_ideal",
+    "eps_tol_noisy", "eps_tol_noisy_spread",
+)
+_TOLERANCE = _template({**dict.fromkeys(_TOLERANCE_FIELDS, "%r"), "model": "%s"}, 2)
+_INPUT = _template(
+    {
+        **dict.fromkeys(("ci_high", "ci_low", "count", "estimate", "exact_probability"), "%r"),
+        **dict.fromkeys(("forbidden", "input"), "%%s"),
+        **dict.fromkeys(("pass", "tolerance"), "%s"),
+    },
+    2,
+)
+_ROUTING = _template(
+    dict.fromkeys(("extra_g1", "extra_g2", "span", "swap_count"), "%r") | {"placement": ["%r"] * 2},
+    1,
+)
+_REPORT = _template(
+    {
+        "alpha": "%r", "analytic_only": "%s", "beta": "%r", "bit_order": BIT_ORDER_NOTE,
+        "confidence": "%r", "forbidden_map": "%s", "gate_counts": {"g1": "%r", "g2": "%r"},
+        "inputs": "%s", "kind": "pbr-experiment", "mean_forbidden_exact": "%s", "model": "%s",
+        "n": "%r", "pass_fraction": "%r", "passed": "%s", "predicted_error": "%s",
+        "routing": "%s", "seed": "%r", "shots": "%r", "theta": "%r",
+        "tolerances": {"active": "%s", "depolarizing": "%s", "thermodynamical": "%s"},
+    },
+    0,
+)
+_tolerance_numbers = operator.attrgetter(*_TOLERANCE_FIELDS)
+_JSON_BOOL = ("false", "true")
+
+
+def _report_text(r: ExperimentReport) -> str:
+    """`r` as json.dumps(report_to_dict(r), indent=2, sort_keys=True) writes it.
+
+    The active tolerance, which every input row carries, is formatted once.
+    """
+    labels = _bit_labels(r.n)
+    active = r.active_tolerance
+    tol = repr(active)
+    rows = [
+        _INPUT % (
+            row.ci_high, row.ci_low, row.count, row.estimate, row.exact_probability,
+            labels[row.input_index], labels[row.input_index], _JSON_BOOL[row.passed],
+            tol if row.tolerance is active else repr(row.tolerance),
+        )
+        for row in r.inputs
+    ]
+    routing = "null"
+    if r.span is not None:
+        from .routing import routed_gate_overhead
+
+        routing = _ROUTING % (*routed_gate_overhead(r.span), *r.placement, r.span, r.swap_count)
+    tolerances = [
+        _TOLERANCE % (*_tolerance_numbers(t), encode_basestring_ascii(t.model))
+        for t in (r.tol_dep, r.tol_thermo)
+    ]
+    return _REPORT % (
+        r.alpha, _JSON_BOOL[r.analytic_only], r.beta, r.confidence,
+        "{\n    " + ",\n    ".join([f'"{b}": "{b}"' for b in labels]) + "\n  }",
+        r.g1, r.g2,
+        "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]",
+        "null" if r.mean_forbidden_exact is None else repr(r.mean_forbidden_exact),
+        encode_basestring_ascii(r.model), r.n, r.pass_fraction, _JSON_BOOL[r.passed],
+        "null" if r.predicted_error is None else repr(r.predicted_error),
+        routing, r.seed, r.shots, r.theta, tol, *tolerances,
+    )
 
 
 def render_json(r: ExperimentReport) -> str:
-    return render_doc(report_to_dict(r))
+    return _report_text(r) + "\n"
 
 
 def render_sweep_json(reports) -> str:
-    return render_doc(
-        {"kind": "pbr-distance-sweep", "reports": [report_to_dict(r) for r in reports]}
-    )
+    texts = [_report_text(r).replace("\n", "\n    ") for r in reports]
+    body = "[\n    " + ",\n    ".join(texts) + "\n  ]" if texts else "[]"
+    return '{\n  "kind": "pbr-distance-sweep",\n  "reports": ' + body + "\n}\n"
 
 
 _CSV_FIELDS = (

@@ -273,7 +273,7 @@ def save_calibration(cal: CalibrationSnapshot, path) -> None:
         ],
         "readout_us": cal.readout_duration * 1e6,
     }
-    from .harness import render_doc  # the one JSON serializer; harness imports noise
+    from .harness import render_doc  # the documents' serializer; harness imports noise
 
     with open(path, "w") as fh:
         fh.write(render_doc(doc))

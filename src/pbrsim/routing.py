@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .circuits import Circuit, Gate, as_integer, decompose_swap, gate_counts
-from .config import MAX_SPAN
+from .circuits import Circuit, Gate, as_integer, check_span, decompose_swap, gate_counts
 from .errors import FormatError, PathError, RangeError, ValidationError
 from .noise import json_number, load_json_document
 from .records import Record, record
@@ -79,7 +78,7 @@ def load_coupling_map(path) -> CouplingMap:
 
 
 def save_coupling_map(cmap: CouplingMap, path) -> None:
-    from .harness import render_doc  # the one JSON serializer, loaded on use
+    from .harness import render_doc  # the documents' serializer, loaded on use
 
     with open(path, "w") as fh:
         fh.write(render_doc({"n_qubits": cmap.n_qubits, "edges": [list(e) for e in cmap.edges]}))
@@ -134,7 +133,8 @@ def lower(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> tuple[Ci
     0 for a circuit with no two-qubit gate. Every two-qubit gate is
     checked against the map as it is emitted, each SWAP's coupler once
     for its three CZ. A span past MAX_SPAN, the largest a distance sweep
-    takes, raises RangeError before any gate is built.
+    takes, raises RangeError before any gate is built: the sweep's own
+    check, `circuits.check_span`.
     """
     if c.n_qubits != 2:
         raise ValidationError(f"routing handles 2 logical qubits, got {c.n_qubits}")
@@ -142,8 +142,7 @@ def lower(c: Circuit, cmap: CouplingMap, placement: tuple[int, int]) -> tuple[Ci
     path = shortest_path(cmap, qa, qb)
     if len(path) < 2:
         raise PathError("placement must name two distinct physical qubits")
-    if len(path) - 1 > MAX_SPAN:
-        raise RangeError(f"span {len(path) - 1} is outside 1..{MAX_SPAN}")
+    check_span(len(path) - 1)
     pos = {0: path[0], 1: path[-1]}
     swap_count = 0
     swaps_done = False

@@ -792,6 +792,23 @@ def test_experiment_reports_render_as_stdlib_bytes(model):
         )
         rep = run_experiment(cfg)
         assert render_json(rep) == stdlib_render(report_to_dict(rep))
+    # An integer theta, a non-default confidence, a seed past 2^40, rows that
+    # mix pass and fail, reversed and far placements, and analytic reports.
+    line = ExperimentConfig(
+        n=2, theta=1, model=model, calibration=line_calibration(156), shots=2000,
+        seed=2**40 + 5, confidence=0.9, coupling=line_map(156), placement=(3, 0),
+    )
+    unplaced = replace(line, calibration=all_pairs_calibration(2), coupling=None, placement=None)
+    reports = [
+        run(cfg)
+        for cfg in (unplaced, line, replace(line, placement=(154, 2)))
+        for run in (run_experiment, analytic_report)
+    ]
+    assert [r.span for r in reports] == [None, None, 3, 3, 152, 152]
+    assert any(0 < r.pass_fraction < 1 for r in reports)
+    assert '\n  "theta": 1,\n' in render_json(reports[0])
+    for rep in reports:
+        assert render_json(rep) == stdlib_render(report_to_dict(rep))
 
 
 @pytest.mark.parametrize("model", [DEPOLARIZING, THERMODYNAMICAL])
@@ -799,10 +816,12 @@ def test_sweep_reports_render_as_stdlib_bytes(model):
     cfg = ExperimentConfig(
         n=2, theta=np.pi / 4, model=model, calibration=line_calibration(12), shots=2000, seed=3,
     )
-    reports = sweep_distance(cfg, (1, 2, 3, 154))
-    assert [r.analytic_only for r in reports] == [False, False, False, True]
-    doc = {"kind": "pbr-distance-sweep", "reports": [report_to_dict(r) for r in reports]}
-    assert render_sweep_json(reports) == stdlib_render(doc)
+    for spans in ((1, 2, 3, 154), ()):
+        reports = sweep_distance(cfg, spans)
+        assert [r.analytic_only for r in reports] == [s == 154 for s in spans]
+        doc = {"kind": "pbr-distance-sweep", "reports": [report_to_dict(r) for r in reports]}
+        assert render_sweep_json(reports) == stdlib_render(doc)
+    assert render_sweep_json([]).endswith('"reports": []\n}\n')
 
 
 def test_cli_documents_render_as_stdlib_bytes(tmp_path, monkeypatch, capsys):

@@ -242,8 +242,8 @@ def test_calibration_file_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("edges", [None, ()])
 def test_saved_files_are_the_json_dumps_bytes(edges, tmp_path):
-    # Both writers go through harness.render_doc; their bytes stay those of
-    # json.dumps(doc, indent=2, sort_keys=True) plus a newline.
+    # Both writers go through harness.render_doc, which is json.dumps(doc,
+    # indent=2, sort_keys=True) plus a newline; their bytes stay those.
     cal = uniform_calibration(3, p1=0.1 + 0.2, p2=1e-5, p01=1 / 3, edges=edges)
     cmap = line_map(4) if edges is None else CouplingMap(1, ())
     cal_path, map_path = tmp_path / "cal.json", tmp_path / "map.json"
