@@ -92,14 +92,8 @@ class ToleranceReport(Record):
 
 
 def _prep_qubits(circuit: Circuit) -> tuple[int, ...]:
-    qubits = [g.qubits[0] for g in circuit.gates if g.kind == RY]
-    if not qubits:
-        qubits = list(range(circuit.n_qubits))
-    seen: list[int] = []
-    for q in qubits:
-        if q not in seen:
-            seen.append(q)
-    return tuple(seen)
+    qubits = [g.qubits[0] for g in circuit.gates if g.kind == RY] or range(circuit.n_qubits)
+    return tuple(dict.fromkeys(qubits))
 
 
 def tolerance_reports(
@@ -135,9 +129,14 @@ def tolerance_reports(
     # noisy overlap and its threshold.
     eps_prep = (
         [qc.p1 for qc in cals],
+        # Capped at 1, as the decoherence estimates are: fast damping and
+        # dephasing each near 1 would sum past it.
         [
-            p_from_time(qc.single_gate_duration, qc.t1)
-            + p_from_time(qc.single_gate_duration, qc.t2)
+            min(
+                1.0,
+                p_from_time(qc.single_gate_duration, qc.t1)
+                + p_from_time(qc.single_gate_duration, qc.t2),
+            )
             for qc in cals
         ],
     )

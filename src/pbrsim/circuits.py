@@ -49,7 +49,6 @@ SINGLE_QUBIT_KINDS = frozenset(k for k, (count, _) in _RULES.items() if count ==
 TWO_QUBIT_KINDS = frozenset(k for k, (count, _) in _RULES.items() if count == 2)
 ANGLED_KINDS = frozenset(k for k, (_, angled) in _RULES.items() if angled)
 DIAGONAL_KINDS = frozenset({RZ, PHASE, CZ, CPHASE_OPEN, MCPHASE_OPEN})
-KINDS = frozenset(_RULES)
 
 
 def _is_integer(value) -> bool:

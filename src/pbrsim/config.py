@@ -48,6 +48,20 @@ FORBIDDEN_PROB_THRESHOLD = 1e-10
 DEFAULT_SHOTS = 100_000
 DEFAULT_CONFIDENCE = 0.95
 
+# A run with at most this many inputs (n <= 2) and fewer shots than the
+# limit draws its counts with a pure-Python copy of numpy's PCG64 and
+# binomial sampler (`harness._pure_count`), so a pair run never imports
+# numpy.random. Below 2^31 shots every integer the sampler turns into a
+# double is exact and every product it forms fits int64, so the copy
+# needs no overflow of its own; larger runs use numpy's Generator.
+PURE_DRAW_MAX_INPUTS = 4
+PURE_DRAW_SHOT_LIMIT = 2**31
+# The numpy release the copy was checked against, bit for bit. Older
+# releases compute the binomial inversion differently (log(1 - p) where
+# 2.4 takes log1p(-p)), so under them every run draws with numpy's
+# Generator and keeps its counts.
+PURE_DRAW_NUMPY = "2.4.6"
+
 
 def mcphase_cz_equivalents(n_controls: int) -> int:
     """Two-qubit-gate cost charged for an open-controlled phase gate.

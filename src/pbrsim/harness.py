@@ -18,14 +18,20 @@ qubit's read map once. The (2^n, 2^m) table comes clipped; its diagonal
 gives the exact forbidden probabilities, and it is normalized in one
 pass. Shot counts (up to 2^63 - 1, the multinomial sampler's int64
 limit) are sampled from a per-input random stream, the one
-default_rng((seed, x)) makes for input x. `_input_streams` builds every
-input's stream from PCG64 state words hashed for all inputs in one
-vectorized pass of numpy's seed hash, and keeps those words per
-(seed, 2^n) (16 entries), so both models of one configuration and every
-span of a sweep hash them once; each call still builds fresh generators.
-Each draw stops after outcome x, since the multinomial draws outcome by
-outcome: x's count is the one `sample_counts(row, shots, (seed, x))`
-gives, its reference.
+default_rng((seed, x)) makes for input x. `_stream_words` runs numpy's
+seed mixing and hash over all inputs at once, without numpy.random, and
+keeps the PCG64 state words per (seed, 2^n) (16 entries), so both models
+of one configuration and every span of a sweep hash them once. Each draw
+stops after outcome x, since the multinomial draws outcome by outcome:
+x's count is the one `sample_counts(row, shots, (seed, x))` gives, its
+reference. A run of at most 4 inputs (n <= 2) and fewer than 2^31 shots
+draws it with `_pure_count`, a pure-Python copy of numpy's PCG64 and its
+binomial and multinomial samplers, so a pair run never imports
+numpy.random (about 6 MB and 7-18 ms of a fresh process); a larger run
+builds fresh numpy generators from the words (`_input_streams`). Both
+cuts are constants in `config`, with the numpy release the copy was
+checked against: under an older numpy every run takes numpy's
+generators, whose counts the copy does not match there.
 
 A configuration judged again, under a new seed, shot count or
 confidence, repeats the same objects: the angles and input 0's circuit
@@ -97,6 +103,9 @@ from .config import (
     DEFAULT_CONFIDENCE,
     DEFAULT_SHOTS,
     DEFAULT_TWO_QUBIT_GATE_S,
+    PURE_DRAW_MAX_INPUTS,
+    PURE_DRAW_NUMPY,
+    PURE_DRAW_SHOT_LIMIT,
     SIMULATION_QUBIT_CAP,
 )
 from .errors import RangeError, ValidationError
@@ -271,6 +280,51 @@ _HASH.setflags(write=False)
 _HASH_XOR, _HASH_MUL = _HASH[:-1].reshape(2, 4), _HASH[1:].reshape(2, 4)
 
 
+def _seed_pools(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(e).pool for each row e of a (count, L) uint32 array.
+
+    numpy's mix_entropy, run over every row at once. Its k-th hashmix call
+    maps v to (v ^ h_k) * h_(k+1), then v ^ (v >> 16), with h_0 =
+    0x43B0D7E5 and h_(k+1) = h_k * 0x931E8875; mix(a, b) is
+    0xCA01F9DD * a - 0x4973F715 * b, then the same shift. All rows share
+    a length, so the k-th call has the same constants in every row. The
+    pool takes the first four words (zeros past L), hashed; then each
+    pool word, hashed, mixes into the other three in order, and each word
+    past the fourth, hashed, into all four. Arithmetic is mod 2^32.
+    """
+    count, length = entropy.shape
+    h = np.cumprod(
+        np.array([0x43B0D7E5] + [0x931E8875] * (16 + 4 * max(0, length - 4)), dtype=np.uint32),
+        dtype=np.uint32,
+    )
+
+    def hashmix(v, k, width):
+        v = v ^ h[k : k + width]
+        v *= h[k + 1 : k + 1 + width]
+        v ^= v >> 16
+        return v
+
+    def mix(a, b):
+        a = a * np.uint32(0xCA01F9DD) - b * np.uint32(0x4973F715)
+        a ^= a >> 16
+        return a
+
+    pool = np.zeros((count, 4), dtype=np.uint32)
+    pool[:, : min(length, 4)] = entropy[:, :4]
+    pool = hashmix(pool, 0, 4)
+    k = 4
+    for src in range(4):
+        # The other three words in order, each with its own constants; the
+        # source word itself does not change in this pass.
+        dst = [d for d in range(4) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src : src + 1], k, 3))
+        k += 3
+    for src in range(4, length):
+        pool = mix(pool, hashmix(entropy[:, src : src + 1], k, 4))
+        k += 4
+    return pool
+
+
 class _HashedState:
     """A seed sequence whose generate_state returns PCG64's four words, hashed."""
 
@@ -289,24 +343,18 @@ def _stream_words(seed: int, count: int) -> np.ndarray:
 
     That one seeds PCG64 with SeedSequence((seed, x)).generate_state(4,
     uint64). The tuple's entropy words are the little-endian 32-bit words
-    of the seed, then x (x < 2^32). numpy's SeedSequence mixes the same
-    words, passed as a uint32 array, into each input's pool; the output
-    hash then runs over every pool at once. Returns a read-only (count, 4)
+    of the seed, then x (x < 2^32). `_seed_pools` mixes them into every
+    input's pool at once, and the output hash runs over every pool at
+    once, so neither imports numpy.random. Returns a read-only (count, 4)
     uint64 array, built once per (seed, count) per process: 16 entries of
-    at most 128 KB (2^12 inputs).
+    at most 128 KB (2^12 inputs). Both draw paths read it.
     """
-    from numpy.random import SeedSequence
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_HashedState)
     words = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"), "<u4")
     entropy = np.empty((count, len(words) + 1), dtype=np.uint32)
     entropy[:, :-1] = words
     entropy[:, -1] = np.arange(count)
-    state = np.empty((count, 2, 4), dtype=np.uint32)
-    for x, e in enumerate(entropy):
-        state[x] = SeedSequence(e).pool
-    state ^= _HASH_XOR
+    # The output hash reads the four-word pool twice over.
+    state = _seed_pools(entropy)[:, None, :] ^ _HASH_XOR
     state *= _HASH_MUL
     state ^= state >> 16
     # Pairs of 32-bit words read as little-endian 64-bit ones, as numpy does.
@@ -324,7 +372,9 @@ def _input_streams(seed: int, count: int) -> Iterator:
     streams, as they were.
     """
     from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
 
+    ISeedSequence.register(_HashedState)
     for row in _stream_words(seed, count):
         yield Generator(PCG64(_HashedState(row)))
 
@@ -338,6 +388,203 @@ def _count_of(x: int, rng, shots: int, p: np.ndarray) -> int:
     whole row.
     """
     return int(rng.multinomial(shots, p[: x + 2])[x])
+
+
+# numpy's PCG64: a 128-bit LCG with this multiplier, and XSL-RR output.
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+class _PurePCG64:
+    """numpy's PCG64 seeded by four state words, drawing doubles as its Generator does."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, words):
+        # pcg64_set_seed: the first two words are the initial state, the
+        # last two the stream; srandom steps once before adding the state
+        # and once after.
+        w0, w1, w2, w3 = words
+        self.inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+        self.state = ((self.inc + ((w0 << 64) | w1)) * _PCG_MULT + self.inc) & _MASK128
+
+    def next_double(self) -> float:
+        """Step, rotate the xor of the state's halves right by its top 6 bits, keep 53 bits."""
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        v, rot = ((s >> 64) ^ s) & _MASK64, s >> 122
+        return ((((v >> rot) | (v << (64 - rot))) & _MASK64) >> 11) * (1.0 / 9007199254740992.0)
+
+
+def _binomial_inversion(rng: _PurePCG64, n: int, p: float) -> int:
+    """numpy's random_binomial_inversion, for n * p <= 30."""
+    if p < 0.0:
+        # A roundoff ratio p_j / remaining above 1 arrives as 1 - ratio < 0.
+        # numpy's exp(n log1p(-p)) > 1 then exceeds every uniform, so it
+        # draws one and returns 0 without reading its bound, which is NaN
+        # there and would raise in math.sqrt here.
+        rng.next_double()
+        return 0
+    q = 1.0 - p
+    qn = math.exp(n * math.log1p(-p))
+    np_ = n * p
+    bound = int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1)))
+    x, px, u = 0, qn, rng.next_double()
+    while u > px:
+        x += 1
+        if x > bound:
+            x, px, u = 0, qn, rng.next_double()
+        else:
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _binomial_btpe(rng: _PurePCG64, n: int, p: float) -> int:
+    """numpy's random_binomial_btpe (Kachitvichyanukul & Schmeiser), for 0 < p <= 1/2.
+
+    Its labels name the branches: step 10 draws, steps 20-40 pick the
+    triangle, parallelogram or either exponential tail, step 50 accepts by
+    recursion near the mode and step 52 by Stirling's bounds.
+    """
+    # numpy's r = min(p, 1 - p) is p here, and its final flip for p > 1/2
+    # never runs.
+    q = 1.0 - p
+    fm = n * p + p
+    m = math.floor(fm)
+    p1 = math.floor(2.195 * math.sqrt(n * p * q) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl, xr = xm - p1, xm + p1
+    c = 0.134 + 20.5 / (15.3 + m)
+    a = (fm - xl) / (fm - xl * p)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    p4 = p3 + c / lamr
+    nrq = n * p * q
+    while True:
+        # Step 10.
+        u = rng.next_double() * p4
+        v = rng.next_double()
+        if u <= p1:
+            return math.floor(xm - p1 * v + u)
+        if u <= p2:
+            # Step 20.
+            x = xl + (u - p1) / c
+            v = v * c + 1.0 - abs(m - x + 0.5) / p1
+            if v > 1.0:
+                continue
+            y = math.floor(x)
+        elif u <= p3:
+            # Step 30. C takes log(0) = -inf and rejects v == 0 after.
+            if v == 0.0:
+                continue
+            y = math.floor(xl + math.log(v) / laml)
+            if y < 0:
+                continue
+            v = v * (u - p2) * laml
+        else:
+            # Step 40.
+            if v == 0.0:
+                continue
+            y = math.floor(xr - math.log(v) / lamr)
+            if y > n:
+                continue
+            v = v * (u - p3) * lamr
+        # Step 50.
+        k = abs(y - m)
+        if not (k > 20 and k < nrq / 2.0 - 1):
+            s = p / q
+            a = s * (n + 1)
+            f = 1.0
+            if m < y:
+                for i in range(m + 1, y + 1):
+                    f *= a / i - s
+            elif m > y:
+                for i in range(y + 1, m + 1):
+                    f /= a / i - s
+            if v > f:
+                continue
+            return y
+        # Step 52.
+        rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.1666666666666) / nrq + 0.5)
+        t = -k * k / (2 * nrq)
+        # C's log reads 0 as -inf, and a roundoff-negative v from step 20 as
+        # NaN; either accepts below, where math.log would raise.
+        big_a = math.log(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan
+        if big_a < t - rho:
+            return y
+        if big_a > t + rho:
+            continue
+        x1, f1, z, w = float(y + 1), float(m + 1), float(n + 1 - m), float(n - y + 1)
+        x2, f2, z2, w2 = x1 * x1, f1 * f1, z * z, w * w
+        if big_a > (
+            xm * math.log(f1 / x1)
+            + (n - m + 0.5) * math.log(z / w)
+            + (y - m) * math.log(w * p / (x1 * q))
+            + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / f2) / f2) / f2) / f2) / f1 / 166320.0
+            + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / z2) / z2) / z2) / z2) / z / 166320.0
+            + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / x2) / x2) / x2) / x2) / x1 / 166320.0
+            + (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / w2) / w2) / w2) / w2) / w / 166320.0
+        ):
+            continue
+        return y
+
+
+def _binomial(rng: _PurePCG64, n: int, p: float) -> int:
+    """numpy's random_binomial: inversion up to a mean of 30, else BTPE, on min(p, 1 - p)."""
+    if n == 0 or p == 0.0:
+        return 0
+    if p <= 0.5:
+        return _binomial_inversion(rng, n, p) if p * n <= 30.0 else _binomial_btpe(rng, n, p)
+    q = 1.0 - p
+    return n - (_binomial_inversion(rng, n, q) if q * n <= 30.0 else _binomial_btpe(rng, n, q))
+
+
+def _pure_count(x: int, words, shots: int, p) -> int:
+    """`_count_of` in pure Python, for the PCG64 that state `words` seed.
+
+    numpy's random_multinomial over p[:x+2]: outcome j takes a binomial of
+    the shots left at p_j over the probability left, and the last outcome
+    takes what remains. Bit for bit for shots < 2^31 (`config`).
+    """
+    rng = _PurePCG64(words)
+    d = min(x + 2, len(p))
+    left, remaining = shots, 1.0
+    for j in range(d - 1):
+        k = _binomial(rng, left, p[j] / remaining)
+        if j == x:
+            return k
+        left -= k
+        if left <= 0:
+            return 0
+        remaining -= p[j]
+    return left
+
+
+def _pure_draw_checked(version: str) -> bool:
+    """Whether numpy `version` is at least PURE_DRAW_NUMPY, the release the pure draw matches."""
+    return np.lib.NumpyVersion(version) >= PURE_DRAW_NUMPY
+
+
+# np.__version__ is read without importing numpy.random.
+_PURE_DRAW = _pure_draw_checked(np.__version__)
+
+
+def _counts(seed: int, shots: int, p: np.ndarray) -> list[int]:
+    """Input x's count in default_rng((seed, x)).multinomial(shots, p[x]), for every x.
+
+    Under numpy PURE_DRAW_NUMPY or later, a run of at most
+    PURE_DRAW_MAX_INPUTS inputs and fewer than PURE_DRAW_SHOT_LIMIT shots
+    draws in pure Python, so it never imports numpy.random; any other run
+    draws with numpy's Generator.
+    """
+    count = len(p)
+    if _PURE_DRAW and count <= PURE_DRAW_MAX_INPUTS and shots < PURE_DRAW_SHOT_LIMIT:
+        words = _stream_words(seed, count).tolist()
+        return [_pure_count(x, w, shots, row) for x, (w, row) in enumerate(zip(words, p.tolist()))]
+    return [_count_of(x, rng, shots, p[x]) for x, rng in enumerate(_input_streams(seed, count))]
 
 
 # Wichura's AS241 rational approximations (Applied Statistics 37(3), 1988),
@@ -522,10 +769,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
     # ExperimentConfig has checked shots >= 1 and the confidence level.
     shots, z = cfg.shots, _wilson_z(cfg.confidence)
-    rows = []
-    for x, rng in enumerate(_input_streams(cfg.seed, len(p))):
-        k = _count_of(x, rng, shots, p[x])
-        rows.append((x, exact[x], k, k / shots, *_wilson(k, shots, z)))
+    rows = [
+        (x, exact[x], k, k / shots, *_wilson(k, shots, z))
+        for x, k in enumerate(_counts(cfg.seed, shots, p))
+    ]
     return _judged(
         fields,
         pair,

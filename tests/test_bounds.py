@@ -206,6 +206,9 @@ def test_tolerance_reports_match_single_model_reference_unplaced(n):
         uniform_calibration(n, p1=2.1e-4, p2=2.4e-3, readout=600e-9),
         varied_calibration(n, seed=31),
         varied_calibration(n, seed=32),
+        # T1 = T2 = 20 ns: the thermodynamical preparation error reaches
+        # its cap of 1.
+        uniform_calibration(n, t1=20e-9, t2=20e-9, p1=2e-4, p2=2e-3),
     )
     for theta in (theta_min(n), 1.0, 1.2):
         params = PBRParams.solve(n, theta)

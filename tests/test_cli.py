@@ -127,6 +127,25 @@ def test_tolerance_subcommand(calib_path, capsys):
     assert {k: doc[k] for k in tolerance_keys} == expected
 
 
+def test_thermodynamical_preparation_error_is_capped_at_one(tmp_path, capsys):
+    # T1 = T2 = 20 ns: a 36 ns gate's damping and dephasing are 0.83 each.
+    # Their sum is capped at 1, like the decoherence estimates, so every
+    # command runs; the thermodynamical threshold is then (1 - 0)^2 / 2^2.
+    path = tmp_path / "fast.json"
+    save_calibration(uniform_calibration(2, t1=20e-9, t2=20e-9, p1=2e-4, p2=2e-3), path)
+    base = ["--calib", str(path), "--shots", "2000"]
+    for model, code in (("dep", 0), ("thermo", 1)):
+        assert main(["run", "--n", "2", "--model", model, *base]) == code
+        doc = json.loads(capsys.readouterr().out)
+        thermo = doc["tolerances"]["thermodynamical"]
+        assert (thermo["eps_dep"], thermo["eps_tol_noisy"]) == (1.0, 0.25)
+    assert main(["tolerance", "--n", "2", "--model", "thermo", "--calib", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["eps_prep"] == [1.0, 1.0]
+    assert main(["sweep-distance", "--model", "dep", "--spans", "1,2", *base]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("n", [1024, MAX_SOLVER_N])
 def test_tolerance_at_large_n_checks_the_calibration_before_the_circuit(n, calib_path, capsys):
     # 2**n stops converting to a float at n = 1024, and the n-qubit test

@@ -9,7 +9,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import pbrsim
+import pbrsim.harness
 from pbrsim.cli import main
 
 # The single-state density-matrix API (evolution lives in pbrsim.simulate only),
@@ -57,9 +60,13 @@ def test_export_list():
 # imported does not count.
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(pbrsim.__file__)))
 CALIB = os.path.join(os.path.dirname(SRC), "demos", "data", "adjacent_pair.json")
-# Modules an unplaced run leaves alone: routing, CSV output, and the
-# statistics module with the fractions and decimal modules it imports.
-UNUSED_BY_UNPLACED_RUN = ("pbrsim.routing", "csv", "statistics", "fractions", "decimal")
+# Modules an unplaced pair run leaves alone: routing, CSV output, the
+# statistics module with the fractions and decimal modules it imports, and
+# numpy.random, as a pair run draws its counts in pure Python (under a
+# numpy release the pure draw was checked against, or a later one).
+UNUSED_BY_UNPLACED_RUN = ("pbrsim.routing", "csv", "statistics", "fractions", "decimal") + (
+    ("numpy.random",) if pbrsim.harness._PURE_DRAW else ()
+)
 
 # Runs one command through `pbrsim.cli.<sys.argv[2]>` (`main` or the process
 # entry `entry`) and prints its exit code, the loaded modules and the
@@ -112,6 +119,44 @@ def test_unplaced_run_loads_no_routing_csv_or_statistics():
         loaded = _loaded_after(argv, func)
         assert "pbrsim.harness" in loaded
         assert loaded.isdisjoint(UNUSED_BY_UNPLACED_RUN), loaded & set(UNUSED_BY_UNPLACED_RUN)
+
+
+def test_run_past_four_inputs_loads_numpy_random(tmp_path):
+    # The positive control of the check above: n = 3 draws 8 inputs with
+    # numpy's Generator, so the same check would see numpy.random.
+    calib = tmp_path / "three.json"
+    pbrsim.save_calibration(pbrsim.uniform_calibration(3, p1=2e-4, p2=2e-3), calib)
+    argv = ["run", "--n", "3", "--calib", str(calib), "--model", "dep", "--shots", "2000"]
+    assert "numpy.random" in _loaded_after(argv, "entry")
+
+
+# Runs `pbrsim.cli.main(sys.argv[1])` with numpy reporting version
+# sys.argv[2], and prints its exit code, its report and whether it loaded
+# numpy.random.
+_RUN_UNDER_NUMPY_VERSION = """
+import contextlib, io, json, sys
+import numpy
+
+numpy.__version__ = sys.argv[2]
+import pbrsim.cli
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = pbrsim.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, out.getvalue(), "numpy.random" in sys.modules]))
+"""
+
+
+def test_pair_run_under_an_older_numpy_draws_with_its_generator():
+    # Before the release the pure draw was checked against, a pair run
+    # draws with numpy's Generator, which loads numpy.random; on this
+    # numpy both paths write the same report.
+    argv = json.dumps(["run", "--n", "2", "--calib", CALIB, "--model", "dep", "--shots", "2000"])
+    older = _fresh(_RUN_UNDER_NUMPY_VERSION, argv, "2.3.5")
+    assert older[0] in (0, 1) and older[2]
+    if pbrsim.harness._PURE_DRAW:
+        checked = _fresh(_RUN_UNDER_NUMPY_VERSION, argv, np.__version__)
+        assert not checked[2] and checked[:2] == older[:2]
 
 
 def test_main_leaves_the_collector_alone():

@@ -34,8 +34,11 @@ def reference_tolerance_report(params, cal, circuit, model) -> ToleranceReport:
             eps_prep.append(qc.p1)
         else:
             eps_prep.append(
-                p_from_time(qc.single_gate_duration, qc.t1)
-                + p_from_time(qc.single_gate_duration, qc.t2)
+                min(
+                    1.0,
+                    p_from_time(qc.single_gate_duration, qc.t1)
+                    + p_from_time(qc.single_gate_duration, qc.t2),
+                )
             )
     per_qubit_tol = [epsilon_tol(noisy_overlap(params.theta, e), n) for e in eps_prep]
 
