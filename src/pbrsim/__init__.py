@@ -26,7 +26,6 @@ _EXPORTS = {
     "circuits": (
         "Circuit",
         "Gate",
-        "circuit_duration",
         "decompose_swap",
         "gate_counts",
         "gate_unitary",

@@ -274,8 +274,3 @@ def _busy_times(c: Circuit, cal, qubits) -> list[float]:
             if q in busy:
                 busy[q] += dur
     return list(busy.values())
-
-
-def circuit_duration(c: Circuit, cal) -> np.ndarray:
-    """Per-qubit busy time in seconds under a calibration snapshot."""
-    return np.array(_busy_times(c, cal, range(c.n_qubits)))

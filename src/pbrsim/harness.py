@@ -62,10 +62,11 @@ is exact: its peak live width is three qubits). One rule judges both
 kinds: each bound (a per-input Wilson upper bound, or the one
 prediction) passes only strictly below the active threshold; `passed`
 says all pass, `pass_fraction` how many.
-The Wilson bounds take their normal quantile from a copy of AS241, the
-algorithm `statistics.NormalDist.inv_cdf` runs, bit for bit, so a run
-never imports `statistics`; `routing` and `csv` are imported only by
-the placed runs, sweeps and CSV output that use them.
+The Wilson bounds take their normal quantile from CPython's C AS241
+(`_statistics`), the routine `statistics.NormalDist.inv_cdf` calls, so a
+run never imports `statistics` unless the interpreter lacks it; `routing`
+and `csv` are imported only by the placed runs, sweeps and CSV output
+that use them.
 
 Reports render to a structured JSON document (sorted keys, so identical
 configurations are byte-identical) and to a flat CSV, one row per input.
@@ -587,65 +588,25 @@ def _counts(seed: int, shots: int, p: np.ndarray) -> list[int]:
     return [_count_of(x, rng, shots, p[x]) for x, rng in enumerate(_input_streams(seed, count))]
 
 
-# Wichura's AS241 rational approximations (Applied Statistics 37(3), 1988),
-# highest power first: numerator and denominator for |p - 1/2| <= 0.425,
-# then for the tails with r = sqrt(-log(min(p, 1 - p))) up to 5 and beyond.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-     1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-     4.2313330701600911252e1, 1.0),
-)
-_AS241_NEAR = (
-    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
-     1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
-     4.6303378461565452959e0, 1.4234371107496835773e0),
-    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
-     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
-     2.0531916266377588219e0, 1.0),
-)
-_AS241_FAR = (
-    (2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
-     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e0,
-     5.4637849111641143699e0, 6.6579046435011037772e0),
-    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
-     7.8686913114561325910e-4, 1.4875361290850614853e-2, 1.3692988092273580531e-1,
-     5.9983220655588793769e-1, 1.0),
-)
-
-
-def _horner(coeffs, r: float) -> float:
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * r + c
-    return acc
-
-
-def _normal_quantile(p: float) -> float:
-    """Standard normal quantile by AS241: statistics.NormalDist().inv_cdf(p), bit for bit."""
-    if not 0.0 < p < 1.0:
-        # statistics' own message: a confidence so close to 1 that 0.5 + c/2
-        # rounds to 1 still exits 2 with the same error line.
-        raise ValueError("p must be in the range 0.0 < p < 1.0")
-    q = p - 0.5
-    if math.fabs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num, den = _AS241_CENTRAL
-        return _horner(num, r) * q / _horner(den, r)
-    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
-    if r <= 5.0:
-        (num, den), r = _AS241_NEAR, r - 1.6
-    else:
-        (num, den), r = _AS241_FAR, r - 5.0
-    x = _horner(num, r) / _horner(den, r)
-    return -x if q < 0.0 else x
-
-
 def _wilson_z(confidence: float) -> float:
-    """Two-sided standard normal quantile for a confidence level."""
-    return _normal_quantile(0.5 + confidence / 2)
+    """Two-sided standard normal quantile for a confidence level.
+
+    CPython's C AS241, the routine `statistics.NormalDist.inv_cdf` calls,
+    so a run never imports `statistics`; an interpreter without
+    `_statistics` takes that public method, whose bits are the same.
+    """
+    p = 0.5 + confidence / 2
+    if not 0.0 < p < 1.0:
+        # statistics' own message: a confidence so close to 1 that p rounds
+        # to 1 still exits 2 with the same error line.
+        raise ValueError("p must be in the range 0.0 < p < 1.0")
+    try:
+        from _statistics import _normal_dist_inv_cdf
+    except ImportError:
+        from statistics import NormalDist
+
+        return NormalDist().inv_cdf(p)
+    return _normal_dist_inv_cdf(p, 0.0, 1.0)
 
 
 def _wilson(k: int, m: int, z: float) -> tuple[float, float]:

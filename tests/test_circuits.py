@@ -21,7 +21,7 @@ from pbrsim.circuits import (
     RZ,
     SX,
     X,
-    circuit_duration,
+    _busy_times,
     decompose_swap,
     gate_counts,
     gate_diagonal,
@@ -306,5 +306,5 @@ def test_circuit_duration():
             Gate(MEASURE, (0, 1)),
         ),
     )
-    busy = circuit_duration(c, cal)
-    assert np.abs(busy - np.array([30e-9 + 80e-9 + 500e-9] * 2)).max() < 1e-18
+    busy = _busy_times(c, cal, range(c.n_qubits))
+    assert np.abs(np.array(busy) - np.array([30e-9 + 80e-9 + 500e-9] * 2)).max() < 1e-18

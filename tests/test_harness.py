@@ -1,5 +1,6 @@
 """Experiment runner: sampling, intervals, reports, sweeps, rendering."""
 
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -7,8 +8,11 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -178,13 +182,15 @@ def test_wilson_interval_matches_the_per_call_quantile():
 
 
 def test_wilson_z_is_the_normal_dist_quantile_bit_for_bit():
-    # _wilson_z runs its own copy of AS241, the algorithm NormalDist.inv_cdf
-    # runs, so the run path never imports statistics; statistics stays here
+    # _wilson_z calls CPython's C AS241, the routine NormalDist.inv_cdf
+    # calls, so the run path never imports statistics; statistics stays here
     # as the reference, on a dense grid of confidences and at both ends.
+    # 0.5 takes AS241's central branch, 0.95 its tail with r <= 5 and
+    # 1 - 1e-12 its far tail (r > 5).
     nd = statistics.NormalDist()
     grid = [k / 100_003 for k in range(1, 100_003)]
     ends = [2.0**-e for e in range(1, 1075)] + [1 - 2.0**-e for e in range(1, 53)]
-    for c in grid + ends + [0.95, 0.99, 0.999999, 1e-300]:
+    for c in grid + ends + [0.5, 0.95, 0.99, 0.999999, 1 - 1e-12, 1e-300]:
         z = _wilson_z(c)
         assert z == nd.inv_cdf(0.5 + c / 2) and math.copysign(1, z) == 1, c
     # 0.5 + c / 2 rounds to 1 for the largest float below 1: the same error.
@@ -193,6 +199,55 @@ def test_wilson_z_is_the_normal_dist_quantile_bit_for_bit():
         nd.inv_cdf(0.5 + c / 2)
     with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
         _wilson_z(c)
+
+
+# An interpreter without `_statistics`: statistics then runs its own
+# Python AS241, and so does _wilson_z through NormalDist. Prints the
+# quantiles' bits, the error line at p = 1, one run's exit code and report,
+# and whether statistics took the Python copy.
+_WITHOUT_C_QUANTILE = """
+import contextlib, io, json, sys
+sys.modules["_statistics"] = None
+import statistics
+from pbrsim.cli import main
+from pbrsim.harness import _wilson_z
+
+confs, argv = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+nd = statistics.NormalDist()
+zs = [_wilson_z(c) for c in confs]
+assert zs == [nd.inv_cdf(0.5 + c / 2) for c in confs]
+try:
+    _wilson_z(1 - 2.0**-53)
+except ValueError as e:
+    line = str(e)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(argv)
+python_copy = type(statistics._normal_dist_inv_cdf).__name__ == "function"
+print(json.dumps([[z.hex() for z in zs], line, code, out.getvalue(), python_copy]))
+"""
+
+
+def test_wilson_z_without_the_c_quantile_keeps_its_bits_and_reports():
+    confs = [k / 2003 for k in range(1, 2003)] + [0.5, 0.95, 0.999999, 1 - 1e-12, 1e-300]
+    calib = os.path.join(os.path.dirname(__file__), "..", "demos", "data", "adjacent_pair.json")
+    argv = ["run", "--n", "2", "--calib", calib, "--model", "thermo", "--confidence", "0.999999"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pbrsim.harness.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_C_QUANTILE, json.dumps(confs), json.dumps(argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    zs, line, code, report, python_copy = json.loads(proc.stdout)
+    assert python_copy
+    assert zs == [_wilson_z(c).hex() for c in confs]
+    with pytest.raises(ValueError) as c_path:
+        _wilson_z(1 - 2.0**-53)
+    assert line == str(c_path.value) == "p must be in the range 0.0 < p < 1.0"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert pbrsim.cli.main(argv) == code
+    assert report == out.getvalue() and report.startswith("{")
 
 
 def test_experiment_config_validation():

@@ -16,9 +16,10 @@ import pbrsim.harness
 from pbrsim.cli import main
 
 # The single-state density-matrix API (evolution lives in pbrsim.simulate only),
-# the simulated forbidden-map discovery (the map is closed-form) and the
-# readout map on finished distributions (a run folds readout into its read)
-# and the line-oriented circuit text format.
+# the simulated forbidden-map discovery (the map is closed-form), the
+# readout map on finished distributions (a run folds readout into its read),
+# the line-oriented circuit text format and the per-qubit circuit duration
+# (`bounds` reads only the preparation qubits' busy times).
 REMOVED = (
     "DensityMatrix",
     "ForbiddenMap",
@@ -26,6 +27,7 @@ REMOVED = (
     "apply_channel",
     "apply_readout",
     "apply_unitary",
+    "circuit_duration",
     "circuit_from_lines",
     "circuit_to_lines",
     "discover_forbidden_map",

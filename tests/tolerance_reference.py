@@ -2,7 +2,8 @@
 
 `bounds.tolerance_reports` builds both models' reports from one walk over
 the preparation qubits and the circuit's busy times; the tests hold it,
-bit for bit, to this single-model computation.
+bit for bit, to this single-model computation, which sums each
+preparation qubit's busy time itself.
 """
 
 import numpy as np
@@ -15,8 +16,32 @@ from pbrsim.bounds import (
     noisy_overlap,
     quantum_trace_distance,
 )
-from pbrsim.circuits import circuit_duration
+from pbrsim.circuits import (
+    MCPHASE_OPEN,
+    MEASURE,
+    NOISE,
+    SINGLE_QUBIT_KINDS,
+    TWO_QUBIT_KINDS,
+    cz_pairs,
+)
 from pbrsim.noise import DEPOLARIZING, calibration_mean, mean_p_from_time, p_from_time
+
+
+def busy_time(circuit, cal, q) -> float:
+    """Seconds qubit q is busy: its gates' durations, summed in gate order."""
+    busy = 0.0
+    for g in circuit.gates:
+        if q not in g.qubits or g.kind == NOISE:
+            continue
+        if g.kind in SINGLE_QUBIT_KINDS:
+            busy += cal.qubit(q).single_gate_duration
+        elif g.kind in TWO_QUBIT_KINDS:
+            busy += cal.coupler(*g.qubits).duration
+        elif g.kind == MCPHASE_OPEN:
+            busy += len(cz_pairs(g)) * 68e-9
+        elif g.kind == MEASURE:
+            busy += cal.readout_duration
+    return busy
 
 
 def reference_tolerance_report(params, cal, circuit, model) -> ToleranceReport:
@@ -48,11 +73,10 @@ def reference_tolerance_report(params, cal, circuit, model) -> ToleranceReport:
     p_phi_bar = float(
         np.mean([mean_p_from_time((qc.single_gate_duration, t_two), qc.t2) for qc in cals])
     )
-    busy = circuit_duration(circuit, cal).tolist()
     cumulative = 0.0
     for q in qubits:
-        qc = cal.qubit(q)
-        cumulative += p_from_time(busy[q], qc.t1) + p_from_time(busy[q], qc.t2)
+        qc, busy = cal.qubit(q), busy_time(circuit, cal, q)
+        cumulative += p_from_time(busy, qc.t1) + p_from_time(busy, qc.t2)
 
     return ToleranceReport(
         model=model,
