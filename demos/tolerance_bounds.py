@@ -12,16 +12,14 @@ import os
 import numpy as np
 
 from pbrsim import (
-    DEPOLARIZING,
     PBRParams,
-    THERMODYNAMICAL,
     build_test_circuit,
     epsilon_dec,
     epsilon_tol,
     load_calibration,
     mean_p_from_time,
     theta_min,
-    tolerance_report,
+    tolerance_reports,
 )
 
 CAL_PATH = os.path.join(os.path.dirname(__file__), "data", "adjacent_pair.json")
@@ -42,9 +40,8 @@ def main():
     cal = load_calibration(CAL_PATH)
     params = PBRParams.solve(2, np.pi / 4)
     circuit = build_test_circuit(0, params)
-    for model in (DEPOLARIZING, THERMODYNAMICAL):
-        rep = tolerance_report(params, cal, circuit, model)
-        print(f"{model} tolerance for the adjacent pair:")
+    for rep in tolerance_reports(params, cal, circuit):
+        print(f"{rep.model} tolerance for the adjacent pair:")
         print(f"  eps_tol ideal     {rep.eps_tol_ideal:.6f}")
         print(f"  eps_tol noisy     {rep.eps_tol_noisy:.6f} +- {rep.eps_tol_noisy_spread:.1e}")
         prep = ", ".join(f"{p:.2e}" for p in rep.eps_prep)

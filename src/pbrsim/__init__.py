@@ -20,7 +20,6 @@ _EXPORTS = {
         "epsilon_tol",
         "noisy_overlap",
         "quantum_trace_distance",
-        "tolerance_report",
         "tolerance_reports",
     ),
     "circuits": (

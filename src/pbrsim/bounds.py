@@ -24,7 +24,6 @@ from .errors import RangeError
 from .noise import (
     CalibrationSnapshot,
     NOISE_MODELS,
-    _check_model,
     _check_probability,
     calibration_mean,
     mean_p_from_time,
@@ -166,10 +165,3 @@ def tolerance_reports(
         for i, model in enumerate(NOISE_MODELS)
     )
 
-
-def tolerance_report(
-    params: PBRParams, cal: CalibrationSnapshot, circuit: Circuit, model: str
-) -> ToleranceReport:
-    """One model's report from `tolerance_reports`."""
-    _check_model(model)
-    return tolerance_reports(params, cal, circuit)[NOISE_MODELS.index(model)]

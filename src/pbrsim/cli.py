@@ -120,9 +120,11 @@ def _cmd_solve_angles(args) -> int:
 
 
 def _cmd_tolerance(args) -> int:
-    from .bounds import tolerance_report
-    from .harness import render_doc, tolerance_to_dict
-    from .noise import load_calibration
+    from dataclasses import asdict
+
+    from .bounds import tolerance_reports
+    from .harness import render_doc
+    from .noise import NOISE_MODELS, load_calibration
     from .protocol import solved
 
     theta = _theta(args)
@@ -132,17 +134,9 @@ def _cmd_tolerance(args) -> int:
     # circuit is built.
     for q in range(args.n):
         cal.qubit(q)
-    rep = tolerance_report(params, cal, params.test_circuit, _model(args.model))
-    doc = {
-        "kind": "pbr-tolerance",
-        "n": args.n,
-        "theta": theta,
-        **tolerance_to_dict(rep),
-        "qubit_ids": list(rep.qubit_ids),
-        "eps_prep": list(rep.eps_prep),
-        "eps_tol_per_qubit": list(rep.eps_tol_per_qubit),
-    }
-    return _emit(render_doc(doc), args)
+    pair = tolerance_reports(params, cal, params.test_circuit)
+    rep = pair[NOISE_MODELS.index(_model(args.model))]
+    return _emit(render_doc({"kind": "pbr-tolerance", "theta": theta, **asdict(rep)}), args)
 
 
 def _experiment_config(args):

@@ -74,13 +74,13 @@ configurations are byte-identical) and to a flat CSV, one row per input.
 into %-templates that json.dumps writes once, at import, from skeletons
 of the report's fixed shape (`_template`): each input row is one
 template with its floats by repr, and the active tolerance, which every
-row carries, is formatted once. Its bytes are those of
-json.dumps(report_to_dict(r), indent=2, sort_keys=True), which json.dumps
+row carries, is formatted once. Its bytes are those json.dumps(doc,
+indent=2, sort_keys=True) writes for the report as a dict, which json.dumps
 would write with its pure-Python encoder before Python 3.13; a sweep
-indents each report two levels deeper. `report_to_dict` is the report's
-dict form, and it and the CSV take their input rows from one helper. The
-CLI's other documents and the saved calibration and coupling-map files
-are cold, written once per command: `render_doc` is json.dumps itself.
+indents each report two levels deeper. The CSV writes its rows straight
+from the same fields. The CLI's other documents and the saved calibration
+and coupling-map files are cold, written once per command: `render_doc`
+is json.dumps itself.
 """
 
 from __future__ import annotations
@@ -830,82 +830,6 @@ def _bit_labels(n: int) -> tuple[str, ...]:
     return tuple(format(x, f"0{n}b") for x in range(2**n))
 
 
-def tolerance_to_dict(t: ToleranceReport) -> dict:
-    """The scalar threshold fields every tolerance document carries."""
-    return {
-        "model": t.model,
-        "d_quantum": t.d_quantum,
-        "d_noisy": t.d_noisy,
-        "eps_tol_ideal": t.eps_tol_ideal,
-        "eps_tol_noisy": t.eps_tol_noisy,
-        "eps_tol_noisy_spread": t.eps_tol_noisy_spread,
-        "eps_dep": t.eps_dep,
-        "eps_dec": t.eps_dec,
-        "eps_dec_cumulative": t.eps_dec_cumulative,
-    }
-
-
-def _input_rows(r: ExperimentReport) -> list[dict]:
-    """One dict per sampled input: the JSON `inputs` entries and the CSV rows."""
-    labels = _bit_labels(r.n)
-    return [
-        {
-            "ci_high": row.ci_high,
-            "ci_low": row.ci_low,
-            "count": row.count,
-            "estimate": row.estimate,
-            "exact_probability": row.exact_probability,
-            "forbidden": labels[row.input_index],
-            "input": labels[row.input_index],
-            "pass": row.passed,
-            "tolerance": row.tolerance,
-        }
-        for row in r.inputs
-    ]
-
-
-def report_to_dict(r: ExperimentReport) -> dict:
-    labels = _bit_labels(r.n)
-    routing = None
-    if r.span is not None:
-        from .routing import routed_gate_overhead
-
-        extra_g1, extra_g2 = routed_gate_overhead(r.span)
-        routing = {
-            "placement": list(r.placement),
-            "span": r.span,
-            "swap_count": r.swap_count,
-            "extra_g1": extra_g1,
-            "extra_g2": extra_g2,
-        }
-    return {
-        "kind": "pbr-experiment",
-        "bit_order": BIT_ORDER_NOTE,
-        "n": r.n,
-        "theta": r.theta,
-        "alpha": r.alpha,
-        "beta": r.beta,
-        "model": r.model,
-        "shots": r.shots,
-        "seed": r.seed,
-        "confidence": r.confidence,
-        "analytic_only": r.analytic_only,
-        "forbidden_map": dict(zip(labels, labels)),
-        "gate_counts": {"g1": r.g1, "g2": r.g2},
-        "routing": routing,
-        "tolerances": {
-            "depolarizing": tolerance_to_dict(r.tol_dep),
-            "thermodynamical": tolerance_to_dict(r.tol_thermo),
-            "active": r.active_tolerance,
-        },
-        "inputs": _input_rows(r),
-        "mean_forbidden_exact": r.mean_forbidden_exact,
-        "predicted_error": r.predicted_error,
-        "pass_fraction": r.pass_fraction,
-        "passed": r.passed,
-    }
-
-
 def render_doc(doc) -> str:
     """Serialize a report document: sorted keys, two-space indent, newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -956,7 +880,7 @@ _JSON_BOOL = ("false", "true")
 
 
 def _report_text(r: ExperimentReport) -> str:
-    """`r` as json.dumps(report_to_dict(r), indent=2, sort_keys=True) writes it.
+    """`r` as json.dumps writes its dict form with indent=2 and sort_keys=True.
 
     The active tolerance, which every input row carries, is formatted once.
     """
@@ -1024,19 +948,19 @@ def render_csv(reports) -> str:
     if isinstance(reports, ExperimentReport):
         reports = [reports]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, restval="", lineterminator="\n")
-    writer.writeheader()
+    # csv writes None as an empty cell: an unplaced report's span.
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_FIELDS)
     for r in reports:
-        span = "" if r.span is None else r.span
         if r.analytic_only:
-            writer.writerow(
-                {
-                    "span": span,
-                    "tolerance": r.active_tolerance,
-                    "predicted_error": r.predicted_error,
-                    "pass": r.passed,
-                }
+            writer.writerow((r.span, *("",) * 7, r.active_tolerance, r.predicted_error, r.passed))
+        labels = _bit_labels(r.n)
+        writer.writerows(
+            (
+                r.span, labels[row.input_index], labels[row.input_index],
+                row.exact_probability, row.count, row.estimate, row.ci_low, row.ci_high,
+                row.tolerance, "", row.passed,
             )
-        for row in _input_rows(r):
-            writer.writerow({"span": span, **row})
+            for row in r.inputs
+        )
     return buf.getvalue()

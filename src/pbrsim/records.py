@@ -16,8 +16,10 @@ its own class with equal compared fields, it hashes as the tuple of those
 fields and shows the same repr. It differs in two things:
 `__dataclass_params__` reports `frozen=False, eq=False`, since the base
 freezes and compares, and the `__init__` that `record` supplies takes
-`(*args, **kwargs)`, binds them as the generated one would and raises the
-same `TypeError` messages.
+`(*args, **kwargs)` and binds them as the generated one would. A call it
+refuses is passed on to a frozen dataclass twin of the class, built only
+then, so the running interpreter raises its own `TypeError`; an accepted
+call compiles nothing.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ def record(cls: type) -> type:
 def _init(cls: type, fields):
     names = tuple(f.name for f in fields)
     defaults = {f.name: f.default for f in fields if f.default is not MISSING}
-    # With k positional arguments, the keywords must name need[k] and may
-    # name only allowed[k].
+    # With k arguments given by position, the keywords must name need[k]
+    # and may name only allowed[k].
     cuts = range(len(names) + 1)
     need = [frozenset(n for n in names[k:] if n not in defaults) for k in cuts]
     allowed = [frozenset(names[k:]) for k in cuts]
@@ -92,7 +94,7 @@ def _init(cls: type, fields):
     def __init__(self, *args, **kwargs):
         k = len(args)
         if k > len(names) or not need[k] <= kwargs.keys() <= allowed[k]:
-            _refuse(cls, names, defaults, args, kwargs)
+            _refuse(cls, fields, args, kwargs)
         # One object.__setattr__ per field, in field order, as the generated
         # __init__ writes them: an instance whose __dict__ is never touched
         # keeps its fields inline, where attribute reads and method lookups
@@ -108,28 +110,16 @@ def _init(cls: type, fields):
     return __init__
 
 
-def _refuse(cls: type, names: tuple, defaults: dict, args: tuple, kwargs: dict):
-    """Raise the TypeError a generated `__init__` raises for this call."""
-    call = f"{cls.__qualname__}.__init__()"
-    given = names[: len(args)]
-    for name in kwargs:
-        if name not in names:
-            raise TypeError(f"{call} got an unexpected keyword argument {name!r}")
-        if name in given:
-            raise TypeError(f"{call} got multiple values for argument {name!r}")
-    if len(args) > len(names):
-        # Counted with self, as Python counts them.
-        most = len(names) + 1
-        least = most - len(defaults)
-        takes = f"from {least} to {most}" if least < most else str(most)
-        raise TypeError(
-            f"{call} takes {takes} positional argument{'s' * (most > 1)} "
-            f"but {len(args) + 1} were given"
-        )
-    missing = [repr(n) for n in names[len(args) :] if n not in kwargs and n not in defaults]
-    if len(missing) < 3:
-        listed = " and ".join(missing)
-    else:
-        listed = ", ".join(missing[:-1]) + ", and " + missing[-1]
-    plural = "s" * (len(missing) > 1)
-    raise TypeError(f"{call} missing {len(missing)} required positional argument{plural}: {listed}")
+def _refuse(cls: type, fields, args: tuple, kwargs: dict):
+    """Raise the TypeError a generated `__init__` raises for this call.
+
+    The call goes to a frozen dataclass twin of `cls`, built only here, so
+    the running interpreter words the error itself.
+    """
+    twin = dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default)) for f in fields],
+        namespace={"__qualname__": cls.__qualname__},
+        frozen=True,
+    )
+    twin(*args, **kwargs)

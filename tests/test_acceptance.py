@@ -10,17 +10,11 @@ import time
 import numpy as np
 
 import test_properties
+from helpers import adjacent_pair_calibration, line_calibration
 from pbrsim.bounds import epsilon_dec, epsilon_tol
 from pbrsim.cli import main as cli_main
 from pbrsim.harness import ExperimentConfig, run_experiment, sweep_distance
-from pbrsim.noise import (
-    CalibrationSnapshot,
-    CouplerCalibration,
-    DEPOLARIZING,
-    QubitCalibration,
-    mean_p_from_time,
-    save_calibration,
-)
+from pbrsim.noise import DEPOLARIZING, mean_p_from_time, save_calibration
 from pbrsim.protocol import (
     PBRParams,
     build_test_circuit,
@@ -42,26 +36,6 @@ def grid_points():
         yield n, tmin
         yield n, 1.1 * tmin
         yield n, THETA_CAP_FRACTION[n] * np.pi / 2
-
-
-def adjacent_pair_calibration():
-    return CalibrationSnapshot(
-        (
-            QubitCalibration(0, 173e-6, 172e-6, 2.1e-4, 36e-9, 0.01, 0.01),
-            QubitCalibration(1, 239e-6, 276e-6, 2.8e-4, 36e-9, 0.01, 0.01),
-        ),
-        (CouplerCalibration(0, 1, 2.4e-3, 68e-9),),
-        readout_duration=600e-9,
-    )
-
-
-def line_calibration(n):
-    qubits = tuple(
-        QubitCalibration(i, 173e-6, 172e-6, 2.1e-4, 36e-9, 0.01, 0.01)
-        for i in range(n)
-    )
-    couplers = tuple(CouplerCalibration(i, i + 1, 2.4e-3, 68e-9) for i in range(n - 1))
-    return CalibrationSnapshot(qubits, couplers, 600e-9)
 
 
 def report_line(index: int, ok: bool, detail: str) -> bool:

@@ -7,16 +7,16 @@ import pytest
 
 import pbrsim.bounds
 import pbrsim.harness
+from helpers import adjacent_pair_calibration
 from pbrsim.bounds import (
     epsilon_dec,
     epsilon_dep,
     epsilon_tol,
     noisy_overlap,
     quantum_trace_distance,
-    tolerance_report,
     tolerance_reports,
 )
-from pbrsim.errors import CalibrationError, RangeError, ValidationError
+from pbrsim.errors import CalibrationError, RangeError
 from pbrsim.harness import ExperimentConfig, run_experiment
 from pbrsim.noise import (
     CalibrationSnapshot,
@@ -105,21 +105,10 @@ def test_epsilon_dec():
         epsilon_dec(5, 0.1, 1.5)
 
 
-def adjacent_pair_calibration():
-    return CalibrationSnapshot(
-        (
-            QubitCalibration(0, 173e-6, 172e-6, 2.1e-4, 36e-9, 0.01, 0.01),
-            QubitCalibration(1, 239e-6, 276e-6, 2.8e-4, 36e-9, 0.01, 0.01),
-        ),
-        (CouplerCalibration(0, 1, 2.4e-3, 68e-9),),
-        readout_duration=600e-9,
-    )
-
-
 def test_tolerance_report_depolarizing():
     params = PBRParams.solve(2, np.pi / 4)
     circuit = build_test_circuit(0, params)
-    rep = tolerance_report(params, adjacent_pair_calibration(), circuit, DEPOLARIZING)
+    rep = tolerance_reports(params, adjacent_pair_calibration(), circuit)[0]
     assert rep.model == DEPOLARIZING
     assert rep.n == 2
     assert rep.qubit_ids == (0, 1)
@@ -137,7 +126,7 @@ def test_tolerance_report_depolarizing():
 def test_tolerance_report_thermodynamical():
     params = PBRParams.solve(2, np.pi / 4)
     circuit = build_test_circuit(0, params)
-    rep = tolerance_report(params, adjacent_pair_calibration(), circuit, THERMODYNAMICAL)
+    rep = tolerance_reports(params, adjacent_pair_calibration(), circuit)[1]
     assert rep.model == THERMODYNAMICAL
     # prep error per qubit is single-gate damping plus dephasing
     e0 = p_from_time(36e-9, 173e-6) + p_from_time(36e-9, 172e-6)
@@ -160,16 +149,9 @@ def test_tolerance_report_readout_window_dominates_cumulative():
     )
     params = PBRParams.solve(2, np.pi / 4)
     circuit = build_test_circuit(0, params)
-    rep = tolerance_report(params, cal, circuit, THERMODYNAMICAL)
+    rep = tolerance_reports(params, cal, circuit)[1]
     assert 0.02 < rep.eps_dec_cumulative < 0.035
     assert rep.eps_dec < rep.eps_dec_cumulative
-
-
-def test_tolerance_report_rejects_unknown_model():
-    params = PBRParams.solve(2, np.pi / 4)
-    circuit = build_test_circuit(0, params)
-    with pytest.raises(ValidationError, match=r"^unknown noise model 'white'$"):
-        tolerance_report(params, adjacent_pair_calibration(), circuit, "white")
 
 
 def varied_calibration(n, seed, edges=None):
@@ -197,7 +179,6 @@ def assert_pair_matches_reference(params, cal, circuit):
     for model, rep in zip((DEPOLARIZING, THERMODYNAMICAL), pair):
         ref = reference_tolerance_report(params, cal, circuit, model)
         assert repr(rep) == repr(ref)
-        assert repr(tolerance_report(params, cal, circuit, model)) == repr(ref)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -257,8 +238,9 @@ def test_tolerance_pair_is_kept_for_the_same_objects(walks):
     cal = adjacent_pair_calibration()
     pair = kept_pair(run_experiment(pair_config(cal)))
     assert kept_pair(run_experiment(dataclasses.replace(pair_config(cal), seed=5)))[0] is pair[0]
-    assert repr(tolerance_report(params, cal, params.test_circuit, DEPOLARIZING)) == repr(pair[0])
-    assert repr(tolerance_report(params, cal, params.test_circuit, THERMODYNAMICAL)) == repr(pair[1])
+    # Each direct call walks afresh, to an equal pair.
+    for i, rep in enumerate(pair):
+        assert repr(tolerance_reports(params, cal, params.test_circuit)[i]) == repr(rep)
     assert len(walks) == 3
     thermo = kept_pair(run_experiment(pair_config(cal, THERMODYNAMICAL)))
     assert thermo is not pair and repr(thermo) == repr(pair)

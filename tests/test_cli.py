@@ -21,7 +21,6 @@ from pbrsim.config import MAX_SOLVER_N, MAX_SPAN
 from pbrsim.harness import (
     ExperimentConfig,
     analytic_report,
-    report_to_dict,
     run_experiment,
 )
 from pbrsim.noise import (
@@ -35,6 +34,7 @@ from pbrsim.noise import (
 )
 from pbrsim.protocol import check_forbidden_outcomes
 from pbrsim.routing import line_map, save_coupling_map
+from report_reference import TOLERANCE_FIELDS, tolerance_dict
 
 
 @pytest.fixture(autouse=True)
@@ -112,19 +112,15 @@ def test_tolerance_subcommand(calib_path, capsys):
     assert doc["model"] == "depolarizing"
     assert abs(doc["eps_tol_ideal"] - 0.02144660940672625) < 1e-12
     assert doc["eps_tol_noisy"] > doc["eps_tol_ideal"]
-    tolerance_keys = {
-        "model", "d_quantum", "d_noisy", "eps_tol_ideal", "eps_tol_noisy",
-        "eps_tol_noisy_spread", "eps_dep", "eps_dec", "eps_dec_cumulative",
-    }
-    assert set(doc) == tolerance_keys | {
-        "kind", "n", "theta", "qubit_ids", "eps_prep", "eps_tol_per_qubit",
+    assert set(doc) == {
+        *TOLERANCE_FIELDS, "kind", "n", "theta", "qubit_ids", "eps_prep", "eps_tol_per_qubit",
     }
     cfg = ExperimentConfig(
         n=2, theta=np.pi / 4, model=DEPOLARIZING,
         calibration=load_calibration(calib_path), shots=100,
     )
-    expected = report_to_dict(run_experiment(cfg))["tolerances"]["depolarizing"]
-    assert {k: doc[k] for k in tolerance_keys} == expected
+    expected = tolerance_dict(run_experiment(cfg).tol_dep)
+    assert {k: doc[k] for k in TOLERANCE_FIELDS} == expected
 
 
 def test_thermodynamical_preparation_error_is_capped_at_one(tmp_path, capsys):

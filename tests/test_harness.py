@@ -23,6 +23,7 @@ import pbrsim.harness
 import pbrsim.protocol
 import pbrsim.routing
 import pbrsim.simulate
+from helpers import line_calibration
 from pbrsim.config import DEFAULT_CONFIDENCE
 from pbrsim.errors import RangeError, ValidationError
 from pbrsim.harness import (
@@ -35,7 +36,6 @@ from pbrsim.harness import (
     render_doc,
     render_json,
     render_sweep_json,
-    report_to_dict,
     run_experiment,
     sample_counts,
     sweep_distance,
@@ -53,6 +53,7 @@ from pbrsim.noise import (
 )
 from pbrsim.protocol import check_forbidden_outcomes, solved, theta_min
 from pbrsim.routing import line_map, lower
+from report_reference import input_rows, report_dict
 
 
 def pair_calibration(readout=600e-9):
@@ -76,15 +77,6 @@ def all_pairs_calibration(n):
         CouplerCalibration(a, b, 2.4e-3, 68e-9)
         for a, b in itertools.combinations(range(n), 2)
     )
-    return CalibrationSnapshot(qubits, couplers, 600e-9)
-
-
-def line_calibration(n):
-    qubits = tuple(
-        QubitCalibration(i, 173e-6, 172e-6, 2.1e-4, 36e-9, 0.01, 0.01)
-        for i in range(n)
-    )
-    couplers = tuple(CouplerCalibration(i, i + 1, 2.4e-3, 68e-9) for i in range(n - 1))
     return CalibrationSnapshot(qubits, couplers, 600e-9)
 
 
@@ -384,7 +376,7 @@ def test_run_experiment_thermo_five_qubits():
         calibration=all_pairs_calibration(5), shots=4000, seed=11,
     )
     rep = run_experiment(cfg)
-    assert report_to_dict(rep)["forbidden_map"] == {f"{x:05b}": f"{x:05b}" for x in range(32)}
+    assert json.loads(render_json(rep))["forbidden_map"] == {f"{x:05b}": f"{x:05b}" for x in range(32)}
     assert len(rep.inputs) == 32
     assert rep.mean_forbidden_exact < rep.active_tolerance
 
@@ -846,7 +838,7 @@ def test_experiment_reports_render_as_stdlib_bytes(model):
             shots=2000, seed=n,
         )
         rep = run_experiment(cfg)
-        assert render_json(rep) == stdlib_render(report_to_dict(rep))
+        assert render_json(rep) == stdlib_render(report_dict(rep))
     # An integer theta, a non-default confidence, a seed past 2^40, rows that
     # mix pass and fail, reversed and far placements, and analytic reports.
     line = ExperimentConfig(
@@ -863,7 +855,7 @@ def test_experiment_reports_render_as_stdlib_bytes(model):
     assert any(0 < r.pass_fraction < 1 for r in reports)
     assert '\n  "theta": 1,\n' in render_json(reports[0])
     for rep in reports:
-        assert render_json(rep) == stdlib_render(report_to_dict(rep))
+        assert render_json(rep) == stdlib_render(report_dict(rep))
 
 
 @pytest.mark.parametrize("model", [DEPOLARIZING, THERMODYNAMICAL])
@@ -874,7 +866,7 @@ def test_sweep_reports_render_as_stdlib_bytes(model):
     for spans in ((1, 2, 3, 154), ()):
         reports = sweep_distance(cfg, spans)
         assert [r.analytic_only for r in reports] == [s == 154 for s in spans]
-        doc = {"kind": "pbr-distance-sweep", "reports": [report_to_dict(r) for r in reports]}
+        doc = {"kind": "pbr-distance-sweep", "reports": [report_dict(r) for r in reports]}
         assert render_sweep_json(reports) == stdlib_render(doc)
     assert render_sweep_json([]).endswith('"reports": []\n}\n')
 
@@ -945,7 +937,7 @@ def test_csv_rows_are_the_json_input_rows():
     )
     rep = run_experiment(cfg)
     rows = list(csv.DictReader(io.StringIO(render_csv(rep))))
-    refs = report_to_dict(rep)["inputs"]
+    refs = input_rows(rep)
     assert len(rows) == len(refs) == 8
     for row, ref in zip(rows, refs):
         assert row == {"span": "", "predicted_error": "", **{k: str(v) for k, v in ref.items()}}

@@ -37,6 +37,7 @@ REMOVED = (
     "measurement_probs",
     "pure_density",
     "simulate_circuit",
+    "tolerance_report",
 )
 
 

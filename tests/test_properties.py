@@ -9,6 +9,7 @@ import pytest
 
 import pbrsim.simulate
 from dense_reference import conjugate
+from helpers import purity, random_density
 from pbrsim.circuits import (
     CPHASE_OPEN,
     CZ,
@@ -66,17 +67,6 @@ INSTANCE_COUNTS = (
     N_WILSON,
     N_READOUT,
 )
-
-
-def random_density(rng, n):
-    dim = 2**n
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    return m / np.trace(m).real
-
-
-def purity(rho):
-    return float(np.trace(rho @ rho).real)
 
 
 def random_circuit(rng, n, depth):

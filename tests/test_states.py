@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dense_reference import conjugate, ground_matrix, kraus_apply
+from helpers import purity, random_density
 from pbrsim.circuits import Circuit, Gate, X
 from pbrsim.errors import ChannelError, UnitarityError
 from pbrsim.noise import amplitude_damping, dephasing, depolarizing_channel
@@ -16,17 +17,6 @@ def random_unitary(rng, dim):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_density(rng, n):
-    dim = 2**n
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    return m / np.trace(m).real
-
-
-def purity(rho):
-    return float(np.trace(rho @ rho).real)
 
 
 def test_ground_state():
